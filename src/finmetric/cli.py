@@ -2,7 +2,9 @@
 
 Exit codes: 0 = verdict true / success, 1 = verdict false (witness printed),
 2 = usage or resource error.  --json mirrors the text payload bit-exactly for
-golden-file testing.  FINMETRIC_BUDGET overrides every search bound at once.
+golden-file testing.  FINMETRIC_BUDGET overrides the Config bounds at once:
+iso, copies and canon point bounds, the arrow copy budget, the Urysohn point
+cap and the |S| bound of the 4-values scans.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ def _config() -> Config:
         canon_bound=b,
         arrow_copy_budget=b,
         urysohn_max_points=b,
+        four_values_bound=b,
     )
 
 
@@ -90,7 +93,7 @@ def _quad(q) -> str:
 
 def cmd_check4v(args) -> int:
     s = _distances(args.distances)
-    res = four_values.check_four_values(s)
+    res = four_values.check_four_values(s, _config().four_values_bound)
     if res.holds:
         _emit(args, {"holds": True, "set": [format_fraction(v) for v in s]},
               [f"4-values condition holds for {s}"])
@@ -112,7 +115,7 @@ def cmd_check4v(args) -> int:
 
 def cmd_badquads(args) -> int:
     s = _distances(args.distances)
-    rows = four_values.bad_quadruples(s)
+    rows = four_values.bad_quadruples(s, _config().four_values_bound)
     payload = {
         "set": [format_fraction(v) for v in s],
         "rows": [
@@ -152,7 +155,7 @@ def cmd_amalgamate(args) -> int:
     y1 = _load_space(args.y1)
     x0 = _ints(args.x0) if args.x0 else []
     x1 = _ints(args.x1) if args.x1 else []
-    result = four_values.amalgamate(s, y0, y1, x0, x1)
+    result = four_values.amalgamate(s, y0, y1, x0, x1, _config())
     _emit(args, {"space": json.loads(space_to_json(result))},
           [space_to_text(result).rstrip()])
     return 0
@@ -337,6 +340,8 @@ def cmd_orderprop(args) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.what in ("indiv", "greedy") and args.target is None:
+        raise InvalidSpace(f"color {args.what} needs --target")
     if args.what == "indiv":
         x = _load_space(args.space)
         target = _load_space(args.target)

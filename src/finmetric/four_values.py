@@ -5,23 +5,34 @@ interval I(q) = [max(|u0-u1|, |u2-u3|), min(u0+u1, u2+u3)]; q is good when
 I(q) meets S.  S satisfies the 4-values condition exactly when goodness is
 invariant under the swap q* = (u0,u2,u1,u3), and that condition is equivalent
 to the class of finite S-valued metric spaces having strong amalgamation.
+
+The two |S|^4 scans run on integers.  S is multiplied by the lcm of its
+denominators, which makes every value an int.  Each comparison above is
+between sums, differences and elements of S, and a positive scaling keeps
+all of them, so no verdict, witness or row order changes.  For each index
+pair (i, j) the scans keep one bitset, the pair mask: bit t is set when
+|a_i - a_j| <= a_t <= a_i + a_j.  I(q) is the intersection of its two pair
+intervals, so (a_i, a_j, a_k, a_l) is good exactly when
+mask[i][j] & mask[k][l] is non-zero.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import (
+    DEFAULT_CONFIG,
+    Config,
     DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
     format_fraction,
 )
-
-FOUR_VALUES_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,20 @@ def canonical_quadruple(q):
     return p2 + p1
 
 
+def _scaled(s: DistanceSet) -> tuple[list[int], int]:
+    """The values of S times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in s.values))
+    return [v.numerator * (scale // v.denominator) for v in s.values], scale
+
+
+def _pair_masks(a: list[int]) -> list[list[int]]:
+    """mask[i][j]: bit t set exactly when |a_i - a_j| <= a_t <= a_i + a_j."""
+    return [
+        [(1 << bisect_right(a, x + y)) - (1 << bisect_left(a, abs(x - y))) for y in a]
+        for x in a
+    ]
+
+
 @dataclass(frozen=True)
 class FourValuesResult:
     holds: bool
@@ -86,7 +111,9 @@ class FourValuesResult:
         return self.holds
 
 
-def check_four_values(s: DistanceSet, bound: int = FOUR_VALUES_BOUND) -> FourValuesResult:
+def check_four_values(
+    s: DistanceSet, bound: int = DEFAULT_CONFIG.four_values_bound
+) -> FourValuesResult:
     """Decide the 4-values condition; on failure report the least mismatch.
 
     The witness is the lexicographically least q in S^4 whose goodness differs
@@ -95,12 +122,21 @@ def check_four_values(s: DistanceSet, bound: int = FOUR_VALUES_BOUND) -> FourVal
     """
     if len(s) > bound:
         raise SearchTooLarge(f"4-values check too large: |S|={len(s)} > {bound}")
-    vals = s.values
-    for q in itertools.product(vals, repeat=4):
-        g, gs = is_good(q, s), is_good(swap(q), s)
-        if g != gs:
-            bad = swap(q) if g else q
-            return FourValuesResult(False, q, swap(q), canonical_quadruple(bad))
+    masks = _pair_masks(_scaled(s)[0])
+    r = range(len(masks))
+    # i, j, k, l in itertools.product order: the first mismatch is lex-least
+    for i in r:
+        mi = masks[i]
+        for j in r:
+            mij, mj = mi[j], masks[j]
+            for k in r:
+                mik, mk = mi[k], masks[k]
+                for l in r:
+                    if (not mij & mk[l]) != (not mik & mj[l]):
+                        vals = s.values
+                        q = (vals[i], vals[j], vals[k], vals[l])
+                        bad = swap(q) if mij & mk[l] else q
+                        return FourValuesResult(False, q, swap(q), canonical_quadruple(bad))
     return FourValuesResult(True)
 
 
@@ -112,7 +148,9 @@ class BadQuadrupleRow:
     unresolved: bool    # True when neither swap is bad: a 4-values failure
 
 
-def bad_quadruples(s: DistanceSet, bound: int = FOUR_VALUES_BOUND) -> list[BadQuadrupleRow]:
+def bad_quadruples(
+    s: DistanceSet, bound: int = DEFAULT_CONFIG.four_values_bound
+) -> list[BadQuadrupleRow]:
     """The table of bad quadruples, deduplicated up to trivial permutation.
 
     Rows are grouped by empty admissible interval, sorted lexicographically.
@@ -122,23 +160,51 @@ def bad_quadruples(s: DistanceSet, bound: int = FOUR_VALUES_BOUND) -> list[BadQu
     """
     if len(s) > bound:
         raise SearchTooLarge(f"bad-quadruple scan too large: |S|={len(s)} > {bound}")
-    seen: dict[tuple, AdmissibleInterval] = {}
-    for q in itertools.product(s.values, repeat=4):
-        if not is_good(q, s):
-            seen.setdefault(canonical_quadruple(q), interval(q))
-    rows = []
-    for q, iv in seen.items():
-        resolutions = []
-        resolved = False
-        for op, partner in (("*", swap(q)), ("_*", outer_swap(q))):
-            cp = canonical_quadruple(partner)
-            if not is_good(partner, s):
-                resolved = True
-                if cp != q and all(cp != t for _, t in resolutions):
-                    resolutions.append((op, cp))
-        rows.append(BadQuadrupleRow(iv, q, tuple(resolutions), not resolved))
-    rows.sort(key=lambda r: (r.interval.lo, r.interval.hi, r.quadruple))
-    return rows
+    a, scale = _scaled(s)
+    masks = _pair_masks(a)
+    m = len(a)
+    # index pairs i <= j in the order canonical_quadruple puts pairs in; the
+    # representatives are then exactly pairs[x] + pairs[y] with x <= y
+    pairs = sorted(
+        ((i, j) for i in range(m) for j in range(i, m)),
+        key=lambda p: (a[p[0]] - a[p[1]], a[p[0]] + a[p[1]], p),
+    )
+    rank = {p: x for x, p in enumerate(pairs)}
+
+    def canonical(u0, u1, u2, u3):
+        p1 = (u0, u1) if u0 <= u1 else (u1, u0)
+        p2 = (u2, u3) if u2 <= u3 else (u3, u2)
+        return p1 + p2 if rank[p1] <= rank[p2] else p2 + p1
+
+    keyed = []
+    for x, (i, j) in enumerate(pairs):
+        mij = masks[i][j]
+        for k, l in pairs[x:]:
+            if mij & masks[k][l]:
+                continue
+            q = (i, j, k, l)
+            resolutions = []
+            resolved = False
+            for op, (u0, u1, u2, u3) in (("*", (i, k, j, l)), ("_*", (i, l, k, j))):
+                if not masks[u0][u1] & masks[u2][u3]:
+                    resolved = True
+                    cp = canonical(u0, u1, u2, u3)
+                    if cp != q and all(cp != t for _, t in resolutions):
+                        resolutions.append((op, cp))
+            # pairs[x] comes first, so its difference is the larger one
+            lo, hi = a[j] - a[i], min(a[i] + a[j], a[k] + a[l])
+            keyed.append(((lo, hi, q), resolutions, not resolved))
+    keyed.sort()  # the (lo, hi, q) keys are distinct
+    vals = s.values
+    return [
+        BadQuadrupleRow(
+            AdmissibleInterval(Fraction(lo, scale), Fraction(hi, scale)),
+            tuple(vals[u] for u in q),
+            tuple((op, tuple(vals[u] for u in t)) for op, t in resolutions),
+            unresolved,
+        )
+        for (lo, hi, q), resolutions, unresolved in keyed
+    ]
 
 
 def format_bad_quadruple_table(rows: list[BadQuadrupleRow]) -> str:
@@ -193,6 +259,7 @@ def amalgamate(
     y1: FiniteMetricSpace,
     x0_indices,
     x1_indices,
+    config: Config = DEFAULT_CONFIG,
 ) -> FiniteMetricSpace:
     """Strong amalgam of y0 and y1 over a common subspace.
 
@@ -201,9 +268,10 @@ def amalgamate(
     exclusive part of y1 after it; new cross distances are the least element
     of S admissible for the pair, filled by removing the highest-index
     exclusive point of y1 first (the proof's two-stage induction), which makes
-    the output deterministic.
+    the output deterministic.  config.four_values_bound caps |S| for the
+    4-values check run first.
     """
-    chk = check_four_values(s)
+    chk = check_four_values(s, config.four_values_bound)
     if not chk:
         raise AmalgamationError(
             f"S fails the 4-values condition, witness {chk.witness}"

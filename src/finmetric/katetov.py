@@ -147,7 +147,7 @@ def urysohn_approx(
     seed keeps the output deterministic.  Growth is capped by
     config.urysohn_max_points; hitting the cap reports progress.
     """
-    chk = four_values.check_four_values(s)
+    chk = four_values.check_four_values(s, config.four_values_bound)
     if not chk:
         raise InvalidSpace(f"S fails the 4-values condition, witness {chk.witness}")
     rng = random.Random(seed)

@@ -306,6 +306,8 @@ def lambda_epsilon(x: FiniteMetricSpace, point: int, eps) -> Fraction:
     eps = as_fraction(eps)
     if eps <= 0:
         raise InvalidSpace("epsilon must be positive")
+    if not 0 <= point < x.n:
+        raise InvalidSpace(f"point {point} out of range for a {x.n}-point space")
     component = {point}
     frontier = [point]
     while frontier:

@@ -30,6 +30,7 @@ class Config:
     canon_bound: int = 10
     arrow_copy_budget: int = 24
     urysohn_max_points: int = 64
+    four_values_bound: int = 12  # largest |S| for the |S|^4 scans
 
 
 DEFAULT_CONFIG = Config()
@@ -526,6 +527,9 @@ def space_from_text(text: str) -> FiniteMetricSpace:
 
 def graph_from_text(text: str) -> EdgeLabelledGraph:
     n, rows = _parse_lines(text)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise InvalidSpace(f"row {i} has {len(row)} entries, expected {n}")
     g = EdgeLabelledGraph(n)
     for i in range(n):
         for j in range(i + 1, n):

@@ -328,3 +328,35 @@ class TestEntryPoint:
         code, _, err = run_cli(capsys, "iso", "--space", paths["triangle"])
         assert code == 2
         assert "too large" in err
+
+    def test_budget_env_var_reaches_four_values(self, capsys, monkeypatch):
+        monkeypatch.setenv("FINMETRIC_BUDGET", "2")
+        code, _, err = run_cli(capsys, "check4v", "1", "2", "5")
+        assert code == 2
+        assert err.startswith("error: ") and "too large" in err
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with an error line, never a traceback."""
+
+    def test_ragged_graph_row(self, capsys, tmp_path):
+        g = tmp_path / "ragged.txt"
+        g.write_text("points: 3\n0 1 1\n1 0\n1 1 0\n")
+        code, _, err = run_cli(capsys, "validate", "--graph", str(g))
+        assert code == 2
+        assert err.startswith("error: ") and "row 1" in err
+
+    @pytest.mark.parametrize("what", ["indiv", "greedy"])
+    def test_color_without_target(self, capsys, spaces, what):
+        paths, _ = spaces
+        code, _, err = run_cli(capsys, "color", what, "--space", paths["triangle"])
+        assert code == 2
+        assert err.startswith("error: ") and "--target" in err
+
+    def test_color_lambda_point_out_of_range(self, capsys, spaces):
+        paths, _ = spaces
+        code, _, err = run_cli(
+            capsys, "color", "lambda", "--space", paths["triangle"], "--point", "7"
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "out of range" in err

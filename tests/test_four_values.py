@@ -2,10 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmetric.four_values import (
     outer_swap,
     AmalgamationError,
+    BadQuadrupleRow,
+    FourValuesResult,
     amalgamate,
     bad_quadruples,
     canonical_quadruple,
@@ -15,11 +18,82 @@ from finmetric.four_values import (
     similar,
     swap,
 )
-from finmetric.spaces import DistanceSet, FiniteMetricSpace
+from finmetric.spaces import DistanceSet, FiniteMetricSpace, SearchTooLarge
 
 
 def ds(*vals):
     return DistanceSet(vals)
+
+
+# --- reference scans: the direct walk over S^4 on Fractions ------------------
+
+def _reference_check_four_values(s):
+    for q in itertools.product(s.values, repeat=4):
+        g, gs = is_good(q, s), is_good(swap(q), s)
+        if g != gs:
+            bad = swap(q) if g else q
+            return FourValuesResult(False, q, swap(q), canonical_quadruple(bad))
+    return FourValuesResult(True)
+
+
+def _reference_bad_quadruples(s):
+    seen = {}
+    for q in itertools.product(s.values, repeat=4):
+        if not is_good(q, s):
+            seen.setdefault(canonical_quadruple(q), interval(q))
+    rows = []
+    for q, iv in seen.items():
+        resolutions = []
+        resolved = False
+        for op, partner in (("*", swap(q)), ("_*", outer_swap(q))):
+            cp = canonical_quadruple(partner)
+            if not is_good(partner, s):
+                resolved = True
+                if cp != q and all(cp != t for _, t in resolutions):
+                    resolutions.append((op, cp))
+        rows.append(BadQuadrupleRow(iv, q, tuple(resolutions), not resolved))
+    rows.sort(key=lambda r: (r.interval.lo, r.interval.hi, r.quadruple))
+    return rows
+
+
+@st.composite
+def mixed_distance_sets(draw, max_size=8):
+    """|S| in 1..max_size, each value p/q with q drawn from {1, 2, 3, 6}."""
+    vals = draw(st.lists(
+        st.builds(Fraction, st.integers(1, 36), st.sampled_from((1, 2, 3, 6))),
+        min_size=1, max_size=max_size, unique=True,
+    ))
+    return DistanceSet(vals)
+
+
+class TestKernelMatchesReference:
+    @given(mixed_distance_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_check_four_values(self, s):
+        assert check_four_values(s) == _reference_check_four_values(s)
+
+    @given(mixed_distance_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_bad_quadruples(self, s):
+        assert bad_quadruples(s) == _reference_bad_quadruples(s)
+
+    def test_initial_segment_of_twelve(self):
+        s = ds(*range(1, 13))
+        assert check_four_values(s) == _reference_check_four_values(s)
+        assert bad_quadruples(s) == _reference_bad_quadruples(s)
+
+    def test_rows_carry_fractions(self):
+        # the integer scan hands back the exact values of S, not scaled ints
+        s = ds(Fraction(1, 2), Fraction(2, 3), 2)
+        for r in bad_quadruples(s):
+            assert all(type(v) is Fraction for v in (r.interval.lo, r.interval.hi) + r.quadruple)
+            assert all(v in s for v in r.quadruple)
+
+    def test_bound(self):
+        with pytest.raises(SearchTooLarge):
+            check_four_values(ds(1, 2, 5), bound=2)
+        with pytest.raises(SearchTooLarge):
+            bad_quadruples(ds(1, 2, 5), bound=2)
 
 
 class TestInterval:

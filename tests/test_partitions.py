@@ -302,3 +302,9 @@ class TestLambdaEpsilon:
         ]
         assert values == sorted(values)
         assert all(v <= 1 for v in values)
+
+    @pytest.mark.parametrize("point", [-1, 3, 7])
+    def test_point_out_of_range(self, point):
+        x = FiniteMetricSpace.equilateral(3, 1)
+        with pytest.raises(InvalidSpace, match="out of range"):
+            lambda_epsilon(x, point, Fraction(1, 2))

@@ -363,3 +363,7 @@ class TestFormats:
     def test_asymmetric_values_rejected(self):
         with pytest.raises(InvalidSpace, match="asymmetric"):
             graph_from_text("points: 2\n0 1\n2 0\n")
+
+    def test_ragged_row_rejected(self):
+        with pytest.raises(InvalidSpace, match="row 1 has 2 entries"):
+            graph_from_text("points: 3\n0 1 1\n1 0\n1 1 0\n")
