@@ -19,7 +19,6 @@ mask[i][j] & mask[k][l] is non-zero.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _scaled,
     format_fraction,
 )
 
@@ -86,12 +86,6 @@ def canonical_quadruple(q):
     return p2 + p1
 
 
-def _scaled(s: DistanceSet) -> tuple[list[int], int]:
-    """The values of S times the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(v.denominator for v in s.values))
-    return [v.numerator * (scale // v.denominator) for v in s.values], scale
-
-
 def _pair_masks(a: list[int]) -> list[list[int]]:
     """mask[i][j]: bit t set exactly when |a_i - a_j| <= a_t <= a_i + a_j."""
     return [
@@ -122,7 +116,7 @@ def check_four_values(
     """
     if len(s) > bound:
         raise SearchTooLarge(f"4-values check too large: |S|={len(s)} > {bound}")
-    masks = _pair_masks(_scaled(s)[0])
+    masks = _pair_masks(_scaled(s.values)[0])
     r = range(len(masks))
     # i, j, k, l in itertools.product order: the first mismatch is lex-least
     for i in r:
@@ -160,7 +154,7 @@ def bad_quadruples(
     """
     if len(s) > bound:
         raise SearchTooLarge(f"bad-quadruple scan too large: |S|={len(s)} > {bound}")
-    a, scale = _scaled(s)
+    a, scale = _scaled(s.values)
     masks = _pair_masks(a)
     m = len(a)
     # index pairs i <= j in the order canonical_quadruple puts pairs in; the

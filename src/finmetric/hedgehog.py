@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import (
+    EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
     as_fraction,
+    complete,
 )
 
 
@@ -96,7 +98,8 @@ def hedgehog_build(
     The labelling: comparable tree nodes carry the fine distance of their top
     indices' positions, coarse points carry the ceiled metric, and each tree
     node sits at 1/m from its projection.  The returned metric is the capped
-    (at 1) shortest-path completion, which must agree with every label.
+    (at 1) shortest-path completion, which must agree with every label:
+    `complete` raises InvalidSpace otherwise.
     """
     if m < 1:
         raise InvalidSpace("m must be a positive integer")
@@ -139,33 +142,7 @@ def hedgehog_build(
     for t in tree_nodes:
         put(node_index[t], max(t), Fraction(1, m))
 
-    # capped shortest-path completion over the labelled graph
-    INF = None
-    dist: list[list[Fraction | None]] = [
-        [None if a != b else Fraction(0) for b in range(total)] for a in range(total)
-    ]
-    for (a, b), v in labels.items():
-        if dist[a][b] is None or v < dist[a][b]:
-            dist[a][b] = dist[b][a] = v
-    for k in range(total):
-        for a in range(total):
-            dak = dist[a][k]
-            if dak is None:
-                continue
-            for b in range(total):
-                dkb = dist[k][b]
-                if dkb is None:
-                    continue
-                sdist = dak + dkb
-                if dist[a][b] is None or sdist < dist[a][b]:
-                    dist[a][b] = dist[b][a] = sdist
-    rows = [
-        [min(dist[a][b], Fraction(1)) if a != b and dist[a][b] is not None else
-         (Fraction(0) if a == b else Fraction(1))
-         for b in range(total)]
-        for a in range(total)
-    ]
-    dz = FiniteMetricSpace(rows)
+    dz = complete(EdgeLabelledGraph(total, labels), "sum-cap", 1)
     return HedgehogSpace(m, prefix, coarse, tree_nodes, labels, dz, base)
 
 

@@ -162,20 +162,6 @@ def _triangle_scan_numpy(dmat) -> tuple | None:
     return None
 
 
-def _triangle_scan_python(dmat) -> tuple | None:
-    n = len(dmat)
-    for i in range(n):
-        di = dmat[i]
-        for j in range(i + 1, n):
-            dij = di[j]
-            dj = dmat[j]
-            for k in range(j + 1, n):
-                a, b, c = dij, di[k], dj[k]
-                if a > b + c or b > a + c or c > a + b:
-                    return (i, j, k)
-    return None
-
-
 def milliken_space(
     name: str,
     depth: int,
@@ -198,6 +184,10 @@ def milliken_space(
     n = len(points)
     witness = None
     space = None
+
+    def dist(i, j):
+        return int(coding_distance(variant, points[i], points[j], invert_membership))
+
     if check == "exhaustive":
         if n > max_points:
             raise SearchTooLarge(
@@ -207,14 +197,8 @@ def milliken_space(
         dmat = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                v = int(
-                    coding_distance(variant, points[i], points[j], invert_membership)
-                )
-                dmat[i][j] = dmat[j][i] = v
-        try:
-            witness = _triangle_scan_numpy(dmat)
-        except ImportError:
-            witness = _triangle_scan_python(dmat)
+                dmat[i][j] = dmat[j][i] = dist(i, j)
+        witness = _triangle_scan_numpy(dmat)
         if witness is None:
             space = FiniteMetricSpace(dmat, check=False)
     elif check == "sampled":
@@ -222,9 +206,7 @@ def milliken_space(
         rng = random.Random(seed)
         for _ in range(samples):
             i, j, k = rng.sample(range(n), 3)
-            a = coding_distance(variant, points[i], points[j], invert_membership)
-            b = coding_distance(variant, points[i], points[k], invert_membership)
-            c = coding_distance(variant, points[j], points[k], invert_membership)
+            a, b, c = dist(i, j), dist(i, k), dist(j, k)
             if a > b + c or b > a + c or c > a + b:
                 witness = tuple(sorted((i, j, k)))
                 break

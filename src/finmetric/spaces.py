@@ -2,12 +2,16 @@
 
 All distances are `fractions.Fraction` values kept in lowest terms, so every
 verdict in this package is bit-exact.  Floats are rejected at the boundary.
+The triple scan and the path closure below run on the values scaled to ints
+by the lcm of their denominators; Fractions are rebuilt only for results.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -92,6 +96,31 @@ class DistanceSet:
         return self.values[0]
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _violating_triple(d, join) -> tuple[int, int, int] | None:
+    """The least (i, j, k) with one side > join of the other two, or None.
+
+    join is operator.add for the triangle inequality and max for the
+    ultrametric one.  Triples are scanned in itertools.combinations order
+    on the matrix scaled to ints; a positive scaling keeps every comparison.
+    """
+    n = len(d)
+    if n < 3:
+        return None
+    flat, _ = _scaled([v for row in d for v in row])
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    for i, j, k in itertools.combinations(range(n), 3):
+        a, b, c = m[i][j], m[i][k], m[j][k]
+        if a > join(b, c) or b > join(a, c) or c > join(a, b):
+            return i, j, k
+    return None
+
+
 class FiniteMetricSpace:
     """n points with an exact symmetric distance matrix satisfying the triangle inequality."""
 
@@ -109,10 +138,9 @@ class FiniteMetricSpace:
                         raise InvalidSpace(f"d({i},{j}) != d({j},{i})")
                     if d[i][j] <= 0:
                         raise InvalidSpace(f"d({i},{j}) = {d[i][j]} must be positive")
-            for i, j, k in itertools.combinations(range(n), 3):
-                a, b, c = d[i][j], d[i][k], d[j][k]
-                if a > b + c or b > a + c or c > a + b:
-                    raise InvalidSpace(f"triangle inequality fails on ({i},{j},{k})")
+            bad = _violating_triple(d, operator.add)
+            if bad is not None:
+                raise InvalidSpace("triangle inequality fails on ({},{},{})".format(*bad))
         self.n = n
         self.d = d
 
@@ -122,7 +150,6 @@ class FiniteMetricSpace:
     def distance_set(self) -> DistanceSet:
         vals = {self.d[i][j] for i in range(self.n) for j in range(i + 1, self.n)}
         if not vals:
-            # one-point space has no positive distance; use a harmless placeholder
             raise InvalidSpace("one-point space has an empty distance set")
         return DistanceSet(vals)
 
@@ -136,11 +163,7 @@ class FiniteMetricSpace:
         )
 
     def is_ultrametric(self) -> bool:
-        for i, j, k in itertools.combinations(range(self.n), 3):
-            a, b, c = self.d[i][j], self.d[i][k], self.d[j][k]
-            if a > max(b, c) or b > max(a, c) or c > max(a, b):
-                return False
-        return True
+        return _violating_triple(self.d, max) is None
 
     def diameter(self) -> Fraction:
         if self.n < 2:
@@ -251,19 +274,12 @@ def validate(g: EdgeLabelledGraph, mode: str, l: int | None = None):
     if mode in ("metric", "ultrametric"):
         if not g.is_total():
             raise InvalidSpace("incomplete labelling in a total mode")
-        for i, j, k in itertools.combinations(range(g.n), 3):
-            a, b, c = g.label(i, j), g.label(i, k), g.label(j, k)
-            if mode == "metric":
-                if a > b + c or b > a + c or c > a + b:
-                    return False, (i, j, k)
-            else:
-                if (
-                    a > max(b, c)
-                    or b > max(a, c)
-                    or c > max(a, b)
-                ):
-                    return False, (i, j, k)
-        return True, None
+        d = [
+            [Fraction(0) if i == j else g.label(i, j) for j in range(g.n)]
+            for i in range(g.n)
+        ]
+        bad = _violating_triple(d, operator.add if mode == "metric" else max)
+        return bad is None, bad
     if mode == "l-metric":
         if l is None or l < 1:
             raise InvalidSpace("l-metric mode needs a positive l")
@@ -279,52 +295,32 @@ def validate(g: EdgeLabelledGraph, mode: str, l: int | None = None):
     raise InvalidSpace(f"unknown mode {mode!r}")
 
 
-def _all_pairs_shortest(g: EdgeLabelledGraph):
-    """Floyd-Warshall over the labelled pairs; None = unreachable."""
-    n = g.n
-    dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
+def _path_closure(n: int, labels: dict, join) -> list[list[Fraction | None]]:
+    """Least path value between every two points; None = unreachable.
+
+    One Floyd-Warshall loop on the labels scaled to ints.  A path's value is
+    its labels folded by join: operator.add gives shortest paths, max gives
+    minimax (bottleneck) paths.
+    """
+    ints, scale = _scaled(list(labels.values()))
+    dist: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
-        dist[i][i] = Fraction(0)
-    for (i, j), v in ((p, g.label(*p)) for p in g.labelled_pairs()):
-        if dist[i][j] is None or v < dist[i][j]:
-            dist[i][j] = dist[j][i] = v
+        dist[i][i] = 0
+    for (i, j), v in zip(labels, ints):
+        dist[i][j] = dist[j][i] = v
     for k in range(n):
-        for i in range(n):
-            dik = dist[i][k]
+        dk = dist[k]
+        for di in dist:
+            dik = di[k]
             if dik is None:
                 continue
-            for j in range(n):
-                dkj = dist[k][j]
+            for j, dkj in enumerate(dk):
                 if dkj is None:
                     continue
-                s = dik + dkj
-                if dist[i][j] is None or s < dist[i][j]:
-                    dist[i][j] = dist[j][i] = s
-    return dist
-
-
-def _all_pairs_minimax(g: EdgeLabelledGraph):
-    """Minimax (bottleneck) path weights over the labelled pairs."""
-    n = g.n
-    dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = Fraction(0)
-    for (i, j), v in ((p, g.label(*p)) for p in g.labelled_pairs()):
-        if dist[i][j] is None or v < dist[i][j]:
-            dist[i][j] = dist[j][i] = v
-    for k in range(n):
-        for i in range(n):
-            dik = dist[i][k]
-            if dik is None:
-                continue
-            for j in range(n):
-                dkj = dist[k][j]
-                if dkj is None:
-                    continue
-                s = max(dik, dkj)
-                if dist[i][j] is None or s < dist[i][j]:
-                    dist[i][j] = dist[j][i] = s
-    return dist
+                s = join(dik, dkj)
+                if di[j] is None or s < di[j]:
+                    di[j] = s
+    return [[None if v is None else Fraction(v, scale) for v in row] for row in dist]
 
 
 def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
@@ -337,30 +333,30 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
     """
     if not g.is_connected():
         raise InvalidSpace("graph is disconnected; completion undefined")
+    labels = {p: g.label(*p) for p in g.labelled_pairs()}
     if mode == "sum-cap":
         if r is None:
             raise InvalidSpace("sum-cap mode needs a cap r")
         cap = as_fraction(r)
-        for (i, j) in g.labelled_pairs():
-            if g.label(i, j) > cap:
+        for (i, j), v in labels.items():
+            if v > cap:
                 raise InvalidSpace(
                     f"cap {format_fraction(cap)} smaller than label on ({i},{j})"
                 )
-        dist = _all_pairs_shortest(g)
+        dist = _path_closure(g.n, labels, operator.add)
         rows = [
             [min(dist[i][j], cap) if i != j else Fraction(0) for j in range(g.n)]
             for i in range(g.n)
         ]
     elif mode == "max":
-        dist = _all_pairs_minimax(g)
-        rows = [[dist[i][j] for j in range(g.n)] for i in range(g.n)]
+        rows = _path_closure(g.n, labels, max)
     else:
         raise InvalidSpace(f"unknown completion mode {mode!r}")
-    for (i, j) in g.labelled_pairs():
-        if rows[i][j] != g.label(i, j):
+    for (i, j), v in labels.items():
+        if rows[i][j] != v:
             raise InvalidSpace(
                 f"labelling is not {mode}-consistent: pair ({i},{j}) has label "
-                f"{format_fraction(g.label(i, j))} but path value {format_fraction(rows[i][j])}"
+                f"{format_fraction(v)} but path value {format_fraction(rows[i][j])}"
             )
     return FiniteMetricSpace(rows)
 

@@ -73,20 +73,28 @@ def tree_of_space(x: FiniteMetricSpace) -> UltraTree:
         # a single point still gets one level so the tree has a leaf layer
         return UltraTree((Fraction(1),), [-1, 0], [0, 1], {1: 0})
     levels = sorted(x.distances(), reverse=True)
+    parents, depths, leaf_points = _class_tree(x, levels)
+    return UltraTree(tuple(levels), parents, depths, leaf_points)
+
+
+def _class_tree(x: FiniteMetricSpace, levels) -> tuple[list, list, dict]:
+    """Parents, depths and leaf points of the tree of closeness classes.
+
+    levels descend; node 0 holds every point, and the depth-j nodes below it
+    are the classes of d <= levels[j], with the threshold past the last
+    level treated as 0, i.e. singleton leaves at depth len(levels).
+    """
     k = len(levels)
     parents = [-1]
     depths = [0]
     leaf_points = {}
-    # depth-j nodes are classes of d <= levels[j], with the threshold below
-    # the last level treated as 0, i.e. singleton leaves
-    split_levels = levels[1:] + [None]
 
     def rec(node, members, depth):
         if depth == k:
             (p,) = members
             leaf_points[node] = p
             return
-        thr = split_levels[depth]
+        thr = levels[depth + 1] if depth + 1 < k else None
         remaining = list(members)
         classes = []
         while remaining:
@@ -104,7 +112,7 @@ def tree_of_space(x: FiniteMetricSpace) -> UltraTree:
             rec(child, cls, depth + 1)
 
     rec(0, list(range(x.n)), 0)
-    return UltraTree(tuple(levels), parents, depths, leaf_points)
+    return parents, depths, leaf_points
 
 
 def space_of_tree(t: UltraTree) -> FiniteMetricSpace:
@@ -253,32 +261,7 @@ def ambient_tree_nodes(x: FiniteMetricSpace, s: DistanceSet):
     """
     if any(v not in s for v in x.distances()):
         raise InvalidSpace("space has a distance outside S")
-    levels = sorted(s.values, reverse=True)
-    k = len(levels)
-    parents = [-1]
-    depths = [0]
-
-    def rec(node, members, depth):
-        if depth == k:
-            return
-        thr = levels[depth + 1] if depth + 1 < k else None
-        remaining = list(members)
-        classes = []
-        while remaining:
-            seed = remaining.pop(0)
-            cls = [seed]
-            for q in list(remaining):
-                if thr is not None and x.d[seed][q] <= thr:
-                    cls.append(q)
-                    remaining.remove(q)
-            classes.append(cls)
-        for cls in classes:
-            child = len(parents)
-            parents.append(node)
-            depths.append(depth + 1)
-            rec(child, cls, depth + 1)
-
-    rec(0, list(range(x.n)), 0)
+    parents, depths, _ = _class_tree(x, sorted(s.values, reverse=True))
     return parents, depths
 
 

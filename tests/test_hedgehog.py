@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmetric.hedgehog import (
     HedgehogSpace,
@@ -24,6 +25,46 @@ def random_unit_space(rng, n):
             for j in range(n):
                 if w[i][k] + w[k][j] < w[i][j]:
                     w[i][j] = w[i][k] + w[k][j]
+    return FiniteMetricSpace(w)
+
+
+def _reference_capped_completion(total, labels):
+    """Capped (at 1) shortest-path completion on Fractions; unreachable = 1."""
+    dist = [[None if a != b else Fraction(0) for b in range(total)] for a in range(total)]
+    for (a, b), v in labels.items():
+        if dist[a][b] is None or v < dist[a][b]:
+            dist[a][b] = dist[b][a] = v
+    for k in range(total):
+        for a in range(total):
+            dak = dist[a][k]
+            if dak is None:
+                continue
+            for b in range(total):
+                dkb = dist[k][b]
+                if dkb is None:
+                    continue
+                s = dak + dkb
+                if dist[a][b] is None or s < dist[a][b]:
+                    dist[a][b] = dist[b][a] = s
+    return tuple(
+        tuple(
+            Fraction(0) if a == b else Fraction(1) if dist[a][b] is None
+            else min(dist[a][b], Fraction(1))
+            for b in range(total)
+        )
+        for a in range(total)
+    )
+
+
+@st.composite
+def unit_prefixes(draw, max_n=5):
+    """Metric spaces with distances in (0, 1] on hundredths, 1..max_n points."""
+    n = draw(st.integers(1, max_n))
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        w[i][j] = w[j][i] = Fraction(draw(st.integers(20, 100)), 100)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        w[i][j] = min(w[i][j], w[i][k] + w[k][j])
     return FiniteMetricSpace(w)
 
 
@@ -89,6 +130,14 @@ class TestBuild:
         prefix = random_unit_space(rng, 5)
         z = hedgehog_build(2, prefix, max_tree_size=2)
         assert all(len(t) <= 2 for t in z.tree_nodes)
+
+
+class TestBuildMatchesReference:
+    @given(unit_prefixes(), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_dz(self, prefix, m, max_tree_size):
+        z = hedgehog_build(m, prefix, max_tree_size)
+        assert z.dz.d == _reference_capped_completion(z.dz.n, z.labels)
 
 
 class TestBranches:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmetric.spaces import (
     Config,
@@ -15,6 +16,7 @@ from finmetric.spaces import (
     canonicalize,
     complete,
     copies,
+    format_fraction,
     graph_from_text,
     graph_to_text,
     isometries,
@@ -43,6 +45,156 @@ def random_metric_space(rng, n, low=1, high=4):
                 if w[i][k] + w[k][j] < w[i][j]:
                     w[i][j] = w[i][k] + w[k][j]
     return FiniteMetricSpace(w)
+
+
+# --- reference scans: the direct Fraction loops --------------------------------
+
+def _reference_violating_triple(d, mode):
+    """Least violating triple in combinations order, on Fractions."""
+    for i, j, k in itertools.combinations(range(len(d)), 3):
+        a, b, c = d[i][j], d[i][k], d[j][k]
+        if mode == "metric":
+            if a > b + c or b > a + c or c > a + b:
+                return (i, j, k)
+        elif a > max(b, c) or b > max(a, c) or c > max(a, b):
+            return (i, j, k)
+    return None
+
+
+def _reference_all_pairs(g, mode):
+    """Floyd-Warshall over the labelled pairs on Fractions; None = unreachable."""
+    n = g.n
+    dist = [[None] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = Fraction(0)
+    for (i, j) in g.labelled_pairs():
+        dist[i][j] = dist[j][i] = g.label(i, j)
+    for k in range(n):
+        for i in range(n):
+            dik = dist[i][k]
+            if dik is None:
+                continue
+            for j in range(n):
+                dkj = dist[k][j]
+                if dkj is None:
+                    continue
+                s = dik + dkj if mode == "sum-cap" else max(dik, dkj)
+                if dist[i][j] is None or s < dist[i][j]:
+                    dist[i][j] = dist[j][i] = s
+    return dist
+
+
+def _reference_complete(g, mode, r=None):
+    if not g.is_connected():
+        raise InvalidSpace("graph is disconnected; completion undefined")
+    if mode == "sum-cap":
+        if r is None:
+            raise InvalidSpace("sum-cap mode needs a cap r")
+        cap = Fraction(r)
+        for (i, j) in g.labelled_pairs():
+            if g.label(i, j) > cap:
+                raise InvalidSpace(
+                    f"cap {format_fraction(cap)} smaller than label on ({i},{j})"
+                )
+        dist = _reference_all_pairs(g, mode)
+        rows = [
+            [min(dist[i][j], cap) if i != j else Fraction(0) for j in range(g.n)]
+            for i in range(g.n)
+        ]
+    else:
+        rows = _reference_all_pairs(g, mode)
+    for (i, j) in g.labelled_pairs():
+        if rows[i][j] != g.label(i, j):
+            raise InvalidSpace(
+                f"labelling is not {mode}-consistent: pair ({i},{j}) has label "
+                f"{format_fraction(g.label(i, j))} but path value {format_fraction(rows[i][j])}"
+            )
+    bad = _reference_violating_triple(rows, "metric")
+    if bad is not None:
+        raise InvalidSpace(f"triangle inequality fails on ({bad[0]},{bad[1]},{bad[2]})")
+    return tuple(tuple(row) for row in rows)
+
+
+def _outcome(f, *args):
+    """The result, or the type and text of the error, for equality checks."""
+    try:
+        return f(*args)
+    except InvalidSpace as exc:
+        return ("InvalidSpace", str(exc))
+
+
+RATIONALS = st.builds(Fraction, st.integers(1, 24), st.sampled_from((1, 2, 3, 6, 7)))
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=7):
+    """Zero-diagonal symmetric matrices of positive rationals, 0..max_n points."""
+    n = draw(st.integers(0, max_n))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(RATIONALS)
+    if draw(st.booleans()):  # repair to a metric so passing scans occur too
+        for k, i, j in itertools.product(range(n), repeat=3):
+            d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+@st.composite
+def partial_graphs(draw, max_n=7):
+    """Partial labellings, disconnected and inconsistent ones included."""
+    n = draw(st.integers(0, max_n))
+    g = EdgeLabelledGraph(n)
+    for i, j in itertools.combinations(range(n), 2):
+        v = draw(st.one_of(st.none(), RATIONALS))
+        if v is not None:
+            g.set_label(i, j, v)
+    return g
+
+
+def _triple_outcomes(d):
+    """Every verdict the triple scan serves, for one matrix."""
+    g = EdgeLabelledGraph.from_space(FiniteMetricSpace(d, check=False))
+    return (
+        _outcome(lambda: FiniteMetricSpace(d).d),
+        FiniteMetricSpace(d, check=False).is_ultrametric(),
+        validate(g, "metric"),
+        validate(g, "ultrametric"),
+    )
+
+
+def _reference_triple_outcomes(d):
+    metric = _reference_violating_triple(d, "metric")
+    ultra = _reference_violating_triple(d, "ultrametric")
+    built = (
+        tuple(tuple(row) for row in d) if metric is None
+        else ("InvalidSpace", "triangle inequality fails on ({},{},{})".format(*metric))
+    )
+    return built, ultra is None, (metric is None, metric), (ultra is None, ultra)
+
+
+class TestKernelsMatchReference:
+    @given(symmetric_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_triple_scan(self, d):
+        assert _triple_outcomes(d) == _reference_triple_outcomes(d)
+
+    def test_triple_scan_small_spaces_exhaustive(self):
+        values = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 7))
+        for n in range(4):
+            pairs = list(itertools.combinations(range(n), 2))
+            for assignment in itertools.product(values, repeat=len(pairs)):
+                d = [[Fraction(0)] * n for _ in range(n)]
+                for (i, j), v in zip(pairs, assignment):
+                    d[i][j] = d[j][i] = v
+                assert _triple_outcomes(d) == _reference_triple_outcomes(d)
+
+    @given(partial_graphs(), st.sampled_from((None, 1, Fraction(7, 2), 12, 200)))
+    @settings(max_examples=200, deadline=None)
+    def test_complete(self, g, cap):
+        new = _outcome(lambda: complete(g, "sum-cap", cap).d)
+        assert new == _outcome(_reference_complete, g, "sum-cap", cap)
+        new = _outcome(lambda: complete(g, "max").d)
+        assert new == _outcome(_reference_complete, g, "max")
 
 
 class TestValidate:
