@@ -218,19 +218,29 @@ def cmd_extend(args) -> int:
 
 def cmd_urysohn(args) -> int:
     s = _distances(args.distances)
-    space, log = katetov.urysohn_approx(s, args.cap, _config(), seed=args.seed)
+    try:
+        space, log = katetov.urysohn_approx(s, args.cap, _config(), seed=args.seed)
+    except katetov.ResourceLimit as exc:
+        # the partial space goes to stdout; main reports the error and exits 2
+        _emit_closure(args, exc.space, exc.log, {"pending": len(exc.pending)})
+        raise
+    _emit_closure(args, space, log, {})
+    return 0
+
+
+def _emit_closure(args, space, log, extra: dict) -> None:
     payload = {
         "space": json.loads(space_to_json(space)),
         "log": [
             {"subset": list(sub), "values": [format_fraction(v) for v in vals]}
             for sub, vals in log.entries
         ],
+        **extra,
     }
     lines = [space_to_text(space).rstrip()]
     if log.entries:
         lines += ["# provenance", log.format()]
     _emit(args, payload, lines)
-    return 0
 
 
 def _tree_text(t: ultratrees.UltraTree) -> str:

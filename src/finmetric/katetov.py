@@ -20,6 +20,7 @@ from .spaces import (
     DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
+    _scaled,
     as_fraction,
     canonical_key,
     format_fraction,
@@ -27,12 +28,17 @@ from .spaces import (
 
 
 class ResourceLimit(Exception):
-    """Raised when a closure process hits its configured cap; carries progress."""
+    """Raised when a closure process hits its configured cap; carries progress.
 
-    def __init__(self, message, space=None, pending=None):
+    space is the partial space, pending the sorted unrealized extensions and
+    log the provenance of the points added so far.
+    """
+
+    def __init__(self, message, space=None, pending=None, log=None):
         super().__init__(message)
         self.space = space
         self.pending = pending
+        self.log = log
 
 
 def is_katetov(x: FiniteMetricSpace, values) -> tuple[bool, tuple[int, int] | None]:
@@ -136,75 +142,125 @@ def urysohn_approx(
 ) -> tuple[FiniteMetricSpace, BuildLog]:
     """A finite S-space realizing every admissible extension below size_cap.
 
-    Closure strategy: repeatedly scan subspaces F with |F| < size_cap in a
-    deterministic order (by |F|, then the canonical form of F+f, then by the
-    raw indices) and add a realizing point whenever some S-valued Katetov map
-    over F has none.  Cross distances to points outside F come from iterated
-    one-point amalgamation; when several values of S are admissible the
-    choice is drawn from a seeded generator.  Always taking the least value
-    provably diverges (for {1,2} it keeps manufacturing missing non-adjacent
-    extensions forever), while the seeded rule saturates quickly; a fixed
-    seed keeps the output deterministic.  Growth is capped by
-    config.urysohn_max_points; hitting the cap reports progress.
+    Closure strategy: keep the pending list of unrealized pairs (F, f), with
+    F a subspace of fewer than size_cap points and f an S-valued Katetov map
+    over F, sorted by |F|, then the canonical form of F+f, then the raw
+    indices.  Add a point realizing the first pair, and repeat until none is
+    pending.  Indices never move, so a pair over an older subspace keeps its
+    admissibility and its key: after point p is added the list only drops
+    the pairs that p realizes and gains the unrealized pairs over subspaces
+    containing p.  Katetov and realizer tests run on S and the matrix scaled
+    to ints; canonical keys are built on Fractions once per distinct
+    (F, f) distance pattern.  Cross distances to points outside F come from
+    iterated one-point amalgamation; when several values of S are admissible
+    the choice is drawn from a seeded generator.  Always taking the least
+    value provably diverges (for {1,2} it keeps manufacturing missing
+    non-adjacent extensions forever), while the seeded rule saturates
+    quickly; a fixed seed keeps the output deterministic.  Growth is capped
+    by config.urysohn_max_points; hitting the cap reports progress.
     """
     chk = four_values.check_four_values(s, config.four_values_bound)
     if not chk:
         raise InvalidSpace(f"S fails the 4-values condition, witness {chk.witness}")
     rng = random.Random(seed)
-    space = FiniteMetricSpace.single_point()
+    ints, scale = _scaled(s.values)
+    frac = dict(zip(ints, s.values))
+    frac[0] = Fraction(0)
+    to_int = {v: i for i, v in frac.items()}
+    m = [[0]]  # the distance matrix so far, scaled to ints
     log = BuildLog()
-
+    maps: dict = {}  # distances within F -> the Katetov maps over F
+    keys: dict = {}  # (distances within F, f) -> canonical key of F+f
+    pending: list = []  # sorted (|F|, key, F, f) in ints
+    p = 0
     while True:
-        # gather unrealized (F, f) pairs over the current space
-        pending = []
+        # list the unrealized pairs over the subsets that contain point p
         for size in range(1, size_cap):
-            if size > space.n:
-                break
-            for subset in itertools.combinations(range(space.n), size):
-                for f in _admissible_maps(space, subset, s):
-                    if not realizers(space, subset, f):
-                        ext = extend_with(space.submetric(subset), f)
-                        pending.append((size, canonical_key(ext), subset, f))
-        if not pending:
-            return space, log
+            for rest in itertools.combinations(range(p), size - 1):
+                sub = rest + (p,)
+                dist = tuple(m[a][b] for a, b in itertools.combinations(sub, 2))
+                fs = maps.get(dist)
+                if fs is None:
+                    fs = maps[dist] = _katetov_maps(dist, size, ints)
+                realized = set(zip(*(m[q] for q in sub)))
+                for f in fs:
+                    if f in realized:
+                        continue
+                    key = keys.get((dist, f))
+                    if key is None:
+                        sub_space = FiniteMetricSpace(
+                            [[frac[m[a][b]] for b in sub] for a in sub], check=False
+                        )
+                        ext = extend_with(sub_space, [frac[v] for v in f])
+                        key = keys[dist, f] = tuple(
+                            tuple(to_int[v] for v in row) for row in canonical_key(ext)
+                        )
+                    pending.append((size, key, sub, f))
         pending.sort()
-        _, _, subset, f = pending[0]
-        if space.n + 1 > config.urysohn_max_points:
+        if not pending:
+            return _fraction_space(m, frac), log
+        _, _, sub, f = pending[0]
+        if p + 2 > config.urysohn_max_points:
             raise ResourceLimit(
                 f"urysohn closure exceeded {config.urysohn_max_points} points "
                 f"with {len(pending)} extensions still unrealized",
-                space=space,
-                pending=pending,
+                space=_fraction_space(m, frac),
+                pending=[
+                    (k, tuple(tuple(frac[v] for v in row) for row in key),
+                     subset, tuple(frac[v] for v in g))
+                    for k, key, subset, g in pending
+                ],
+                log=log,
             )
-        space = _adjoin_point(s, space, subset, f, rng)
-        log.record(subset, f)
+        _adjoin_point(ints, scale, m, sub, f, rng)
+        log.record(sub, [frac[v] for v in f])
+        p += 1
+        # drop the pairs that the new point p realizes
+        row = m[p]
+        pending = [e for e in pending if any(row[q] != v for q, v in zip(e[2], e[3]))]
 
 
-def _adjoin_point(s, space, subset, f, rng):
-    """Add one point at distance f over the subset, amalgamating the rest."""
-    n = space.n
-    new = {}
-    for k, p in enumerate(subset):
-        new[p] = as_fraction(f[k])
+def _katetov_maps(dist, size: int, ints) -> list[tuple[int, ...]]:
+    """The maps F -> S that are Katetov over F, in product order, on ints.
+
+    dist lists the distances within F in itertools.combinations order.
+    """
+    pairs = list(zip(itertools.combinations(range(size), 2), dist))
+    return [
+        f
+        for f in itertools.product(ints, repeat=size)
+        if all(abs(f[i] - f[j]) <= d <= f[i] + f[j] for (i, j), d in pairs)
+    ]
+
+
+def _fraction_space(m, frac) -> FiniteMetricSpace:
+    return FiniteMetricSpace([[frac[v] for v in row] for row in m])
+
+
+def _adjoin_point(ints, scale, m, subset, f, rng):
+    """Add one point at distance f over the subset, amalgamating the rest.
+
+    m is the int distance matrix and grows in place.  Each further value is
+    drawn from the S values (ints) allowed by the points placed before it.
+    """
+    n = len(m)
+    new = dict(zip(subset, f))
     for y in range(n):
         if y in new:
             continue
-        lo = Fraction(0)
-        hi = None
-        for k, v in new.items():
-            dky = space.d[k][y]
-            lo = max(lo, abs(v - dky))
-            hi = v + dky if hi is None else min(hi, v + dky)
-        candidates = [u for u in s.values if lo <= u and (hi is None or u <= hi)]
+        lo = max(abs(v - m[k][y]) for k, v in new.items())
+        hi = min(v + m[k][y] for k, v in new.items())
+        candidates = [u for u in ints if lo <= u <= hi]
         if not candidates:
             raise InvalidSpace(
                 f"one-point amalgamation stuck at point {y}: no S value in "
-                f"[{format_fraction(lo)},{format_fraction(hi)}]"
+                f"[{format_fraction(Fraction(lo, scale))},"
+                f"{format_fraction(Fraction(hi, scale))}]"
             )
         new[y] = rng.choice(candidates)
-    rows = [list(row) + [new[i]] for i, row in enumerate(space.d)]
-    rows.append([new[i] for i in range(n)] + [Fraction(0)])
-    return FiniteMetricSpace(rows)
+    for i, row in enumerate(m):
+        row.append(new[i])
+    m.append([new[i] for i in range(n)] + [0])
 
 
 def ultrametric_urysohn_grid(s: DistanceSet, arity: int) -> FiniteMetricSpace:

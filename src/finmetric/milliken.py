@@ -121,12 +121,17 @@ def _condition_holds(cond: dict, p, q, invert_membership=False) -> bool:
     return True
 
 
-def coding_distance(variant: Variant, p, q, invert_membership=False) -> Fraction:
-    """Distance between two coding points, per the variant's case table."""
+def _case_value(variant: Variant, p, q, invert_membership=False) -> int:
+    """The case table's distance for the pair, as the int the table stores."""
     for cond, value in variant.cases:
         if _condition_holds(cond, p, q, invert_membership):
-            return Fraction(value)
+            return value
     raise InvalidSpace(f"case table does not cover the pair {p!r}, {q!r}")
+
+
+def coding_distance(variant: Variant, p, q, invert_membership=False) -> Fraction:
+    """Distance between two coding points, per the variant's case table."""
+    return Fraction(_case_value(variant, p, q, invert_membership))
 
 
 def coding_points(variant: Variant, depth: int) -> list:
@@ -186,7 +191,7 @@ def milliken_space(
     space = None
 
     def dist(i, j):
-        return int(coding_distance(variant, points[i], points[j], invert_membership))
+        return _case_value(variant, points[i], points[j], invert_membership)
 
     if check == "exhaustive":
         if n > max_points:
@@ -200,7 +205,9 @@ def milliken_space(
                 dmat[i][j] = dmat[j][i] = dist(i, j)
         witness = _triangle_scan_numpy(dmat)
         if witness is None:
-            space = FiniteMetricSpace(dmat, check=False)
+            # one shared Fraction per distance value, not one per entry
+            shared = {v: Fraction(v) for v in {0, *(value for _, value in variant.cases)}}
+            space = FiniteMetricSpace([[shared[v] for v in row] for row in dmat], check=False)
     elif check == "sampled":
         # distances computed lazily: the full matrix would not fit the budget
         rng = random.Random(seed)

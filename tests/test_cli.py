@@ -335,6 +335,20 @@ class TestEntryPoint:
         assert code == 2
         assert err.startswith("error: ") and "too large" in err
 
+    def test_urysohn_cap_keeps_partial_progress(self, capsys, monkeypatch):
+        monkeypatch.setenv("FINMETRIC_BUDGET", "6")
+        code, out, err = run_cli(capsys, "urysohn", "1", "2", "--cap", "4")
+        assert code == 2
+        assert err.startswith("error: urysohn closure exceeded 6 points")
+        head, provenance = out.split("# provenance\n")
+        assert head.startswith("points: 6\n")
+        assert len(provenance.splitlines()) == 5
+        code, out, err = run_cli(capsys, "--json", "urysohn", "1", "2", "--cap", "4")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["space"]["points"] == 6 and len(payload["log"]) == 5
+        assert f"with {payload['pending']} extensions still unrealized" in err
+
 
 class TestInputErrors:
     """Malformed input exits 2 with an error line, never a traceback."""

@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from finmetric import four_values
 from finmetric.katetov import (
+    BuildLog,
+    ResourceLimit,
     _admissible_maps,
     extend_with,
     is_katetov,
@@ -14,13 +18,17 @@ from finmetric.katetov import (
     urysohn_approx,
 )
 from finmetric.spaces import (
+    DEFAULT_CONFIG,
     Config,
     DistanceSet,
     EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
+    as_fraction,
+    canonical_key,
     complete,
     copies,
+    format_fraction,
 )
 
 
@@ -230,6 +238,144 @@ class TestUrysohnApprox:
         space, log = urysohn_approx(DistanceSet((1, 2)), 3)
         assert space.n == 1 + len(log.entries)
         assert log.format().count("\n") == len(log.entries) - 1
+
+
+# --- reference closure: the loop that rescans every subset on each iteration --
+
+def _reference_urysohn_approx(
+    s: DistanceSet,
+    size_cap: int,
+    config: Config = DEFAULT_CONFIG,
+    seed: int = 0,
+) -> tuple[FiniteMetricSpace, BuildLog]:
+    """A finite S-space realizing every admissible extension below size_cap.
+
+    Closure strategy: repeatedly scan subspaces F with |F| < size_cap in a
+    deterministic order (by |F|, then the canonical form of F+f, then by the
+    raw indices) and add a realizing point whenever some S-valued Katetov map
+    over F has none.  Cross distances to points outside F come from iterated
+    one-point amalgamation; when several values of S are admissible the
+    choice is drawn from a seeded generator.  Always taking the least value
+    provably diverges (for {1,2} it keeps manufacturing missing non-adjacent
+    extensions forever), while the seeded rule saturates quickly; a fixed
+    seed keeps the output deterministic.  Growth is capped by
+    config.urysohn_max_points; hitting the cap reports progress.
+    """
+    chk = four_values.check_four_values(s, config.four_values_bound)
+    if not chk:
+        raise InvalidSpace(f"S fails the 4-values condition, witness {chk.witness}")
+    rng = random.Random(seed)
+    space = FiniteMetricSpace.single_point()
+    log = BuildLog()
+
+    while True:
+        # gather unrealized (F, f) pairs over the current space
+        pending = []
+        for size in range(1, size_cap):
+            if size > space.n:
+                break
+            for subset in itertools.combinations(range(space.n), size):
+                for f in _admissible_maps(space, subset, s):
+                    if not realizers(space, subset, f):
+                        ext = extend_with(space.submetric(subset), f)
+                        pending.append((size, canonical_key(ext), subset, f))
+        if not pending:
+            return space, log
+        pending.sort()
+        _, _, subset, f = pending[0]
+        if space.n + 1 > config.urysohn_max_points:
+            raise ResourceLimit(
+                f"urysohn closure exceeded {config.urysohn_max_points} points "
+                f"with {len(pending)} extensions still unrealized",
+                space=space,
+                pending=pending,
+            )
+        space = _reference_adjoin_point(s, space, subset, f, rng)
+        log.record(subset, f)
+
+
+def _reference_adjoin_point(s, space, subset, f, rng):
+    """Add one point at distance f over the subset, amalgamating the rest."""
+    n = space.n
+    new = {}
+    for k, p in enumerate(subset):
+        new[p] = as_fraction(f[k])
+    for y in range(n):
+        if y in new:
+            continue
+        lo = Fraction(0)
+        hi = None
+        for k, v in new.items():
+            dky = space.d[k][y]
+            lo = max(lo, abs(v - dky))
+            hi = v + dky if hi is None else min(hi, v + dky)
+        candidates = [u for u in s.values if lo <= u and (hi is None or u <= hi)]
+        if not candidates:
+            raise InvalidSpace(
+                f"one-point amalgamation stuck at point {y}: no S value in "
+                f"[{format_fraction(lo)},{format_fraction(hi)}]"
+            )
+        new[y] = rng.choice(candidates)
+    rows = [list(row) + [new[i]] for i, row in enumerate(space.d)]
+    rows.append([new[i] for i in range(n)] + [Fraction(0)])
+    return FiniteMetricSpace(rows)
+
+
+CLOSURE_BASES = ((1,), (1, 2), (2, 3), (1, 2, 3), (1, Fraction(3, 2), 2), (2, 3, 4))
+
+
+def _outcome(build, s, size_cap, max_points, seed):
+    """What a closure run returns or raises, in comparable form."""
+    try:
+        space, log = build(s, size_cap, Config(urysohn_max_points=max_points), seed=seed)
+    except ResourceLimit as exc:
+        return "limit", str(exc), exc.space.d, exc.pending
+    return "done", space.d, log.entries
+
+
+@st.composite
+def closure_inputs(draw):
+    base = draw(st.sampled_from(CLOSURE_BASES))
+    scale = draw(st.sampled_from((1, Fraction(1, 2), 2, 3)))
+    size_cap = draw(st.integers(2, 4))
+    # the reference rescans all |S|^3 maps over every 3-point subset on each
+    # iteration: about 1.7 s at 8 points for three values and size_cap 4
+    if size_cap == 4:
+        top = 7 if len(base) == 3 else 10
+    else:
+        top = 14
+    max_points = draw(st.integers(3, top))
+    seed = draw(st.integers(0, 999))
+    return DistanceSet(v * scale for v in base), size_cap, max_points, seed
+
+
+class TestClosureMatchesReference:
+    @given(closure_inputs())
+    @settings(max_examples=12, deadline=None)
+    def test_random_closures(self, case):
+        new = _outcome(urysohn_approx, *case)
+        old = _outcome(_reference_urysohn_approx, *case)
+        assert new[:-1] == old[:-1]
+        assert len(new[-1]) == len(old[-1])
+        for got, want in zip(new[-1], old[-1]):
+            assert got == want
+
+    @pytest.mark.parametrize("vals, size_cap, max_points", [
+        ((1, 2, 3), 3, 16),
+        ((1, 2), 4, 9),
+    ])
+    def test_named_closures(self, vals, size_cap, max_points):
+        case = (DistanceSet(vals), size_cap, max_points, 0)
+        new = _outcome(urysohn_approx, *case)
+        assert new[0] == "limit"
+        assert new == _outcome(_reference_urysohn_approx, *case)
+
+    def test_two_values_cap_four_reaches_the_point_cap(self):
+        with pytest.raises(ResourceLimit) as info:
+            urysohn_approx(DistanceSet((1, 2)), 4, Config(urysohn_max_points=24))
+        assert info.value.space.n == 24
+        assert info.value.pending
+        assert len(info.value.log.entries) == 23
 
 
 class TestUltrametricGrid:
