@@ -20,6 +20,7 @@ from .spaces import (
     complete,
     copies,
     isometries,
+    isometry_order,
     validate,
 )
 from .four_values import (

@@ -52,6 +52,7 @@ def _config() -> Config:
         arrow_copy_budget=b,
         urysohn_max_points=b,
         four_values_bound=b,
+        ordering_bound=b,
     )
 
 

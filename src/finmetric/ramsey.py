@@ -21,6 +21,7 @@ from .spaces import (
     SearchTooLarge,
     copies,
     isometries,
+    isometry_order,
 )
 from .ultratrees import DegreeRecord
 
@@ -30,7 +31,7 @@ def ramsey_degree_general(
 ) -> DegreeRecord:
     """Degree in the class of all finite metric spaces: n! over |iso|."""
     lo = math.factorial(x.n)
-    iso = len(isometries(x, config))
+    iso = isometry_order(x, config)
     if lo % iso:
         raise AssertionError(f"|iso|={iso} does not divide |LO|={lo}")
     return DegreeRecord(lo, iso, lo // iso)
@@ -44,7 +45,8 @@ def critical_distances(s: DistanceSet) -> list[Fraction]:
     here; this is exactly the (s, 2s] criterion.
     """
     out = [v for v in s.values if not any(v < w <= 2 * v for w in s.values)]
-    assert s.max in out
+    if s.max not in out:
+        raise AssertionError(f"max S = {s.max} is not critical")
     return out
 
 
@@ -73,31 +75,26 @@ def metric_orderings_count(
 ) -> int:
     """Orderings making every closeness class convex, for every critical value.
 
-    Counted by brute force over all n! orderings, as the defining property
-    prescribes.
+    The classes of the critical values are nested (each critical value's
+    partition refines the next one's), so they form a laminar tree under the
+    whole space.  An ordering keeps them all intervals exactly when it orders
+    the children of every node as blocks: the count is the product over the
+    root and every class of (maximal subclasses + points in no subclass)!.
     """
     if any(v not in s for v in x.distances()):
         raise InvalidSpace("space has a distance outside S")
     if x.n > config.iso_bound:
         raise SearchTooLarge(f"ordering scan too large: n={x.n}")
-    crits = critical_distances(s)
-    class_sets = []
-    for c in crits:
+    class_sets = set()
+    for c in critical_distances(s):
         for cls in _equivalence_classes(x, c):
             if 1 < len(cls) < x.n:
-                class_sets.append(frozenset(cls))
-    class_sets = set(class_sets)
-    count = 0
-    for perm in itertools.permutations(range(x.n)):
-        pos = {p: i for i, p in enumerate(perm)}
-        ok = True
-        for cls in class_sets:
-            spots = sorted(pos[p] for p in cls)
-            if spots[-1] - spots[0] != len(spots) - 1:
-                ok = False
-                break
-        if ok:
-            count += 1
+                class_sets.add(frozenset(cls))
+    count = 1
+    for node in class_sets | {frozenset(range(x.n))}:
+        subs = [c for c in class_sets if c < node]
+        maximal = [c for c in subs if not any(c < o for o in subs)]
+        count *= math.factorial(len(node) - sum(map(len, maximal)) + len(maximal))
     return count
 
 
@@ -106,7 +103,7 @@ def ramsey_degree_metric_ordered(
 ) -> DegreeRecord:
     """Degree in the S-distance class: metric orderings over isometries."""
     mlo = metric_orderings_count(x, s, config)
-    iso = len(isometries(x, config))
+    iso = isometry_order(x, config)
     if mlo % iso:
         raise AssertionError(f"|iso|={iso} does not divide |mLO|={mlo}")
     return DegreeRecord(mlo, iso, mlo // iso)
@@ -129,12 +126,23 @@ def order_types(
         reps.append(perm)
         for g in group:
             seen.add(tuple(g[p] for p in perm))
-    assert len(reps) == math.factorial(x.n) // len(group)
+    if len(reps) != math.factorial(x.n) // len(group):
+        raise AssertionError(
+            f"{len(reps)} order types, but n!/|iso| = {math.factorial(x.n) // len(group)}"
+        )
     return reps
 
 
 @dataclass
 class ArrowResult:
+    """The verdict of `verify_arrow`.
+
+    colorings_checked is the number of colorings (first color pinned) that a
+    scan in lexicographic order checks: the witness's rank + 1 when the arrow
+    fails, all k^(N-1) of them when it holds (N copies of x; 1 when N = 0),
+    and 0 when z has no copy of y.  The search itself visits fewer.
+    """
+
     holds: bool
     copies_of_x: int
     colorings_checked: int
@@ -156,8 +164,10 @@ def verify_arrow(
 
     Every k-coloring of the copies of x in z must admit a copy of y whose
     x-copies carry at most l colors.  The first copy's color is pinned to 0
-    (color permutations preserve the verdict), and colorings are scanned in
-    lexicographic order so a failure witness is the least one.
+    (color permutations preserve the verdict), and colorings are searched
+    depth first in lexicographic order so a failure witness is the least
+    one.  A partial coloring is cut as soon as a copy of y whose last x-copy
+    is colored shows at most l colors: every completion of it is good.
     """
     copies_x = copies(z, x, config)
     n_copies = len(copies_x)
@@ -166,30 +176,41 @@ def verify_arrow(
             f"arrow search too large: {n_copies} copies > {config.arrow_copy_budget}"
         )
     copies_y = copies(z, y, config)
-    index_of = {c: i for i, c in enumerate(copies_x)}
-    sub_lists = []
-    for yc in copies_y:
-        members = set(yc)
-        sub = [index_of[c] for c in copies_x if set(c) <= members]
-        sub_lists.append(sub)
     if not copies_y:
         # no big copy at all: the arrow fails for any coloring unless there
         # is nothing to color
         holds = n_copies == 0
         return ArrowResult(holds, n_copies, 0, None if holds else ())
+    closing: list[list[list[int]]] = [[] for _ in range(n_copies)]
+    for yc in copies_y:
+        members = set(yc)
+        sub = [i for i, c in enumerate(copies_x) if set(c) <= members]
+        if not sub:
+            if l >= 0:  # no x-copy to color: good under every coloring
+                return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
+            continue
+        closing[sub[-1]].append(sub)
+    coloring: list[int] = []
 
-    checked = 0
-    for tail in itertools.product(range(k), repeat=max(n_copies - 1, 0)):
-        coloring = (0,) + tail if n_copies else ()
-        checked += 1
-        good = False
-        for sub in sub_lists:
-            if len({coloring[i] for i in sub}) <= l:
-                good = True
-                break
-        if not good:
-            return ArrowResult(False, n_copies, checked, coloring)
-    return ArrowResult(True, n_copies, checked)
+    def witness() -> bool:
+        """Color the next copy; true once every copy of y is left bad."""
+        t = len(coloring)
+        if t == n_copies:
+            return True
+        for color in range(k) if t else (0,):
+            coloring.append(color)
+            if all(len({coloring[i] for i in sub}) > l for sub in closing[t]):
+                if witness():
+                    return True
+            coloring.pop()
+        return False
+
+    if witness():
+        rank = 0
+        for color in coloring[1:]:
+            rank = rank * k + color
+        return ArrowResult(False, n_copies, rank + 1, tuple(coloring))
+    return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
 
 
 def _order_preserving_copy_exists(
@@ -262,7 +283,7 @@ def verify_ordering_property_witness(
     This is the single-candidate check behind the ordering property: a
     witness y works when no ordering of it avoids an order-preserving copy.
     """
-    if y.n > 8:
+    if y.n > config.ordering_bound:
         raise SearchTooLarge(f"ordering-property scan too large: n={y.n}")
     order_x = tuple(order_x)
     for order_y in _orderings_in_class(y, ordering_class, s):

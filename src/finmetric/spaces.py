@@ -35,6 +35,7 @@ class Config:
     arrow_copy_budget: int = 24
     urysohn_max_points: int = 64
     four_values_bound: int = 12  # largest |S| for the |S|^4 scans
+    ordering_bound: int = 8  # largest y for the ordering-property scan
 
 
 DEFAULT_CONFIG = Config()
@@ -361,32 +362,105 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
     return FiniteMetricSpace(rows)
 
 
+def _rank_matrix(x: FiniteMetricSpace, table: dict) -> list[list[int]]:
+    """x's distances as ranks from table (0 on the diagonal); KeyError if absent."""
+    d = x.d
+    r = [[0] * x.n for _ in range(x.n)]
+    for i in range(x.n):
+        ri, di = r[i], d[i]
+        for j in range(i + 1, x.n):
+            v = di[j]
+            ri[j] = r[j][i] = table[v.numerator, v.denominator]
+    return r
+
+
+def _ranked(x: FiniteMetricSpace) -> tuple[dict, list[list[int]], list[list[int]]]:
+    """x's ranking: the rank table, the rank matrix and the point masks.
+
+    The distinct distances get ranks 1, 2, ... in increasing order, keyed by
+    (numerator, denominator), which hashes faster than a Fraction.
+    masks[p][v] has bit q set when the rank of d(p, q) is v, so every
+    comparison of the searches below is between ints.
+    """
+    by_key = {}
+    for i, row in enumerate(x.d):
+        for v in row[i + 1:]:
+            by_key[v.numerator, v.denominator] = v
+    table = {k: v for v, k in enumerate(sorted(by_key, key=by_key.__getitem__), 1)}
+    r = _rank_matrix(x, table)
+    masks = []
+    for row in r:
+        m = [0] * (len(table) + 1)
+        for q, v in enumerate(row):
+            m[v] |= 1 << q
+        masks.append(m)
+    return table, r, masks
+
+
+def _match(r, masks, img: list[int], visit) -> bool:
+    """Extend the partial map img (points 0..len(img)-1 of r) point by point.
+
+    The candidates for point i are the AND of masks[img[j]][r[i][j]] over
+    j < i: the host points at the right rank from every point placed so far,
+    which excludes the placed points themselves.  They are taken in
+    ascending order; visit(img) is called on every complete map (directly
+    from the last point, which saves a call per map), and the search stops
+    as soon as it returns true.
+    """
+    i = len(img)
+    if i == len(r):
+        return bool(visit(img))
+    row = r[i]
+    cands = (1 << len(masks)) - 1
+    for j in range(i):
+        cands &= masks[img[j]][row[j]]
+    last = i + 1 == len(r)
+    while cands:
+        low = cands & -cands
+        img.append(low.bit_length() - 1)
+        if visit(img) if last else _match(r, masks, img, visit):
+            img.pop()
+            return True
+        img.pop()
+        cands ^= low
+    return False
+
+
 def isometries(
     x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG
 ) -> list[tuple[int, ...]]:
-    """All distance-preserving permutations of x, by pruned backtracking."""
+    """All distance-preserving permutations of x, in lexicographic order."""
     if x.n > config.iso_bound:
         raise SearchTooLarge(f"isometry search too large: n={x.n} > {config.iso_bound}")
-    n, d = x.n, x.d
+    _, r, masks = _ranked(x)
     found: list[tuple[int, ...]] = []
-
-    def extend(img: list[int], used: set[int]):
-        i = len(img)
-        if i == n:
-            found.append(tuple(img))
-            return
-        for cand in range(n):
-            if cand in used:
-                continue
-            if all(d[i][j] == d[cand][img[j]] for j in range(i)):
-                img.append(cand)
-                used.add(cand)
-                extend(img, used)
-                img.pop()
-                used.remove(cand)
-
-    extend([], set())
+    _match(r, masks, [], lambda img: found.append(tuple(img)))
     return found
+
+
+def isometry_order(x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG) -> int:
+    """|iso(x)| by orbit-stabilizer, without listing the group.
+
+    The order is the product over i of the orbit of point i under the
+    isometries fixing 0..i-1; c is in that orbit when the partial map fixing
+    0..i-1 and sending i to c extends to an isometry.
+    """
+    if x.n > config.iso_bound:
+        raise SearchTooLarge(f"isometry search too large: n={x.n} > {config.iso_bound}")
+    _, r, masks = _ranked(x)
+    order = 1
+    for i in range(x.n):
+        cands = (1 << x.n) - (1 << i)
+        for j in range(i):
+            cands &= masks[j][r[i][j]]
+        orbit = 0
+        while cands:
+            low = cands & -cands
+            img = list(range(i)) + [low.bit_length() - 1]
+            orbit += _match(r, masks, img, lambda img: True)
+            cands ^= low
+        order *= orbit
+    return order
 
 
 def copies(
@@ -397,33 +471,14 @@ def copies(
         raise SearchTooLarge(f"copy search too large: n={y.n} > {config.copies_bound}")
     if x.n > y.n:
         return []
+    table, _, masks = _ranked(y)
+    try:
+        r = _rank_matrix(x, table)
+    except KeyError:  # x has a distance that y lacks
+        return []
     out: set[tuple[int, ...]] = set()
-
-    def extend(img: list[int], used: set[int]):
-        i = len(img)
-        if i == x.n:
-            out.add(tuple(sorted(img)))
-            return
-        for cand in range(y.n):
-            if cand in used:
-                continue
-            if all(x.d[i][j] == y.d[cand][img[j]] for j in range(i)):
-                img.append(cand)
-                used.add(cand)
-                extend(img, used)
-                img.pop()
-                used.remove(cand)
-
-    extend([], set())
+    _match(r, masks, [], lambda img: out.add(tuple(sorted(img))))
     return sorted(out)
-
-
-def _flat_upper(d, order: Sequence[int]):
-    out = []
-    for a in range(len(order)):
-        for b in range(a):
-            out.append(d[order[b]][order[a]])
-    return tuple(out)
 
 
 def canonicalize(
@@ -431,43 +486,87 @@ def canonicalize(
 ) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
     """Canonical relabelling: the lexicographically least distance matrix.
 
-    Two spaces are isometric iff their canonical forms are equal.  Exact but
-    worst-case factorial on highly symmetric spaces; fine at desk scale.
+    The matrix is compared as its upper triangle read column by column: row
+    i of the new order lists the distances from the points placed before it.
+    The order returned is the first one reaching the least matrix when the
+    orders are scanned lexicographically.  Only the points giving the least
+    new row are branched on, and a point is skipped while a smaller twin of
+    it is unused (twins: equal distances to every other point), because the
+    swap of two twins is an isometry.  Two spaces are isometric iff their
+    canonical forms are equal.
     """
     if x.n > config.canon_bound:
         raise SearchTooLarge(
             f"canonicalization too large: n={x.n} > {config.canon_bound}"
         )
     n, d = x.n, x.d
-    best: dict = {"flat": None, "order": None}
-
-    def extend(order: list[int], flat: list[Fraction]):
-        i = len(order)
-        if best["flat"] is not None:
-            k = len(flat)
-            prefix = best["flat"][:k]
-            if tuple(flat) > prefix:
-                return
-        if i == n:
-            key = tuple(flat)
-            if best["flat"] is None or key < best["flat"]:
-                best["flat"] = key
-                best["order"] = tuple(order)
-            return
-        for cand in range(n):
-            if cand in order:
-                continue
-            row = [d[order[j]][cand] for j in range(i)]
-            order.append(cand)
-            extend(order, flat + row)
-            order.pop()
-
-    extend([], [])
-    order = best["order"]
+    if n <= 2:  # every order gives the same matrix
+        order = tuple(range(n))
+    else:
+        order = _least_order(x)
     canon = FiniteMetricSpace(
         [[d[order[a]][order[b]] for b in range(n)] for a in range(n)], check=False
     )
     return canon, order
+
+
+def _least_order(x: FiniteMetricSpace) -> tuple[int, ...]:
+    """The first order, lexicographically, giving x its least matrix."""
+    _, r, masks = _ranked(x)
+    n, n_ranks = x.n, len(masks[0])
+    smaller_twins = [0] * n
+    for p, q in itertools.combinations(range(n), 2):
+        if all(r[p][z] == r[q][z] for z in range(n) if z != p and z != q):
+            smaller_twins[q] |= 1 << p
+    order: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    best_rows: list[tuple[int, ...]] = []
+    best_order: tuple[int, ...] = ()
+
+    def extend(unused: int, tied: bool) -> bool:
+        """Search below order; tied: its rows equal best_rows so far.
+
+        Returns whether a new best was found, which the caller is then tied to.
+        """
+        nonlocal best_rows, best_order
+        i = len(order)
+        if i == n:
+            if tied:
+                return False
+            best_rows, best_order = list(rows), tuple(order)
+            return True
+        # the candidates giving the least new row, refined column by column
+        cands, row = unused, []
+        for p in order:
+            mp = masks[p]
+            if cands & (cands - 1):
+                for v in range(1, n_ranks):
+                    if cands & mp[v]:
+                        cands &= mp[v]
+                        break
+            row.append(r[p][cands.bit_length() - 1])
+        row = tuple(row)
+        if tied:
+            if row > best_rows[i]:
+                return False
+            tied = row == best_rows[i]
+        rows.append(row)
+        found = False
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            c = low.bit_length() - 1
+            if smaller_twins[c] & unused:
+                continue
+            order.append(c)
+            if extend(unused ^ low, tied):
+                found = tied = True
+            order.pop()
+        rows.pop()
+        return found
+
+    extend((1 << n) - 1, False)
+    return best_order
 
 
 def canonical_key(x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG):

@@ -335,6 +335,15 @@ class TestEntryPoint:
         assert code == 2
         assert err.startswith("error: ") and "too large" in err
 
+    def test_budget_env_var_reaches_orderprop(self, capsys, spaces, monkeypatch):
+        paths, _ = spaces
+        argv = ("orderprop", "--y", paths["triangle"], "--x", paths["pair"], "--order", "0,1")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setenv("FINMETRIC_BUDGET", "2")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "ordering-property scan too large: n=3" in err
+
     def test_urysohn_cap_keeps_partial_progress(self, capsys, monkeypatch):
         monkeypatch.setenv("FINMETRIC_BUDGET", "6")
         code, out, err = run_cli(capsys, "urysohn", "1", "2", "--cap", "4")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from finmetric.ramsey import (
     ArrowResult,
@@ -15,13 +16,16 @@ from finmetric.ramsey import (
     verify_arrow,
     verify_ordering_property_witness,
 )
+from finmetric.ramsey import _equivalence_classes
 from finmetric.spaces import (
     Config,
     DistanceSet,
     FiniteMetricSpace,
+    InvalidSpace,
     SearchTooLarge,
     copies,
     isometries,
+    isometry_order,
 )
 from finmetric.katetov import ultrametric_urysohn_grid
 from finmetric.ultratrees import (
@@ -33,6 +37,114 @@ from finmetric.ultratrees import (
 
 def scalene():
     return FiniteMetricSpace([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
+
+
+# --- reference scans: the brute-force loops the fast paths replaced -----------
+
+def _reference_metric_orderings_count(x, s, config=Config()):
+    """Orderings making every critical closeness class convex, over all n!."""
+    if any(v not in s for v in x.distances()):
+        raise InvalidSpace("space has a distance outside S")
+    if x.n > config.iso_bound:
+        raise SearchTooLarge(f"ordering scan too large: n={x.n}")
+    crits = critical_distances(s)
+    class_sets = []
+    for c in crits:
+        for cls in _equivalence_classes(x, c):
+            if 1 < len(cls) < x.n:
+                class_sets.append(frozenset(cls))
+    class_sets = set(class_sets)
+    count = 0
+    for perm in itertools.permutations(range(x.n)):
+        pos = {p: i for i, p in enumerate(perm)}
+        ok = True
+        for cls in class_sets:
+            spots = sorted(pos[p] for p in cls)
+            if spots[-1] - spots[0] != len(spots) - 1:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
+
+
+def _reference_verify_arrow(z, y, x, k=2, l=1, config=Config()):
+    """The arrow by a scan of all k^(N-1) colorings in lexicographic order."""
+    copies_x = copies(z, x, config)
+    n_copies = len(copies_x)
+    if n_copies > config.arrow_copy_budget:
+        raise SearchTooLarge(
+            f"arrow search too large: {n_copies} copies > {config.arrow_copy_budget}"
+        )
+    copies_y = copies(z, y, config)
+    index_of = {c: i for i, c in enumerate(copies_x)}
+    sub_lists = []
+    for yc in copies_y:
+        members = set(yc)
+        sub = [index_of[c] for c in copies_x if set(c) <= members]
+        sub_lists.append(sub)
+    if not copies_y:
+        holds = n_copies == 0
+        return ArrowResult(holds, n_copies, 0, None if holds else ())
+
+    checked = 0
+    for tail in itertools.product(range(k), repeat=max(n_copies - 1, 0)):
+        coloring = (0,) + tail if n_copies else ()
+        checked += 1
+        good = False
+        for sub in sub_lists:
+            if len({coloring[i] for i in sub}) <= l:
+                good = True
+                break
+        if not good:
+            return ArrowResult(False, n_copies, checked, coloring)
+    return ArrowResult(True, n_copies, checked)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (InvalidSpace, SearchTooLarge) as exc:
+        return type(exc).__name__, str(exc)
+
+
+S_SETS = [DistanceSet(v) for v in ((1,), (1, 2), (1, 3), (1, 2, 5), (1, 3, 4), (1, 3, 7),
+                                   (2, 3, 4), (Fraction(1, 2), 2, 5), (1, 2, 3, 7))]
+
+
+@st.composite
+def s_spaces(draw, max_n=7):
+    """(x, S): a metric space with distances in S, built point by point."""
+    s = draw(st.sampled_from(S_SETS))
+    n = draw(st.integers(1, max_n))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for p in range(1, n):
+        for q in range(p):
+            ok = [v for v in s if all(abs(d[p][t] - d[q][t]) <= v <= d[p][t] + d[q][t]
+                                      for t in range(q))]
+            assume(ok)
+            d[p][q] = d[q][p] = draw(st.sampled_from(ok))
+    return FiniteMetricSpace(d), s
+
+
+@st.composite
+def arrow_triples(draw):
+    """(z, y, x) with x and y isometric to subspaces of z or to random spaces."""
+    vals = draw(st.lists(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))),
+                         min_size=1, max_size=2, unique=True))
+    n = draw(st.integers(1, 5))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(st.sampled_from(vals))
+    z = FiniteMetricSpace(d)
+
+    def part(size):
+        if draw(st.booleans()):
+            return z.submetric(sorted(draw(st.permutations(range(n)))[:size]))
+        return FiniteMetricSpace.equilateral(size, draw(st.sampled_from(vals)))
+
+    x_size = draw(st.integers(1, min(n, 3)))
+    return z, part(draw(st.integers(x_size, n))), part(x_size)
 
 
 class TestGeneralDegree:
@@ -71,6 +183,18 @@ class TestCriticalDistances:
 
 
 class TestMetricOrderings:
+    @given(s_spaces())
+    @settings(max_examples=150, deadline=None)
+    def test_formula_matches_reference_scan(self, xs):
+        x, s = xs
+        assert metric_orderings_count(x, s) == _reference_metric_orderings_count(x, s)
+
+    def test_errors_match_reference_scan(self):
+        x = FiniteMetricSpace.equilateral(4, 1)
+        for s, cfg in ((DistanceSet((2, 3)), Config()), (DistanceSet((1,)), Config(iso_bound=3))):
+            assert _outcome(metric_orderings_count, x, s, cfg) == _outcome(
+                _reference_metric_orderings_count, x, s, cfg)
+
     def test_no_constraints_when_classes_trivial(self):
         # {2,3,4}: only critical value is 4, whose class is everything
         x = FiniteMetricSpace([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
@@ -172,9 +296,23 @@ class TestOrderTypes:
             x = FiniteMetricSpace(w)
             types = order_types(x)
             assert len(types) * len(isometries(x)) == math.factorial(n)
+            assert isometry_order(x) == len(isometries(x))
 
 
 class TestArrow:
+    @given(arrow_triples(), st.sampled_from((2, 3)), st.sampled_from((1, 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_search_matches_reference_scan(self, zyx, k, l):
+        z, y, x = zyx
+        assert _outcome(verify_arrow, z, y, x, k, l) == _outcome(
+            _reference_verify_arrow, z, y, x, k, l)
+
+    @pytest.mark.parametrize("zn", [4, 5, 6])
+    def test_triangles_on_pairs_match_reference_scan(self, zn):
+        z = FiniteMetricSpace.equilateral(zn, 1)
+        y, x = FiniteMetricSpace.equilateral(3, 1), FiniteMetricSpace.equilateral(2, 1)
+        assert verify_arrow(z, y, x) == _reference_verify_arrow(z, y, x)
+
     def test_single_copy_trivial(self):
         x = FiniteMetricSpace.equilateral(3, 1)
         assert verify_arrow(x, x, x, k=5)
@@ -246,6 +384,14 @@ class TestOrderingProperty:
         assert not verify_ordering_property_witness(
             grid, x, (1, 0, 2), ordering_class="convex"
         )
+
+    def test_bound_from_config(self):
+        y = FiniteMetricSpace.equilateral(9, 1)
+        pair = FiniteMetricSpace.equilateral(2, 1)
+        with pytest.raises(SearchTooLarge, match="ordering-property scan too large: n=9"):
+            verify_ordering_property_witness(y, pair, (0, 1))
+        with pytest.raises(SearchTooLarge, match="ordering-property scan too large: n=3"):
+            verify_ordering_property_witness(scalene(), pair, (0, 1), config=Config(ordering_bound=2))
 
     def test_convex_order_found_in_uniform_grid(self):
         x = FiniteMetricSpace([[0, 3, 3], [3, 0, 1], [3, 1, 0]])

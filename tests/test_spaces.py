@@ -20,6 +20,7 @@ from finmetric.spaces import (
     graph_from_text,
     graph_to_text,
     isometries,
+    isometry_order,
     space_from_json,
     space_from_text,
     space_to_json,
@@ -170,6 +171,171 @@ def _reference_triple_outcomes(d):
         else ("InvalidSpace", "triangle inequality fails on ({},{},{})".format(*metric))
     )
     return built, ultra is None, (metric is None, metric), (ultra is None, ultra)
+
+
+# --- reference searches: the Fraction backtrackers the matcher replaced -------
+
+def _reference_isometries(x, config=Config()):
+    """All distance-preserving permutations of x, by pruned backtracking."""
+    if x.n > config.iso_bound:
+        raise SearchTooLarge(f"isometry search too large: n={x.n} > {config.iso_bound}")
+    n, d = x.n, x.d
+    found = []
+
+    def extend(img, used):
+        i = len(img)
+        if i == n:
+            found.append(tuple(img))
+            return
+        for cand in range(n):
+            if cand in used:
+                continue
+            if all(d[i][j] == d[cand][img[j]] for j in range(i)):
+                img.append(cand)
+                used.add(cand)
+                extend(img, used)
+                img.pop()
+                used.remove(cand)
+
+    extend([], set())
+    return found
+
+
+def _reference_copies(y, x, config=Config()):
+    """All point subsets of y isometric to x, as sorted index tuples."""
+    if y.n > config.copies_bound:
+        raise SearchTooLarge(f"copy search too large: n={y.n} > {config.copies_bound}")
+    if x.n > y.n:
+        return []
+    out = set()
+
+    def extend(img, used):
+        i = len(img)
+        if i == x.n:
+            out.add(tuple(sorted(img)))
+            return
+        for cand in range(y.n):
+            if cand in used:
+                continue
+            if all(x.d[i][j] == y.d[cand][img[j]] for j in range(i)):
+                img.append(cand)
+                used.add(cand)
+                extend(img, used)
+                img.pop()
+                used.remove(cand)
+
+    extend([], set())
+    return sorted(out)
+
+
+def _reference_canonicalize(x, config=Config()):
+    """The lexicographically least distance matrix, by a full scan of the orders."""
+    if x.n > config.canon_bound:
+        raise SearchTooLarge(
+            f"canonicalization too large: n={x.n} > {config.canon_bound}"
+        )
+    n, d = x.n, x.d
+    best = {"flat": None, "order": None}
+
+    def extend(order, flat):
+        i = len(order)
+        if best["flat"] is not None:
+            k = len(flat)
+            prefix = best["flat"][:k]
+            if tuple(flat) > prefix:
+                return
+        if i == n:
+            key = tuple(flat)
+            if best["flat"] is None or key < best["flat"]:
+                best["flat"] = key
+                best["order"] = tuple(order)
+            return
+        for cand in range(n):
+            if cand in order:
+                continue
+            row = [d[order[j]][cand] for j in range(i)]
+            order.append(cand)
+            extend(order, flat + row)
+            order.pop()
+
+    extend([], [])
+    order = best["order"]
+    canon = FiniteMetricSpace(
+        [[d[order[a]][order[b]] for b in range(n)] for a in range(n)], check=False
+    )
+    return canon, order
+
+
+# Every assignment from one window [b, 2b] is a metric: no side exceeds 2b.
+WINDOW = (Fraction(1), Fraction(7, 6), Fraction(4, 3), Fraction(3, 2), Fraction(5, 3), Fraction(2))
+
+
+@st.composite
+def few_valued_spaces(draw, min_n=1, max_n=8):
+    """Metric spaces of min_n..max_n points with 1-3 distance values."""
+    n = draw(st.integers(min_n, max_n))
+    base = draw(st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(3, 7), 2)))
+    values = draw(st.lists(st.sampled_from(WINDOW), min_size=1, max_size=3, unique=True))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = base * draw(st.sampled_from(values))
+    return FiniteMetricSpace(d)
+
+
+class TestSearchesMatchReference:
+    # the reference scans take ~1 s on an 8-point equilateral space
+    @given(few_valued_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_isometries_and_order(self, x):
+        group = _reference_isometries(x)
+        assert isometries(x) == group
+        assert isometry_order(x) == len(group)
+
+    @given(few_valued_spaces())
+    @settings(max_examples=40, deadline=None)
+    def test_canonicalize(self, x):
+        canon, order = canonicalize(x)
+        ref_canon, ref_order = _reference_canonicalize(x)
+        assert (canon.d, order) == (ref_canon.d, ref_order)
+
+    @given(few_valued_spaces(), few_valued_spaces(max_n=4))
+    @settings(max_examples=150, deadline=None)
+    def test_copies(self, y, x):
+        assert copies(y, x) == _reference_copies(y, x)
+
+    @given(few_valued_spaces(min_n=2))
+    @settings(max_examples=40, deadline=None)
+    def test_copies_of_own_subspaces(self, y):
+        for size in range(1, min(y.n, 5) + 1):
+            x = y.submetric(range(size))
+            assert copies(y, x) == _reference_copies(y, x)
+
+    def test_empty_space(self):
+        x = FiniteMetricSpace([])
+        assert isometries(x) == _reference_isometries(x) == [()]
+        assert isometry_order(x) == 1
+        assert canonicalize(x)[1] == _reference_canonicalize(x)[1] == ()
+        assert copies(x, x) == _reference_copies(x, x) == [()]
+
+    def test_bounds_match(self):
+        x = FiniteMetricSpace.equilateral(4, 1)
+        cfg = Config(iso_bound=3, copies_bound=3, canon_bound=3)
+        for new, ref in ((isometries, _reference_isometries),
+                         (isometry_order, _reference_isometries),
+                         (canonicalize, _reference_canonicalize),
+                         (lambda y, c: copies(y, y, c), lambda y, c: _reference_copies(y, y, c))):
+            with pytest.raises(SearchTooLarge) as got:
+                new(x, cfg)
+            with pytest.raises(SearchTooLarge) as want:
+                ref(x, cfg)
+            assert str(got.value) == str(want.value)
+
+    def test_equilateral_ten(self):
+        # the full-scan searches took 69 s and 28 s here
+        x = FiniteMetricSpace.equilateral(10, Fraction(3, 2))
+        assert isometry_order(x) == 3628800
+        canon, order = canonicalize(x)
+        assert order == tuple(range(10)) and canon == x
 
 
 class TestKernelsMatchReference:
