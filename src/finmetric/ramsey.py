@@ -23,7 +23,7 @@ from .spaces import (
     isometries,
     isometry_order,
 )
-from .ultratrees import DegreeRecord
+from .ultratrees import DegreeRecord, _balls, _block_orderings, _class_tree
 
 
 def ramsey_degree_general(
@@ -50,24 +50,19 @@ def critical_distances(s: DistanceSet) -> list[Fraction]:
     return out
 
 
-def _equivalence_classes(x: FiniteMetricSpace, threshold: Fraction) -> list[list[int]]:
-    """Classes of d <= threshold; the relation must be transitive to be used."""
-    classes = []
-    assigned = {}
-    for p in range(x.n):
-        if p in assigned:
-            continue
-        cls = [q for q in range(x.n) if x.d[p][q] <= threshold]
-        for a in cls:
-            for b in cls:
-                if x.d[a][b] > threshold:
-                    raise InvalidSpace(
-                        f"closeness at {threshold} is not an equivalence on this space"
-                    )
-        for q in cls:
-            assigned[q] = len(classes)
-        classes.append(cls)
-    return classes
+def _critical_class_tree(x: FiniteMetricSpace, s: DistanceSet) -> tuple[list, list, dict]:
+    """The class tree of x over the critical values of s, largest first.
+
+    With every distance of x in S, closeness d <= c at a critical value c is
+    transitive: d(a, b), d(b, e) <= c give d(a, e) <= 2c, and S has no value
+    in (c, 2c].  So each class is the set of points within c of any one of
+    its members, which is how `_class_tree` splits a node.  The classes of
+    the critical values are nested, each one's partition refining the next
+    larger one's.
+    """
+    if any(v not in s for v in x.distances()):
+        raise InvalidSpace("space has a distance outside S")
+    return _class_tree(x, sorted(critical_distances(s), reverse=True))
 
 
 def metric_orderings_count(
@@ -75,27 +70,14 @@ def metric_orderings_count(
 ) -> int:
     """Orderings making every closeness class convex, for every critical value.
 
-    The classes of the critical values are nested (each critical value's
-    partition refines the next one's), so they form a laminar tree under the
-    whole space.  An ordering keeps them all intervals exactly when it orders
-    the children of every node as blocks: the count is the product over the
-    root and every class of (maximal subclasses + points in no subclass)!.
+    An ordering keeps the classes intervals exactly when it orders the
+    children of every node of the critical class tree as blocks: the count
+    is the product over the nodes of (number of children)!.
     """
-    if any(v not in s for v in x.distances()):
-        raise InvalidSpace("space has a distance outside S")
+    parents, _, _ = _critical_class_tree(x, s)
     if x.n > config.iso_bound:
         raise SearchTooLarge(f"ordering scan too large: n={x.n}")
-    class_sets = set()
-    for c in critical_distances(s):
-        for cls in _equivalence_classes(x, c):
-            if 1 < len(cls) < x.n:
-                class_sets.add(frozenset(cls))
-    count = 1
-    for node in class_sets | {frozenset(range(x.n))}:
-        subs = [c for c in class_sets if c < node]
-        maximal = [c for c in subs if not any(c < o for o in subs)]
-        count *= math.factorial(len(node) - sum(map(len, maximal)) + len(maximal))
-    return count
+    return _block_orderings(parents)
 
 
 def ramsey_degree_metric_ordered(
@@ -240,34 +222,53 @@ def _order_preserving_copy_exists(
     return extend([])
 
 
-def _is_interval(positions) -> bool:
-    spots = sorted(positions)
-    return spots[-1] - spots[0] == len(spots) - 1
+def _class_groups(y: FiniteMetricSpace, which: str, s: DistanceSet | None) -> list[int]:
+    """Point bitmasks of the groups that every ordering in the class keeps contiguous.
 
-
-def _orderings_in_class(y: FiniteMetricSpace, which: str, s: DistanceSet | None):
-    """Yield point sequences of y belonging to the requested ordering class."""
+    Groups of one point or of all points constrain nothing and are left out.
+    """
     if which == "all":
-        yield from itertools.permutations(range(y.n))
-        return
+        return []
     if which == "convex":
-        from .ultratrees import _balls
-
-        groups = _balls(y)
+        masks = {sum(1 << p for p in ball) for ball in _balls(y)}
     elif which == "metric":
         if s is None:
             s = y.distance_set()
-        groups = set()
-        for c in critical_distances(s):
-            for cls in _equivalence_classes(y, c):
-                if 1 < len(cls) < y.n:
-                    groups.add(frozenset(cls))
+        parents, _, leaf_points = _critical_class_tree(y, s)
+        node_masks = [1 << leaf_points[v] if v in leaf_points else 0 for v in range(len(parents))]
+        for node in range(len(parents) - 1, 0, -1):  # children follow parents
+            node_masks[parents[node]] |= node_masks[node]
+        masks = set(node_masks)
     else:
         raise InvalidSpace(f"unknown ordering class {which!r}")
-    for perm in itertools.permutations(range(y.n)):
-        pos = {p: i for i, p in enumerate(perm)}
-        if all(_is_interval([pos[p] for p in grp]) for grp in groups):
-            yield perm
+    return [g for g in masks if g & (g - 1) and g != (1 << y.n) - 1]
+
+
+def _interval_orders(groups: list[int], order: list[int], free: int, visit) -> bool:
+    """Extend order by the points of the bitmask free, one at a time.
+
+    The candidates are the free points lying in every group that is started
+    but not finished: once a group is entered, no point outside it comes
+    before it is complete.  So the complete orders are exactly the orders
+    in which every group is contiguous.  visit(order) is called on each,
+    and the search stops as soon as it returns true.
+    """
+    if not free:
+        return bool(visit(order))
+    cands = free
+    for g in groups:
+        if g & free and g & ~free:
+            cands &= g
+    while cands:
+        low = cands & -cands
+        order.append(low.bit_length() - 1)
+        rest = free ^ low
+        if _interval_orders(groups, order, rest, visit) if rest else visit(order):
+            order.pop()
+            return True
+        order.pop()
+        cands ^= low
+    return False
 
 
 def verify_ordering_property_witness(
@@ -282,11 +283,17 @@ def verify_ordering_property_witness(
 
     This is the single-candidate check behind the ordering property: a
     witness y works when no ordering of it avoids an order-preserving copy.
+    order_x must list every point of x once; the "metric" class also needs
+    every distance of y in s (default: y's own distance set).
     """
     if y.n > config.ordering_bound:
         raise SearchTooLarge(f"ordering-property scan too large: n={y.n}")
     order_x = tuple(order_x)
-    for order_y in _orderings_in_class(y, ordering_class, s):
-        if not _order_preserving_copy_exists(y, order_y, x, order_x):
-            return False
-    return True
+    if sorted(order_x) != list(range(x.n)):
+        raise InvalidSpace(
+            f"order {','.join(map(str, order_x))} is not an ordering of the {x.n} points of x"
+        )
+    return not _interval_orders(
+        _class_groups(y, ordering_class, s), [], (1 << y.n) - 1,
+        lambda order_y: not _order_preserving_copy_exists(y, order_y, x, order_x),
+    )

@@ -82,7 +82,9 @@ def _class_tree(x: FiniteMetricSpace, levels) -> tuple[list, list, dict]:
 
     levels descend; node 0 holds every point, and the depth-j nodes below it
     are the classes of d <= levels[j], with the threshold past the last
-    level treated as 0, i.e. singleton leaves at depth len(levels).
+    level treated as 0, i.e. singleton leaves at depth len(levels).  A
+    class is taken as the points within the threshold of its first member,
+    so closeness must be transitive at every level.
     """
     k = len(levels)
     parents = [-1]
@@ -95,16 +97,14 @@ def _class_tree(x: FiniteMetricSpace, levels) -> tuple[list, list, dict]:
             leaf_points[node] = p
             return
         thr = levels[depth + 1] if depth + 1 < k else None
-        remaining = list(members)
-        classes = []
-        while remaining:
-            seed = remaining.pop(0)
-            cls = [seed]
-            for q in list(remaining):
-                if thr is not None and x.d[seed][q] <= thr:
+        classes = []  # each led by its seed, the first member in the order
+        for q in members:
+            for cls in classes:
+                if thr is not None and x.d[cls[0]][q] <= thr:
                     cls.append(q)
-                    remaining.remove(q)
-            classes.append(cls)
+                    break
+            else:
+                classes.append([q])
         for cls in classes:
             child = len(parents)
             parents.append(node)
@@ -136,24 +136,25 @@ def space_of_tree(t: UltraTree) -> FiniteMetricSpace:
     return FiniteMetricSpace(rows, check=False)
 
 
-def convex_orderings_count(x: FiniteMetricSpace, brute_force: bool = False) -> int:
+def convex_orderings_count(x: FiniteMetricSpace) -> int:
     """Number of linear orderings keeping every metric ball an interval.
 
-    Computed as the product of (child count)! over internal tree nodes; with
-    brute_force=True the enumeration over all n! orderings runs as well and
-    the two must agree.
+    The balls are the nodes of the ball tree, so this is the product of
+    (child count)! over its nodes.
     """
-    if x.n == 1:
-        return 1
-    t = tree_of_space(x)
-    formula = 1
-    children = t.children()
-    for node in range(t.n_nodes()):
-        if children[node]:
-            formula *= math.factorial(len(children[node]))
-    if brute_force:
-        assert formula == _convex_brute(x), "formula and brute force disagree"
-    return formula
+    return _block_orderings(tree_of_space(x).parents)
+
+
+def _block_orderings(parents) -> int:
+    """Orderings keeping every node of a class tree an interval.
+
+    Such an ordering orders the children of every node as blocks, so the
+    count is the product of (number of children)! over the nodes.
+    """
+    children = [0] * len(parents)
+    for par in parents[1:]:
+        children[par] += 1
+    return math.prod(map(math.factorial, children))
 
 
 def _balls(x: FiniteMetricSpace) -> set:
@@ -162,22 +163,6 @@ def _balls(x: FiniteMetricSpace) -> set:
         for r in x.distances():
             out.add(frozenset(p for p in range(x.n) if x.d[c][p] <= r))
     return out
-
-
-def _convex_brute(x: FiniteMetricSpace) -> int:
-    balls = _balls(x)
-    count = 0
-    for perm in itertools.permutations(range(x.n)):
-        pos = {p: i for i, p in enumerate(perm)}
-        ok = True
-        for ball in balls:
-            spots = sorted(pos[p] for p in ball)
-            if spots[-1] - spots[0] != len(spots) - 1:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def ultrametric_isometry_order(x: FiniteMetricSpace) -> int:
@@ -265,60 +250,16 @@ def ambient_tree_nodes(x: FiniteMetricSpace, s: DistanceSet):
     return parents, depths
 
 
-def linear_extensions_tree(parents, brute_limit: int = 10) -> int:
+def linear_extensions_tree(parents) -> int:
     """Linear extensions of a rooted tree via the hook length formula.
 
-    e(T) = n! / prod of subtree sizes; cross-checked by brute-force extension
-    enumeration when the tree is small enough.
+    e(T) = n! / prod of subtree sizes.
     """
     n = len(parents)
     size = [1] * n
     for node in range(n - 1, 0, -1):
         size[parents[node]] += size[node]
-    denom = 1
-    for v in size:
-        denom *= v
-    count = math.factorial(n) // denom
-    if n <= brute_limit:
-        assert count == _extensions_brute(parents), "hook formula disagrees with brute force"
-    return count
-
-
-def _extensions_brute(parents) -> int:
-    """Count extensions by enumerating placements (memoized on the placed set)."""
-    n = len(parents)
-    children = [[] for _ in range(n)]
-    for v in range(n):
-        if parents[v] >= 0:
-            children[parents[v]].append(v)
-    memo: dict[int, int] = {}
-
-    def rec(placed: int) -> int:
-        if placed == (1 << n) - 1:
-            return 1
-        if placed in memo:
-            return memo[placed]
-        total = 0
-        for v in range(n):
-            if placed & (1 << v):
-                continue
-            if parents[v] < 0 or placed & (1 << parents[v]):
-                total += rec(placed | (1 << v))
-        memo[placed] = total
-        return total
-
-    return rec(0)
-
-
-def _extensions_permutation_scan(parents) -> int:
-    """Raw n! scan; only usable for tiny trees, kept as an oracle for the DP."""
-    n = len(parents)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        pos = {node: i for i, node in enumerate(perm)}
-        if all(parents[v] < 0 or pos[parents[v]] < pos[v] for v in range(n)):
-            count += 1
-    return count
+    return math.factorial(n) // math.prod(size)
 
 
 def big_ramsey_degree(x: FiniteMetricSpace, s: DistanceSet) -> int:
@@ -366,7 +307,8 @@ def fichet_embedding(x: FiniteMetricSpace, p: int) -> FichetReport:
             w = Fraction(a[k - 1] ** p, 2)
         else:
             w = Fraction(a[depth - 1] ** p - a[depth] ** p, 2)
-        assert w > 0, "strict decrease of level distances forces positive weights"
+        if w <= 0:  # strictly decreasing level distances forbid it
+            raise AssertionError(f"weight {w} of node {node} is not positive")
         weights[node] = w
 
     leaves = t.leaves()

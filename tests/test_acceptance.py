@@ -39,7 +39,13 @@ from test_four_values import (
     brute_force_one_point_oracle,
     one_point_configurations,
 )
-from test_ultratrees import all_tree_shapes, random_ultrametric, space_from_shape
+from test_ultratrees import (
+    _reference_convex_orderings_count,
+    _reference_linear_extensions,
+    all_tree_shapes,
+    random_ultrametric,
+    space_from_shape,
+)
 
 
 def ds(*vals):
@@ -151,7 +157,7 @@ def test_criterion_4_ultrametric_degrees():
     for n_leaves in range(2, 7):
         for depth, shape in all_tree_shapes(n_leaves):
             x = space_from_shape(depth, shape)
-            ultratrees.convex_orderings_count(x, brute_force=True)  # exact agreement
+            assert ultratrees.convex_orderings_count(x) == _reference_convex_orderings_count(x)
             if ultratrees.is_uniformly_branching(x):
                 assert ultratrees.ramsey_degree_ultrametric(x).degree == 1
             shapes += 1
@@ -197,7 +203,7 @@ def _all_rooted_trees(max_nodes):
 def test_criterion_6_big_ramsey_degree():
     trees = _all_rooted_trees(10)
     for parents in trees:
-        ultratrees.linear_extensions_tree(parents)  # asserts hook = enumeration
+        assert ultratrees.linear_extensions_tree(parents) == _reference_linear_extensions(parents)
     for svals in ((1,), (1, 2), (1, 2, 5), (2, 3, 7, 9)):
         assert ultratrees.big_ramsey_degree(
             FiniteMetricSpace.single_point(), ds(*svals)

@@ -383,3 +383,12 @@ class TestInputErrors:
         )
         assert code == 2
         assert err.startswith("error: ") and "out of range" in err
+
+    @pytest.mark.parametrize("order", ["0,5", "0", "0,0", "-1,0", "0,1,2"])
+    def test_orderprop_malformed_order(self, capsys, spaces, order):
+        paths, _ = spaces
+        code, out, err = run_cli(
+            capsys, "orderprop", "--y", paths["triangle"], "--x", paths["pair"], f"--order={order}"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "is not an ordering of the 2 points of x" in err

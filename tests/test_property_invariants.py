@@ -97,3 +97,21 @@ def test_random_katetov_maps_yield_metric_extensions(x, data):
 @settings(max_examples=8, deadline=None)
 def test_initial_segments_satisfy_four_values(m):
     assert check_four_values(DistanceSet(range(1, m + 1)))
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so internal checks must raise
+    import ast
+    from pathlib import Path
+
+    import finmetric
+
+    sources = sorted(Path(finmetric.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -16,7 +16,7 @@ from finmetric.ramsey import (
     verify_arrow,
     verify_ordering_property_witness,
 )
-from finmetric.ramsey import _equivalence_classes
+from finmetric.ramsey import _class_groups, _interval_orders, _order_preserving_copy_exists
 from finmetric.spaces import (
     Config,
     DistanceSet,
@@ -29,6 +29,7 @@ from finmetric.spaces import (
 )
 from finmetric.katetov import ultrametric_urysohn_grid
 from finmetric.ultratrees import (
+    _balls,
     comb_space,
     convex_orderings_count,
     ramsey_degree_ultrametric,
@@ -40,6 +41,67 @@ def scalene():
 
 
 # --- reference scans: the brute-force loops the fast paths replaced -----------
+
+def _equivalence_classes(x, threshold):
+    """Classes of d <= threshold; the relation must be transitive to be used."""
+    classes = []
+    assigned = {}
+    for p in range(x.n):
+        if p in assigned:
+            continue
+        cls = [q for q in range(x.n) if x.d[p][q] <= threshold]
+        for a in cls:
+            for b in cls:
+                if x.d[a][b] > threshold:
+                    raise InvalidSpace(
+                        f"closeness at {threshold} is not an equivalence on this space"
+                    )
+        for q in cls:
+            assigned[q] = len(classes)
+        classes.append(cls)
+    return classes
+
+
+def _is_interval(positions):
+    spots = sorted(positions)
+    return spots[-1] - spots[0] == len(spots) - 1
+
+
+def _reference_orderings_in_class(y, which, s):
+    """Yield point sequences of y belonging to the requested ordering class."""
+    if which == "all":
+        yield from itertools.permutations(range(y.n))
+        return
+    if which == "convex":
+        groups = _balls(y)
+    elif which == "metric":
+        if s is None:
+            s = y.distance_set()
+        groups = set()
+        for c in critical_distances(s):
+            for cls in _equivalence_classes(y, c):
+                if 1 < len(cls) < y.n:
+                    groups.add(frozenset(cls))
+    else:
+        raise InvalidSpace(f"unknown ordering class {which!r}")
+    for perm in itertools.permutations(range(y.n)):
+        pos = {p: i for i, p in enumerate(perm)}
+        if all(_is_interval([pos[p] for p in grp]) for grp in groups):
+            yield perm
+
+
+def _reference_verify_ordering_property_witness(
+    y, x, order_x, ordering_class="all", s=None, config=Config()
+):
+    """Does every ordering of y (in the class) embed the ordered space (x, <)?"""
+    if y.n > config.ordering_bound:
+        raise SearchTooLarge(f"ordering-property scan too large: n={y.n}")
+    order_x = tuple(order_x)
+    for order_y in _reference_orderings_in_class(y, ordering_class, s):
+        if not _order_preserving_copy_exists(y, order_y, x, order_x):
+            return False
+    return True
+
 
 def _reference_metric_orderings_count(x, s, config=Config()):
     """Orderings making every critical closeness class convex, over all n!."""
@@ -125,6 +187,39 @@ def s_spaces(draw, max_n=7):
             assume(ok)
             d[p][q] = d[q][p] = draw(st.sampled_from(ok))
     return FiniteMetricSpace(d), s
+
+
+@st.composite
+def ordering_cases(draw):
+    """(y, x, order_x, s): y with 0-7 points and distances in S, x a subspace or an equilateral space.
+
+    Half of the ys are ultrametric; the rest are drawn as in s_spaces, so
+    their balls can cross.
+    """
+    s = draw(st.sampled_from(S_SETS))
+    n = draw(st.integers(0, 7))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    ultra = draw(st.booleans())
+    for p in range(1, n):
+        if ultra:
+            # a new point at distance v from q0 is max(v, d(q0, t)) from every other t
+            q0, v = draw(st.integers(0, p - 1)), draw(st.sampled_from(s.values))
+            for t in range(p):
+                d[p][t] = d[t][p] = v if t == q0 else max(v, d[q0][t])
+            continue
+        for q in range(p):
+            ok = [v for v in s if all(abs(d[p][t] - d[q][t]) <= v <= d[p][t] + d[q][t]
+                                      for t in range(q))]
+            assume(ok)
+            d[p][q] = d[q][p] = draw(st.sampled_from(ok))
+    y = FiniteMetricSpace(d)
+    m = draw(st.integers(0, min(n, 4)))
+    if n and draw(st.booleans()):
+        x = y.submetric(draw(st.permutations(range(n)))[:m])
+    else:
+        x = FiniteMetricSpace.equilateral(m, draw(st.sampled_from(s.values))) if m else y.submetric([])
+    order = draw(st.permutations(range(x.n)))
+    return y, x, tuple(order), draw(st.sampled_from((None, s)))
 
 
 @st.composite
@@ -368,6 +463,49 @@ class TestArrow:
 
 
 class TestOrderingProperty:
+    @given(ordering_cases(), st.sampled_from(("all", "convex", "metric", "bogus")))
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_matches_reference_scan(self, case, which):
+        y, x, order, s = case
+        assert _outcome(verify_ordering_property_witness, y, x, order, which, s) == _outcome(
+            _reference_verify_ordering_property_witness, y, x, order, which, s)
+
+    @given(ordering_cases(), st.sampled_from(("all", "convex", "metric")))
+    @settings(max_examples=200, deadline=None)
+    def test_class_orderings_match_reference_scan(self, case, which):
+        y, _, _, s = case
+        assume(which != "metric" or s is not None or y.n >= 2)
+        found = []
+        _interval_orders(_class_groups(y, which, s), [], (1 << y.n) - 1,
+                         lambda order: found.append(tuple(order)))
+        assert len(found) == len(set(found))
+        assert set(found) == set(_reference_orderings_in_class(y, which, s))
+
+    def test_crossing_balls_in_convex_class(self):
+        # the path 0-1-2 with unit steps: the balls {0,1} and {1,2} cross, and
+        # only the two monotone orderings keep both intervals
+        y = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        found = []
+        _interval_orders(_class_groups(y, "convex", None), [], 0b111,
+                         lambda order: found.append(tuple(order)))
+        assert sorted(found) == sorted(_reference_orderings_in_class(y, "convex", None))
+        assert sorted(found) == [(0, 1, 2), (2, 1, 0)]
+
+    @pytest.mark.parametrize("order", [(0, 5), (0,), (0, 0), (-1, 0), (0, 1, 2)])
+    def test_malformed_order_rejected(self, order):
+        y, pair = FiniteMetricSpace.equilateral(3, 1), FiniteMetricSpace.equilateral(2, 1)
+        with pytest.raises(InvalidSpace, match="is not an ordering of the 2 points of x"):
+            verify_ordering_property_witness(y, pair, order)
+
+    def test_metric_class_rejects_distance_outside_s(self):
+        y = FiniteMetricSpace([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        pair = FiniteMetricSpace.equilateral(2, 1)
+        with pytest.raises(InvalidSpace, match="space has a distance outside S"):
+            verify_ordering_property_witness(y, pair, (0, 1), "metric", DistanceSet((1, 3)))
+        with pytest.raises(InvalidSpace, match="one-point space has an empty distance set"):
+            verify_ordering_property_witness(
+                FiniteMetricSpace.single_point(), FiniteMetricSpace.single_point(), (0,), "metric")
+
     def test_two_point_equilateral(self):
         x = FiniteMetricSpace.equilateral(2, 1)
         assert verify_ordering_property_witness(x, x, (0, 1))

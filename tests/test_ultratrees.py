@@ -14,8 +14,7 @@ from finmetric.spaces import (
     isometries,
 )
 from finmetric.ultratrees import (
-    _extensions_brute,
-    _extensions_permutation_scan,
+    _balls,
     ambient_tree_nodes,
     big_ramsey_degree,
     comb_space,
@@ -32,6 +31,62 @@ from finmetric.ultratrees import (
 
 def comb3():
     return FiniteMetricSpace([[0, 2, 2], [2, 0, 1], [2, 1, 0]])
+
+
+# --- reference scans: the brute-force counts the formulas replaced -----------
+
+def _reference_convex_orderings_count(x):
+    """Orderings keeping every ball an interval, over all n!."""
+    balls = _balls(x)
+    count = 0
+    for perm in itertools.permutations(range(x.n)):
+        pos = {p: i for i, p in enumerate(perm)}
+        ok = True
+        for ball in balls:
+            spots = sorted(pos[p] for p in ball)
+            if spots[-1] - spots[0] != len(spots) - 1:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
+
+
+def _reference_linear_extensions(parents):
+    """Count extensions by enumerating placements (memoized on the placed set)."""
+    n = len(parents)
+    children = [[] for _ in range(n)]
+    for v in range(n):
+        if parents[v] >= 0:
+            children[parents[v]].append(v)
+    memo = {}
+
+    def rec(placed):
+        if placed == (1 << n) - 1:
+            return 1
+        if placed in memo:
+            return memo[placed]
+        total = 0
+        for v in range(n):
+            if placed & (1 << v):
+                continue
+            if parents[v] < 0 or placed & (1 << parents[v]):
+                total += rec(placed | (1 << v))
+        memo[placed] = total
+        return total
+
+    return rec(0)
+
+
+def _reference_extensions_permutation_scan(parents):
+    """Raw n! scan; only usable for tiny trees, kept as an oracle for the DP."""
+    n = len(parents)
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        pos = {node: i for i, node in enumerate(perm)}
+        if all(parents[v] < 0 or pos[parents[v]] < pos[v] for v in range(n)):
+            count += 1
+    return count
 
 
 def all_tree_shapes(n_leaves, max_depth=3):
@@ -158,7 +213,7 @@ class TestConvexOrderings:
         for n_leaves in range(2, 7):
             for depth, shape in all_tree_shapes(n_leaves):
                 x = space_from_shape(depth, shape)
-                convex_orderings_count(x, brute_force=True)  # asserts agreement
+                assert convex_orderings_count(x) == _reference_convex_orderings_count(x)
 
 
 class TestIsometryOrder:
@@ -232,7 +287,7 @@ class TestBigRamseyDegree:
                         continue
                     parents, _ = ambient_tree_nodes(x, s)
                     if len(parents) <= 10:
-                        linear_extensions_tree(parents)  # asserts the cross-check
+                        assert linear_extensions_tree(parents) == _reference_linear_extensions(parents)
                         seen += 1
         assert seen > 10
 
@@ -269,7 +324,8 @@ class TestBigRamseyDegree:
         for _ in range(15):
             n = rng.randint(1, 7)
             parents = [-1] + [rng.randint(0, i - 1) for i in range(1, n)]
-            assert _extensions_brute(parents) == _extensions_permutation_scan(parents)
+            assert _reference_linear_extensions(parents) == _reference_extensions_permutation_scan(parents)
+            assert linear_extensions_tree(parents) == _reference_linear_extensions(parents)
 
 
 class TestFichet:
