@@ -1,5 +1,10 @@
 """Command-line surface: every library operation behind a verb, stable output.
 
+The verbs live in one table, `_VERBS`.  Each subverb of a family verb
+(`ultra`, `color`, `hedgehog`, `milliken`) has its own subparser holding only
+the options it reads, so options follow the subverb.  `build_parser` builds
+the parser once per process, on first use.
+
 Exit codes: 0 = verdict true / success, 1 = verdict false (witness printed),
 2 = usage or resource error.  --json mirrors the text payload bit-exactly for
 golden-file testing.  FINMETRIC_BUDGET overrides the Config bounds at once:
@@ -10,6 +15,7 @@ cap and the |S| bound of the 4-values scans.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +28,6 @@ from .spaces import (
     InvalidSpace,
     SearchTooLarge,
     as_fraction,
-    canonicalize,
     complete,
     copies,
     format_fraction,
@@ -261,41 +266,44 @@ def _tree_text(t: ultratrees.UltraTree) -> str:
     return "\n".join(lines)
 
 
-def cmd_ultra(args) -> int:
+def _ultra_tree(args) -> int:
+    t = ultratrees.tree_of_space(_load_space(args.space))
+    payload = {
+        "levels": [format_fraction(v) for v in t.level_distances],
+        "parents": list(t.parents),
+        "leafPoints": {str(k): v for k, v in t.leaf_points.items()},
+    }
+    _emit(args, payload, [_tree_text(t)])
+    return 0
+
+
+def _ultra_degree(args) -> int:
+    rec = ultratrees.ramsey_degree_ultrametric(_load_space(args.space), _config())
+    payload = {"cLO": rec.orderings, "iso": rec.iso, "degree": rec.degree}
+    _emit(args, payload, [f"cLO: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
+    return 0
+
+
+def _ultra_bigdegree(args) -> int:
     x = _load_space(args.space)
-    if args.what == "tree":
-        t = ultratrees.tree_of_space(x)
-        payload = {
-            "levels": [format_fraction(v) for v in t.level_distances],
-            "parents": list(t.parents),
-            "leafPoints": {str(k): v for k, v in t.leaf_points.items()},
-        }
-        _emit(args, payload, [_tree_text(t)])
-        return 0
-    if args.what == "degree":
-        rec = ultratrees.ramsey_degree_ultrametric(x, _config())
-        payload = {"cLO": rec.orderings, "iso": rec.iso, "degree": rec.degree}
-        _emit(args, payload, [f"cLO: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
-        return 0
-    if args.what == "bigdegree":
-        s = _distances(args.distances)
-        deg = ultratrees.big_ramsey_degree(x, s)
-        _emit(args, {"bigDegree": deg}, [f"big degree: {deg}"])
-        return 0
-    if args.what == "fichet":
-        rep = ultratrees.fichet_embedding(x, args.p)
-        payload = {
-            "p": rep.p,
-            "dimension": rep.dimension,
-            "dimensionBound": rep.dimension_bound,
-            "weightsP": {str(k): format_fraction(v) for k, v in rep.node_weights_p.items()},
-        }
-        _emit(args, payload, [
-            f"p: {rep.p}  dimension: {rep.dimension} <= {rep.dimension_bound}",
-            f"pairs verified: {len(rep.pair_checks)}",
-        ])
-        return 0
-    raise InvalidSpace(f"unknown ultra subverb {args.what!r}")
+    deg = ultratrees.big_ramsey_degree(x, _distances(args.distances))
+    _emit(args, {"bigDegree": deg}, [f"big degree: {deg}"])
+    return 0
+
+
+def _ultra_fichet(args) -> int:
+    rep = ultratrees.fichet_embedding(_load_space(args.space), args.p)
+    payload = {
+        "p": rep.p,
+        "dimension": rep.dimension,
+        "dimensionBound": rep.dimension_bound,
+        "weightsP": {str(k): format_fraction(v) for k, v in rep.node_weights_p.items()},
+    }
+    _emit(args, payload, [
+        f"p: {rep.p}  dimension: {rep.dimension} <= {rep.dimension_bound}",
+        f"pairs verified: {len(rep.pair_checks)}",
+    ])
+    return 0
 
 
 def cmd_degree(args) -> int:
@@ -350,86 +358,97 @@ def cmd_orderprop(args) -> int:
     return 0 if verdict else 1
 
 
-def cmd_color(args) -> int:
-    if args.what in ("indiv", "greedy") and args.target is None:
-        raise InvalidSpace(f"color {args.what} needs --target")
-    if args.what == "indiv":
-        x = _load_space(args.space)
-        target = _load_space(args.target)
-        mode = "sampled" if args.sampled else "exhaustive"
-        report = partitions.indivisibility_search(
-            x, target, k=args.k, mode=mode, samples=args.sampled or 100,
-            seed=args.seed, config=_config(),
-        )
-        payload = {
-            "exhaustive": report.exhaustive,
-            "colorings": len(report.outcomes),
-            "monochromatic": report.all_monochromatic(),
-            "outcomes": [o.to_json_dict() for o in report.outcomes],
-        }
-        ok = report.all_monochromatic()
-        _emit(args, payload, [
-            f"{len(report.outcomes)} colorings, "
-            f"{len(report.counterexamples)} without a monochromatic copy"
-        ])
-        return 0 if ok else 1
-    if args.what == "greedy":
-        x = _load_space(args.space)
-        target = _load_space(args.target)
-        res = partitions.greedy_monochromatic(x, _ints(args.coloring), target, _config())
-        payload = {
-            "copy": list(res.copy_indices),
-            "color": res.color,
-            "complete": res.complete,
-            "obstruction": list(res.obstruction) if res.obstruction else None,
-        }
-        _emit(args, payload, [
-            f"copy {' '.join(map(str, res.copy_indices))} in color {res.color}"
-            + ("" if res.complete else " (partial)")
-        ])
-        return 0 if res.complete else 1
-    if args.what == "divide":
-        x = _load_space(args.space)
-        centers = tuple(_ints(args.centers))
-        radii = {c: r for c, r in zip(centers, _fracs(args.radii))}
-        net = partitions.NetSystem(centers, radii)
-        colors = partitions.divisibility_coloring(x, net)
-        _emit(args, {"coloring": colors}, ["coloring: " + "".join(map(str, colors))])
-        return 0
-    if args.what == "annulus":
-        x = _load_space(args.space)
-        idx = partitions.annulus_lemma_check(
-            x, args.y, args.start, args.end, as_fraction(args.r), args.n,
-            _ints(args.chain), as_fraction(args.eps),
-        )
-        _emit(args, {"witnessIndex": idx}, [f"witness index: {idx}"])
-        return 0
-    if args.what == "lambda":
-        x = _load_space(args.space)
-        val = partitions.lambda_epsilon(x, args.point, as_fraction(args.eps))
-        _emit(args, {"lambda": format_fraction(val)}, [f"lambda: {format_fraction(val)}"])
-        return 0
-    raise InvalidSpace(f"unknown color subverb {args.what!r}")
+def _load_target(args) -> FiniteMetricSpace:
+    if args.target is None:
+        raise InvalidSpace(f"{args.verb} {args.subverb} needs --target")
+    return _load_space(args.target)
 
 
-def cmd_hedgehog(args) -> int:
-    prefix = _load_space(args.prefix)
-    z = hedgehog.hedgehog_build(args.m, prefix, args.max_tree_size)
-    if args.what == "build":
-        payload = {
-            "m": z.m,
-            "baseCount": z.base_count,
-            "treeNodes": [list(t) for t in z.tree_nodes],
-            "space": json.loads(space_to_json(z.dz)),
-        }
-        _emit(args, payload, [
-            f"m: {z.m}  base points: {z.base_count}  tree nodes: {len(z.tree_nodes)}",
-            space_to_text(z.dz).rstrip(),
-        ])
-        return 0
-    report = hedgehog.hedgehog_verify(z)
-    payload = report.to_json_dict()
+def _color_indiv(args) -> int:
+    target = _load_target(args)
+    x = _load_space(args.space)
+    report = partitions.indivisibility_search(
+        x, target, k=args.k, mode="sampled" if args.sampled else "exhaustive",
+        samples=args.sampled or 100, seed=args.seed, config=_config(),
+    )
+    payload = {
+        "exhaustive": report.exhaustive,
+        "colorings": len(report.outcomes),
+        "monochromatic": report.all_monochromatic(),
+        "outcomes": [o.to_json_dict() for o in report.outcomes],
+    }
     _emit(args, payload, [
+        f"{len(report.outcomes)} colorings, "
+        f"{len(report.counterexamples)} without a monochromatic copy"
+    ])
+    return 0 if report.all_monochromatic() else 1
+
+
+def _color_greedy(args) -> int:
+    target = _load_target(args)
+    x = _load_space(args.space)
+    res = partitions.greedy_monochromatic(x, _ints(args.coloring), target, _config())
+    payload = {
+        "copy": list(res.copy_indices),
+        "color": res.color,
+        "complete": res.complete,
+        "obstruction": list(res.obstruction) if res.obstruction else None,
+    }
+    _emit(args, payload, [
+        f"copy {' '.join(map(str, res.copy_indices))} in color {res.color}"
+        + ("" if res.complete else " (partial)")
+    ])
+    return 0 if res.complete else 1
+
+
+def _color_divide(args) -> int:
+    x = _load_space(args.space)
+    centers = tuple(_ints(args.centers))
+    radii = {c: r for c, r in zip(centers, _fracs(args.radii))}
+    colors = partitions.divisibility_coloring(x, partitions.NetSystem(centers, radii))
+    _emit(args, {"coloring": colors}, ["coloring: " + "".join(map(str, colors))])
+    return 0
+
+
+def _color_annulus(args) -> int:
+    x = _load_space(args.space)
+    idx = partitions.annulus_lemma_check(
+        x, args.y, args.start, args.end, as_fraction(args.r), args.n,
+        _ints(args.chain), as_fraction(args.eps),
+    )
+    _emit(args, {"witnessIndex": idx}, [f"witness index: {idx}"])
+    return 0
+
+
+def _color_lambda(args) -> int:
+    x = _load_space(args.space)
+    val = partitions.lambda_epsilon(x, args.point, as_fraction(args.eps))
+    _emit(args, {"lambda": format_fraction(val)}, [f"lambda: {format_fraction(val)}"])
+    return 0
+
+
+def _hedgehog(args) -> hedgehog.HedgehogSpace:
+    return hedgehog.hedgehog_build(args.m, _load_space(args.prefix), args.max_tree_size)
+
+
+def _hedgehog_build(args) -> int:
+    z = _hedgehog(args)
+    payload = {
+        "m": z.m,
+        "baseCount": z.base_count,
+        "treeNodes": [list(t) for t in z.tree_nodes],
+        "space": json.loads(space_to_json(z.dz)),
+    }
+    _emit(args, payload, [
+        f"m: {z.m}  base points: {z.base_count}  tree nodes: {len(z.tree_nodes)}",
+        space_to_text(z.dz).rstrip(),
+    ])
+    return 0
+
+
+def _hedgehog_verify(args) -> int:
+    report = hedgehog.hedgehog_verify(_hedgehog(args))
+    _emit(args, report.to_json_dict(), [
         f"cycles checked: {report.cycles_checked}",
         f"labels preserved: {str(report.labels_preserved).lower()}",
         f"branches verified: {report.branches_verified}",
@@ -438,27 +457,29 @@ def cmd_hedgehog(args) -> int:
     return 0 if report.ok() else 1
 
 
-def cmd_milliken(args) -> int:
-    if args.what == "build":
-        check = "sampled" if args.sampled else "exhaustive"
-        ms = milliken.milliken_space(
-            args.variant, args.depth, invert_membership=args.inverted,
-            check=check, samples=args.sampled or 200000, seed=args.seed,
-        )
-        payload = {
-            "variant": args.variant,
-            "depth": args.depth,
-            "points": len(ms.points),
-            "metric": ms.metric,
-            "witness": list(ms.witness) if ms.witness else None,
-        }
-        _emit(args, payload, [
-            f"variant {args.variant} depth {args.depth}: {len(ms.points)} points, "
-            f"metric: {str(ms.metric).lower()}"
-            + ("" if ms.metric else f", witness {ms.witness}")
-        ])
-        return 0 if ms.metric else 1
-    target = _load_space(args.target)
+def _milliken_build(args) -> int:
+    ms = milliken.milliken_space(
+        args.variant, args.depth, invert_membership=args.inverted,
+        check="sampled" if args.sampled else "exhaustive",
+        samples=args.sampled or 200000, seed=args.seed,
+    )
+    payload = {
+        "variant": args.variant,
+        "depth": args.depth,
+        "points": len(ms.points),
+        "metric": ms.metric,
+        "witness": list(ms.witness) if ms.witness else None,
+    }
+    _emit(args, payload, [
+        f"variant {args.variant} depth {args.depth}: {len(ms.points)} points, "
+        f"metric: {str(ms.metric).lower()}"
+        + ("" if ms.metric else f", witness {ms.witness}")
+    ])
+    return 0 if ms.metric else 1
+
+
+def _milliken_embed(args) -> int:
+    target = _load_target(args)
     emb = milliken.coding_embed(args.variant, args.depth, target)
     if emb is None:
         _emit(args, {"found": False}, ["no embedding at this depth"])
@@ -475,157 +496,127 @@ def cmd_milliken(args) -> int:
     return 0 if ok else 1
 
 
+# --- the verb table ------------------------------------------------------------
+
+def _arg(flag: str, **kwargs) -> tuple:
+    return flag, kwargs
+
+
+_DISTANCES = _arg("distances", nargs="+")
+_SPACE = _arg("--space", required=True)
+_GRAPH = _arg("--graph", required=True)
+_VALUES = _arg("--values", required=True)
+_Y = _arg("--y", required=True)
+_X = _arg("--x", required=True)
+_TARGET = _arg("--target")
+_SAMPLED = _arg("--sampled", type=int, default=None)
+_SEED = _arg("--seed", type=int, default=0)
+_EPS = _arg("--eps", default="1/100")
+
+# verb -> (help, handler, arguments).  A family verb holds a table of
+# subverbs of the same shape in place of the handler, and its arguments go
+# on every subverb's parser ahead of the subverb's own.
+_VERBS = {
+    "check4v": ("decide the 4-values condition", cmd_check4v, [_DISTANCES]),
+    "badquads": ("table of bad quadruples", cmd_badquads, [_DISTANCES]),
+    "similar": ("compare triple-inequality patterns: S... -- T...", cmd_similar, [_DISTANCES]),
+    "amalgamate": ("strong amalgam over a shared subspace", cmd_amalgamate, [
+        _DISTANCES, _arg("--y0", required=True), _arg("--y1", required=True),
+        _arg("--x0", default=""), _arg("--x1", default="")]),
+    "validate": ("check an edge-labelled graph", cmd_validate, [
+        _GRAPH, _arg("--mode", choices=("metric", "ultrametric", "l-metric"), default="metric"),
+        _arg("--l", type=int, default=None)]),
+    "complete": ("path-metric completion", cmd_complete, [
+        _GRAPH, _arg("--mode", choices=("sum-cap", "max"), default="sum-cap"),
+        _arg("--cap", default=None)]),
+    "iso": ("isometry group", cmd_iso, [_SPACE]),
+    "copies": ("isometric copies of x inside y", cmd_copies, [_Y, _X]),
+    "katetov": ("check the one-point extension inequality", cmd_katetov, [_SPACE, _VALUES]),
+    "extend": ("adjoin a one-point extension", cmd_extend, [_SPACE, _VALUES]),
+    "urysohn": ("closure with the bounded extension property", cmd_urysohn, [
+        _DISTANCES, _arg("--cap", type=int, required=True), _SEED]),
+    "ultra": ("ultrametric tree calculus", {
+        "tree": ("ball tree of the space", _ultra_tree, []),
+        "degree": ("Ramsey degree: convex orderings over isometries", _ultra_degree, []),
+        "bigdegree": ("big Ramsey degree over the distance set --s", _ultra_bigdegree, [
+            _arg("--s", dest="distances", nargs="*", default=[])]),
+        "fichet": ("exact weights of an embedding into l_p", _ultra_fichet, [
+            _arg("-p", type=int, default=1)]),
+    }, [_SPACE]),
+    "degree": ("Ramsey degree of a space", cmd_degree, [
+        _SPACE, _arg("--metric-orderings", nargs="*", default=None)]),
+    "criticals": ("critical distances of a set", cmd_criticals, [_DISTANCES]),
+    "arrow": ("exhaustive arrow verification", cmd_arrow, [
+        _arg("--z", required=True), _Y, _X,
+        _arg("-k", type=int, default=2), _arg("-l", type=int, default=1)]),
+    "orderprop": ("ordering-property witness check", cmd_orderprop, [
+        _Y, _X, _arg("--order", required=True),
+        _arg("--ordering-class", choices=("all", "convex", "metric"), default="all"),
+        _arg("--s", nargs="*", default=None)]),
+    "color": ("indivisibility experiments", {
+        "indiv": ("search the colorings for a monochromatic copy of --target", _color_indiv, [
+            _TARGET, _arg("-k", type=int, default=2), _SAMPLED, _SEED]),
+        "greedy": ("chase a monochromatic copy of --target under --coloring", _color_greedy, [
+            _TARGET, _arg("--coloring", default="")]),
+        "divide": ("two-color annulus coloring driven by a net", _color_divide, [
+            _arg("--centers", default=""), _arg("--radii", default="")]),
+        "annulus": ("first chain point inside the annulus around --y", _color_annulus, [
+            _arg("--y", type=int, default=0), _arg("--start", type=int, default=0),
+            _arg("--end", type=int, default=0), _arg("--r", default="1/2"),
+            _arg("-n", type=int, default=1), _arg("--chain", default=""), _EPS]),
+        "lambda": ("span of the eps-step component of --point", _color_lambda, [
+            _arg("--point", type=int, default=0), _EPS]),
+    }, [_SPACE]),
+    "hedgehog": ("tree-of-copies gluing space", {
+        "build": ("build the space", _hedgehog_build, []),
+        "verify": ("check its cycles, labels, branches and fattening", _hedgehog_verify, []),
+    }, [_arg("-m", type=int, required=True), _arg("--prefix", required=True),
+        _arg("--max-tree-size", type=int, default=None)]),
+    "milliken": ("tree codings of small Urysohn spaces", {
+        "build": ("build the coding space and decide whether it is metric", _milliken_build, [
+            _arg("--inverted", action="store_true"), _SAMPLED, _SEED]),
+        "embed": ("embed --target into the coding space", _milliken_embed, [_TARGET]),
+    }, [_arg("variant", choices=milliken.VARIANTS), _arg("--depth", type=int, required=True)]),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built from `_VERBS` once per process."""
     parser = argparse.ArgumentParser(
         prog="finmetric",
         description="exact combinatorics of finite metric spaces",
     )
     parser.add_argument("--json", action="store_true", help="machine output")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("check4v", help="decide the 4-values condition")
-    p.add_argument("distances", nargs="+")
-    p.set_defaults(func=cmd_check4v)
-
-    p = sub.add_parser("badquads", help="table of bad quadruples")
-    p.add_argument("distances", nargs="+")
-    p.set_defaults(func=cmd_badquads)
-
-    p = sub.add_parser("similar", help="compare triple-inequality patterns: S... -- T...")
-    p.add_argument("distances", nargs="+")
-    p.set_defaults(func=cmd_similar)
-
-    p = sub.add_parser("amalgamate", help="strong amalgam over a shared subspace")
-    p.add_argument("distances", nargs="+")
-    p.add_argument("--y0", required=True)
-    p.add_argument("--y1", required=True)
-    p.add_argument("--x0", default="")
-    p.add_argument("--x1", default="")
-    p.set_defaults(func=cmd_amalgamate)
-
-    p = sub.add_parser("validate", help="check an edge-labelled graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--mode", choices=("metric", "ultrametric", "l-metric"), default="metric")
-    p.add_argument("--l", type=int, default=None)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("complete", help="path-metric completion")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--mode", choices=("sum-cap", "max"), default="sum-cap")
-    p.add_argument("--cap", default=None)
-    p.set_defaults(func=cmd_complete)
-
-    p = sub.add_parser("iso", help="isometry group")
-    p.add_argument("--space", required=True)
-    p.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser("copies", help="isometric copies of x inside y")
-    p.add_argument("--y", required=True)
-    p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_copies)
-
-    p = sub.add_parser("katetov", help="check the one-point extension inequality")
-    p.add_argument("--space", required=True)
-    p.add_argument("--values", required=True)
-    p.set_defaults(func=cmd_katetov)
-
-    p = sub.add_parser("extend", help="adjoin a one-point extension")
-    p.add_argument("--space", required=True)
-    p.add_argument("--values", required=True)
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("urysohn", help="closure with the bounded extension property")
-    p.add_argument("distances", nargs="+")
-    p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_urysohn)
-
-    p = sub.add_parser("ultra", help="ultrametric tree calculus")
-    p.add_argument("what", choices=("tree", "degree", "bigdegree", "fichet"))
-    p.add_argument("--space", required=True)
-    p.add_argument("--s", dest="distances", nargs="*", default=[])
-    p.add_argument("-p", type=int, default=1)
-    p.set_defaults(func=cmd_ultra)
-
-    p = sub.add_parser("degree", help="Ramsey degree of a space")
-    p.add_argument("--space", required=True)
-    p.add_argument("--metric-orderings", nargs="*", default=None)
-    p.set_defaults(func=cmd_degree)
-
-    p = sub.add_parser("criticals", help="critical distances of a set")
-    p.add_argument("distances", nargs="+")
-    p.set_defaults(func=cmd_criticals)
-
-    p = sub.add_parser("arrow", help="exhaustive arrow verification")
-    p.add_argument("--z", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("-l", type=int, default=1)
-    p.set_defaults(func=cmd_arrow)
-
-    p = sub.add_parser("orderprop", help="ordering-property witness check")
-    p.add_argument("--y", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--order", required=True)
-    p.add_argument("--ordering-class", choices=("all", "convex", "metric"), default="all")
-    p.add_argument("--s", nargs="*", default=None)
-    p.set_defaults(func=cmd_orderprop)
-
-    p = sub.add_parser("color", help="indivisibility experiments")
-    p.add_argument("what", choices=("indiv", "greedy", "divide", "annulus", "lambda"))
-    p.add_argument("--space", required=True)
-    p.add_argument("--target")
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("--sampled", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coloring", default="")
-    p.add_argument("--centers", default="")
-    p.add_argument("--radii", default="")
-    p.add_argument("--y", type=int, default=0)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--end", type=int, default=0)
-    p.add_argument("--r", default="1/2")
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("--chain", default="")
-    p.add_argument("--eps", default="1/100")
-    p.add_argument("--point", type=int, default=0)
-    p.set_defaults(func=cmd_color)
-
-    p = sub.add_parser("hedgehog", help="tree-of-copies gluing space")
-    p.add_argument("what", choices=("build", "verify"))
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--prefix", required=True)
-    p.add_argument("--max-tree-size", type=int, default=None)
-    p.set_defaults(func=cmd_hedgehog)
-
-    p = sub.add_parser("milliken", help="tree codings of small Urysohn spaces")
-    p.add_argument("what", choices=("build", "embed"))
-    p.add_argument("variant", choices=milliken.VARIANTS)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--inverted", action="store_true")
-    p.add_argument("--sampled", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target")
-    p.set_defaults(func=cmd_milliken)
-
+    _add_verbs(parser, "verb", _VERBS, [])
     return parser
 
 
+def _add_verbs(parser, dest: str, table: dict, shared: list) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, handler, arguments) in table.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(handler, dict):
+            _add_verbs(p, "subverb", handler, arguments)
+            continue
+        for flag, kwargs in shared + arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = ["::" if tok == "--" else tok for tok in argv]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
         return args.func(args)
     except (InvalidSpace, SearchTooLarge, four_values.AmalgamationError,
             katetov.ResourceLimit, partitions.PreconditionError,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

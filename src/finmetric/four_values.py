@@ -30,6 +30,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _check_points,
     _scaled,
     format_fraction,
 )
@@ -274,6 +275,8 @@ def amalgamate(
     x1 = list(x1_indices)
     if len(x0) != len(x1) or len(set(x0)) != len(x0) or len(set(x1)) != len(x1):
         raise AmalgamationError("shared-part index maps must be injective and aligned")
+    _check_points(y0.n, x0)
+    _check_points(y1.n, x1)
     for a in range(len(x0)):
         for b in range(a + 1, len(x0)):
             if y0.d[x0[a]][x0[b]] != y1.d[x1[a]][x1[b]]:

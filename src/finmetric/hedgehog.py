@@ -43,11 +43,6 @@ class HedgehogSpace:
     dz: FiniteMetricSpace              # capped path completion
     base_count: int
 
-    def node_name(self, z: int) -> str:
-        if z < self.base_count:
-            return f"x{z}"
-        return "{" + ",".join(map(str, self.tree_nodes[z - self.base_count])) + "}"
-
     def pi(self, z: int) -> int:
         """Projection: tree node to its top base point; base points fixed."""
         if z < self.base_count:

@@ -281,7 +281,7 @@ def coding_embed(
 
     # place tightly-linked target points consecutively: component reuse is
     # then forced early and the backtracking prunes hard
-    order = [0]
+    order = [0] if target.n else []
     while len(order) < target.n:
         rest = [p for p in range(target.n) if p not in order]
         order.append(min(rest, key=lambda p: min(target.d[p][q] for q in order)))

@@ -17,10 +17,10 @@ from fractions import Fraction
 from .spaces import (
     Config,
     DEFAULT_CONFIG,
-    DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _check_points,
     as_fraction,
     copies,
 )
@@ -189,6 +189,10 @@ class NetSystem:
 
     def validate(self, x: FiniteMetricSpace) -> dict:
         """Check the net invariants; returns point -> center assignment."""
+        _check_points(x.n, self.centers)
+        for c in self.centers:
+            if c not in self.radii:
+                raise InvalidSpace(f"center {c} has no radius")
         assignment = {}
         for r in self.radii.values():
             if not (0 < r < Fraction(1, 2)):
@@ -276,6 +280,7 @@ def annulus_lemma_check(
     r = as_fraction(r)
     eps = as_fraction(eps)
     chain = list(chain)
+    _check_points(x.n, [y, start, end, *chain])
     if n < 1:
         raise PreconditionError("n must be at least 1")
     lo = r * (1 - Fraction(1, n + 1))
@@ -288,7 +293,7 @@ def annulus_lemma_check(
         raise PreconditionError("end point is not beyond radius r from the start")
     if not eps < Fraction(1, (n + 1) * (n + 2)):
         raise PreconditionError("eps is not below 1/((n+1)(n+2))")
-    if chain[0] != start or chain[-1] != end:
+    if not chain or chain[0] != start or chain[-1] != end:
         raise PreconditionError("chain must run from start to end")
     for a, b in zip(chain, chain[1:]):
         if x.d[a][b] > eps:
@@ -306,8 +311,7 @@ def lambda_epsilon(x: FiniteMetricSpace, point: int, eps) -> Fraction:
     eps = as_fraction(eps)
     if eps <= 0:
         raise InvalidSpace("epsilon must be positive")
-    if not 0 <= point < x.n:
-        raise InvalidSpace(f"point {point} out of range for a {x.n}-point space")
+    _check_points(x.n, [point])
     component = {point}
     frontier = [point]
     while frontier:

@@ -58,6 +58,13 @@ def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _check_points(n: int, points) -> None:
+    """Reject a point index outside range(n), negative indices included."""
+    for p in points:
+        if not 0 <= p < n:
+            raise InvalidSpace(f"point {p} out of range for a {n}-point space")
+
+
 class DistanceSet:
     """A strictly increasing set of positive rationals."""
 
@@ -165,11 +172,6 @@ class FiniteMetricSpace:
 
     def is_ultrametric(self) -> bool:
         return _violating_triple(self.d, max) is None
-
-    def diameter(self) -> Fraction:
-        if self.n < 2:
-            return Fraction(0)
-        return max(self.d[i][j] for i in range(self.n) for j in range(i + 1, self.n))
 
     def __eq__(self, other):
         return isinstance(other, FiniteMetricSpace) and self.d == other.d

@@ -67,6 +67,8 @@ class UltraTree:
 
 def tree_of_space(x: FiniteMetricSpace) -> UltraTree:
     """The ball tree of an ultrametric space; leaves carry the points."""
+    if x.n == 0:
+        raise InvalidSpace("the empty space has no ball tree")
     if not x.is_ultrametric():
         raise InvalidSpace("input space is not ultrametric")
     if x.n == 1:

@@ -1,10 +1,12 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from finmetric.cli import main
+from finmetric.cli import _VERBS, build_parser, main
 from finmetric.spaces import FiniteMetricSpace, space_to_text
 
 
@@ -235,6 +237,15 @@ class TestColorAndCodings:
         )
         assert code == 0 and "verified: true" in out
 
+    def test_milliken_embed_empty_target(self, capsys, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("points: 0\n")
+        code, out, _ = run_cli(
+            capsys, "--json", "milliken", "embed", "134", "--depth", "2", "--target", str(empty)
+        )
+        assert code == 0
+        assert json.loads(out) == {"found": True, "points": [], "verified": True}
+
     def test_hedgehog_verify(self, capsys, tmp_path):
         prefix = tmp_path / "p.txt"
         prefix.write_text("points: 3\n0 1/2 1\n1/2 0 3/4\n1 3/4 0\n")
@@ -392,3 +403,78 @@ class TestInputErrors:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "is not an ordering of the 2 points of x" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("milliken embed 134 --depth 4", "milliken embed needs --target"),
+        ("color annulus --space {tri} --y 9", "point 9 out of range for a 3-point space"),
+        ("color annulus --space {line} --start 1 --end 2 --chain=", "chain must run from start to end"),
+        ("color divide --space {tri} --centers 0,9 --radii 1/3,1/3", "point 9 out of range"),
+        ("color divide --space {tri} --centers 0,1 --radii 1/3", "center 1 has no radius"),
+        ("amalgamate 1 --y0 {tri} --y1 {tri} --x0 0,9 --x1 0,1", "point 9 out of range"),
+        ("amalgamate 1 --y0 {tri} --y1 {tri} --x0 -1 --x1 0", "point -1 out of range"),
+        ("iso --space {dir}", "Is a directory"),
+        ("ultra tree --space {empty}", "the empty space has no ball tree"),
+        ("ultra degree --space {empty}", "the empty space has no ball tree"),
+        ("ultra fichet --space {empty}", "the empty space has no ball tree"),
+    ])
+    def test_contract_inputs(self, capsys, tmp_path, argv, message):
+        files = {"dir": str(tmp_path)}
+        for name, text in (
+            ("tri", "points: 3\n0 1 1\n1 0 1\n1 1 0\n"),
+            # y = 0, start = 1 and end = 2 meet every precondition but the chain's
+            ("line", "points: 3\n0 1/10 1\n1/10 0 1\n1 1 0\n"),
+            ("empty", "points: 0\n"),
+        ):
+            (tmp_path / f"{name}.txt").write_text(text)
+            files[name] = str(tmp_path / f"{name}.txt")
+        code, out, err = run_cli(capsys, *(tok.format(**files) for tok in argv.split()))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
+GOLDEN_HELP = pathlib.Path(__file__).parent / "golden" / "help"
+PLAIN_VERBS = ["check4v", "badquads", "similar", "amalgamate", "validate", "complete", "iso",
+               "copies", "katetov", "extend", "urysohn", "degree", "criticals", "arrow", "orderprop"]
+
+
+class TestParserTable:
+    """The verb table builds the documented parser."""
+
+    @pytest.mark.parametrize("verb", [None] + PLAIN_VERBS)
+    def test_help_text_is_pinned(self, capsys, monkeypatch, verb):
+        # recorded with Python 3.11's argparse at COLUMNS=80
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli(capsys, *([verb] if verb else []), "--help")
+        assert code == 0
+        assert out == (GOLDEN_HELP / f"{verb or 'finmetric'}.txt").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        "color lambda --space {x} --target {x}",
+        "ultra fichet --space {x} --s 1",
+        "ultra tree --space {x} -p 2",
+        "milliken embed 134 --depth 2 --inverted --target {x}",
+        "milliken build 134 --depth 2 --target {x}",
+        "ultra --space {x} tree",
+    ])
+    def test_subverb_rejects_other_options(self, capsys, spaces, argv):
+        paths, _ = spaces
+        code, out, err = run_cli(capsys, *(tok.format(x=paths["pair"]) for tok in argv.split()))
+        assert code == 2 and out == ""
+        assert "error: " in err
+
+    def test_readme_cli_block_parses(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("finmetric ")]
+        seen = set()
+        for line in lines:
+            # drop the trailing comment and the brackets around optional parts
+            argv = shlex.split(line.split("#")[0].replace("[", "").replace("]", ""))[1:]
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
+            seen.add((args.verb, getattr(args, "subverb", None)))
+        table = {(verb, subverb) for verb, (_, body, _) in _VERBS.items()
+                 for subverb in (body if isinstance(body, dict) else [None])}
+        assert seen == table

@@ -104,6 +104,12 @@ class TestMetricVerdicts:
 
 
 class TestEmbedding:
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_empty_target_embeds_as_empty_list(self, name):
+        empty = FiniteMetricSpace([])
+        assert coding_embed(name, 2, empty) == []
+        assert verify_embedding(name, [], empty)
+
     def test_single_point(self):
         t = FiniteMetricSpace.single_point()
         emb = coding_embed("134", 2, t)

@@ -157,6 +157,12 @@ def random_ultrametric(rng, n, levels=(8, 4, 2, 1)):
 
 
 class TestTreeDuality:
+    @pytest.mark.parametrize("fn", [tree_of_space, ramsey_degree_ultrametric,
+                                    lambda x: fichet_embedding(x, 2)])
+    def test_empty_space_has_no_tree(self, fn):
+        with pytest.raises(InvalidSpace, match="the empty space has no ball tree"):
+            fn(FiniteMetricSpace([]))
+
     def test_equilateral_tree(self):
         t = tree_of_space(FiniteMetricSpace.equilateral(4, 2))
         children = t.children()
