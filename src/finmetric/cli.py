@@ -278,7 +278,7 @@ def _ultra_tree(args) -> int:
 
 
 def _ultra_degree(args) -> int:
-    rec = ultratrees.ramsey_degree_ultrametric(_load_space(args.space), _config())
+    rec = ultratrees.ramsey_degree_ultrametric(_load_space(args.space))
     payload = {"cLO": rec.orderings, "iso": rec.iso, "degree": rec.degree}
     _emit(args, payload, [f"cLO: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
     return 0
@@ -368,8 +368,8 @@ def _color_indiv(args) -> int:
     target = _load_target(args)
     x = _load_space(args.space)
     report = partitions.indivisibility_search(
-        x, target, k=args.k, mode="sampled" if args.sampled else "exhaustive",
-        samples=args.sampled or 100, seed=args.seed, config=_config(),
+        x, target, k=args.k, mode="exhaustive" if args.sampled is None else "sampled",
+        samples=100 if args.sampled is None else args.sampled, seed=args.seed, config=_config(),
     )
     payload = {
         "exhaustive": report.exhaustive,
@@ -387,7 +387,7 @@ def _color_indiv(args) -> int:
 def _color_greedy(args) -> int:
     target = _load_target(args)
     x = _load_space(args.space)
-    res = partitions.greedy_monochromatic(x, _ints(args.coloring), target, _config())
+    res = partitions.greedy_monochromatic(x, _ints(args.coloring), target)
     payload = {
         "copy": list(res.copy_indices),
         "color": res.color,
@@ -460,8 +460,8 @@ def _hedgehog_verify(args) -> int:
 def _milliken_build(args) -> int:
     ms = milliken.milliken_space(
         args.variant, args.depth, invert_membership=args.inverted,
-        check="sampled" if args.sampled else "exhaustive",
-        samples=args.sampled or 200000, seed=args.seed,
+        check="exhaustive" if args.sampled is None else "sampled",
+        samples=200000 if args.sampled is None else args.sampled, seed=args.seed,
     )
     payload = {
         "variant": args.variant,

@@ -19,6 +19,9 @@ from .spaces import (
     EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
+    _masks_after,
+    _match,
+    _ranked,
     as_fraction,
     complete,
 )
@@ -76,15 +79,6 @@ class HedgehogSpace:
         return out
 
 
-def _is_partial_isometry(coarse: FiniteMetricSpace, t) -> bool:
-    """Does x_i -> x_{t_i} preserve the coarse metric on the first |t| points?"""
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            if coarse.d[t[i]][t[j]] != coarse.d[i][j]:
-                return False
-    return True
-
-
 def hedgehog_build(
     m: int, prefix: FiniteMetricSpace, max_tree_size: int | None = None
 ) -> HedgehogSpace:
@@ -107,11 +101,12 @@ def hedgehog_build(
     ]
     coarse = FiniteMetricSpace(coarse_rows)
 
+    # increasing t with x_i -> x_{t_i} coarse-isometric, in combinations order
+    _, r, masks = _ranked(coarse)
+    increasing = _masks_after(masks, range(n), {})
     tree_nodes = []
     for size in range(1, min(max_tree_size, n) + 1):
-        for t in itertools.combinations(range(n), size):
-            if _is_partial_isometry(coarse, t):
-                tree_nodes.append(t)
+        _match(r[:size], increasing, [], lambda t: tree_nodes.append(tuple(t)))
 
     base = n
     total = base + len(tree_nodes)

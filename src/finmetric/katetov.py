@@ -159,6 +159,8 @@ def urysohn_approx(
     quickly; a fixed seed keeps the output deterministic.  Growth is capped
     by config.urysohn_max_points; hitting the cap reports progress.
     """
+    if size_cap < 1:
+        raise InvalidSpace(f"size cap must be at least 1, got {size_cap}")
     chk = four_values.check_four_values(s, config.four_values_bound)
     if not chk:
         raise InvalidSpace(f"S fails the 4-values condition, witness {chk.witness}")

@@ -57,6 +57,8 @@ def load_variant(name: str) -> Variant:
 
 def nodes_up_to(alphabet: int, depth: int) -> list[tuple[int, ...]]:
     """All strings of length <= depth in length-lex order (the tree order's extension)."""
+    if depth < 0:
+        raise InvalidSpace(f"depth must be non-negative, got {depth}")
     out = []
     for length in range(depth + 1):
         out.extend(itertools.product(range(alphabet), repeat=length))
@@ -209,6 +211,8 @@ def milliken_space(
             shared = {v: Fraction(v) for v in {0, *(value for _, value in variant.cases)}}
             space = FiniteMetricSpace([[shared[v] for v in row] for row in dmat], check=False)
     elif check == "sampled":
+        if samples < 1:
+            raise InvalidSpace(f"need at least 1 sample, got {samples}")
         # distances computed lazily: the full matrix would not fit the budget
         rng = random.Random(seed)
         for _ in range(samples):

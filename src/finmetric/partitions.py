@@ -94,6 +94,8 @@ def indivisibility_search(
     requires k**(n-1) <= budget; sampled mode draws seeded random colorings.
     Each outcome records the first copy found or certifies the failure.
     """
+    if k < 1:
+        raise InvalidSpace(f"need at least 1 color, got k={k}")
     cfg = dataclasses.replace(config, copies_bound=max(config.copies_bound, x.n))
     outcomes = []
     if mode == "exhaustive":
@@ -107,6 +109,8 @@ def indivisibility_search(
         )
         exhaustive = True
     elif mode == "sampled":
+        if samples < 1:
+            raise InvalidSpace(f"need at least 1 sample, got {samples}")
         rng = random.Random(seed)
         iterator = (
             tuple(rng.randrange(k) for _ in range(x.n)) for _ in range(samples)
@@ -132,7 +136,6 @@ def greedy_monochromatic(
     x: FiniteMetricSpace,
     coloring,
     target: FiniteMetricSpace,
-    config: Config = DEFAULT_CONFIG,
 ) -> GreedyResult:
     """Greedy color-0 copy chase with the one-orbit color switch.
 
@@ -144,6 +147,9 @@ def greedy_monochromatic(
     coloring = tuple(coloring)
     if len(coloring) != x.n:
         raise InvalidSpace("coloring must assign every point")
+    for color in coloring:
+        if color not in (0, 1):
+            raise InvalidSpace(f"color {color} outside {{0, 1}}")
 
     def chase(allowed, color):
         chosen: list[int] = []

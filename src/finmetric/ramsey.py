@@ -19,6 +19,10 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _masks_after,
+    _match,
+    _rank_matrix,
+    _ranked,
     copies,
     isometries,
     isometry_order,
@@ -65,9 +69,7 @@ def _critical_class_tree(x: FiniteMetricSpace, s: DistanceSet) -> tuple[list, li
     return _class_tree(x, sorted(critical_distances(s), reverse=True))
 
 
-def metric_orderings_count(
-    x: FiniteMetricSpace, s: DistanceSet, config: Config = DEFAULT_CONFIG
-) -> int:
+def metric_orderings_count(x: FiniteMetricSpace, s: DistanceSet) -> int:
     """Orderings making every closeness class convex, for every critical value.
 
     An ordering keeps the classes intervals exactly when it orders the
@@ -75,8 +77,6 @@ def metric_orderings_count(
     is the product over the nodes of (number of children)!.
     """
     parents, _, _ = _critical_class_tree(x, s)
-    if x.n > config.iso_bound:
-        raise SearchTooLarge(f"ordering scan too large: n={x.n}")
     return _block_orderings(parents)
 
 
@@ -84,7 +84,7 @@ def ramsey_degree_metric_ordered(
     x: FiniteMetricSpace, s: DistanceSet, config: Config = DEFAULT_CONFIG
 ) -> DegreeRecord:
     """Degree in the S-distance class: metric orderings over isometries."""
-    mlo = metric_orderings_count(x, s, config)
+    mlo = metric_orderings_count(x, s)
     iso = isometry_order(x, config)
     if mlo % iso:
         raise AssertionError(f"|iso|={iso} does not divide |mLO|={mlo}")
@@ -151,6 +151,8 @@ def verify_arrow(
     one.  A partial coloring is cut as soon as a copy of y whose last x-copy
     is colored shows at most l colors: every completion of it is good.
     """
+    if k < 1 or l < 0:
+        raise InvalidSpace(f"the arrow needs k >= 1 colors and l >= 0 values, got k={k}, l={l}")
     copies_x = copies(z, x, config)
     n_copies = len(copies_x)
     if n_copies > config.arrow_copy_budget:
@@ -167,10 +169,8 @@ def verify_arrow(
     for yc in copies_y:
         members = set(yc)
         sub = [i for i, c in enumerate(copies_x) if set(c) <= members]
-        if not sub:
-            if l >= 0:  # no x-copy to color: good under every coloring
-                return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
-            continue
+        if not sub:  # no x-copy to color: good under every coloring
+            return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
         closing[sub[-1]].append(sub)
     coloring: list[int] = []
 
@@ -193,33 +193,6 @@ def verify_arrow(
             rank = rank * k + color
         return ArrowResult(False, n_copies, rank + 1, tuple(coloring))
     return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
-
-
-def _order_preserving_copy_exists(
-    y: FiniteMetricSpace, order_y, x: FiniteMetricSpace, order_x
-) -> bool:
-    """Is there an isometric copy of x in y aligned with both orderings?
-
-    Orderings are point sequences listing the points from least to greatest.
-    """
-    seq_x = list(order_x)
-    seq_y = list(order_y)
-
-    def extend(img):
-        i = len(img)
-        if i == x.n:
-            return True
-        start = seq_y.index(img[-1]) + 1 if img else 0
-        for pos in range(start, y.n):
-            cand = seq_y[pos]
-            if all(
-                y.d[cand][img[j]] == x.d[seq_x[i]][seq_x[j]] for j in range(i)
-            ):
-                if extend(img + [cand]):
-                    return True
-        return False
-
-    return extend([])
 
 
 def _class_groups(y: FiniteMetricSpace, which: str, s: DistanceSet | None) -> list[int]:
@@ -284,7 +257,8 @@ def verify_ordering_property_witness(
     This is the single-candidate check behind the ordering property: a
     witness y works when no ordering of it avoids an order-preserving copy.
     order_x must list every point of x once; the "metric" class also needs
-    every distance of y in s (default: y's own distance set).
+    every distance of y in s (default: y's own distance set).  Each copy
+    search runs `_match` on y's masks cut to the points after in y's ordering.
     """
     if y.n > config.ordering_bound:
         raise SearchTooLarge(f"ordering-property scan too large: n={y.n}")
@@ -293,7 +267,11 @@ def verify_ordering_property_witness(
         raise InvalidSpace(
             f"order {','.join(map(str, order_x))} is not an ordering of the {x.n} points of x"
         )
-    return not _interval_orders(
-        _class_groups(y, ordering_class, s), [], (1 << y.n) - 1,
-        lambda order_y: not _order_preserving_copy_exists(y, order_y, x, order_x),
-    )
+    groups, cuts = _class_groups(y, ordering_class, s), {}
+    table, _, masks = _ranked(y)
+    try:
+        r = _rank_matrix(x.submetric(order_x), table)
+    except KeyError:  # x has a distance that y lacks: only an empty class embeds it
+        return not _interval_orders(groups, [], (1 << y.n) - 1, lambda order_y: True)
+    return not _interval_orders(groups, [], (1 << y.n) - 1, lambda order_y: not _match(
+        r, _masks_after(masks, order_y, cuts), [], lambda img: True))

@@ -428,6 +428,23 @@ def _match(r, masks, img: list[int], visit) -> bool:
     return False
 
 
+def _masks_after(masks, order, cache: dict) -> list[list[int]]:
+    """masks with each point's masks cut to the points after it in order.
+
+    `_match` on them lists exactly the maps whose images increase along order.
+    A point's cut masks depend only on the set of points after it, so callers
+    cutting for many orderings share them through one cache dict.
+    """
+    out, after = [[]] * len(masks), 0
+    for p in reversed(order):
+        key = after * len(masks) + p
+        if key not in cache:
+            cache[key] = [m & after for m in masks[p]]
+        out[p] = cache[key]
+        after |= 1 << p
+    return out
+
+
 def isometries(
     x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG
 ) -> list[tuple[int, ...]]:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import (
-    Config,
-    DEFAULT_CONFIG,
     DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
@@ -196,9 +194,7 @@ class DegreeRecord:
     degree: int
 
 
-def ramsey_degree_ultrametric(
-    x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG
-) -> DegreeRecord:
+def ramsey_degree_ultrametric(x: FiniteMetricSpace) -> DegreeRecord:
     """Ramsey degree of an ultrametric space: convex orderings over isometries."""
     clo = convex_orderings_count(x)
     iso = ultrametric_isometry_order(x)

@@ -416,6 +416,16 @@ class TestInputErrors:
         ("ultra tree --space {empty}", "the empty space has no ball tree"),
         ("ultra degree --space {empty}", "the empty space has no ball tree"),
         ("ultra fichet --space {empty}", "the empty space has no ball tree"),
+        ("color indiv --space {tri} --target {tri} -k 0", "need at least 1 color, got k=0"),
+        ("color indiv --space {tri} --target {tri} --sampled -2", "need at least 1 sample, got -2"),
+        ("color indiv --space {tri} --target {tri} --sampled 0", "need at least 1 sample, got 0"),
+        ("milliken build 134 --depth 2 --sampled 0", "need at least 1 sample, got 0"),
+        ("arrow --z {tri} --y {tri} --x {tri} -k 0", "the arrow needs k >= 1 colors"),
+        ("arrow --z {tri} --y {tri} --x {tri} -l -1", "and l >= 0 values, got k=2, l=-1"),
+        ("color greedy --space {tri} --target {tri} --coloring 5,5,5", "color 5 outside {0, 1}"),
+        ("urysohn 1 --cap -1", "size cap must be at least 1, got -1"),
+        ("milliken build 134 --depth -1", "depth must be non-negative, got -1"),
+        ("milliken embed 134 --depth -1 --target {tri}", "depth must be non-negative, got -1"),
     ])
     def test_contract_inputs(self, capsys, tmp_path, argv, message):
         files = {"dir": str(tmp_path)}

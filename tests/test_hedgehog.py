@@ -56,6 +56,21 @@ def _reference_capped_completion(total, labels):
     )
 
 
+def _reference_tree_nodes(coarse, max_tree_size):
+    """The tree nodes by a scan of itertools.combinations, size by size.
+
+    t is a node when x_i -> x_{t_i} preserves the coarse metric on the first
+    |t| points.
+    """
+    nodes = []
+    for size in range(1, min(max_tree_size, coarse.n) + 1):
+        for t in itertools.combinations(range(coarse.n), size):
+            if all(coarse.d[t[i]][t[j]] == coarse.d[i][j]
+                   for i, j in itertools.combinations(range(size), 2)):
+                nodes.append(t)
+    return nodes
+
+
 @st.composite
 def unit_prefixes(draw, max_n=5):
     """Metric spaces with distances in (0, 1] on hundredths, 1..max_n points."""
@@ -138,6 +153,13 @@ class TestBuildMatchesReference:
     def test_dz(self, prefix, m, max_tree_size):
         z = hedgehog_build(m, prefix, max_tree_size)
         assert z.dz.d == _reference_capped_completion(z.dz.n, z.labels)
+
+    @given(unit_prefixes(max_n=7), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_tree_nodes(self, prefix, m):
+        for max_tree_size in range(prefix.n + 1):
+            z = hedgehog_build(m, prefix, max_tree_size)
+            assert z.tree_nodes == _reference_tree_nodes(z.coarse, max_tree_size)
 
 
 class TestBranches:

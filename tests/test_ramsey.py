@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from finmetric.ramsey import (
     ArrowResult,
@@ -16,7 +16,7 @@ from finmetric.ramsey import (
     verify_arrow,
     verify_ordering_property_witness,
 )
-from finmetric.ramsey import _class_groups, _interval_orders, _order_preserving_copy_exists
+from finmetric.ramsey import _class_groups, _interval_orders
 from finmetric.spaces import (
     Config,
     DistanceSet,
@@ -90,6 +90,31 @@ def _reference_orderings_in_class(y, which, s):
             yield perm
 
 
+def _reference_order_preserving_copy_exists(y, order_y, x, order_x):
+    """Is there an isometric copy of x in y aligned with both orderings?
+
+    Orderings are point sequences listing the points from least to greatest.
+    """
+    seq_x = list(order_x)
+    seq_y = list(order_y)
+
+    def extend(img):
+        i = len(img)
+        if i == x.n:
+            return True
+        start = seq_y.index(img[-1]) + 1 if img else 0
+        for pos in range(start, y.n):
+            cand = seq_y[pos]
+            if all(
+                y.d[cand][img[j]] == x.d[seq_x[i]][seq_x[j]] for j in range(i)
+            ):
+                if extend(img + [cand]):
+                    return True
+        return False
+
+    return extend([])
+
+
 def _reference_verify_ordering_property_witness(
     y, x, order_x, ordering_class="all", s=None, config=Config()
 ):
@@ -98,17 +123,15 @@ def _reference_verify_ordering_property_witness(
         raise SearchTooLarge(f"ordering-property scan too large: n={y.n}")
     order_x = tuple(order_x)
     for order_y in _reference_orderings_in_class(y, ordering_class, s):
-        if not _order_preserving_copy_exists(y, order_y, x, order_x):
+        if not _reference_order_preserving_copy_exists(y, order_y, x, order_x):
             return False
     return True
 
 
-def _reference_metric_orderings_count(x, s, config=Config()):
+def _reference_metric_orderings_count(x, s):
     """Orderings making every critical closeness class convex, over all n!."""
     if any(v not in s for v in x.distances()):
         raise InvalidSpace("space has a distance outside S")
-    if x.n > config.iso_bound:
-        raise SearchTooLarge(f"ordering scan too large: n={x.n}")
     crits = critical_distances(s)
     class_sets = []
     for c in crits:
@@ -285,10 +308,12 @@ class TestMetricOrderings:
         assert metric_orderings_count(x, s) == _reference_metric_orderings_count(x, s)
 
     def test_errors_match_reference_scan(self):
-        x = FiniteMetricSpace.equilateral(4, 1)
-        for s, cfg in ((DistanceSet((2, 3)), Config()), (DistanceSet((1,)), Config(iso_bound=3))):
-            assert _outcome(metric_orderings_count, x, s, cfg) == _outcome(
-                _reference_metric_orderings_count, x, s, cfg)
+        x, s = FiniteMetricSpace.equilateral(4, 1), DistanceSet((2, 3))
+        assert _outcome(metric_orderings_count, x, s) == _outcome(
+            _reference_metric_orderings_count, x, s)
+        # the count scans no ordering, so no point bound applies
+        big = FiniteMetricSpace.equilateral(11, 1)
+        assert metric_orderings_count(big, DistanceSet((1,))) == math.factorial(11)
 
     def test_no_constraints_when_classes_trivial(self):
         # {2,3,4}: only critical value is 4, whose class is everything
@@ -462,8 +487,34 @@ class TestArrow:
             verify_arrow(z, z, pair, k=2, config=Config(arrow_copy_budget=10))
 
 
+PATH3 = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+EMPTY = FiniteMetricSpace([])
+POINT = FiniteMetricSpace.single_point()
+PAIR = FiniteMetricSpace.equilateral(2, 1)
+# the 4-cycle: its four crossing 3-point balls leave the convex class empty
+C4 = FiniteMetricSpace([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+
+
 class TestOrderingProperty:
     @given(ordering_cases(), st.sampled_from(("all", "convex", "metric", "bogus")))
+    # x with a distance y lacks, under every class and beside a bigger x
+    @example((PATH3, FiniteMetricSpace.equilateral(2, 3), (1, 0), None), "all")
+    @example((PATH3, FiniteMetricSpace.equilateral(2, 3), (0, 1), DistanceSet((1, 2))), "metric")
+    @example((PATH3, FiniteMetricSpace.equilateral(4, 3), (3, 1, 0, 2), None), "bogus")
+    @example((POINT, PAIR, (1, 0), None), "convex")
+    @example((C4, FiniteMetricSpace.equilateral(2, 3), (0, 1), DistanceSet((1, 2, 3, 7))), "convex")
+    # 0- and 1-point x and y
+    @example((EMPTY, EMPTY, (), None), "all")
+    @example((EMPTY, EMPTY, (), None), "metric")
+    @example((POINT, EMPTY, (), None), "convex")
+    @example((POINT, POINT, (0,), None), "all")
+    @example((PATH3, EMPTY, (), DistanceSet((1, 2))), "metric")
+    @example((PATH3, POINT, (0,), None), "convex")
+    # an order_x that is not the identity
+    @example((PATH3, PATH3, (1, 0, 2), None), "all")
+    @example((PATH3, PATH3, (2, 1, 0), None), "convex")
+    @example((PATH3, PATH3.submetric([0, 1]), (1, 0), None), "metric")
+    @example((scalene(), scalene(), (2, 0, 1), None), "all")
     @settings(max_examples=200, deadline=None)
     def test_verdict_matches_reference_scan(self, case, which):
         y, x, order, s = case
@@ -480,6 +531,13 @@ class TestOrderingProperty:
                          lambda order: found.append(tuple(order)))
         assert len(found) == len(set(found))
         assert set(found) == set(_reference_orderings_in_class(y, which, s))
+
+    def test_empty_class_is_vacuously_witnessed(self):
+        # no ordering of C4 keeps its balls intervals, so even an x with a
+        # distance C4 lacks is embedded by every ordering in the class
+        assert not list(_reference_orderings_in_class(C4, "convex", None))
+        assert verify_ordering_property_witness(C4, FiniteMetricSpace.equilateral(2, 3), (0, 1), "convex")
+        assert not verify_ordering_property_witness(C4, FiniteMetricSpace.equilateral(2, 3), (0, 1), "all")
 
     def test_crossing_balls_in_convex_class(self):
         # the path 0-1-2 with unit steps: the balls {0,1} and {1,2} cross, and
