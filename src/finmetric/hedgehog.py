@@ -92,6 +92,8 @@ def hedgehog_build(
     """
     if m < 1:
         raise InvalidSpace("m must be a positive integer")
+    if max_tree_size is not None and max_tree_size < 0:
+        raise InvalidSpace(f"max tree size must be non-negative, got {max_tree_size}")
     n = prefix.n
     if max_tree_size is None:
         max_tree_size = n

@@ -1,17 +1,21 @@
 """Tree codings of small Urysohn spaces as explicit distance functions.
 
 Each variant places a distance from its four-value set on pairs (or triples)
-of strings over a small alphabet, reading equality and edge patterns off the
-components.  The case tables live in data files so the transcription stays
-auditable; totalizing defaults are documented there.  Metric verdicts come
-from an exhaustive integer triangle scan, and the greedy height-increasing
+of strings over a small alphabet, reading three relations off corresponding
+components: equal, standard edge, and the taller node's digit.  The case
+tables live in data files so the transcription stays auditable; totalizing
+defaults are documented there.  Each table is read once into a lookup keyed
+by the components' relations.  Metric verdicts are decided on Python-int
+bitsets (or on sampled triangles), and the greedy height-increasing
 embedding realizes small target spaces inside the admissible subset.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,59 +85,51 @@ def lex_less(a, b) -> bool:
 
 def standard_edge(a, b) -> bool:
     """Standard graph structure: heights differ, taller has digit 1 at |shorter|."""
+    return _relation(a, b) == 2
+
+
+def _relation(a, b) -> int:
+    """How two nodes relate, as the case tables read them.
+
+    0 for equal nodes; otherwise 1 + the taller node's digit at the shorter
+    one's height, equal heights counting as digit 0.  So 2 is a standard edge.
+    """
+    if a == b:
+        return 0
     if len(a) == len(b):
-        return False
+        return 1
     short, tall = (a, b) if len(a) < len(b) else (b, a)
-    return tall[len(short)] == 1
+    return 1 + tall[len(short)]
 
 
-def taller_digit(a, b) -> int | None:
-    """Digit of the taller string at the shorter one's height; None for equal heights."""
-    if len(a) == len(b):
-        return None
-    short, tall = (a, b) if len(a) < len(b) else (b, a)
-    return tall[len(short)]
+def _fact(key: str, relations: tuple, invert_membership: bool):
+    """One condition key ('s_equal', 't_edge', 't_digit', ...) read off the relations."""
+    component, _, fact = key.partition("_")
+    c = {"s": 0, "t": 1, "u": 2}.get(component, len(relations))
+    if c >= len(relations) or fact not in ("equal", "edge", "digit"):
+        raise InvalidSpace(f"unknown condition key {key!r}")
+    if fact == "digit":
+        return max(relations[c] - 1, 0)
+    got = relations[c] == (0 if fact == "equal" else 2)
+    return not got if invert_membership and key == "s_equal" else got
 
 
-def _condition_holds(cond: dict, p, q, invert_membership=False) -> bool:
-    s_equal = p[0] == q[0]
-    if invert_membership:
-        s_equal = not s_equal
-    for key, want in cond.items():
-        if key == "s_equal":
-            got = s_equal
-        elif key == "t_equal":
-            got = p[1] == q[1]
-        elif key == "t_edge":
-            got = standard_edge(p[1], q[1])
-        elif key == "s_edge":
-            got = standard_edge(p[0], q[0])
-        elif key == "u_edge":
-            got = standard_edge(p[2], q[2])
-        elif key == "t_digit":
-            digit = taller_digit(p[1], q[1])
-            got = (0 if digit is None else digit)  # equal heights default to 0
-            if got != want:
-                return False
-            continue
-        else:
-            raise InvalidSpace(f"unknown condition key {key!r}")
-        if got != want:
-            return False
-    return True
-
-
-def _case_value(variant: Variant, p, q, invert_membership=False) -> int:
-    """The case table's distance for the pair, as the int the table stores."""
-    for cond, value in variant.cases:
-        if _condition_holds(cond, p, q, invert_membership):
-            return value
-    raise InvalidSpace(f"case table does not cover the pair {p!r}, {q!r}")
+@functools.cache
+def _case_lookup(name: str, invert_membership: bool = False) -> dict:
+    """The named variant's case table read once: its distance per tuple of component relations."""
+    variant = load_variant(name)
+    lookup = {}
+    for relations in itertools.product(range(variant.alphabet + 1), repeat=variant.tuple_size):
+        lookup[relations] = next((value for cond, value in variant.cases if all(
+            _fact(key, relations, invert_membership) == want for key, want in cond.items())), None)
+        if lookup[relations] is None:
+            raise InvalidSpace(f"case table does not cover the component relations {relations}")
+    return lookup
 
 
 def coding_distance(variant: Variant, p, q, invert_membership=False) -> Fraction:
-    """Distance between two coding points, per the variant's case table."""
-    return Fraction(_case_value(variant, p, q, invert_membership))
+    """Distance between two coding points, per the case table of the variant's name."""
+    return Fraction(_case_lookup(variant.name, invert_membership)[tuple(map(_relation, p, q))])
 
 
 def coding_points(variant: Variant, depth: int) -> list:
@@ -155,17 +151,33 @@ class MillikenSpace:
     witness: tuple | None  # non-metric triple of point indices, if any
 
 
-def _triangle_scan_numpy(dmat) -> tuple | None:
-    """Exact exhaustive scan on an int matrix; distances are tiny integers."""
-    import numpy as np
+def _triangle_witness(d) -> tuple | None:
+    """The sorted triple at the first failing pivot of a triangle scan, or None.
 
-    d = np.asarray(dmat, dtype=np.int64)
-    n = d.shape[0]
-    for k in range(n):
-        slack = d[:, k, None] + d[None, k, :] - d
-        if (slack < 0).any():
-            i, j = map(int, divmod(int(slack.argmin()), n))
-            return tuple(sorted((i, j, k)))
+    Pivot k fails iff some i at distance a from k and some j at distance b
+    from k have d(i, j) > a + b; swapping i and j, a <= b suffices, and only
+    a + b below the largest value can fail.  Each test ANDs Python-int
+    bitsets, one per (point, value).  At the first failing pivot k the
+    witness is the row-major first argmin of d(i, k) + d(k, j) - d(i, j).
+    d is symmetric with a zero diagonal and entries in range(256).
+    """
+    n = len(d)
+    if n < 3:
+        return None
+    values = sorted({v for i, row in enumerate(d) for v in row[i + 1:]})
+    pairs = [(a, b) for a in values for b in values if a <= b and a + b < values[-1]]
+    # table v turns the byte v into "1" and every other byte into "0"
+    tables = {v: bytes(48 + (x == v) for x in range(256)) for v in values}
+    bits = [{v: int(digits.translate(tables[v]), 2) for v in values}
+            for digits in (bytes(reversed(row)) for row in d)]
+    # farther[i][c]: the points farther than c from i
+    farther = [{a + b: sum(bits_i[v] for v in values if v > a + b) for a, b in pairs} for bits_i in bits]
+    for k, row in enumerate(d):
+        if any(farther[i][a + b] & bits[k][b] for a, b in pairs
+               for i in itertools.compress(range(n), map(a.__eq__, row))):
+            i = min(range(n), key=lambda r: d[r][k] + min(map(operator.sub, row, d[r])))
+            gaps = list(map(operator.sub, row, d[i]))
+            return tuple(sorted((i, gaps.index(min(gaps)), k)))
     return None
 
 
@@ -180,20 +192,34 @@ def milliken_space(
 ) -> MillikenSpace:
     """Build the coding space at the given depth and check metricity.
 
-    The exhaustive triangle scan is cubic in the point count, so it is
-    capped at max_points (covering pairs over the binary tree to depth 4 and
-    over the ternary tree to depth 3, and triples to depth 3); use
-    check='sampled' beyond that.  Distances are small integers, so both scan
-    paths are exact.
+    A pair's distance is the case table's lookup at the relations of its
+    components, taken from one table over the node pairs.  The exhaustive
+    check builds the whole int matrix and decides it on bitsets; it is
+    capped at max_points (covering pairs over the binary tree to depth 4
+    and over the ternary tree to depth 3, and triples to depth 3).  Use
+    check='sampled' beyond that: it draws random triangles and computes
+    only their distances.  A space under 3 points has no triangle and is
+    metric.
     """
     variant = load_variant(name)
+    nodes = nodes_up_to(variant.alphabet, depth)
     points = coding_points(variant, depth)
     n = len(points)
+    lookup = _case_lookup(name, invert_membership)
+    relation = [[_relation(a, b) for b in nodes] for a in nodes]
+    # node indices per point, in the order coding_points lists the points
+    coded = list(itertools.combinations(range(len(nodes)), variant.tuple_size))
+    columns = list(zip(*coded))  # columns[c]: the c-th node index of every point
     witness = None
     space = None
 
     def dist(i, j):
-        return _case_value(variant, points[i], points[j], invert_membership)
+        return lookup[tuple(map(lambda a, b: relation[a][b], coded[i], coded[j]))]
+
+    def row_of(i) -> list:
+        """[dist(i, j) for j in range(n)], read a whole column of node pairs at a time."""
+        keys = zip(*[map(relation[a].__getitem__, col) for a, col in zip(coded[i], columns)])
+        return list(map(lookup.__getitem__, keys))
 
     if check == "exhaustive":
         if n > max_points:
@@ -201,21 +227,19 @@ def milliken_space(
                 f"exhaustive metric check too large: {n} points > {max_points}; "
                 "use check='sampled'"
             )
-        dmat = [[0] * n for _ in range(n)]
+        dmat = [row_of(i) for i in range(n)]
         for i in range(n):
-            for j in range(i + 1, n):
-                dmat[i][j] = dmat[j][i] = dist(i, j)
-        witness = _triangle_scan_numpy(dmat)
+            dmat[i][i] = 0
+        witness = _triangle_witness(dmat)
         if witness is None:
             # one shared Fraction per distance value, not one per entry
-            shared = {v: Fraction(v) for v in {0, *(value for _, value in variant.cases)}}
+            shared = {v: Fraction(v) for v in {0, *lookup.values()}}
             space = FiniteMetricSpace([[shared[v] for v in row] for row in dmat], check=False)
     elif check == "sampled":
         if samples < 1:
             raise InvalidSpace(f"need at least 1 sample, got {samples}")
-        # distances computed lazily: the full matrix would not fit the budget
         rng = random.Random(seed)
-        for _ in range(samples):
+        for _ in range(samples if n >= 3 else 0):  # no triangle under 3 points
             i, j, k = rng.sample(range(n), 3)
             a, b, c = dist(i, j), dist(i, k), dist(j, k)
             if a > b + c or b > a + c or c > a + b:
@@ -291,15 +315,9 @@ def coding_embed(
         order.append(min(rest, key=lambda p: min(target.d[p][q] for q in order)))
     reordered = target.submetric(order)
 
+    lookup = _case_lookup(name)
+    want = [[int(v) for v in row] for row in reordered.d]
     chosen: list = []
-    cache: dict = {}
-
-    def dist(a, b):
-        key = (a, b) if a < b else (b, a)
-        v = cache.get(key)
-        if v is None:
-            v = cache[key] = coding_distance(variant, a, b)
-        return v
 
     def extend(i: int) -> bool:
         if i == reordered.n:
@@ -307,7 +325,7 @@ def coding_embed(
         for cand in candidates:
             if cand in chosen:
                 continue
-            if all(dist(cand, chosen[j]) == reordered.d[i][j] for j in range(i)):
+            if all(lookup[tuple(map(_relation, cand, chosen[j]))] == want[i][j] for j in range(i)):
                 chosen.append(cand)
                 if extend(i + 1):
                     return True

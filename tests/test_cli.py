@@ -426,6 +426,10 @@ class TestInputErrors:
         ("urysohn 1 --cap -1", "size cap must be at least 1, got -1"),
         ("milliken build 134 --depth -1", "depth must be non-negative, got -1"),
         ("milliken embed 134 --depth -1 --target {tri}", "depth must be non-negative, got -1"),
+        ("hedgehog build -m 1 --prefix {tri} --max-tree-size -1",
+         "max tree size must be non-negative, got -1"),
+        ("hedgehog verify -m 1 --prefix {tri} --max-tree-size -1",
+         "max tree size must be non-negative, got -1"),
     ])
     def test_contract_inputs(self, capsys, tmp_path, argv, message):
         files = {"dir": str(tmp_path)}

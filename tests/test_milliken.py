@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finmetric.milliken import (
     VARIANTS,
+    _triangle_witness,
     admissible_points,
     coding_distance,
     coding_embed,
@@ -35,6 +39,82 @@ def random_s_space(rng, svals, n):
             return FiniteMetricSpace(rows)
         except InvalidSpace:
             continue
+
+
+def _reference_standard_edge(a, b) -> bool:
+    """Standard graph structure: heights differ, taller has digit 1 at |shorter|."""
+    if len(a) == len(b):
+        return False
+    short, tall = (a, b) if len(a) < len(b) else (b, a)
+    return tall[len(short)] == 1
+
+
+def _reference_taller_digit(a, b):
+    """Digit of the taller string at the shorter one's height; None for equal heights."""
+    if len(a) == len(b):
+        return None
+    short, tall = (a, b) if len(a) < len(b) else (b, a)
+    return tall[len(short)]
+
+
+def _reference_condition_holds(cond: dict, p, q, invert_membership=False) -> bool:
+    s_equal = p[0] == q[0]
+    if invert_membership:
+        s_equal = not s_equal
+    for key, want in cond.items():
+        if key == "s_equal":
+            got = s_equal
+        elif key == "t_equal":
+            got = p[1] == q[1]
+        elif key == "t_edge":
+            got = _reference_standard_edge(p[1], q[1])
+        elif key == "s_edge":
+            got = _reference_standard_edge(p[0], q[0])
+        elif key == "u_edge":
+            got = _reference_standard_edge(p[2], q[2])
+        elif key == "t_digit":
+            digit = _reference_taller_digit(p[1], q[1])
+            got = (0 if digit is None else digit)  # equal heights default to 0
+            if got != want:
+                return False
+            continue
+        else:
+            raise InvalidSpace(f"unknown condition key {key!r}")
+        if got != want:
+            return False
+    return True
+
+
+def _reference_case_value(variant, p, q, invert_membership=False) -> int:
+    """The case table interpreted afresh for one pair, condition by condition."""
+    for cond, value in variant.cases:
+        if _reference_condition_holds(cond, p, q, invert_membership):
+            return value
+    raise InvalidSpace(f"case table does not cover the pair {p!r}, {q!r}")
+
+
+def _reference_triangle_witness(d):
+    """The pivot-by-pivot slack scan: at the first pivot k with a negative
+    slack d(i, k) + d(k, j) - d(i, j), the row-major first argmin, sorted."""
+    n = len(d)
+    for k in range(n):
+        slack = [[d[i][k] + d[k][j] - d[i][j] for j in range(n)] for i in range(n)]
+        flat = [v for row in slack for v in row]
+        if min(flat) < 0:
+            i, j = divmod(flat.index(min(flat)), n)
+            return tuple(sorted((i, j, k)))
+    return None
+
+
+@st.composite
+def int_matrices(draw):
+    """Symmetric zero-diagonal matrices on 3-9 points over 1-4 values from 1..8."""
+    n = draw(st.integers(3, 9))
+    values = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True))
+    d = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(st.sampled_from(values))
+    return d
 
 
 class TestPlumbing:
@@ -97,10 +177,52 @@ class TestMetricVerdicts:
         exact = milliken_space("2379", 2)
         sampled = milliken_space("2379", 2, check="sampled", samples=5000, seed=3)
         assert exact.metric and sampled.metric
+        # depth 0 has no point and 1378 has one at depth 1: no triangle to draw
+        for name, depth in itertools.product(VARIANTS, [0, 1]):
+            exact = milliken_space(name, depth)
+            sampled = milliken_space(name, depth, check="sampled", samples=50, seed=0)
+            assert (sampled.metric, sampled.witness) == (exact.metric, exact.witness) == (True, None)
+
+    @pytest.mark.parametrize("depth, witnesses", [
+        (2, {"134": (0, 6, 7), "2379": (0, 8, 10), "2678": (0, 12, 16),
+             "26712": (0, 6, 8), "1378": (0, 15, 16)}),
+        (3, {"134": (0, 14, 15), "2379": (0, 16, 18), "2678": (0, 39, 43),
+             "26712": (0, 14, 16), "1378": (0, 91, 92)}),
+    ])
+    def test_inverted_witnesses_pinned(self, depth, witnesses):
+        for name, witness in witnesses.items():
+            ms = milliken_space(name, depth, invert_membership=True)
+            assert (ms.metric, ms.witness, ms.space) == (False, witness, None)
 
     def test_budget_enforced(self):
         with pytest.raises(SearchTooLarge):
             milliken_space("1378", 4)
+
+
+class TestCoreMatchesReference:
+    @pytest.mark.parametrize("name", VARIANTS)
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_case_lookup_on_every_depth_2_pair(self, name, invert):
+        variant = load_variant(name)
+        points = coding_points(variant, 2)
+        ms = milliken_space(name, 2, invert_membership=invert)
+        for i, j in itertools.product(range(len(points)), repeat=2):
+            want = _reference_case_value(variant, points[i], points[j], invert)
+            assert coding_distance(variant, points[i], points[j], invert) == want
+            if ms.space is not None and i != j:
+                assert ms.space.d[i][j] == want
+
+    def test_standard_edge_on_every_node_pair(self):
+        nodes = nodes_up_to(3, 3)
+        for a, b in itertools.product(nodes, repeat=2):
+            assert standard_edge(a, b) == _reference_standard_edge(a, b)
+
+    @given(int_matrices())
+    @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # metric
+    @example([[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # violating
+    @settings(max_examples=300, deadline=None)
+    def test_triangle_witness(self, d):
+        assert _triangle_witness(d) == _reference_triangle_witness(d)
 
 
 class TestEmbedding:

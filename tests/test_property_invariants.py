@@ -1,10 +1,14 @@
 """Hypothesis property suites for the structural invariants."""
 
+import ast
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import finmetric
 from finmetric.four_values import check_four_values, interval, is_good, swap
 from finmetric.katetov import extend_with, is_katetov
 from finmetric.spaces import (
@@ -99,19 +103,35 @@ def test_initial_segments_satisfy_four_values(m):
     assert check_four_values(DistanceSet(range(1, m + 1)))
 
 
-def test_library_has_no_assert_statements():
-    # `python -O` strips assert statements, so internal checks must raise
-    import ast
-    from pathlib import Path
-
-    import finmetric
-
+def _library_trees():
+    """Every module of the finmetric package, parsed, with its file name."""
     sources = sorted(Path(finmetric.__file__).parent.glob("*.py"))
     assert sources
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in sources]
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so internal checks must raise
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in _library_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # no runtime dependency: every import is in the standard library or relative
+    found = [
+        f"{name}:{node.lineno} {module}"
+        for name, tree in _library_trees()
+        for node in ast.walk(tree)
+        for module in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if module.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert found == []
