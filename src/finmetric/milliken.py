@@ -128,8 +128,16 @@ def _case_lookup(name: str, invert_membership: bool = False) -> dict:
 
 
 def coding_distance(variant: Variant, p, q, invert_membership=False) -> Fraction:
-    """Distance between two coding points, per the case table of the variant's name."""
-    return Fraction(_case_lookup(variant.name, invert_membership)[tuple(map(_relation, p, q))])
+    """Distance between two coding points, per the case table of the variant's name.
+
+    Only points of the named variant are accepted: a pair whose relations
+    the table does not hold, such as a digit outside the alphabet or two
+    tuples of another size, raises InvalidSpace.
+    """
+    try:
+        return Fraction(_case_lookup(variant.name, invert_membership)[tuple(map(_relation, p, q))])
+    except KeyError:
+        raise InvalidSpace(f"{p!r}, {q!r} are not points of coding variant {variant.name}") from None
 
 
 def coding_points(variant: Variant, depth: int) -> list:
@@ -159,17 +167,18 @@ def _triangle_witness(d) -> tuple | None:
     a + b below the largest value can fail.  Each test ANDs Python-int
     bitsets, one per (point, value).  At the first failing pivot k the
     witness is the row-major first argmin of d(i, k) + d(k, j) - d(i, j).
-    d is symmetric with a zero diagonal and entries in range(256).
+    d is symmetric with a zero diagonal.
     """
     n = len(d)
     if n < 3:
         return None
     values = sorted({v for i, row in enumerate(d) for v in row[i + 1:]})
     pairs = [(a, b) for a in values for b in values if a <= b and a + b < values[-1]]
-    # table v turns the byte v into "1" and every other byte into "0"
-    tables = {v: bytes(48 + (x == v) for x in range(256)) for v in values}
-    bits = [{v: int(digits.translate(tables[v]), 2) for v in values}
-            for digits in (bytes(reversed(row)) for row in d)]
+    bits = []  # bits[i][v]: the points at distance v from i
+    for row in d:
+        bits.append(dict.fromkeys((0, *values), 0))
+        for j, v in enumerate(row):
+            bits[-1][v] |= 1 << j
     # farther[i][c]: the points farther than c from i
     farther = [{a + b: sum(bits_i[v] for v in values if v > a + b) for a, b in pairs} for bits_i in bits]
     for k, row in enumerate(d):
@@ -193,33 +202,22 @@ def milliken_space(
     """Build the coding space at the given depth and check metricity.
 
     A pair's distance is the case table's lookup at the relations of its
-    components, taken from one table over the node pairs.  The exhaustive
-    check builds the whole int matrix and decides it on bitsets; it is
-    capped at max_points (covering pairs over the binary tree to depth 4
-    and over the ternary tree to depth 3, and triples to depth 3).  Use
-    check='sampled' beyond that: it draws random triangles and computes
-    only their distances.  A space under 3 points has no triangle and is
-    metric.
+    components.  The exhaustive check builds the whole int matrix and
+    decides it on bitsets; it is capped at max_points (covering pairs over
+    the binary tree to depth 4 and over the ternary tree to depth 3, and
+    triples to depth 3).  Use check='sampled' beyond that: it draws random
+    triangles and computes only their distances.  A space under 3 points
+    has no triangle and is metric.
     """
     variant = load_variant(name)
-    nodes = nodes_up_to(variant.alphabet, depth)
     points = coding_points(variant, depth)
     n = len(points)
     lookup = _case_lookup(name, invert_membership)
-    relation = [[_relation(a, b) for b in nodes] for a in nodes]
-    # node indices per point, in the order coding_points lists the points
-    coded = list(itertools.combinations(range(len(nodes)), variant.tuple_size))
-    columns = list(zip(*coded))  # columns[c]: the c-th node index of every point
     witness = None
     space = None
 
     def dist(i, j):
-        return lookup[tuple(map(lambda a, b: relation[a][b], coded[i], coded[j]))]
-
-    def row_of(i) -> list:
-        """[dist(i, j) for j in range(n)], read a whole column of node pairs at a time."""
-        keys = zip(*[map(relation[a].__getitem__, col) for a, col in zip(coded[i], columns)])
-        return list(map(lookup.__getitem__, keys))
+        return lookup[tuple(map(_relation, points[i], points[j]))]
 
     if check == "exhaustive":
         if n > max_points:
@@ -227,9 +225,9 @@ def milliken_space(
                 f"exhaustive metric check too large: {n} points > {max_points}; "
                 "use check='sampled'"
             )
-        dmat = [row_of(i) for i in range(n)]
-        for i in range(n):
-            dmat[i][i] = 0
+        dmat = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            dmat[i][j] = dmat[j][i] = dist(i, j)
         witness = _triangle_witness(dmat)
         if witness is None:
             # one shared Fraction per distance value, not one per entry

@@ -142,6 +142,14 @@ class TestPlumbing:
         with pytest.raises(InvalidSpace):
             load_variant("999")
 
+    @pytest.mark.parametrize("p, q", [
+        (((), (2,)), ((0,), ())),  # digit outside the binary alphabet
+        (((), (0,), (1,)), ((), (0,), (0, 0))),  # a triple for a pair coding
+    ])
+    def test_foreign_points_rejected(self, p, q):
+        with pytest.raises(InvalidSpace):
+            coding_distance(load_variant("134"), p, q)
+
 
 class TestMetricVerdicts:
     @pytest.mark.parametrize("name,depth", [("134", 3), ("2379", 3), ("26712", 3)])
