@@ -7,14 +7,16 @@ the parser once per process, on first use.
 
 Exit codes: 0 = verdict true / success, 1 = verdict false (witness printed),
 2 = usage or resource error.  --json mirrors the text payload bit-exactly for
-golden-file testing.  FINMETRIC_BUDGET overrides the Config bounds at once:
+golden-file testing.  FINMETRIC_BUDGET overrides every Config bound at once:
 iso, copies and canon point bounds, the arrow copy budget, the Urysohn point
-cap and the |S| bound of the 4-values scans.
+cap, the |S| bound of the 4-values scans and the point bound of the
+ordering-property scan.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -50,15 +52,7 @@ def _config() -> Config:
         b = int(budget)
     except ValueError:
         raise InvalidSpace(f"FINMETRIC_BUDGET must be an integer, got {budget!r}")
-    return Config(
-        iso_bound=b,
-        copies_bound=b,
-        canon_bound=b,
-        arrow_copy_budget=b,
-        urysohn_max_points=b,
-        four_values_bound=b,
-        ordering_bound=b,
-    )
+    return Config(**{f.name: b for f in dataclasses.fields(Config)})
 
 
 def _distances(tokens) -> DistanceSet:

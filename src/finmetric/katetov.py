@@ -22,7 +22,7 @@ from .spaces import (
     InvalidSpace,
     _scaled,
     as_fraction,
-    canonical_key,
+    canonicalize,
     format_fraction,
 )
 
@@ -150,14 +150,15 @@ def urysohn_approx(
     admissibility and its key: after point p is added the list only drops
     the pairs that p realizes and gains the unrealized pairs over subspaces
     containing p.  Katetov and realizer tests run on S and the matrix scaled
-    to ints; canonical keys are built on Fractions once per distinct
-    (F, f) distance pattern.  Cross distances to points outside F come from
-    iterated one-point amalgamation; when several values of S are admissible
-    the choice is drawn from a seeded generator.  Always taking the least
-    value provably diverges (for {1,2} it keeps manufacturing missing
-    non-adjacent extensions forever), while the seeded rule saturates
-    quickly; a fixed seed keeps the output deterministic.  Growth is capped
-    by config.urysohn_max_points; hitting the cap reports progress.
+    to ints; canonical keys are read off the int matrix of F+f, under
+    config.canon_bound, once per distinct (F, f) distance pattern.  Cross
+    distances to points outside F come from iterated one-point amalgamation;
+    when several values of S are admissible the choice is drawn from a
+    seeded generator.  Always taking the least value provably diverges
+    (for {1,2} it keeps manufacturing missing non-adjacent extensions
+    forever), while the seeded rule saturates quickly; a fixed seed keeps
+    the output deterministic.  Growth is capped by config.urysohn_max_points;
+    hitting the cap reports progress.
     """
     if size_cap < 1:
         raise InvalidSpace(f"size cap must be at least 1, got {size_cap}")
@@ -168,7 +169,6 @@ def urysohn_approx(
     ints, scale = _scaled(s.values)
     frac = dict(zip(ints, s.values))
     frac[0] = Fraction(0)
-    to_int = {v: i for i, v in frac.items()}
     m = [[0]]  # the distance matrix so far, scaled to ints
     log = BuildLog()
     maps: dict = {}  # distances within F -> the Katetov maps over F
@@ -190,12 +190,11 @@ def urysohn_approx(
                         continue
                     key = keys.get((dist, f))
                     if key is None:
-                        sub_space = FiniteMetricSpace(
-                            [[frac[m[a][b]] for b in sub] for a in sub], check=False
-                        )
-                        ext = extend_with(sub_space, [frac[v] for v in f])
+                        ext = [[m[a][b] for b in sub] + [v] for a, v in zip(sub, f)]
+                        ext.append([*f, 0])
+                        _, order = canonicalize(FiniteMetricSpace(ext, check=False), config)
                         key = keys[dist, f] = tuple(
-                            tuple(to_int[v] for v in row) for row in canonical_key(ext)
+                            tuple(ext[a][b] for b in order) for a in order
                         )
                     pending.append((size, key, sub, f))
         pending.sort()

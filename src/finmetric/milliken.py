@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -74,13 +75,11 @@ def lenlex_less(a, b) -> bool:
 
 
 def lex_less(a, b) -> bool:
-    """Lexicographic with prefixes first: a < b when a extends to b or differs low."""
-    if a == b:
-        return False
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return len(a) < len(b)
+    """Lexicographic with prefixes first: a < b when a extends to b or differs low.
+
+    This is Python's tuple order.
+    """
+    return a < b
 
 
 def standard_edge(a, b) -> bool:
@@ -142,11 +141,7 @@ def coding_distance(variant: Variant, p, q, invert_membership=False) -> Fraction
 
 def coding_points(variant: Variant, depth: int) -> list:
     """All tuple_size-subsets of the node tree, components in length-lex order."""
-    nodes = nodes_up_to(variant.alphabet, depth)
-    return [
-        tuple(combo)
-        for combo in itertools.combinations(nodes, variant.tuple_size)
-    ]
+    return list(itertools.combinations(nodes_up_to(variant.alphabet, depth), variant.tuple_size))
 
 
 @dataclass
@@ -210,8 +205,13 @@ def milliken_space(
     has no triangle and is metric.
     """
     variant = load_variant(name)
+    n = math.comb(len(nodes_up_to(variant.alphabet, depth)), variant.tuple_size)
+    if check == "exhaustive" and n > max_points:
+        raise SearchTooLarge(
+            f"exhaustive metric check too large: {n} points > {max_points}; "
+            "use check='sampled'"
+        )
     points = coding_points(variant, depth)
-    n = len(points)
     lookup = _case_lookup(name, invert_membership)
     witness = None
     space = None
@@ -220,11 +220,6 @@ def milliken_space(
         return lookup[tuple(map(_relation, points[i], points[j]))]
 
     if check == "exhaustive":
-        if n > max_points:
-            raise SearchTooLarge(
-                f"exhaustive metric check too large: {n} points > {max_points}; "
-                "use check='sampled'"
-            )
         dmat = [[0] * n for _ in range(n)]
         for i, j in itertools.combinations(range(n), 2):
             dmat[i][j] = dmat[j][i] = dist(i, j)
@@ -256,28 +251,16 @@ def admissible_points(variant: Variant, depth: int) -> list:
     u at both lower heights.  For '26712' the lex clause is dropped: its
     s-components must carry 1-digits to encode the far distance, which is
     incompatible with the all-zeros trick that guarantees the lex order.
+    Heights increase, so every such tuple is a combination of the length-lex
+    node list; they are filtered from the combinations, in their order.
     """
-    nodes = nodes_up_to(variant.alphabet, depth)
-    out = []
+    combos = itertools.combinations(nodes_up_to(variant.alphabet, depth), variant.tuple_size)
     if variant.tuple_size == 2:
-        for s, t in itertools.permutations(nodes, 2):
-            if len(s) >= len(t):
-                continue
-            if t[len(s)] != 0:
-                continue
-            if variant.name != "26712" and not lex_less(s, t):
-                continue
-            out.append((s, t))
-    else:
-        for s, t, u in itertools.permutations(nodes, 3):
-            if not (len(s) < len(t) < len(u)):
-                continue
-            if t[len(s)] != 0 or u[len(s)] != 0 or u[len(t)] != 0:
-                continue
-            if not (lex_less(s, t) and lex_less(t, u)):
-                continue
-            out.append((s, t, u))
-    return sorted(out, key=lambda p: tuple((len(c), c) for c in p))
+        lex = variant.name != "26712"
+        return [(s, t) for s, t in combos
+                if len(s) < len(t) and t[len(s)] == 0 and (s < t or not lex)]
+    return [(s, t, u) for s, t, u in combos
+            if len(s) < len(t) < len(u) and t[len(s)] == u[len(s)] == u[len(t)] == 0 and s < t < u]
 
 
 def coding_embed(

@@ -158,11 +158,8 @@ def _block_orderings(parents) -> int:
 
 
 def _balls(x: FiniteMetricSpace) -> set:
-    out = set()
-    for c in range(x.n):
-        for r in x.distances():
-            out.add(frozenset(p for p in range(x.n) if x.d[c][p] <= r))
-    return out
+    radii = x.distances()
+    return {frozenset(p for p in range(x.n) if x.d[c][p] <= r) for c in range(x.n) for r in radii}
 
 
 def ultrametric_isometry_order(x: FiniteMetricSpace) -> int:

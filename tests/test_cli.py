@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import shlex
@@ -6,8 +7,8 @@ import sys
 
 import pytest
 
-from finmetric.cli import _VERBS, build_parser, main
-from finmetric.spaces import FiniteMetricSpace, space_to_text
+from finmetric.cli import _VERBS, _config, build_parser, main
+from finmetric.spaces import Config, FiniteMetricSpace, space_to_text
 
 
 def run_cli(capsys, *argv):
@@ -354,6 +355,20 @@ class TestEntryPoint:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and "ordering-property scan too large: n=3" in err
+
+    def test_budget_env_var_sets_every_config_field(self, monkeypatch):
+        monkeypatch.setenv("FINMETRIC_BUDGET", "7")
+        config = _config()
+        assert {getattr(config, f.name) for f in dataclasses.fields(Config)} == {7}
+
+    def test_budget_env_var_reaches_urysohn_canonicalization(self, capsys, monkeypatch):
+        code, _, err = run_cli(capsys, "urysohn", "1", "--cap", "11")
+        assert code == 2
+        assert err.startswith("error: canonicalization too large: n=11 > 10")
+        monkeypatch.setenv("FINMETRIC_BUDGET", "64")
+        code, out, _ = run_cli(capsys, "urysohn", "1", "--cap", "11")
+        assert code == 0
+        assert out.startswith("points: 11\n")
 
     def test_urysohn_cap_keeps_partial_progress(self, capsys, monkeypatch):
         monkeypatch.setenv("FINMETRIC_BUDGET", "6")

@@ -24,6 +24,7 @@ from finmetric.spaces import (
     EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
+    SearchTooLarge,
     as_fraction,
     canonical_key,
     complete,
@@ -233,6 +234,14 @@ class TestUrysohnApprox:
         a, loga = urysohn_approx(DistanceSet((1, 2)), 3, seed=0)
         b, logb = urysohn_approx(DistanceSet((1, 2)), 3, seed=0)
         assert a == b and loga.entries == logb.entries
+
+    def test_closure_keys_under_the_callers_canon_bound(self):
+        # F+f reaches 11 points at size cap 11, past the default bound of 10
+        with pytest.raises(SearchTooLarge, match="canonicalization too large: n=11 > 10"):
+            urysohn_approx(DistanceSet((1,)), 11)
+        space, log = urysohn_approx(DistanceSet((1,)), 11, Config(canon_bound=20))
+        assert space == FiniteMetricSpace.equilateral(11, 1)
+        assert len(log.entries) == 10
 
     def test_build_log_matches_growth(self):
         space, log = urysohn_approx(DistanceSet((1, 2)), 3)

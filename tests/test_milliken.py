@@ -106,6 +106,47 @@ def _reference_triangle_witness(d):
     return None
 
 
+def _reference_lex_less(a, b) -> bool:
+    """Lexicographic with prefixes first: a < b when a extends to b or differs low."""
+    if a == b:
+        return False
+    for x, y in zip(a, b):
+        if x != y:
+            return x < y
+    return len(a) < len(b)
+
+
+def _reference_admissible_points(variant, depth: int) -> list:
+    """The subset used for embeddings: increasing heights, low digits zeroed.
+
+    Pairs: |s| < |t|, s lex-below t, t(|s|) = 0.  Triples additionally zero
+    u at both lower heights.  For '26712' the lex clause is dropped: its
+    s-components must carry 1-digits to encode the far distance, which is
+    incompatible with the all-zeros trick that guarantees the lex order.
+    """
+    nodes = nodes_up_to(variant.alphabet, depth)
+    out = []
+    if variant.tuple_size == 2:
+        for s, t in itertools.permutations(nodes, 2):
+            if len(s) >= len(t):
+                continue
+            if t[len(s)] != 0:
+                continue
+            if variant.name != "26712" and not _reference_lex_less(s, t):
+                continue
+            out.append((s, t))
+    else:
+        for s, t, u in itertools.permutations(nodes, 3):
+            if not (len(s) < len(t) < len(u)):
+                continue
+            if t[len(s)] != 0 or u[len(s)] != 0 or u[len(t)] != 0:
+                continue
+            if not (_reference_lex_less(s, t) and _reference_lex_less(t, u)):
+                continue
+            out.append((s, t, u))
+    return sorted(out, key=lambda p: tuple((len(c), c) for c in p))
+
+
 @st.composite
 def int_matrices(draw):
     """Symmetric zero-diagonal matrices on 3-9 points over 1-4 values from 1..8."""
@@ -206,6 +247,11 @@ class TestMetricVerdicts:
         with pytest.raises(SearchTooLarge):
             milliken_space("1378", 4)
 
+    def test_budget_enforced_before_listing_points(self):
+        # 9,841 nodes give 48,417,720 pairs, refused without being listed
+        with pytest.raises(SearchTooLarge, match="48417720 points > 800"):
+            milliken_space("2678", 8)
+
 
 class TestCoreMatchesReference:
     @pytest.mark.parametrize("name", VARIANTS)
@@ -224,6 +270,17 @@ class TestCoreMatchesReference:
         nodes = nodes_up_to(3, 3)
         for a, b in itertools.product(nodes, repeat=2):
             assert standard_edge(a, b) == _reference_standard_edge(a, b)
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_admissible_points_to_depth_5(self, name):
+        variant = load_variant(name)
+        for depth in range(6):
+            assert admissible_points(variant, depth) == _reference_admissible_points(variant, depth)
+
+    @given(st.lists(st.integers(0, 2), max_size=5), st.lists(st.integers(0, 2), max_size=5))
+    def test_lex_less_is_tuple_order(self, a, b):
+        a, b = tuple(a), tuple(b)
+        assert lex_less(a, b) == (a < b) == _reference_lex_less(a, b)
 
     @given(int_matrices())
     @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # metric
