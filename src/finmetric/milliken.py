@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from .spaces import (
     DistanceSet,
@@ -244,6 +245,17 @@ def milliken_space(
     return MillikenSpace(variant, depth, points, space, witness is None, witness)
 
 
+def _admissible(variant: Variant, depth: int):
+    """The points of admissible_points, generated lazily in its order."""
+    combos = itertools.combinations(nodes_up_to(variant.alphabet, depth), variant.tuple_size)
+    if variant.tuple_size == 2:
+        lex = variant.name != "26712"
+        return ((s, t) for s, t in combos
+                if len(s) < len(t) and t[len(s)] == 0 and (s < t or not lex))
+    return ((s, t, u) for s, t, u in combos
+            if len(s) < len(t) < len(u) and t[len(s)] == u[len(s)] == u[len(t)] == 0 and s < t < u)
+
+
 def admissible_points(variant: Variant, depth: int) -> list:
     """The subset used for embeddings: increasing heights, low digits zeroed.
 
@@ -254,13 +266,83 @@ def admissible_points(variant: Variant, depth: int) -> list:
     Heights increase, so every such tuple is a combination of the length-lex
     node list; they are filtered from the combinations, in their order.
     """
-    combos = itertools.combinations(nodes_up_to(variant.alphabet, depth), variant.tuple_size)
-    if variant.tuple_size == 2:
-        lex = variant.name != "26712"
-        return [(s, t) for s, t in combos
-                if len(s) < len(t) and t[len(s)] == 0 and (s < t or not lex)]
-    return [(s, t, u) for s, t, u in combos
-            if len(s) < len(t) < len(u) and t[len(s)] == u[len(s)] == u[len(t)] == 0 and s < t < u]
+    return list(_admissible(variant, depth))
+
+
+class _EmbedIndex(NamedTuple):
+    """The admissible points of a (variant, depth), indexed for coding_embed.
+
+    Per component slot, three maps to bitsets of candidates (by list index):
+    per node, those carrying it in that slot; per height h, those whose node
+    there has height h; per (h, p, a), those whose node there has height h
+    and digit a at height p.
+    """
+
+    alphabet: int
+    candidates: list
+    by_value: dict  # per distance value, the component relations the table maps to it
+    slots: list  # per component slot, (nodes, heights, digits)
+
+
+@functools.cache
+def _embed_index(name: str, depth: int, max_candidates: int) -> _EmbedIndex:
+    """The embedding index of a (variant, depth), built once per cap.
+
+    Listing stops at max_candidates + 1 points, so an oversized subset is
+    refused, and not cached, without being listed in full.
+    """
+    variant = load_variant(name)
+    candidates = list(itertools.islice(_admissible(variant, depth), max_candidates + 1))
+    if len(candidates) > max_candidates:
+        raise SearchTooLarge(f"admissible subset too large: more than {max_candidates} points")
+    by_value = {}
+    for relations, value in _case_lookup(name).items():
+        by_value.setdefault(value, []).append(relations)
+    slots = []
+    for c in range(variant.tuple_size):
+        nodes, heights, digits = {}, [0] * (depth + 1), {}
+        for k, cand in enumerate(candidates):
+            node, bit = cand[c], 1 << k
+            nodes[node] = nodes.get(node, 0) | bit
+            heights[len(node)] |= bit
+            for p, a in enumerate(node):
+                digits[len(node), p, a] = digits.get((len(node), p, a), 0) | bit
+        slots.append((nodes, heights, digits))
+    return _EmbedIndex(variant.alphabet, candidates, by_value, slots)
+
+
+def _distance_row(index: _EmbedIndex, k: int) -> dict:
+    """Candidate k's distance row: per value, the bitset of the other candidates at it.
+
+    Per slot, the candidates fall into groups by the relation of their node
+    to k's node x there (see _relation): x itself; the rest of x's height;
+    per lower height h, all of it, at 1 + x's digit at h; per greater height,
+    each digit a at x's height, at 1 + a.  A value's bitset is the union,
+    over the relation tuples the table maps to it, of the slots' groups
+    intersected.  k itself is left out: the table gives an equal tuple a
+    nonzero distance.
+    """
+    groups = []  # groups[c][r]: the candidates whose slot-c node has relation r to k's
+    for (nodes, heights, digits), x in zip(index.slots, index.candidates[k]):
+        group = [0] * (index.alphabet + 1)
+        group[0] = nodes[x]
+        group[1] = heights[len(x)] ^ nodes[x]
+        for h, a in enumerate(x):
+            group[1 + a] |= heights[h]
+        for h in range(len(x) + 1, len(heights)):
+            for a in range(index.alphabet):
+                group[1 + a] |= digits.get((h, len(x), a), 0)
+        groups.append(group)
+    row = {}
+    for value, tuples in index.by_value.items():
+        bits = 0
+        for relations in tuples:
+            common = -1
+            for group, r in zip(groups, relations):
+                common &= group[r]
+            bits |= common
+        row[value] = bits & ~(1 << k)
+    return row
 
 
 def coding_embed(
@@ -275,6 +357,16 @@ def coding_embed(
     scanned lowest-components-first, so when the classical greedy assignment
     fits within the depth it is found first; failure means no embedding
     exists at this depth.  Returns the list of chosen coding points or None.
+
+    The search runs on Python-int bitsets over the admissible list, which is
+    indexed once per (variant, depth).  Level i's domain is the AND of the
+    distance rows of the points placed so far, each taken at its wanted
+    distance to target point i.  A row is built only when its candidate is
+    tried, and only for this call.  After each placement every later level
+    must keep a nonempty domain, or the branch is cut (forward checking, as
+    in Haralick & Elliott 1980).  The levels keep their fixed order and each
+    domain is scanned by ascending index, so the first embedding found, or
+    None, is that of the plain backtracker over the same order.
     """
     variant = load_variant(name)
     if target.n > 6:
@@ -282,11 +374,8 @@ def coding_embed(
     for v in target.distances():
         if v not in variant.distance_set:
             raise InvalidSpace(f"target distance {v} outside the variant's set")
-    candidates = admissible_points(variant, depth)
-    if len(candidates) > max_candidates:
-        raise SearchTooLarge(
-            f"admissible subset too large: {len(candidates)} > {max_candidates}"
-        )
+    index = _embed_index(name, depth, max_candidates)
+    candidates = index.candidates
 
     # place tightly-linked target points consecutively: component reuse is
     # then forced early and the backtracking prunes hard
@@ -296,28 +385,41 @@ def coding_embed(
         order.append(min(rest, key=lambda p: min(target.d[p][q] for q in order)))
     reordered = target.submetric(order)
 
-    lookup = _case_lookup(name)
     want = [[int(v) for v in row] for row in reordered.d]
+    rows: dict = {}
     chosen: list = []
 
-    def extend(i: int) -> bool:
-        if i == reordered.n:
+    def extend(domains: list) -> bool:
+        """Fill the levels from len(chosen) on; domains[l] holds level len(chosen) + l's candidates."""
+        if not domains:
             return True
-        for cand in candidates:
-            if cand in chosen:
-                continue
-            if all(lookup[tuple(map(_relation, cand, chosen[j]))] == want[i][j] for j in range(i)):
-                chosen.append(cand)
-                if extend(i + 1):
+        i = len(chosen)
+        wanted = [(d, w[i]) for d, w in zip(domains[1:], want[i + 1:])]
+        domain = domains[0]
+        while domain:
+            k = (domain & -domain).bit_length() - 1
+            domain &= domain - 1
+            row = rows.get(k)
+            if row is None:
+                row = rows[k] = _distance_row(index, k)
+            later = []
+            for d, v in wanted:
+                d &= row.get(v, 0)
+                if not d:
+                    break
+                later.append(d)
+            else:
+                chosen.append(k)
+                if extend(later):
                     return True
                 chosen.pop()
         return False
 
-    if not extend(0):
+    if not extend([(1 << len(candidates)) - 1] * reordered.n):
         return None
     result = [None] * target.n
     for slot, point in enumerate(order):
-        result[point] = chosen[slot]
+        result[point] = candidates[chosen[slot]]
     return result
 
 

@@ -441,6 +441,7 @@ class TestInputErrors:
         ("urysohn 1 --cap -1", "size cap must be at least 1, got -1"),
         ("milliken build 134 --depth -1", "depth must be non-negative, got -1"),
         ("milliken embed 134 --depth -1 --target {tri}", "depth must be non-negative, got -1"),
+        ("milliken embed 2678 --depth 9 --target {far}", "admissible subset too large: more than 20000"),
         ("hedgehog build -m 1 --prefix {tri} --max-tree-size -1",
          "max tree size must be non-negative, got -1"),
         ("hedgehog verify -m 1 --prefix {tri} --max-tree-size -1",
@@ -453,6 +454,7 @@ class TestInputErrors:
             # y = 0, start = 1 and end = 2 meet every precondition but the chain's
             ("line", "points: 3\n0 1/10 1\n1/10 0 1\n1 1 0\n"),
             ("empty", "points: 0\n"),
+            ("far", "points: 2\n0 2\n2 0\n"),
         ):
             (tmp_path / f"{name}.txt").write_text(text)
             files[name] = str(tmp_path / f"{name}.txt")

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finmetric import milliken
 from finmetric.milliken import (
     VARIANTS,
+    _case_lookup,
+    _relation,
     _triangle_witness,
     admissible_points,
     coding_distance,
@@ -145,6 +148,64 @@ def _reference_admissible_points(variant, depth: int) -> list:
                 continue
             out.append((s, t, u))
     return sorted(out, key=lambda p: tuple((len(c), c) for c in p))
+
+
+def _reference_coding_embed(
+    name: str,
+    depth: int,
+    target: FiniteMetricSpace,
+    max_candidates: int = 20000,
+):
+    """Embed a small target space into the coding's admissible subset.
+
+    Complete backtracking in greedy height-increasing order: candidates are
+    scanned lowest-components-first, so when the classical greedy assignment
+    fits within the depth it is found first; failure means no embedding
+    exists at this depth.  Returns the list of chosen coding points or None.
+    """
+    variant = load_variant(name)
+    if target.n > 6:
+        raise SearchTooLarge("embedding targets are capped at 6 points")
+    for v in target.distances():
+        if v not in variant.distance_set:
+            raise InvalidSpace(f"target distance {v} outside the variant's set")
+    candidates = admissible_points(variant, depth)
+    if len(candidates) > max_candidates:
+        raise SearchTooLarge(
+            f"admissible subset too large: {len(candidates)} > {max_candidates}"
+        )
+
+    # place tightly-linked target points consecutively: component reuse is
+    # then forced early and the backtracking prunes hard
+    order = [0] if target.n else []
+    while len(order) < target.n:
+        rest = [p for p in range(target.n) if p not in order]
+        order.append(min(rest, key=lambda p: min(target.d[p][q] for q in order)))
+    reordered = target.submetric(order)
+
+    lookup = _case_lookup(name)
+    want = [[int(v) for v in row] for row in reordered.d]
+    chosen: list = []
+
+    def extend(i: int) -> bool:
+        if i == reordered.n:
+            return True
+        for cand in candidates:
+            if cand in chosen:
+                continue
+            if all(lookup[tuple(map(_relation, cand, chosen[j]))] == want[i][j] for j in range(i)):
+                chosen.append(cand)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(0):
+        return None
+    result = [None] * target.n
+    for slot, point in enumerate(order):
+        result[point] = chosen[slot]
+    return result
 
 
 @st.composite
@@ -312,7 +373,8 @@ class TestEmbedding:
 
     @pytest.mark.parametrize("name", VARIANTS)
     def test_random_targets_depth_5(self, name):
-        rng = random.Random(hash(name) % 1000)
+        # a str seed is hashed by sha512, unsalted: every run draws the same targets
+        rng = random.Random(name)
         svals = [int(v) for v in load_variant(name).distance_set.values]
         for _ in range(3):
             n = rng.randint(2, 5)
@@ -320,6 +382,45 @@ class TestEmbedding:
             emb = coding_embed(name, 5, target)
             assert emb is not None
             assert verify_embedding(name, emb, target)
+
+    def test_depth_5_is_too_shallow_for_a_1378_target(self):
+        # no embedding of this target into the 1378 admissible subset at depth 5; one at depth 6
+        target = FiniteMetricSpace([[0, 8, 7, 7, 1], [8, 0, 7, 7, 8], [7, 7, 0, 7, 8],
+                                    [7, 7, 7, 0, 7], [1, 8, 8, 7, 0]])
+        assert coding_embed("1378", 5, target) is None
+        emb = coding_embed("1378", 6, target)
+        assert emb is not None and verify_embedding("1378", emb, target)
+
+    @given(st.sampled_from(VARIANTS), st.integers(2, 3), st.integers(2, 4), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, name, depth, n, seed):
+        svals = [int(v) for v in load_variant(name).distance_set.values]
+        target = random_s_space(random.Random(seed), svals, n)
+        assert coding_embed(name, depth, target) == _reference_coding_embed(name, depth, target)
+
+    def test_oversized_admissible_subset_refused(self, monkeypatch):
+        # depth 8 has 9,841 ternary nodes and millions of admissible pairs:
+        # listing stops after 20,001 of them, and nothing is cached
+        listed = []
+
+        def counted(variant, depth):
+            for point in admissible(variant, depth):
+                listed.append(point)
+                yield point
+
+        admissible = milliken._admissible
+        monkeypatch.setattr(milliken, "_admissible", counted)
+        cached = milliken._embed_index.cache_info().currsize
+        target = FiniteMetricSpace([[0, 2], [2, 0]])
+        with pytest.raises(SearchTooLarge, match="more than 20000 points"):
+            coding_embed("2678", 8, target)
+        assert len(listed) == 20001
+        assert milliken._embed_index.cache_info().currsize == cached
+        # 134 has 26 admissible points at depth 3
+        pair = FiniteMetricSpace([[0, 1], [1, 0]])
+        with pytest.raises(SearchTooLarge, match="more than 25 points"):
+            coding_embed("134", 3, pair, max_candidates=25)
+        assert coding_embed("134", 3, pair, max_candidates=26) == coding_embed("134", 3, pair)
 
     def test_membership_constraints_hold(self):
         rng = random.Random(7)
