@@ -302,8 +302,8 @@ def _ultra_fichet(args) -> int:
 
 def cmd_degree(args) -> int:
     x = _load_space(args.space)
-    if args.metric_orderings:
-        s = _distances(args.metric_orderings)
+    if args.metric_orderings is not None:  # given no values: x's own distance set
+        s = _distances(args.metric_orderings) if args.metric_orderings else x.distance_set()
         rec = ramsey.ramsey_degree_metric_ordered(x, s, _config())
         payload = {"mLO": rec.orderings, "iso": rec.iso, "degree": rec.degree}
         _emit(args, payload, [f"mLO: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])

@@ -231,21 +231,44 @@ class AmalgamationError(Exception):
     pass
 
 
-def _one_point_distance(s, left: dict, right: dict, common) -> Fraction:
-    """Least u in S with |a-b| <= u <= a+b over the common points."""
-    m = Fraction(0)
-    m_prime = None
-    for y in common:
-        a, b = left[y], right[y]
-        m = max(m, abs(a - b))
-        m_prime = a + b if m_prime is None else min(m_prime, a + b)
-    for u in s.values:
-        if m <= u and (m_prime is None or u <= m_prime):
-            return u
-    raise AmalgamationError(
-        f"one-point amalgamation failed: S meets no value in "
-        f"[{format_fraction(m)},{format_fraction(m_prime)}]"
-    )
+def _coding(s: DistanceSet) -> tuple[list[int], int, dict[int, Fraction]]:
+    """S scaled to ints, the scale, and the map back from those ints (and 0) to S."""
+    ints, scale = _scaled(s.values)
+    frac = dict(zip(ints, s.values))
+    frac[0] = Fraction(0)
+    return ints, scale, frac
+
+
+def _fraction_space(m, frac) -> FiniteMetricSpace:
+    return FiniteMetricSpace([[frac[v] for v in row] for row in m])
+
+
+def _adjoin_point(ints, scale, m, subset, f, choose):
+    """Add one point at distance f over the subset, amalgamating the rest.
+
+    m is the distance matrix times scale, ints is S times scale, and m grows
+    in place.  Every other point y, in index order, gets choose(values): the
+    values of ints in [max |a-b|, min a+b] over the points k placed before
+    it, with a = d(new, k) and b = d(k, y).  With no point placed, all of S.
+    """
+    n = len(m)
+    new = dict(zip(subset, f))
+    for y in range(n):
+        if y in new:
+            continue
+        lo = max((abs(v - m[k][y]) for k, v in new.items()), default=0)
+        hi = min((v + m[k][y] for k, v in new.items()), default=ints[-1])
+        candidates = [u for u in ints if lo <= u <= hi]
+        if not candidates:
+            raise InvalidSpace(
+                f"one-point amalgamation stuck at point {y}: no S value in "
+                f"[{format_fraction(Fraction(lo, scale))},"
+                f"{format_fraction(Fraction(hi, scale))}]"
+            )
+        new[y] = choose(candidates)
+    for i, row in enumerate(m):
+        row.append(new[i])
+    m.append([new[i] for i in range(n)] + [0])
 
 
 def amalgamate(
@@ -260,9 +283,10 @@ def amalgamate(
 
     x0_indices / x1_indices give the images in y0 / y1 of the shared space, in
     matching order.  The result carries y0 on indices 0..y0.n-1 and the
-    exclusive part of y1 after it; new cross distances are the least element
-    of S admissible for the pair, filled by removing the highest-index
-    exclusive point of y1 first (the proof's two-stage induction), which makes
+    exclusive points of y1 after it, in index order.  Each of them is adjoined
+    in turn at its y1 distances to the points of y1 placed so far; every
+    other cross distance is the least element of S admissible over the
+    points placed before it (`_adjoin_point` with choose=min), which makes
     the output deterministic.  config.four_values_bound caps |S| for the
     4-values check run first.
     """
@@ -285,47 +309,16 @@ def amalgamate(
         if any(v not in s for v in sp.distances()):
             raise AmalgamationError("input space has a distance outside S")
 
-    # global indices: y0 points keep 0..y0.n-1, exclusive y1 points follow
-    x1_to_global = dict(zip(x1, x0))
-    y1_exclusive = [j for j in range(y1.n) if j not in x1_to_global]
-    for j in y1_exclusive:
-        x1_to_global[j] = y0.n + y1_exclusive.index(j)
-    total = y0.n + len(y1_exclusive)
-
-    dist: dict[tuple[int, int], Fraction] = {}
-
-    def put(i, j, v):
-        dist[(min(i, j), max(i, j))] = v
-
-    def get(i, j):
-        return dist.get((min(i, j), max(i, j)))
-
-    for i in range(y0.n):
-        for j in range(i + 1, y0.n):
-            put(i, j, y0.d[i][j])
-    for i in range(y1.n):
-        for j in range(i + 1, y1.n):
-            put(x1_to_global[i], x1_to_global[j], y1.d[i][j])
-
-    # linearization of the proof's recursion: the highest-index exclusive
-    # point of y1 is removed first, so its cross pairs are decided last
-    missing = [
-        (i, j)
-        for j in sorted(x1_to_global[e] for e in y1_exclusive)
-        for i in range(y0.n)
-        if i not in x0 and get(i, j) is None
-    ]
-    for (i, j) in missing:
-        common = [k for k in range(total) if get(i, k) is not None and get(j, k) is not None]
-        left = {k: get(i, k) for k in common}
-        right = {k: get(j, k) for k in common}
-        put(i, j, _one_point_distance(s, left, right, common))
-
-    rows = [
-        [get(i, j) if i != j else Fraction(0) for j in range(total)]
-        for i in range(total)
-    ]
+    ints, scale, frac = _coding(s)
+    code = {v: u for u, v in frac.items()}
+    m = [[code[v] for v in row] for row in y0.d]
+    placed = dict(zip(x1, x0))  # y1 index -> amalgam index
     try:
-        return FiniteMetricSpace(rows)
+        for e in range(y1.n):
+            if e not in placed:
+                f = [code[y1.d[e][q]] for q in placed]
+                _adjoin_point(ints, scale, m, placed.values(), f, min)
+                placed[e] = len(m) - 1
+        return _fraction_space(m, frac)
     except InvalidSpace as exc:  # unreachable once the 4-values check passed
         raise AmalgamationError(f"amalgam is not metric: {exc}") from exc

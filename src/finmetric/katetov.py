@@ -20,7 +20,7 @@ from .spaces import (
     DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
-    _scaled,
+    _check_points,
     as_fraction,
     canonicalize,
     format_fraction,
@@ -80,6 +80,9 @@ def shortest_extension(x: FiniteMetricSpace, sub, values) -> list[Fraction]:
     is the distance function of the path-metric amalgam of X and sub-plus-f.
     """
     sub = list(sub)
+    if not sub:
+        raise InvalidSpace("the empty subspace has no shortest extension")
+    _check_points(x.n, sub)
     f = [as_fraction(v) for v in values]
     if len(f) != len(sub):
         raise InvalidSpace("one value per subspace point required")
@@ -96,6 +99,7 @@ def realizers(x: FiniteMetricSpace, sub, values) -> list[int]:
     itself appears exactly when f is its own distance function there.
     """
     sub = list(sub)
+    _check_points(x.n, sub)
     f = [as_fraction(v) for v in values]
     ok, witness = is_katetov(x.submetric(sub), f)
     if not ok:
@@ -166,9 +170,7 @@ def urysohn_approx(
     if not chk:
         raise InvalidSpace(f"S fails the 4-values condition, witness {chk.witness}")
     rng = random.Random(seed)
-    ints, scale = _scaled(s.values)
-    frac = dict(zip(ints, s.values))
-    frac[0] = Fraction(0)
+    ints, scale, frac = four_values._coding(s)
     m = [[0]]  # the distance matrix so far, scaled to ints
     log = BuildLog()
     maps: dict = {}  # distances within F -> the Katetov maps over F
@@ -199,13 +201,13 @@ def urysohn_approx(
                     pending.append((size, key, sub, f))
         pending.sort()
         if not pending:
-            return _fraction_space(m, frac), log
+            return four_values._fraction_space(m, frac), log
         _, _, sub, f = pending[0]
         if p + 2 > config.urysohn_max_points:
             raise ResourceLimit(
                 f"urysohn closure exceeded {config.urysohn_max_points} points "
                 f"with {len(pending)} extensions still unrealized",
-                space=_fraction_space(m, frac),
+                space=four_values._fraction_space(m, frac),
                 pending=[
                     (k, tuple(tuple(frac[v] for v in row) for row in key),
                      subset, tuple(frac[v] for v in g))
@@ -213,7 +215,7 @@ def urysohn_approx(
                 ],
                 log=log,
             )
-        _adjoin_point(ints, scale, m, sub, f, rng)
+        four_values._adjoin_point(ints, scale, m, sub, f, rng.choice)
         log.record(sub, [frac[v] for v in f])
         p += 1
         # drop the pairs that the new point p realizes
@@ -232,36 +234,6 @@ def _katetov_maps(dist, size: int, ints) -> list[tuple[int, ...]]:
         for f in itertools.product(ints, repeat=size)
         if all(abs(f[i] - f[j]) <= d <= f[i] + f[j] for (i, j), d in pairs)
     ]
-
-
-def _fraction_space(m, frac) -> FiniteMetricSpace:
-    return FiniteMetricSpace([[frac[v] for v in row] for row in m])
-
-
-def _adjoin_point(ints, scale, m, subset, f, rng):
-    """Add one point at distance f over the subset, amalgamating the rest.
-
-    m is the int distance matrix and grows in place.  Each further value is
-    drawn from the S values (ints) allowed by the points placed before it.
-    """
-    n = len(m)
-    new = dict(zip(subset, f))
-    for y in range(n):
-        if y in new:
-            continue
-        lo = max(abs(v - m[k][y]) for k, v in new.items())
-        hi = min(v + m[k][y] for k, v in new.items())
-        candidates = [u for u in ints if lo <= u <= hi]
-        if not candidates:
-            raise InvalidSpace(
-                f"one-point amalgamation stuck at point {y}: no S value in "
-                f"[{format_fraction(Fraction(lo, scale))},"
-                f"{format_fraction(Fraction(hi, scale))}]"
-            )
-        new[y] = rng.choice(candidates)
-    for i, row in enumerate(m):
-        row.append(new[i])
-    m.append([new[i] for i in range(n)] + [0])
 
 
 def ultrametric_urysohn_grid(s: DistanceSet, arity: int) -> FiniteMetricSpace:

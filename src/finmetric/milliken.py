@@ -43,6 +43,7 @@ class Variant:
     notes: str
 
 
+@functools.cache
 def load_variant(name: str) -> Variant:
     if name not in VARIANTS:
         raise InvalidSpace(f"unknown coding variant {name!r}; choose from {VARIANTS}")

@@ -115,6 +115,17 @@ class TestJsonMirrorsText:
         assert code == 0
         assert json.loads(out) == {"LO": 6, "iso": 6, "degree": 1}
 
+    def test_degree_metric_orderings_given_no_values(self, capsys, spaces):
+        # no values: the space's own distance set, not the general degree
+        paths, _ = spaces
+        code, out, _ = run_cli(capsys, "--json", "degree", "--space", paths["comb"],
+                               "--metric-orderings")
+        assert code == 0
+        assert json.loads(out) == json.loads(run_cli(
+            capsys, "--json", "degree", "--space", paths["comb"], "--metric-orderings", "1", "2",
+        )[1])
+        assert "mLO" in json.loads(out)
+
 
 class TestSpaces:
     def test_iso_and_copies(self, capsys, spaces):
@@ -156,6 +167,17 @@ class TestSpaces:
             "--y0", str(tri), "--y1", str(tri), "--x0", "0,1", "--x1", "0,1",
         )
         assert code == 0 and out.startswith("points: 4")
+
+    def test_amalgamate_with_nothing_shared(self, capsys, tmp_path):
+        # no --x0/--x1: the disjoint amalgam, cross distances the least value of S
+        tri = tmp_path / "t.txt"
+        tri.write_text("points: 3\n0 1 2\n1 0 3\n2 3 0\n")
+        code, out, _ = run_cli(
+            capsys, "--json", "amalgamate", "1", "2", "3", "--y0", str(tri), "--y1", str(tri),
+        )
+        assert code == 0
+        rows = json.loads(out)["space"]["rows"]
+        assert len(rows) == 6 and rows[0][3] == "1"
 
 
 class TestUltraAndArrow:

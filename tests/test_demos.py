@@ -1,4 +1,8 @@
-"""Every script in demos/ runs to completion against the library in src/."""
+"""Every script in demos/ runs against the library in src/ and prints its golden output.
+
+The goldens in tests/golden/demos/ are the scripts' stdout, byte for byte.  A
+change that is meant to alter a demo's output rewrites its golden file.
+"""
 
 import os
 import pathlib
@@ -9,10 +13,12 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def test_demos_found():
     assert DEMOS
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -23,3 +29,4 @@ def test_demo_runs(script):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{script.stem}.txt").read_text()

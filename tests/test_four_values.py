@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,16 @@ from finmetric.four_values import (
     similar,
     swap,
 )
-from finmetric.spaces import DistanceSet, FiniteMetricSpace, SearchTooLarge
+from finmetric.spaces import (
+    DEFAULT_CONFIG,
+    Config,
+    DistanceSet,
+    FiniteMetricSpace,
+    InvalidSpace,
+    SearchTooLarge,
+    _check_points,
+    format_fraction,
+)
 
 
 def ds(*vals):
@@ -586,3 +596,191 @@ class TestAmalgamate:
                 res = amalgamate(sset, y0, y1, [0, 1], [0, 1])
                 assert res.n == 4
                 assert res.distances() <= set(sset.values)
+
+
+# --- reference amalgam: the pair-dict fill, one cross pair at a time ----------
+
+def _one_point_distance(s, left: dict, right: dict, common) -> Fraction:
+    """Least u in S with |a-b| <= u <= a+b over the common points."""
+    m = Fraction(0)
+    m_prime = None
+    for y in common:
+        a, b = left[y], right[y]
+        m = max(m, abs(a - b))
+        m_prime = a + b if m_prime is None else min(m_prime, a + b)
+    for u in s.values:
+        if m <= u and (m_prime is None or u <= m_prime):
+            return u
+    raise AmalgamationError(
+        f"one-point amalgamation failed: S meets no value in "
+        f"[{format_fraction(m)},{format_fraction(m_prime)}]"
+    )
+
+
+def _reference_amalgamate(
+    s: DistanceSet,
+    y0: FiniteMetricSpace,
+    y1: FiniteMetricSpace,
+    x0_indices,
+    x1_indices,
+    config: Config = DEFAULT_CONFIG,
+) -> FiniteMetricSpace:
+    """Strong amalgam of y0 and y1 over a common subspace.
+
+    x0_indices / x1_indices give the images in y0 / y1 of the shared space, in
+    matching order.  The result carries y0 on indices 0..y0.n-1 and the
+    exclusive part of y1 after it; new cross distances are the least element
+    of S admissible for the pair, filled by removing the highest-index
+    exclusive point of y1 first (the proof's two-stage induction), which makes
+    the output deterministic.  config.four_values_bound caps |S| for the
+    4-values check run first.
+    """
+    chk = check_four_values(s, config.four_values_bound)
+    if not chk:
+        raise AmalgamationError(
+            f"S fails the 4-values condition, witness {chk.witness}"
+        )
+    x0 = list(x0_indices)
+    x1 = list(x1_indices)
+    if len(x0) != len(x1) or len(set(x0)) != len(x0) or len(set(x1)) != len(x1):
+        raise AmalgamationError("shared-part index maps must be injective and aligned")
+    _check_points(y0.n, x0)
+    _check_points(y1.n, x1)
+    for a in range(len(x0)):
+        for b in range(a + 1, len(x0)):
+            if y0.d[x0[a]][x0[b]] != y1.d[x1[a]][x1[b]]:
+                raise AmalgamationError("y0 and y1 disagree on the shared subspace")
+    for sp in (y0, y1):
+        if any(v not in s for v in sp.distances()):
+            raise AmalgamationError("input space has a distance outside S")
+
+    # global indices: y0 points keep 0..y0.n-1, exclusive y1 points follow
+    x1_to_global = dict(zip(x1, x0))
+    y1_exclusive = [j for j in range(y1.n) if j not in x1_to_global]
+    for j in y1_exclusive:
+        x1_to_global[j] = y0.n + y1_exclusive.index(j)
+    total = y0.n + len(y1_exclusive)
+
+    dist: dict[tuple[int, int], Fraction] = {}
+
+    def put(i, j, v):
+        dist[(min(i, j), max(i, j))] = v
+
+    def get(i, j):
+        return dist.get((min(i, j), max(i, j)))
+
+    for i in range(y0.n):
+        for j in range(i + 1, y0.n):
+            put(i, j, y0.d[i][j])
+    for i in range(y1.n):
+        for j in range(i + 1, y1.n):
+            put(x1_to_global[i], x1_to_global[j], y1.d[i][j])
+
+    # linearization of the proof's recursion: the highest-index exclusive
+    # point of y1 is removed first, so its cross pairs are decided last
+    missing = [
+        (i, j)
+        for j in sorted(x1_to_global[e] for e in y1_exclusive)
+        for i in range(y0.n)
+        if i not in x0 and get(i, j) is None
+    ]
+    for (i, j) in missing:
+        common = [k for k in range(total) if get(i, k) is not None and get(j, k) is not None]
+        left = {k: get(i, k) for k in common}
+        right = {k: get(j, k) for k in common}
+        put(i, j, _one_point_distance(s, left, right, common))
+
+    rows = [
+        [get(i, j) if i != j else Fraction(0) for j in range(total)]
+        for i in range(total)
+    ]
+    try:
+        return FiniteMetricSpace(rows)
+    except InvalidSpace as exc:  # unreachable once the 4-values check passed
+        raise AmalgamationError(f"amalgam is not metric: {exc}") from exc
+
+
+AMALGAM_POOL = (1, 2, 3, 4, 5, 6, 8, Fraction(3, 2), Fraction(5, 2))
+AMALGAM_SETS = [
+    DistanceSet(c)
+    for size in range(1, 5)
+    for c in itertools.combinations(AMALGAM_POOL, size)
+]
+HOLDING_SETS = [s for s in AMALGAM_SETS if _reference_check_four_values(s)]
+FAILING_SETS = [s for s in AMALGAM_SETS if not _reference_check_four_values(s)]
+
+
+def _grow(rng, vals, rows, n):
+    """Add random S-valued points to the matrix rows until n, or until a draw fails."""
+    rows = [list(r) for r in rows]
+    while len(rows) < n:
+        for _ in range(30):
+            new = [rng.choice(vals) for _ in rows]
+            cand = [r + [v] for r, v in zip(rows, new)] + [new + [Fraction(0)]]
+            try:
+                FiniteMetricSpace(cand)
+            except InvalidSpace:
+                continue
+            rows = cand
+            break
+        else:
+            break
+    return FiniteMetricSpace(rows)
+
+
+@st.composite
+def amalgamation_inputs(draw):
+    """(S, y0, y1, x0, x1) with 0-3 shared points; a tenth disagree on them."""
+    s = draw(st.sampled_from(HOLDING_SETS if draw(st.integers(0, 9)) else FAILING_SETS))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    k = draw(st.integers(0, 3))
+    y0 = _grow(rng, s.values, [], k + draw(st.integers(0, 2)))
+    k = min(k, y0.n)
+    x0 = rng.sample(range(y0.n), k)
+    if draw(st.integers(0, 9)):
+        y1 = _grow(rng, s.values, y0.submetric(x0).d, k + draw(st.integers(0, 3)))
+        perm = rng.sample(range(y1.n), y1.n)
+        y1 = y1.submetric(perm)
+        x1 = [perm.index(a) for a in range(k)]
+    else:
+        y1 = _grow(rng, s.values, [], k + draw(st.integers(0, 3)))
+        x1 = rng.sample(range(y1.n), min(k, y1.n))
+        x0 = x0[:len(x1)]
+    return s, y0, y1, x0, x1
+
+
+def _amalgam_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestAmalgamateMatchesReference:
+    @given(amalgamation_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_inputs(self, inputs):
+        assert _amalgam_outcome(amalgamate, *inputs) == _amalgam_outcome(
+            _reference_amalgamate, *inputs
+        )
+
+    def test_disjoint_amalgam(self):
+        s = ds(1, 2, 3)
+        tri = FiniteMetricSpace([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+        res = amalgamate(s, tri, tri, [], [])
+        assert res == _reference_amalgamate(s, tri, tri, [], [])
+        assert res.submetric([0, 1, 2]) == tri and res.submetric([3, 4, 5]) == tri
+        assert res.d[0][3] == 1  # the least value of S, nothing shared to bound it
+
+    def test_fractional_s(self):
+        s = ds(1, Fraction(3, 2), 2)
+        y0 = FiniteMetricSpace([[0, 1, Fraction(3, 2)], [1, 0, 2], [Fraction(3, 2), 2, 0]])
+        res = amalgamate(s, y0, y0, [0], [0])
+        assert res == _reference_amalgamate(s, y0, y0, [0], [0])
+        assert all(type(v) is Fraction for row in res.d for v in row)
+
+    def test_disagreeing_shared_part(self):
+        s = ds(1, 2)
+        with pytest.raises(AmalgamationError, match="disagree on the shared subspace"):
+            amalgamate(s, FiniteMetricSpace([[0, 1], [1, 0]]),
+                       FiniteMetricSpace([[0, 2], [2, 0]]), [0, 1], [0, 1])

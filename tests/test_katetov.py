@@ -101,6 +101,15 @@ class TestShortestExtension:
         g = shortest_extension(x, [0], (1,))
         assert g == [Fraction(1), Fraction(2), Fraction(3)]
 
+    def test_empty_subspace_refused(self):
+        # min() over no subspace point has no value to give
+        with pytest.raises(InvalidSpace, match="empty subspace"):
+            shortest_extension(path3(), [], [])
+
+    def test_out_of_range_point_refused(self):
+        with pytest.raises(InvalidSpace, match="point 3 out of range"):
+            shortest_extension(path3(), [3], [1])
+
     def test_result_is_katetov_and_restricts(self):
         rng = random.Random(2)
         for _ in range(20):
@@ -168,6 +177,15 @@ class TestRealizers:
     def test_empty_subspace_vacuous(self):
         x = path3()
         assert realizers(x, [], []) == [0, 1, 2]
+
+    def test_negative_point_refused(self):
+        # a negative index would read from the end: point 2 is at distance 2 from 0
+        with pytest.raises(InvalidSpace, match="point -1 out of range for a 3-point space"):
+            realizers(path3(), [-1], [2])
+
+    def test_point_past_the_end_refused(self):
+        with pytest.raises(InvalidSpace, match="point 9 out of range for a 3-point space"):
+            realizers(path3(), [9], [1])
 
     def test_grid_scan_matches_brute_force(self):
         grid = ultrametric_urysohn_grid(DistanceSet((3, 1)), 2)
