@@ -11,7 +11,6 @@ is checked exhaustively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,15 +121,11 @@ def hedgehog_build(
     for i in range(n):
         for j in range(i + 1, n):
             put(i, j, coarse.d[i][j])
-    for s, t in itertools.combinations(tree_nodes, 2):
-        small, big = (s, t) if len(s) <= len(t) else (t, s)
-        if len(small) != len(big) and big[: len(small)] == small:
-            # comparable under end-extension: fine distance of the positions
-            put(
-                node_index[small],
-                node_index[big],
-                prefix.d[len(small) - 1][len(big) - 1],
-            )
+    # comparable under end-extension: fine distance of the positions; every
+    # proper prefix of a tree node is itself a tree node
+    for t in tree_nodes:
+        for j in range(1, len(t)):
+            put(node_index[t[:j]], node_index[t], prefix.d[j - 1][len(t) - 1])
     for t in tree_nodes:
         put(node_index[t], max(t), Fraction(1, m))
 

@@ -72,23 +72,6 @@ def nodes_up_to(alphabet: int, depth: int) -> list[tuple[int, ...]]:
     return out
 
 
-def lenlex_less(a, b) -> bool:
-    return (len(a), a) < (len(b), b)
-
-
-def lex_less(a, b) -> bool:
-    """Lexicographic with prefixes first: a < b when a extends to b or differs low.
-
-    This is Python's tuple order.
-    """
-    return a < b
-
-
-def standard_edge(a, b) -> bool:
-    """Standard graph structure: heights differ, taller has digit 1 at |shorter|."""
-    return _relation(a, b) == 2
-
-
 def _relation(a, b) -> int:
     """How two nodes relate, as the case tables read them.
 

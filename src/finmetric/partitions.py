@@ -46,7 +46,7 @@ class ColoringOutcome:
         return {
             "coloring": list(self.coloring),
             "found": self.found,
-            "copyIndices": list(self.copy_indices) if self.copy_indices else None,
+            "copyIndices": None if self.copy_indices is None else list(self.copy_indices),
             "color": self.color,
         }
 
@@ -64,20 +64,6 @@ class IndivisibilityReport:
         return not self.counterexamples
 
 
-def _monochromatic_copy(x, target, coloring, k, config):
-    """First monochromatic copy of target, scanning color classes in order."""
-    for color in range(k):
-        cls = [p for p in range(x.n) if coloring[p] == color]
-        if len(cls) < target.n:
-            continue
-        sub = x.submetric(cls)
-        found = copies(sub, target, config)
-        if found:
-            chosen = found[0]
-            return tuple(cls[i] for i in chosen), color
-    return None, None
-
-
 def indivisibility_search(
     x: FiniteMetricSpace,
     target: FiniteMetricSpace,
@@ -92,7 +78,10 @@ def indivisibility_search(
 
     Exhaustive mode fixes the first point's color to 0 (color symmetry) and
     requires k**(n-1) <= budget; sampled mode draws seeded random colorings.
-    Each outcome records the first copy found or certifies the failure.
+    The copies of the target are listed once, as sorted index tuples in
+    increasing order.  Each outcome records the first listed copy whose
+    points all carry color c, for the least color c that has one, or
+    certifies the failure.
     """
     if k < 1:
         raise InvalidSpace(f"need at least 1 color, got k={k}")
@@ -104,8 +93,9 @@ def indivisibility_search(
             raise SearchTooLarge(
                 f"exhaustive coloring scan too large: {total} > {budget}"
             )
+        head = (0,) if x.n else ()
         iterator = (
-            (0,) + tail for tail in itertools.product(range(k), repeat=max(x.n - 1, 0))
+            head + tail for tail in itertools.product(range(k), repeat=max(x.n - 1, 0))
         )
         exhaustive = True
     elif mode == "sampled":
@@ -118,8 +108,12 @@ def indivisibility_search(
         exhaustive = False
     else:
         raise InvalidSpace(f"unknown mode {mode!r}")
+    listing = copies(x, target, cfg)
     for coloring in iterator:
-        copy, color = _monochromatic_copy(x, target, coloring, k, cfg)
+        copy, color = next(
+            ((t, c) for c in range(k) for t in listing if all(coloring[p] == c for p in t)),
+            (None, None),
+        )
         outcomes.append(ColoringOutcome(coloring, copy is not None, copy, color))
     return IndivisibilityReport(outcomes, exhaustive)
 

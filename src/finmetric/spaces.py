@@ -50,7 +50,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise InvalidSpace(f"zero denominator in {value!r}") from None
     raise InvalidSpace(f"cannot interpret {value!r} as a rational")
 
 

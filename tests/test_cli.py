@@ -235,6 +235,17 @@ class TestColorAndCodings:
         )
         assert code == 0
 
+    def test_color_indiv_on_empty_space(self, capsys, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("points: 0\n")
+        code, out, _ = run_cli(
+            capsys, "--json", "color", "indiv", "--space", str(empty), "--target", str(empty),
+        )
+        assert code == 0
+        assert json.loads(out)["outcomes"] == [
+            {"coloring": [], "found": True, "copyIndices": [], "color": 0}
+        ]
+
     def test_color_greedy(self, capsys, spaces):
         paths, _ = spaces
         code, out, _ = run_cli(
@@ -468,6 +479,11 @@ class TestInputErrors:
          "max tree size must be non-negative, got -1"),
         ("hedgehog verify -m 1 --prefix {tri} --max-tree-size -1",
          "max tree size must be non-negative, got -1"),
+        ("check4v 1 2/0", "zero denominator in '2/0'"),
+        ("iso --space {zero}", "zero denominator in '1/0'"),
+        ("color lambda --space {tri} --point 0 --eps 1/0", "zero denominator in '1/0'"),
+        ("complete --graph {tri} --cap 1/0", "zero denominator in '1/0'"),
+        ("katetov --space {tri} --values 1,1,1/0", "zero denominator in '1/0'"),
     ])
     def test_contract_inputs(self, capsys, tmp_path, argv, message):
         files = {"dir": str(tmp_path)}
@@ -477,6 +493,7 @@ class TestInputErrors:
             ("line", "points: 3\n0 1/10 1\n1/10 0 1\n1 1 0\n"),
             ("empty", "points: 0\n"),
             ("far", "points: 2\n0 2\n2 0\n"),
+            ("zero", "points: 2\n0 1/0\n1/0 0\n"),
         ):
             (tmp_path / f"{name}.txt").write_text(text)
             files[name] = str(tmp_path / f"{name}.txt")

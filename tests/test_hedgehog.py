@@ -71,6 +71,22 @@ def _reference_tree_nodes(coarse, max_tree_size):
     return nodes
 
 
+def _reference_comparable_labels(prefix, tree_nodes, base):
+    """The comparable-node labels by a test of every pair of tree nodes.
+
+    s below t under end-extension carries the fine distance of the positions
+    of their top indices.
+    """
+    node_index = {t: base + i for i, t in enumerate(tree_nodes)}
+    labels = {}
+    for s, t in itertools.combinations(tree_nodes, 2):
+        small, big = (s, t) if len(s) <= len(t) else (t, s)
+        if len(small) != len(big) and big[: len(small)] == small:
+            a, b = node_index[small], node_index[big]
+            labels[(min(a, b), max(a, b))] = prefix.d[len(small) - 1][len(big) - 1]
+    return labels
+
+
 @st.composite
 def unit_prefixes(draw, max_n=5):
     """Metric spaces with distances in (0, 1] on hundredths, 1..max_n points."""
@@ -160,6 +176,18 @@ class TestBuildMatchesReference:
         for max_tree_size in range(prefix.n + 1):
             z = hedgehog_build(m, prefix, max_tree_size)
             assert z.tree_nodes == _reference_tree_nodes(z.coarse, max_tree_size)
+
+
+    @given(unit_prefixes(max_n=7), st.integers(1, 5), st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_labels(self, prefix, m, max_tree_size):
+        z = hedgehog_build(m, prefix, max_tree_size)
+        n = z.base_count
+        want = {(i, j): z.coarse.d[i][j] for i, j in itertools.combinations(range(n), 2)}
+        want.update(_reference_comparable_labels(prefix, z.tree_nodes, n))
+        for i, t in enumerate(z.tree_nodes):
+            want[(max(t), n + i)] = Fraction(1, m)
+        assert z.labels == want
 
 
 class TestBranches:

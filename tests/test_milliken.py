@@ -16,12 +16,9 @@ from finmetric.milliken import (
     coding_distance,
     coding_embed,
     coding_points,
-    lenlex_less,
-    lex_less,
     load_variant,
     milliken_space,
     nodes_up_to,
-    standard_edge,
     verify_embedding,
 )
 from finmetric.spaces import (
@@ -223,22 +220,25 @@ class TestPlumbing:
     def test_node_order_extends_tree_order(self):
         nodes = nodes_up_to(2, 3)
         assert nodes[0] == ()
-        for a in nodes:
-            for b in nodes:
-                if a != b and a == b[: len(a)]:
-                    assert lenlex_less(a, b)
+        index = {a: i for i, a in enumerate(nodes)}
+        for b in nodes:
+            for j in range(len(b)):
+                assert index[b[:j]] < index[b]  # every proper prefix comes first
 
     def test_standard_edge(self):
-        assert standard_edge((0,), (1, 1))
-        assert not standard_edge((0,), (1, 0))
-        assert not standard_edge((0, 1), (1, 0))  # equal heights never connect
-        assert standard_edge((1, 1, 0), (1,)) == standard_edge((1,), (1, 1, 0))
+        # a standard edge: heights differ, the taller node has digit 1 at the
+        # shorter one's height; the case tables read it as relation 2
+        assert _relation((0,), (1, 1)) == 2
+        assert _relation((0,), (1, 0)) != 2
+        assert _relation((0, 1), (1, 0)) != 2  # equal heights never connect
+        assert _relation((1, 1, 0), (1,)) == _relation((1,), (1, 1, 0)) == 2
 
     def test_lex_less_prefix_first(self):
-        assert lex_less((), (0,))
-        assert lex_less((0,), (0, 1))
-        assert lex_less((0, 1), (1,))
-        assert not lex_less((1,), (0, 1))
+        # the order behind the admissible points' s < t is the tuple order
+        assert () < (0,) < (0, 1) < (1,)
+        nodes = nodes_up_to(3, 3)
+        for a, b in itertools.product(nodes, repeat=2):
+            assert _reference_lex_less(a, b) == (a < b)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(InvalidSpace):
@@ -330,7 +330,7 @@ class TestCoreMatchesReference:
     def test_standard_edge_on_every_node_pair(self):
         nodes = nodes_up_to(3, 3)
         for a, b in itertools.product(nodes, repeat=2):
-            assert standard_edge(a, b) == _reference_standard_edge(a, b)
+            assert (_relation(a, b) == 2) == _reference_standard_edge(a, b)
 
     @pytest.mark.parametrize("name", VARIANTS)
     def test_admissible_points_to_depth_5(self, name):
@@ -341,7 +341,7 @@ class TestCoreMatchesReference:
     @given(st.lists(st.integers(0, 2), max_size=5), st.lists(st.integers(0, 2), max_size=5))
     def test_lex_less_is_tuple_order(self, a, b):
         a, b = tuple(a), tuple(b)
-        assert lex_less(a, b) == (a < b) == _reference_lex_less(a, b)
+        assert (a < b) == _reference_lex_less(a, b)
 
     @given(int_matrices())
     @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # metric
@@ -430,7 +430,7 @@ class TestEmbedding:
         for (s, t) in emb:
             assert len(s) < len(t)
             assert t[len(s)] == 0
-            assert lex_less(s, t)
+            assert s < t
 
     def test_distance_outside_s_rejected(self):
         t = FiniteMetricSpace([[0, 5], [5, 0]])

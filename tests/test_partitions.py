@@ -1,10 +1,14 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmetric.partitions import (
+    ColoringOutcome,
+    IndivisibilityReport,
     NetSystem,
     PreconditionError,
     annulus_lemma_check,
@@ -17,12 +21,87 @@ from finmetric.partitions import (
 )
 from finmetric.katetov import urysohn_approx
 from finmetric.spaces import (
+    DEFAULT_CONFIG,
     Config,
     DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
+    SearchTooLarge,
     copies,
 )
+
+
+def _reference_monochromatic_copy(x, target, coloring, k, config):
+    """First monochromatic copy of target, scanning color classes in order."""
+    for color in range(k):
+        cls = [p for p in range(x.n) if coloring[p] == color]
+        if len(cls) < target.n:
+            continue
+        sub = x.submetric(cls)
+        found = copies(sub, target, config)
+        if found:
+            chosen = found[0]
+            return tuple(cls[i] for i in chosen), color
+    return None, None
+
+
+def _reference_indivisibility_search(
+    x, target, k=2, mode="exhaustive", samples=100, seed=0, budget=2 ** 16,
+    config=DEFAULT_CONFIG,
+):
+    """The per-coloring search: one copy search per color class of each coloring."""
+    if k < 1:
+        raise InvalidSpace(f"need at least 1 color, got k={k}")
+    cfg = dataclasses.replace(config, copies_bound=max(config.copies_bound, x.n))
+    outcomes = []
+    if mode == "exhaustive":
+        total = k ** max(x.n - 1, 0)
+        if total > budget:
+            raise SearchTooLarge(
+                f"exhaustive coloring scan too large: {total} > {budget}"
+            )
+        iterator = (
+            (0,) + tail for tail in itertools.product(range(k), repeat=max(x.n - 1, 0))
+        )
+        exhaustive = True
+    elif mode == "sampled":
+        if samples < 1:
+            raise InvalidSpace(f"need at least 1 sample, got {samples}")
+        rng = random.Random(seed)
+        iterator = (
+            tuple(rng.randrange(k) for _ in range(x.n)) for _ in range(samples)
+        )
+        exhaustive = False
+    else:
+        raise InvalidSpace(f"unknown mode {mode!r}")
+    for coloring in iterator:
+        copy, color = _reference_monochromatic_copy(x, target, coloring, k, cfg)
+        outcomes.append(ColoringOutcome(coloring, copy is not None, copy, color))
+    return IndivisibilityReport(outcomes, exhaustive)
+
+
+@st.composite
+def indivisibility_cases(draw):
+    """A space of 1-9 points and a 0-4 point target: a subspace or a free shape.
+
+    Every distance lies in [3, 6], so every symmetric matrix is a metric; a
+    free target may use a distance the space lacks.
+    """
+    n = draw(st.integers(1, 9))
+    values = draw(st.lists(st.integers(3, 6), min_size=1, max_size=3, unique=True))
+    rows = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = draw(st.sampled_from(values))
+    x = FiniteMetricSpace(rows)
+    m = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        target = x.submetric(draw(st.permutations(range(n)))[:m])
+    else:
+        t = [[0] * m for _ in range(m)]
+        for i, j in itertools.combinations(range(m), 2):
+            t[i][j] = t[j][i] = draw(st.integers(3, 6))
+        target = FiniteMetricSpace(t)
+    return x, target
 
 
 def line_space(positions):
@@ -105,6 +184,49 @@ class TestIndivisibilitySearch:
         a = indivisibility_search(x, t, k=3, mode="sampled", samples=20, seed=9)
         b = indivisibility_search(x, t, k=3, mode="sampled", samples=20, seed=9)
         assert [o.coloring for o in a.outcomes] == [o.coloring for o in b.outcomes]
+
+
+    @given(
+        indivisibility_cases(),
+        st.integers(1, 3),
+        st.sampled_from(["exhaustive", "sampled"]),
+        st.integers(1, 12),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case, k, mode, samples, seed):
+        # budget 2**10 sends 3 colors on 8-9 points over budget in both
+        x, target = case
+        kwargs = dict(k=k, mode=mode, samples=samples, seed=seed, budget=2 ** 10)
+        try:
+            want = _reference_indivisibility_search(x, target, **kwargs)
+        except SearchTooLarge as exc:
+            with pytest.raises(SearchTooLarge) as got:
+                indivisibility_search(x, target, **kwargs)
+            assert str(got.value) == str(exc)
+            return
+        got = indivisibility_search(x, target, **kwargs)
+        assert got.exhaustive == want.exhaustive
+        assert got.outcomes == want.outcomes
+
+    def test_over_budget(self):
+        x = FiniteMetricSpace.equilateral(9, 1)
+        target = FiniteMetricSpace.equilateral(2, 1)
+        for search in (indivisibility_search, _reference_indivisibility_search):
+            with pytest.raises(SearchTooLarge, match=r"too large: 6561 > 6560$"):
+                search(x, target, k=3, budget=6560)
+
+    def test_empty_space(self):
+        empty = FiniteMetricSpace([])
+        report = indivisibility_search(empty, empty, k=2)
+        assert report.exhaustive
+        assert report.outcomes == [ColoringOutcome((), True, (), 0)]
+        assert report.outcomes[0].to_json_dict() == {
+            "coloring": [], "found": True, "copyIndices": [], "color": 0,
+        }
+        report = indivisibility_search(empty, FiniteMetricSpace.equilateral(1, 1), k=3)
+        assert report.outcomes == [ColoringOutcome((), False, None, None)]
+        assert not report.all_monochromatic()
 
 
 class TestGreedyMonochromatic:

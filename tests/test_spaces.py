@@ -12,6 +12,7 @@ from finmetric.spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    as_fraction,
     canonical_key,
     canonicalize,
     complete,
@@ -673,6 +674,13 @@ class TestFormats:
     def test_float_rejected(self):
         with pytest.raises(InvalidSpace):
             FiniteMetricSpace([[0, 1.5], [1.5, 0]])
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " -3/0 "])
+    def test_zero_denominator_rejected(self, text):
+        with pytest.raises(InvalidSpace, match="zero denominator"):
+            as_fraction(text)
+        with pytest.raises(InvalidSpace, match="zero denominator"):
+            space_from_json(f'{{"points": 2, "rows": [[0, "{text}"], ["{text}", 0]]}}')
 
     def test_one_sided_label_rejected(self):
         with pytest.raises(InvalidSpace, match="one side only"):
