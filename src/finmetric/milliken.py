@@ -5,9 +5,11 @@ of strings over a small alphabet, reading three relations off corresponding
 components: equal, standard edge, and the taller node's digit.  The case
 tables live in data files so the transcription stays auditable; totalizing
 defaults are documented there.  Each table is read once into a lookup keyed
-by the components' relations.  Metric verdicts are decided on Python-int
-bitsets (or on sampled triangles), and the greedy height-increasing
-embedding realizes small target spaces inside the admissible subset.
+by the components' relations.  Metric verdicts come from relation types,
+once per variant and membership; only builds whose types fail (the
+inverted ones) scan their matrix on Python-int bitsets or sample
+triangles.  The greedy height-increasing embedding realizes small target
+spaces inside the admissible subset.
 """
 
 from __future__ import annotations
@@ -111,6 +113,44 @@ def _case_lookup(name: str, invert_membership: bool = False) -> dict:
     return lookup
 
 
+def _relation_patterns(alphabet: int, depth: int = 2) -> set:
+    """The patterns (rel(a, b), rel(a, c), rel(b, c)) of three nodes of height <= depth.
+
+    Depth 2 already shows every pattern: each relation reads one digit, at
+    the shorter node's height, so only the order of the three heights and
+    the digits read there matter.
+    """
+    nodes = nodes_up_to(alphabet, depth)
+    return {(_relation(a, b), _relation(a, c), _relation(b, c))
+            for a, b, c in itertools.product(nodes, repeat=3)}
+
+
+@functools.cache
+def _type_verdict(name: str, invert_membership: bool = False) -> bool:
+    """Whether the named coding over the whole tree is metric, decided on relation types.
+
+    A distance reads only the relations of corresponding components, so
+    whether three points form a triangle depends only on their type: per
+    component slot, the relation pattern of their three nodes (Milliken
+    1979; Sauer 2006).  Every product of patterns whose three points are
+    distinct, so no pair has all relations 0, is tested on its three
+    looked-up distances.  Each depth's space is a subspace of the whole
+    tree's, so True settles every depth; on False the depth's own matrix
+    decides.
+    """
+    variant = load_variant(name)
+    lookup = _case_lookup(name, invert_membership)
+    equal = (0,) * variant.tuple_size
+    for slots in itertools.product(_relation_patterns(variant.alphabet), repeat=variant.tuple_size):
+        pairs = tuple(zip(*slots))
+        if equal in pairs:
+            continue
+        a, b, c = map(lookup.__getitem__, pairs)
+        if a > b + c or b > a + c or c > a + b:
+            return False
+    return True
+
+
 def coding_distance(variant: Variant, p, q, invert_membership=False) -> Fraction:
     """Distance between two coding points, per the case table of the variant's name.
 
@@ -170,6 +210,38 @@ def _triangle_witness(d) -> tuple | None:
     return None
 
 
+def _coding_matrix(variant: Variant, depth: int, lookup: dict, convert) -> list:
+    """The distance matrix of coding_points(variant, depth), each value passed
+    through convert, the diagonal convert(0).
+
+    A relation tuple (r_0, ..., r_{k-1}) sits at index sum r_c * (A+1)^(k-1-c)
+    of a flat lookup, A the alphabet.  Per slot c, every node has a table of
+    its relations to all nodes, times (A+1)^(k-1-c); per slot, a column
+    lists each point's node index, from the same combinations as the points.
+    A row is then one comprehension over the columns, adding the row
+    point's tables at the other points' nodes.
+    """
+    base, size = variant.alphabet + 1, variant.tuple_size
+    nodes = nodes_up_to(variant.alphabet, depth)
+    relations = [[_relation(a, b) for b in nodes] for a in nodes]
+    flat = [convert(lookup[key]) for key in itertools.product(range(base), repeat=size)]
+    columns = list(zip(*itertools.combinations(range(len(nodes)), size)))
+    weighted = [[[r * base ** (size - 1 - c) for r in row] for row in relations] for c in range(size)]
+    zero = convert(0)
+    rows = []
+    for i, own in enumerate(zip(*columns)):
+        tables = [weighted[c][x] for c, x in enumerate(own)]
+        if size == 2:
+            s, t = tables
+            row = [flat[s[x] + t[y]] for x, y in zip(*columns)]
+        else:
+            s, t, u = tables
+            row = [flat[s[x] + t[y] + u[z]] for x, y, z in zip(*columns)]
+        row[i] = zero
+        rows.append(row)
+    return rows
+
+
 def milliken_space(
     name: str,
     depth: int,
@@ -182,12 +254,17 @@ def milliken_space(
     """Build the coding space at the given depth and check metricity.
 
     A pair's distance is the case table's lookup at the relations of its
-    components.  The exhaustive check builds the whole int matrix and
-    decides it on bitsets; it is capped at max_points (covering pairs over
-    the binary tree to depth 4 and over the ternary tree to depth 3, and
-    triples to depth 3).  Use check='sampled' beyond that: it draws random
-    triangles and computes only their distances.  A space under 3 points
-    has no triangle and is metric.
+    components.  The verdict comes first from relation types
+    (_type_verdict): when every type is a triangle, the space is metric at
+    every depth, and no matrix is scanned nor triangle drawn.  Otherwise
+    (the inverted builds) the check decides, and fixes the witness.  The
+    exhaustive check builds the whole matrix, capped at max_points
+    (covering pairs over the binary tree to depth 4 and over the ternary
+    tree to depth 3, and triples to depth 3), and decides it on bitsets.
+    Use check='sampled' beyond that: it lists the points and, when the
+    types fail, draws `samples` random triangles from `seed`, computing
+    only their distances; samples and seed matter only then.  A space
+    under 3 points has no triangle and is metric.
     """
     variant = load_variant(name)
     n = math.comb(len(nodes_up_to(variant.alphabet, depth)), variant.tuple_size)
@@ -198,6 +275,7 @@ def milliken_space(
         )
     points = coding_points(variant, depth)
     lookup = _case_lookup(name, invert_membership)
+    typed_metric = _type_verdict(name, invert_membership)
     witness = None
     space = None
 
@@ -205,19 +283,18 @@ def milliken_space(
         return lookup[tuple(map(_relation, points[i], points[j]))]
 
     if check == "exhaustive":
-        dmat = [[0] * n for _ in range(n)]
-        for i, j in itertools.combinations(range(n), 2):
-            dmat[i][j] = dmat[j][i] = dist(i, j)
-        witness = _triangle_witness(dmat)
-        if witness is None:
-            # one shared Fraction per distance value, not one per entry
-            shared = {v: Fraction(v) for v in {0, *lookup.values()}}
-            space = FiniteMetricSpace([[shared[v] for v in row] for row in dmat], check=False)
+        if typed_metric:
+            space = FiniteMetricSpace(_coding_matrix(variant, depth, lookup, Fraction), check=False)
+        else:
+            dmat = _coding_matrix(variant, depth, lookup, int)
+            witness = _triangle_witness(dmat)
+            if witness is None:
+                space = FiniteMetricSpace(dmat, check=False)
     elif check == "sampled":
         if samples < 1:
             raise InvalidSpace(f"need at least 1 sample, got {samples}")
         rng = random.Random(seed)
-        for _ in range(samples if n >= 3 else 0):  # no triangle under 3 points
+        for _ in range(0 if typed_metric or n < 3 else samples):  # no triangle under 3 points
             i, j, k = rng.sample(range(n), 3)
             a, b, c = dist(i, j), dist(i, k), dist(j, k)
             if a > b + c or b > a + c or c > a + b:

@@ -81,7 +81,9 @@ def indivisibility_search(
     The copies of the target are listed once, as sorted index tuples in
     increasing order.  Each outcome records the first listed copy whose
     points all carry color c, for the least color c that has one, or
-    certifies the failure.
+    certifies the failure.  Only the colors the coloring uses can hold a
+    copy, and color 0 the empty one, so only those are tried: a huge k
+    costs nothing where the budget lets it through.
     """
     if k < 1:
         raise InvalidSpace(f"need at least 1 color, got k={k}")
@@ -111,7 +113,7 @@ def indivisibility_search(
     listing = copies(x, target, cfg)
     for coloring in iterator:
         copy, color = next(
-            ((t, c) for c in range(k) for t in listing if all(coloring[p] == c for p in t)),
+            ((t, c) for c in sorted({0, *coloring}) for t in listing if all(coloring[p] == c for p in t)),
             (None, None),
         )
         outcomes.append(ColoringOutcome(coloring, copy is not None, copy, color))

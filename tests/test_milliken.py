@@ -1,5 +1,9 @@
+import functools
 import itertools
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,9 +13,12 @@ from hypothesis import strategies as st
 from finmetric import milliken
 from finmetric.milliken import (
     VARIANTS,
+    MillikenSpace,
     _case_lookup,
     _relation,
+    _relation_patterns,
     _triangle_witness,
+    _type_verdict,
     admissible_points,
     coding_distance,
     coding_embed,
@@ -205,6 +212,89 @@ def _reference_coding_embed(
     return result
 
 
+def _reference_milliken_space(
+    name: str,
+    depth: int,
+    invert_membership: bool = False,
+    check: str = "exhaustive",
+    samples: int = 200_000,
+    seed: int = 0,
+    max_points: int = 800,
+) -> MillikenSpace:
+    """Build the coding space at the given depth and check metricity.
+
+    Every pair's relation tuple is read afresh; the exhaustive check scans
+    the whole int matrix on bitsets, and the sampled one draws its triangles,
+    whatever the case table.
+    """
+    variant = load_variant(name)
+    n = math.comb(len(nodes_up_to(variant.alphabet, depth)), variant.tuple_size)
+    if check == "exhaustive" and n > max_points:
+        raise SearchTooLarge(
+            f"exhaustive metric check too large: {n} points > {max_points}; "
+            "use check='sampled'"
+        )
+    points = coding_points(variant, depth)
+    lookup = _case_lookup(name, invert_membership)
+    witness = None
+    space = None
+
+    def dist(i, j):
+        return lookup[tuple(map(_relation, points[i], points[j]))]
+
+    if check == "exhaustive":
+        dmat = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            dmat[i][j] = dmat[j][i] = dist(i, j)
+        witness = _triangle_witness(dmat)
+        if witness is None:
+            shared = {v: Fraction(v) for v in {0, *lookup.values()}}
+            space = FiniteMetricSpace([[shared[v] for v in row] for row in dmat], check=False)
+    elif check == "sampled":
+        if samples < 1:
+            raise InvalidSpace(f"need at least 1 sample, got {samples}")
+        rng = random.Random(seed)
+        for _ in range(samples if n >= 3 else 0):
+            i, j, k = rng.sample(range(n), 3)
+            a, b, c = dist(i, j), dist(i, k), dist(j, k)
+            if a > b + c or b > a + c or c > a + b:
+                witness = tuple(sorted((i, j, k)))
+                break
+    else:
+        raise InvalidSpace(f"unknown check mode {check!r}")
+
+    return MillikenSpace(variant, depth, points, space, witness is None, witness)
+
+
+def _reference_type_verdict(lookup: dict, patterns: set, size: int) -> bool:
+    """Every product of the relation patterns over distinct points is a triangle."""
+    for slots in itertools.product(patterns, repeat=size):
+        pairs = list(zip(*slots))
+        if (0,) * size not in pairs:
+            a, b, c = (lookup[p] for p in pairs)
+            if max(a, b, c) * 2 > a + b + c:
+                return False
+    return True
+
+
+def _runnable_depths(name: str) -> list:
+    """The depths whose coding space has at most 800 points, the exhaustive cap."""
+    variant = load_variant(name)
+    depths = []
+    while math.comb(len(nodes_up_to(variant.alphabet, len(depths))), variant.tuple_size) <= 800:
+        depths.append(len(depths))
+    return depths
+
+
+@functools.cache
+def _reference_build(name: str, depth: int, invert: bool) -> MillikenSpace:
+    return _reference_milliken_space(name, depth, invert_membership=invert)
+
+
+def _fields(ms: MillikenSpace) -> tuple:
+    return ms.variant, ms.depth, ms.points, ms.space and ms.space.d, ms.metric, ms.witness
+
+
 @st.composite
 def int_matrices(draw):
     """Symmetric zero-diagonal matrices on 3-9 points over 1-4 values from 1..8."""
@@ -312,6 +402,62 @@ class TestMetricVerdicts:
         # 9,841 nodes give 48,417,720 pairs, refused without being listed
         with pytest.raises(SearchTooLarge, match="48417720 points > 800"):
             milliken_space("2678", 8)
+
+
+class TestTypeVerdict:
+    @pytest.mark.parametrize("name", VARIANTS)
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_exhaustive_build_matches_reference(self, name, invert):
+        for depth in _runnable_depths(name):
+            got = milliken_space(name, depth, invert_membership=invert)
+            assert _fields(got) == _fields(_reference_build(name, depth, invert)), depth
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_sampled_build_matches_reference(self, name, invert):
+        # inverted builds still draw; the reference draws for every build
+        for depth, seed in itertools.product([2, 3], range(4)):
+            kwargs = dict(invert_membership=invert, check="sampled", samples=2000, seed=seed)
+            got = milliken_space(name, depth, **kwargs)
+            assert _fields(got) == _fields(_reference_milliken_space(name, depth, **kwargs))
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_verdict_matches_exhaustive_verdicts(self, name, invert):
+        verdicts = [_reference_build(name, depth, invert).metric for depth in _runnable_depths(name)]
+        assert _type_verdict(name, invert) == all(verdicts)
+        # every inverted build fails by depth 2, so a failing type is realized there
+        assert verdicts[2] == (not invert)
+
+    def test_depth_2_shows_every_pattern(self):
+        assert len(_relation_patterns(2)) == 15
+        assert len(_relation_patterns(3)) == 37
+        for alphabet, depth in [(2, 3), (2, 4), (3, 3)]:
+            assert _relation_patterns(alphabet, depth) == _relation_patterns(alphabet), (alphabet, depth)
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_verdict_on_perturbed_tables(self, name, monkeypatch):
+        # one relation tuple at a tiny or a huge distance; some of these
+        # fail only on a pattern that needs depth 2
+        variant, table = load_variant(name), _case_lookup(name)
+        patterns = _relation_patterns(variant.alphabet, 3)
+        for key, value in itertools.product(table, [1, 1000]):
+            lookup = {k: 100 * v for k, v in table.items()} | {key: value}
+            monkeypatch.setattr(milliken, "_case_lookup", lambda *args: lookup)
+            want = _reference_type_verdict(lookup, patterns, variant.tuple_size)
+            assert _type_verdict.__wrapped__(name) == want, (key, value)
+
+    def test_import_builds_no_coding(self):
+        # setup time counts imports: no case table read, no verdict, no matrix
+        code = (
+            "import finmetric, finmetric.cli\n"
+            "from finmetric import milliken as m\n"
+            "caches = (m._type_verdict, m._case_lookup, m.load_variant, m._embed_index)\n"
+            "print([f.cache_info().currsize for f in caches])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0]"
 
 
 class TestCoreMatchesReference:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,16 @@ class TestIndivisibilitySearch:
         for search in (indivisibility_search, _reference_indivisibility_search):
             with pytest.raises(SearchTooLarge, match=r"too large: 6561 > 6560$"):
                 search(x, target, k=3, budget=6560)
+
+    def test_huge_k_tries_only_the_colors_used(self):
+        # k ** (n - 1) is 1 on one point, so the budget lets any k through
+        x, target = FiniteMetricSpace.single_point(), FiniteMetricSpace.equilateral(2, 1)
+        start = time.perf_counter()
+        exhaustive = indivisibility_search(x, target, k=10 ** 12)
+        sampled = indivisibility_search(x, target, k=10 ** 12, mode="sampled", samples=3, seed=0)
+        assert time.perf_counter() - start < 1
+        assert exhaustive.outcomes == [ColoringOutcome((0,), False, None, None)]
+        assert [o.found for o in sampled.outcomes] == [False] * 3
 
     def test_empty_space(self):
         empty = FiniteMetricSpace([])
