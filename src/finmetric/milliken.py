@@ -219,7 +219,10 @@ def _coding_matrix(variant: Variant, depth: int, lookup: dict, convert) -> list:
     its relations to all nodes, times (A+1)^(k-1-c); per slot, a column
     lists each point's node index, from the same combinations as the points.
     A row is then one comprehension over the columns, adding the row
-    point's tables at the other points' nodes.
+    point's tables at the other points' nodes.  Pairs and triples each get
+    their own comprehension: a generic one summing over the slots built the
+    780-point (pairs) and 455-point (triples) matrices 3-7x slower
+    (medians 172-347 ms against 50 ms, and 77-138 ms against 26 ms).
     """
     base, size = variant.alphabet + 1, variant.tuple_size
     nodes = nodes_up_to(variant.alphabet, depth)

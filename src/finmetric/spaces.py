@@ -43,12 +43,10 @@ DEFAULT_CONFIG = Config()
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats."""
-    if type(value) is Fraction:  # the common case, first
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise InvalidSpace(f"float distance {value!r} not allowed; use p/q rationals")
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
