@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .spaces import (
     EdgeLabelledGraph,
@@ -52,30 +53,22 @@ class HedgehogSpace:
         return max(self.tree_nodes[z - self.base_count])
 
     def branches(self) -> list:
-        """Maximal end-extension chains of tree nodes, as Z indices."""
+        """Maximal end-extension chains of tree nodes, as Z indices.
+
+        Every proper prefix of a tree node is a tree node, so the chains are
+        the prefix chains (t[:1], ..., t) of the nodes that no node extends.
+        Sorting those maximal nodes gives the depth-first order of the tree
+        with children in increasing order: no maximal node is a prefix of
+        another, so two of them first differ at a position where the walk
+        takes the smaller entry first.
+        """
         node_index = {t: self.base_count + i for i, t in enumerate(self.tree_nodes)}
-        children = {t: [] for t in self.tree_nodes}
-        roots = []
-        for t in self.tree_nodes:
-            if len(t) == 1:
-                roots.append(t)
-            else:
-                parent = t[:-1]
-                if parent in children:
-                    children[parent].append(t)
-        out = []
-
-        def walk(t, chain):
-            chain = chain + [node_index[t]]
-            if not children[t]:
-                out.append(tuple(chain))
-                return
-            for c in children[t]:
-                walk(c, chain)
-
-        for root in roots:
-            walk(root, [])
-        return out
+        extended = {t[:-1] for t in self.tree_nodes}
+        return [
+            tuple(node_index[t[:k]] for k in range(1, len(t) + 1))
+            for t in sorted(self.tree_nodes)
+            if t not in extended
+        ]
 
 
 def hedgehog_build(
@@ -109,28 +102,20 @@ def hedgehog_build(
     for size in range(1, min(max_tree_size, n) + 1):
         _match(r[:size], increasing, [], lambda t: tree_nodes.append(tuple(t)))
 
-    base = n
-    total = base + len(tree_nodes)
-    node_index = {t: base + i for i, t in enumerate(tree_nodes)}
-
-    labels: dict[tuple[int, int], Fraction] = {}
-
-    def put(a, b, v):
-        labels[(min(a, b), max(a, b))] = v
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            put(i, j, coarse.d[i][j])
+    # tree nodes follow the base points, shorter nodes first, so every key
+    # below is already (smaller index, larger index)
+    node_index = {t: n + i for i, t in enumerate(tree_nodes)}
+    labels = {(i, j): coarse.d[i][j] for i, j in combinations(range(n), 2)}
     # comparable under end-extension: fine distance of the positions; every
     # proper prefix of a tree node is itself a tree node
     for t in tree_nodes:
         for j in range(1, len(t)):
-            put(node_index[t[:j]], node_index[t], prefix.d[j - 1][len(t) - 1])
+            labels[(node_index[t[:j]], node_index[t])] = prefix.d[j - 1][len(t) - 1]
     for t in tree_nodes:
-        put(node_index[t], max(t), Fraction(1, m))
+        labels[(max(t), node_index[t])] = Fraction(1, m)
 
-    dz = complete(EdgeLabelledGraph(total, labels), "sum-cap", 1)
-    return HedgehogSpace(m, prefix, coarse, tree_nodes, labels, dz, base)
+    dz = complete(EdgeLabelledGraph(n + len(tree_nodes), labels), "sum-cap", 1)
+    return HedgehogSpace(m, prefix, coarse, tree_nodes, labels, dz, n)
 
 
 @dataclass
@@ -183,77 +168,66 @@ def hedgehog_verify(z: HedgehogSpace, max_cycle_len: int = 5) -> HedgehogReport:
     to length 5 that touch both parts match the three expected shapes and are
     metric; (c) every branch is isometric to its prefix of the fine space and
     stays within 1/m of its projections.
+
+    Each chordless cycle is listed once, walked from its least point in the
+    direction whose second point is below its last.  A chordless cycle is
+    the only cycle on its points, so its two directions are its only
+    repeats, and the walk over sorted neighbours meets that direction first.
     """
     violations = []
     for (a, b), v in sorted(z.labels.items()):
         if z.dz.d[a][b] != v:
             violations.append((a, b, v, z.dz.d[a][b]))
 
-    total = z.dz.n
-    adj = {a: set() for a in range(total)}
+    adj = [set() for _ in range(z.dz.n)]
     for (a, b) in z.labels:
         adj[a].add(b)
         adj[b].add(a)
 
-    def chordless(path) -> bool:
-        length = len(path)
-        for i in range(length):
-            for j in range(i + 1, length):
-                if (j - i) % length in (1, length - 1):
-                    continue
-                if path[j] in adj[path[i]]:
-                    return False
-        return True
-
     cycles = []
-    seen = set()
 
     def extend(path):
-        if len(path) > max_cycle_len:
-            return
         tail = path[-1]
         for nxt in sorted(adj[tail]):
-            if nxt == path[0] and len(path) >= 3:
-                key = frozenset(path)
-                if key not in seen and chordless(path):
-                    seen.add(key)
+            if nxt == path[0]:
+                # the direction test also keeps a 2-point path from closing
+                length = len(path)
+                if path[1] < tail and all(
+                    path[j] not in adj[path[i]]
+                    for i in range(length)
+                    for j in range(i + 2, length - (i == 0))
+                ):
                     cycles.append(tuple(path))
-            elif nxt > path[0] and nxt not in path:
-                extend(path + [nxt])
+            elif nxt > path[0] and nxt not in path and len(path) < max_cycle_len:
+                path.append(nxt)
+                extend(path)
+                path.pop()
 
-    for start in range(total):
+    for start in range(z.dz.n):
         extend([start])
 
     unexpected = []
-    checked = 0
     for cycle in cycles:
-        has_base = any(c < z.base_count for c in cycle)
-        has_tree = any(c >= z.base_count for c in cycle)
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        labs = [z.labels[(min(a, b), max(a, b))] for a, b in edges]
         # metricity of the cycle: every edge at most the sum of the others
-        length = sum(
-            z.labels[(min(a, b), max(a, b))]
-            for a, b in zip(cycle, cycle[1:] + cycle[:1])
-        )
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            lab = z.labels[(min(a, b), max(a, b))]
+        length = sum(labs)
+        for (a, b), lab in zip(edges, labs):
             if lab > min(Fraction(1), length - lab):
                 violations.append((a, b, lab, length - lab))
-        checked += 1
-        if has_base and has_tree:
+        if min(cycle) < z.base_count <= max(cycle):
             shape = _cycle_shape(z, cycle)
             if shape.startswith("unexpected"):
                 unexpected.append((cycle, shape))
 
+    # element i of a branch is the tree node of length i + 1
     branch_violations = []
     branches = z.branches()
     for branch in branches:
-        for ai, a in enumerate(branch):
-            for b in branch[ai + 1 :]:
-                ta = z.tree_nodes[a - z.base_count]
-                tb = z.tree_nodes[b - z.base_count]
-                want = z.prefix.d[len(ta) - 1][len(tb) - 1]
-                if z.dz.d[a][b] != want:
-                    branch_violations.append((a, b, want, z.dz.d[a][b]))
+        for i, j in combinations(range(len(branch)), 2):
+            a, b = branch[i], branch[j]
+            if z.dz.d[a][b] != z.prefix.d[i][j]:
+                branch_violations.append((a, b, z.prefix.d[i][j], z.dz.d[a][b]))
 
     fattening_ok = True
     for branch in branches:
@@ -265,7 +239,7 @@ def hedgehog_verify(z: HedgehogSpace, max_cycle_len: int = 5) -> HedgehogReport:
     return HedgehogReport(
         labels_preserved=not violations,
         label_violations=violations,
-        cycles_checked=checked,
+        cycles_checked=len(cycles),
         unexpected_cycle_shapes=unexpected,
         branches_verified=len(branches),
         branch_violations=branch_violations,

@@ -149,25 +149,16 @@ def greedy_monochromatic(
 
     def chase(allowed, color):
         chosen: list[int] = []
-        for t in range(target.n):
-            candidates = [
-                p
-                for p in allowed
-                if p not in chosen
-                and coloring[p] == color
-                and all(x.d[p][chosen[j]] == target.d[t][j] for j in range(t))
-            ]
-            if candidates:
-                chosen.append(candidates[0])
-                continue
+        for t, row in enumerate(target.d):
+            want = list(row[:t])
             # orbit set: points completing the partial copy regardless of color
             orbit = tuple(
-                p
-                for p in allowed
-                if p not in chosen
-                and all(x.d[p][chosen[j]] == target.d[t][j] for j in range(t))
+                p for p in allowed if p not in chosen and [x.d[p][c] for c in chosen] == want
             )
-            return chosen, orbit
+            candidates = [p for p in orbit if coloring[p] == color]
+            if not candidates:
+                return chosen, orbit
+            chosen.append(candidates[0])
         return chosen, None
 
     chosen0, orbit = chase(range(x.n), 0)

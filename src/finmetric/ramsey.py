@@ -145,11 +145,16 @@ def verify_arrow(
     """Exhaustively decide whether z arrows (y) over x with k colors, l values.
 
     Every k-coloring of the copies of x in z must admit a copy of y whose
-    x-copies carry at most l colors.  The first copy's color is pinned to 0
-    (color permutations preserve the verdict), and colorings are searched
-    depth first in lexicographic order so a failure witness is the least
-    one.  A partial coloring is cut as soon as a copy of y whose last x-copy
-    is colored shows at most l colors: every completion of it is good.
+    x-copies carry at most l colors.  Colorings are searched depth first in
+    lexicographic order, so a failure witness is the least one.  Color
+    permutations preserve the verdict, so only colorings whose colors first
+    appear in the order 0, 1, 2, ... are tried: the first copy takes 0, and
+    each later copy at most one more than the largest color so far.
+    Relabelling colors by first appearance keeps a coloring failing and does
+    not raise it lexicographically, so the least witness is among these, and
+    a huge k costs what k = n_copies costs.  A partial coloring is cut as
+    soon as a copy of y whose last x-copy is colored shows at most l colors:
+    every completion of it is good.
     """
     if k < 1 or l < 0:
         raise InvalidSpace(f"the arrow needs k >= 1 colors and l >= 0 values, got k={k}, l={l}")
@@ -174,20 +179,21 @@ def verify_arrow(
         closing[sub[-1]].append(sub)
     coloring: list[int] = []
 
-    def witness() -> bool:
-        """Color the next copy; true once every copy of y is left bad."""
+    def witness(used: int) -> bool:
+        """Color the next copy with one of the used colors 0..used-1 or a new
+        one; true once every copy of y is left bad."""
         t = len(coloring)
         if t == n_copies:
             return True
-        for color in range(k) if t else (0,):
+        for color in range(used + 1 if used < k else k):
             coloring.append(color)
             if all(len({coloring[i] for i in sub}) > l for sub in closing[t]):
-                if witness():
+                if witness(used + (color == used)):
                     return True
             coloring.pop()
         return False
 
-    if witness():
+    if witness(0):
         rank = 0
         for color in coloring[1:]:
             rank = rank * k + color

@@ -159,7 +159,7 @@ class FiniteMetricSpace:
         return self.d[i][j]
 
     def distance_set(self) -> DistanceSet:
-        vals = {self.d[i][j] for i in range(self.n) for j in range(i + 1, self.n)}
+        vals = self.distances()
         if not vals:
             raise InvalidSpace("one-point space has an empty distance set")
         return DistanceSet(vals)
@@ -252,7 +252,12 @@ class EdgeLabelledGraph:
 
 
 def _simple_paths(g: EdgeLabelledGraph, start: int, end: int, max_size: int):
-    """Yield simple paths (vertex sequences) from start to end along labelled pairs."""
+    """Yield simple paths (vertex sequences) from start to end along labelled pairs.
+
+    The paths come in lexicographic order: the walk takes neighbours in
+    ascending order, and end only ever comes last, so no path is a proper
+    prefix of another.
+    """
 
     def walk(path):
         cur = path[-1]
@@ -291,7 +296,7 @@ def validate(g: EdgeLabelledGraph, mode: str, l: int | None = None):
             raise InvalidSpace("l-metric mode needs a positive l")
         for (i, j) in g.labelled_pairs():
             lam = g.label(i, j)
-            for path in sorted(_simple_paths(g, i, j, l)):
+            for path in _simple_paths(g, i, j, l):
                 length = sum(
                     g.label(path[t], path[t + 1]) for t in range(len(path) - 1)
                 )

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finmetric.hedgehog import (
+    HedgehogReport,
     HedgehogSpace,
+    _cycle_shape,
     ceil_to_grid,
     hedgehog_build,
     hedgehog_verify,
@@ -85,6 +87,124 @@ def _reference_comparable_labels(prefix, tree_nodes, base):
             a, b = node_index[small], node_index[big]
             labels[(min(a, b), max(a, b))] = prefix.d[len(small) - 1][len(big) - 1]
     return labels
+
+
+def _reference_branches(z):
+    """Maximal end-extension chains of tree nodes, as Z indices, by a tree walk."""
+    node_index = {t: z.base_count + i for i, t in enumerate(z.tree_nodes)}
+    children = {t: [] for t in z.tree_nodes}
+    roots = []
+    for t in z.tree_nodes:
+        if len(t) == 1:
+            roots.append(t)
+        else:
+            parent = t[:-1]
+            if parent in children:
+                children[parent].append(t)
+    out = []
+
+    def walk(t, chain):
+        chain = chain + [node_index[t]]
+        if not children[t]:
+            out.append(tuple(chain))
+            return
+        for c in children[t]:
+            walk(c, chain)
+
+    for root in roots:
+        walk(root, [])
+    return out
+
+
+def _reference_hedgehog_verify(z, max_cycle_len=5):
+    """The report with a tree walk for the branches and a seen-set of cycles."""
+    violations = []
+    for (a, b), v in sorted(z.labels.items()):
+        if z.dz.d[a][b] != v:
+            violations.append((a, b, v, z.dz.d[a][b]))
+
+    total = z.dz.n
+    adj = {a: set() for a in range(total)}
+    for (a, b) in z.labels:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def chordless(path) -> bool:
+        length = len(path)
+        for i in range(length):
+            for j in range(i + 1, length):
+                if (j - i) % length in (1, length - 1):
+                    continue
+                if path[j] in adj[path[i]]:
+                    return False
+        return True
+
+    cycles = []
+    seen = set()
+
+    def extend(path):
+        if len(path) > max_cycle_len:
+            return
+        tail = path[-1]
+        for nxt in sorted(adj[tail]):
+            if nxt == path[0] and len(path) >= 3:
+                key = frozenset(path)
+                if key not in seen and chordless(path):
+                    seen.add(key)
+                    cycles.append(tuple(path))
+            elif nxt > path[0] and nxt not in path:
+                extend(path + [nxt])
+
+    for start in range(total):
+        extend([start])
+
+    unexpected = []
+    checked = 0
+    for cycle in cycles:
+        has_base = any(c < z.base_count for c in cycle)
+        has_tree = any(c >= z.base_count for c in cycle)
+        # metricity of the cycle: every edge at most the sum of the others
+        length = sum(
+            z.labels[(min(a, b), max(a, b))]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        )
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            lab = z.labels[(min(a, b), max(a, b))]
+            if lab > min(Fraction(1), length - lab):
+                violations.append((a, b, lab, length - lab))
+        checked += 1
+        if has_base and has_tree:
+            shape = _cycle_shape(z, cycle)
+            if shape.startswith("unexpected"):
+                unexpected.append((cycle, shape))
+
+    branch_violations = []
+    branches = _reference_branches(z)
+    for branch in branches:
+        for ai, a in enumerate(branch):
+            for b in branch[ai + 1 :]:
+                ta = z.tree_nodes[a - z.base_count]
+                tb = z.tree_nodes[b - z.base_count]
+                want = z.prefix.d[len(ta) - 1][len(tb) - 1]
+                if z.dz.d[a][b] != want:
+                    branch_violations.append((a, b, want, z.dz.d[a][b]))
+
+    fattening_ok = True
+    for branch in branches:
+        proj = {z.pi(a) for a in branch}
+        for a in branch:
+            if not any(z.dz.d[a][p] <= Fraction(1, z.m) for p in proj):
+                fattening_ok = False
+
+    return HedgehogReport(
+        labels_preserved=not violations,
+        label_violations=violations,
+        cycles_checked=checked,
+        unexpected_cycle_shapes=unexpected,
+        branches_verified=len(branches),
+        branch_violations=branch_violations,
+        fattening_ok=fattening_ok,
+    )
 
 
 @st.composite
@@ -219,6 +339,40 @@ class TestBranches:
         node_index = {t: z.base_count + i for i, t in enumerate(z.tree_nodes)}
         identity = tuple(node_index[tuple(range(k + 1))] for k in range(4))
         assert identity in z.branches()
+
+
+@st.composite
+def hedgehog_spaces(draw):
+    """Built spaces, capped anywhere from no tree to every size.  In some of
+    them one label is set (a new label adds a cycle edge) or one distance of
+    the completion is moved, so that the labels, the completion, the cycles
+    and the branches disagree."""
+    prefix = draw(unit_prefixes(max_n=6))
+    z = hedgehog_build(draw(st.integers(1, 5)), prefix, draw(st.none() | st.integers(0, prefix.n)))
+    labels, dz = z.labels, z.dz
+    pairs = st.lists(st.integers(0, dz.n - 1), min_size=2, max_size=2, unique=True)
+    if dz.n > 1 and draw(st.booleans()):
+        labels = dict(labels)
+        key = draw(st.sampled_from(sorted(labels)) if labels and draw(st.booleans()) else pairs)
+        labels[tuple(sorted(key))] = Fraction(draw(st.integers(1, 100)), 100)
+    if dz.n > 1 and draw(st.booleans()):
+        a, b = sorted(draw(pairs))
+        rows = [list(row) for row in dz.d]
+        rows[a][b] = rows[b][a] = Fraction(draw(st.integers(1, 100)), 100)
+        dz = FiniteMetricSpace(rows, check=False)
+    return HedgehogSpace(z.m, z.prefix, z.coarse, z.tree_nodes, labels, dz, z.base_count)
+
+
+class TestVerifyMatchesReference:
+    @given(hedgehog_spaces())
+    @settings(max_examples=150, deadline=None)
+    def test_branches(self, z):
+        assert z.branches() == _reference_branches(z)
+
+    @given(hedgehog_spaces(), st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_report(self, z, max_cycle_len):
+        assert hedgehog_verify(z, max_cycle_len) == _reference_hedgehog_verify(z, max_cycle_len)
 
 
 class TestVerify:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from finmetric.partitions import (
     ColoringOutcome,
+    GreedyResult,
     IndivisibilityReport,
     NetSystem,
     PreconditionError,
@@ -79,6 +80,50 @@ def _reference_indivisibility_search(
         copy, color = _reference_monochromatic_copy(x, target, coloring, k, cfg)
         outcomes.append(ColoringOutcome(coloring, copy is not None, copy, color))
     return IndivisibilityReport(outcomes, exhaustive)
+
+
+def _reference_greedy_monochromatic(x, coloring, target):
+    """The greedy chase with one scan for the candidates and another for the orbit."""
+    coloring = tuple(coloring)
+    if len(coloring) != x.n:
+        raise InvalidSpace("coloring must assign every point")
+    for color in coloring:
+        if color not in (0, 1):
+            raise InvalidSpace(f"color {color} outside {{0, 1}}")
+
+    def chase(allowed, color):
+        chosen: list[int] = []
+        for t in range(target.n):
+            candidates = [
+                p
+                for p in allowed
+                if p not in chosen
+                and coloring[p] == color
+                and all(x.d[p][chosen[j]] == target.d[t][j] for j in range(t))
+            ]
+            if candidates:
+                chosen.append(candidates[0])
+                continue
+            # orbit set: points completing the partial copy regardless of color
+            orbit = tuple(
+                p
+                for p in allowed
+                if p not in chosen
+                and all(x.d[p][chosen[j]] == target.d[t][j] for j in range(t))
+            )
+            return chosen, orbit
+        return chosen, None
+
+    chosen0, orbit = chase(range(x.n), 0)
+    if orbit is None:
+        return GreedyResult(tuple(chosen0), 0, True)
+    chosen1, orbit1 = chase(orbit, 1)
+    if orbit1 is None:
+        return GreedyResult(tuple(chosen1), 1, True, obstruction=orbit)
+    best, color = (
+        (chosen0, 0) if len(chosen0) >= len(chosen1) else (chosen1, 1)
+    )
+    return GreedyResult(tuple(best), color, False, obstruction=orbit)
 
 
 @st.composite
@@ -256,6 +301,14 @@ class TestGreedyMonochromatic:
         res = greedy_monochromatic(x, coloring, target)
         assert res.complete
         assert len(res.copy_indices) == 3
+
+    @given(indivisibility_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_chase(self, case, data):
+        x, target = case
+        coloring = data.draw(st.lists(st.integers(0, 1), min_size=x.n, max_size=x.n))
+        assert greedy_monochromatic(x, coloring, target) == _reference_greedy_monochromatic(
+            x, coloring, target)
 
     def test_random_colorings_validated_by_copies(self):
         space, _ = urysohn_approx(DistanceSet((1, 2)), 3)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -420,7 +421,7 @@ class TestOrderTypes:
 
 
 class TestArrow:
-    @given(arrow_triples(), st.sampled_from((2, 3)), st.sampled_from((1, 2)))
+    @given(arrow_triples(), st.sampled_from((2, 3, 4)), st.sampled_from((1, 2)))
     @settings(max_examples=150, deadline=None)
     def test_search_matches_reference_scan(self, zyx, k, l):
         z, y, x = zyx
@@ -432,6 +433,21 @@ class TestArrow:
         z = FiniteMetricSpace.equilateral(zn, 1)
         y, x = FiniteMetricSpace.equilateral(3, 1), FiniteMetricSpace.equilateral(2, 1)
         assert verify_arrow(z, y, x) == _reference_verify_arrow(z, y, x)
+
+    def test_huge_k_costs_what_six_colors_cost(self):
+        # colors are tried in order of first appearance, so k = 10**9 searches
+        # no more colorings than k = 6 (one per copy)
+        k = 10**9
+        z, y, x = (FiniteMetricSpace.equilateral(n, 1) for n in (4, 3, 2))
+        start = time.perf_counter()
+        res = verify_arrow(z, y, x, k=k, l=2)
+        assert time.perf_counter() - start < 1
+        assert res.witness_coloring == (0, 1, 2, 2, 1, 0)
+        rank = 0
+        for color in res.witness_coloring[1:]:
+            rank = rank * k + color
+        assert res.colorings_checked == rank + 1 == 10**36 + 2 * 10**27 + 2 * 10**18 + 10**9 + 1
+        assert (res.holds, res.copies_of_x) == (False, 6)
 
     def test_single_copy_trivial(self):
         x = FiniteMetricSpace.equilateral(3, 1)

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from finmetric.spaces import (
     space_to_text,
     validate,
 )
+from finmetric.spaces import _simple_paths, _violating_triple
 
 
 def path_space():
@@ -142,9 +144,9 @@ def symmetric_matrices(draw, max_n=7):
 
 
 @st.composite
-def partial_graphs(draw, max_n=7):
+def partial_graphs(draw, max_n=7, min_n=0):
     """Partial labellings, disconnected and inconsistent ones included."""
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     g = EdgeLabelledGraph(n)
     for i, j in itertools.combinations(range(n), 2):
         v = draw(st.one_of(st.none(), RATIONALS))
@@ -172,6 +174,32 @@ def _reference_triple_outcomes(d):
         else ("InvalidSpace", "triangle inequality fails on ({},{},{})".format(*metric))
     )
     return built, ultra is None, (metric is None, metric), (ultra is None, ultra)
+
+
+def _reference_validate(g, mode, l=None):
+    """validate with every pair's simple paths sorted before the l-metric scan."""
+    if mode in ("metric", "ultrametric"):
+        if not g.is_total():
+            raise InvalidSpace("incomplete labelling in a total mode")
+        d = [
+            [Fraction(0) if i == j else g.label(i, j) for j in range(g.n)]
+            for i in range(g.n)
+        ]
+        bad = _violating_triple(d, operator.add if mode == "metric" else max)
+        return bad is None, bad
+    if mode == "l-metric":
+        if l is None or l < 1:
+            raise InvalidSpace("l-metric mode needs a positive l")
+        for (i, j) in g.labelled_pairs():
+            lam = g.label(i, j)
+            for path in sorted(_simple_paths(g, i, j, l)):
+                length = sum(
+                    g.label(path[t], path[t + 1]) for t in range(len(path) - 1)
+                )
+                if lam > length:
+                    return False, path
+        return True, None
+    raise InvalidSpace(f"unknown mode {mode!r}")
 
 
 # --- reference searches: the Fraction backtrackers the matcher replaced -------
@@ -394,6 +422,11 @@ class TestValidate:
         g2 = EdgeLabelledGraph(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3})
         ok2, witness = validate(g2, "ultrametric")
         assert not ok2 and witness == (0, 1, 2)
+
+    @given(partial_graphs(min_n=2), st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_l_metric_matches_reference(self, g, l):
+        assert validate(g, "l-metric", l) == _reference_validate(g, "l-metric", l)
 
     def test_partial_labelling_rejected_in_total_mode(self):
         g = EdgeLabelledGraph(3, {(0, 1): 1})
