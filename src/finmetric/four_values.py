@@ -18,7 +18,6 @@ mask[i][j] & mask[k][l] is non-zero.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,31 +215,23 @@ def format_bad_quadruple_table(rows: list[BadQuadrupleRow]) -> str:
 
 
 def similar(s: DistanceSet, t: DistanceSet) -> bool:
-    """Equivalence of distance sets: same triple-inequality patterns."""
+    """Equivalence of distance sets: same triple-inequality patterns.
+
+    S is sorted, so the i with s_i <= s_j + s_k form a prefix, of length
+    bisect_right(S, s_j + s_k); two sets are similar exactly when those
+    lengths agree for every j <= k.  S and T are compared scaled to ints.
+    """
     if len(s) != len(t):
         return False
-    sv, tv = s.values, t.values
-    m = len(sv)
+    a, b = _scaled(s.values)[0], _scaled(t.values)[0]
     return all(
-        (sv[i] <= sv[j] + sv[k]) == (tv[i] <= tv[j] + tv[k])
-        for i, j, k in itertools.product(range(m), repeat=3)
+        bisect_right(a, a[j] + a[k]) == bisect_right(b, b[j] + b[k])
+        for j in range(len(a)) for k in range(j, len(a))
     )
 
 
 class AmalgamationError(Exception):
     pass
-
-
-def _coding(s: DistanceSet) -> tuple[list[int], int, dict[int, Fraction]]:
-    """S scaled to ints, the scale, and the map back from those ints (and 0) to S."""
-    ints, scale = _scaled(s.values)
-    frac = dict(zip(ints, s.values))
-    frac[0] = Fraction(0)
-    return ints, scale, frac
-
-
-def _fraction_space(m, frac) -> FiniteMetricSpace:
-    return FiniteMetricSpace([[frac[v] for v in row] for row in m])
 
 
 def _adjoin_point(ints, scale, m, subset, f, choose):
@@ -288,7 +279,10 @@ def amalgamate(
     other cross distance is the least element of S admissible over the
     points placed before it (`_adjoin_point` with choose=min), which makes
     the output deterministic.  config.four_values_bound caps |S| for the
-    4-values check run first.
+    4-values check run first.  The amalgam is metric with no triangle scan:
+    `_adjoin_point` puts every value in the admissible interval over the
+    points placed before it, so each adjoined point is a Katetov map over a
+    metric space, given that y0 and y1 are metric.
     """
     chk = check_four_values(s, config.four_values_bound)
     if not chk:
@@ -309,8 +303,8 @@ def amalgamate(
         if any(v not in s for v in sp.distances()):
             raise AmalgamationError("input space has a distance outside S")
 
-    ints, scale, frac = _coding(s)
-    code = {v: u for u, v in frac.items()}
+    ints, scale = _scaled(s.values)
+    code = dict(zip((0, *s.values), (0, *ints)))  # 0 for the diagonal
     m = [[code[v] for v in row] for row in y0.d]
     placed = dict(zip(x1, x0))  # y1 index -> amalgam index
     try:
@@ -319,6 +313,6 @@ def amalgamate(
                 f = [code[y1.d[e][q]] for q in placed]
                 _adjoin_point(ints, scale, m, placed.values(), f, min)
                 placed[e] = len(m) - 1
-        return _fraction_space(m, frac)
     except InvalidSpace as exc:  # unreachable once the 4-values check passed
         raise AmalgamationError(f"amalgam is not metric: {exc}") from exc
+    return FiniteMetricSpace._from_ints(m, scale)

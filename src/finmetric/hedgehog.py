@@ -173,6 +173,8 @@ def hedgehog_verify(z: HedgehogSpace, max_cycle_len: int = 5) -> HedgehogReport:
     direction whose second point is below its last.  A chordless cycle is
     the only cycle on its points, so its two directions are its only
     repeats, and the walk over sorted neighbours meets that direction first.
+    A path stops at its first chord: it grows only by points adjacent to none
+    of path[1:-1], and a last point adjacent to path[0] closes it.
     """
     violations = []
     for (a, b), v in sorted(z.labels.items()):
@@ -183,22 +185,20 @@ def hedgehog_verify(z: HedgehogSpace, max_cycle_len: int = 5) -> HedgehogReport:
     for (a, b) in z.labels:
         adj[a].add(b)
         adj[b].add(a)
+    neighbours = [sorted(a) for a in adj]
 
     cycles = []
 
     def extend(path):
         tail = path[-1]
-        for nxt in sorted(adj[tail]):
-            if nxt == path[0]:
-                # the direction test also keeps a 2-point path from closing
-                length = len(path)
-                if path[1] < tail and all(
-                    path[j] not in adj[path[i]]
-                    for i in range(length)
-                    for j in range(i + 2, length - (i == 0))
-                ):
-                    cycles.append(tuple(path))
-            elif nxt > path[0] and nxt not in path and len(path) < max_cycle_len:
+        if len(path) > 2 and tail in adj[path[0]]:
+            if path[1] < tail:
+                cycles.append(tuple(path))
+            return
+        if len(path) >= max_cycle_len:
+            return
+        for nxt in neighbours[tail]:
+            if nxt > path[0] and nxt not in path and adj[nxt].isdisjoint(path[1:-1]):
                 path.append(nxt)
                 extend(path)
                 path.pop()

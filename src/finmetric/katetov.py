@@ -21,6 +21,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     _check_points,
+    _scaled,
     as_fraction,
     canonicalize,
     format_fraction,
@@ -60,7 +61,8 @@ def is_katetov(x: FiniteMetricSpace, values) -> tuple[bool, tuple[int, int] | No
 
 
 def extend_with(x: FiniteMetricSpace, values) -> FiniteMetricSpace:
-    """The space X plus one new point at distance f(x) from each x."""
+    """X plus one new point at distance f(x) from each x, with no triangle scan:
+    a nonvanishing Katetov map is exactly a metric one-point extension."""
     f = [as_fraction(v) for v in values]
     ok, witness = is_katetov(x, f)
     if not ok:
@@ -70,7 +72,7 @@ def extend_with(x: FiniteMetricSpace, values) -> FiniteMetricSpace:
             raise InvalidSpace(f"map vanishes at point {i}: realized by existing point {i}")
     rows = [list(row) + [f[i]] for i, row in enumerate(x.d)]
     rows.append(f + [Fraction(0)])
-    return FiniteMetricSpace(rows)
+    return FiniteMetricSpace(rows, check=False)
 
 
 def shortest_extension(x: FiniteMetricSpace, sub, values) -> list[Fraction]:
@@ -155,7 +157,9 @@ def urysohn_approx(
     the pairs that p realizes and gains the unrealized pairs over subspaces
     containing p.  Katetov and realizer tests run on S and the matrix scaled
     to ints; canonical keys are read off the int matrix of F+f, under
-    config.canon_bound, once per distinct (F, f) distance pattern.  Cross
+    config.canon_bound, once per distinct (F, f) distance pattern.  Each
+    added point is Katetov over a metric space (see four_values.amalgamate),
+    so no space built here is scanned for triangles.  Cross
     distances to points outside F come from iterated one-point amalgamation;
     when several values of S are admissible the choice is drawn from a
     seeded generator.  Always taking the least value provably diverges
@@ -170,7 +174,8 @@ def urysohn_approx(
     if not chk:
         raise InvalidSpace(f"S fails the 4-values condition, witness {chk.witness}")
     rng = random.Random(seed)
-    ints, scale, frac = four_values._coding(s)
+    ints, scale = _scaled(s.values)
+    frac = {u: Fraction(u, scale) for u in (0, *ints)}  # shared by the log and pending
     m = [[0]]  # the distance matrix so far, scaled to ints
     log = BuildLog()
     maps: dict = {}  # distances within F -> the Katetov maps over F
@@ -194,20 +199,20 @@ def urysohn_approx(
                     if key is None:
                         ext = [[m[a][b] for b in sub] + [v] for a, v in zip(sub, f)]
                         ext.append([*f, 0])
-                        _, order = canonicalize(FiniteMetricSpace(ext, check=False), config)
+                        _, order = canonicalize(FiniteMetricSpace._from_ints(ext, scale), config)
                         key = keys[dist, f] = tuple(
                             tuple(ext[a][b] for b in order) for a in order
                         )
                     pending.append((size, key, sub, f))
         pending.sort()
         if not pending:
-            return four_values._fraction_space(m, frac), log
+            return FiniteMetricSpace._from_ints(m, scale), log
         _, _, sub, f = pending[0]
         if p + 2 > config.urysohn_max_points:
             raise ResourceLimit(
                 f"urysohn closure exceeded {config.urysohn_max_points} points "
                 f"with {len(pending)} extensions still unrealized",
-                space=four_values._fraction_space(m, frac),
+                space=FiniteMetricSpace._from_ints(m, scale),
                 pending=[
                     (k, tuple(tuple(frac[v] for v in row) for row in key),
                      subset, tuple(frac[v] for v in g))

@@ -74,6 +74,11 @@ def nodes_up_to(alphabet: int, depth: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _strings_shorter_than(alphabet: int, length: int) -> int:
+    """How many strings over range(alphabet), alphabet >= 2, are shorter than length."""
+    return (alphabet ** max(length, 0) - 1) // (alphabet - 1)
+
+
 def _relation(a, b) -> int:
     """How two nodes relate, as the case tables read them.
 
@@ -210,9 +215,8 @@ def _triangle_witness(d) -> tuple | None:
     return None
 
 
-def _coding_matrix(variant: Variant, depth: int, lookup: dict, convert) -> list:
-    """The distance matrix of coding_points(variant, depth), each value passed
-    through convert, the diagonal convert(0).
+def _coding_matrix(variant: Variant, depth: int, lookup: dict) -> list[list[int]]:
+    """The int distance matrix of coding_points(variant, depth).
 
     A relation tuple (r_0, ..., r_{k-1}) sits at index sum r_c * (A+1)^(k-1-c)
     of a flat lookup, A the alphabet.  Per slot c, every node has a table of
@@ -227,10 +231,9 @@ def _coding_matrix(variant: Variant, depth: int, lookup: dict, convert) -> list:
     base, size = variant.alphabet + 1, variant.tuple_size
     nodes = nodes_up_to(variant.alphabet, depth)
     relations = [[_relation(a, b) for b in nodes] for a in nodes]
-    flat = [convert(lookup[key]) for key in itertools.product(range(base), repeat=size)]
+    flat = [lookup[key] for key in itertools.product(range(base), repeat=size)]
     columns = list(zip(*itertools.combinations(range(len(nodes)), size)))
     weighted = [[[r * base ** (size - 1 - c) for r in row] for row in relations] for c in range(size)]
-    zero = convert(0)
     rows = []
     for i, own in enumerate(zip(*columns)):
         tables = [weighted[c][x] for c, x in enumerate(own)]
@@ -240,7 +243,7 @@ def _coding_matrix(variant: Variant, depth: int, lookup: dict, convert) -> list:
         else:
             s, t, u = tables
             row = [flat[s[x] + t[y] + u[z]] for x, y, z in zip(*columns)]
-        row[i] = zero
+        row[i] = 0
         rows.append(row)
     return rows
 
@@ -267,10 +270,13 @@ def milliken_space(
     Use check='sampled' beyond that: it lists the points and, when the
     types fail, draws `samples` random triangles from `seed`, computing
     only their distances; samples and seed matter only then.  A space
-    under 3 points has no triangle and is metric.
+    under 3 points has no triangle and is metric.  The exhaustive space is
+    built from its int matrix with no further scan, once the types or the
+    bitsets have proved it metric.  The cap is applied to the point count,
+    reckoned from the node count, before any node is listed.
     """
     variant = load_variant(name)
-    n = math.comb(len(nodes_up_to(variant.alphabet, depth)), variant.tuple_size)
+    n = math.comb(_strings_shorter_than(variant.alphabet, depth + 1), variant.tuple_size)
     if check == "exhaustive" and n > max_points:
         raise SearchTooLarge(
             f"exhaustive metric check too large: {n} points > {max_points}; "
@@ -286,13 +292,10 @@ def milliken_space(
         return lookup[tuple(map(_relation, points[i], points[j]))]
 
     if check == "exhaustive":
-        if typed_metric:
-            space = FiniteMetricSpace(_coding_matrix(variant, depth, lookup, Fraction), check=False)
-        else:
-            dmat = _coding_matrix(variant, depth, lookup, int)
-            witness = _triangle_witness(dmat)
-            if witness is None:
-                space = FiniteMetricSpace(dmat, check=False)
+        dmat = _coding_matrix(variant, depth, lookup)
+        witness = None if typed_metric else _triangle_witness(dmat)
+        if witness is None:
+            space = FiniteMetricSpace._from_ints(dmat, 1)
     elif check == "sampled":
         if samples < 1:
             raise InvalidSpace(f"need at least 1 sample, got {samples}")
@@ -318,6 +321,12 @@ def _admissible(variant: Variant, depth: int):
                 if len(s) < len(t) and t[len(s)] == 0 and (s < t or not lex))
     return ((s, t, u) for s, t, u in combos
             if len(s) < len(t) < len(u) and t[len(s)] == u[len(s)] == u[len(t)] == 0 and s < t < u)
+
+
+def _admissible_floor(variant: Variant, depth: int) -> int:
+    """A lower bound on len(admissible_points(variant, depth)): the k-tuples
+    (), (0,), ..., (0,) * (k - 2), t with t 0 at every height below k - 1."""
+    return _strings_shorter_than(variant.alphabet, depth - variant.tuple_size + 2)
 
 
 def admissible_points(variant: Variant, depth: int) -> list:
@@ -352,10 +361,13 @@ class _EmbedIndex(NamedTuple):
 def _embed_index(name: str, depth: int, max_candidates: int) -> _EmbedIndex:
     """The embedding index of a (variant, depth), built once per cap.
 
-    Listing stops at max_candidates + 1 points, so an oversized subset is
-    refused, and not cached, without being listed in full.
+    An oversized subset is refused, and not cached, without being listed
+    in full: at once when _admissible_floor already exceeds max_candidates,
+    else when listing reaches max_candidates + 1 points.
     """
     variant = load_variant(name)
+    if _admissible_floor(variant, depth) > max_candidates:
+        raise SearchTooLarge(f"admissible subset too large: more than {max_candidates} points")
     candidates = list(itertools.islice(_admissible(variant, depth), max_candidates + 1))
     if len(candidates) > max_candidates:
         raise SearchTooLarge(f"admissible subset too large: more than {max_candidates} points")

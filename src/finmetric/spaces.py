@@ -3,7 +3,7 @@
 All distances are `fractions.Fraction` values kept in lowest terms, so every
 verdict in this package is bit-exact.  Floats are rejected at the boundary.
 The triple scan and the path closure below run on the values scaled to ints
-by the lcm of their denominators; Fractions are rebuilt only for results.
+by the lcm of their denominators; proved int results skip the re-check.
 """
 
 from __future__ import annotations
@@ -154,6 +154,14 @@ class FiniteMetricSpace:
                 raise InvalidSpace("triangle inequality fails on ({},{},{})".format(*bad))
         self.n = n
         self.d = d
+
+    @classmethod
+    def _from_ints(cls, m: Sequence[Sequence[int]], scale: int) -> "FiniteMetricSpace":
+        """Distances m[i][j] / scale, one Fraction per distinct int, unchecked: m is proved metric."""
+        frac = {u: Fraction(u, scale) for u in set().union(*m)}
+        x = cls.__new__(cls)
+        x.n, x.d = len(m), tuple(tuple(map(frac.__getitem__, row)) for row in m)
+        return x
 
     def distance(self, i: int, j: int) -> Fraction:
         return self.d[i][j]
@@ -306,32 +314,30 @@ def validate(g: EdgeLabelledGraph, mode: str, l: int | None = None):
     raise InvalidSpace(f"unknown mode {mode!r}")
 
 
-def _path_closure(n: int, labels: dict, join) -> list[list[Fraction | None]]:
-    """Least path value between every two points; None = unreachable.
+def _path_closure(n: int, labels: dict, join, cap: int) -> list[list[int]]:
+    """Least path value between every two points, capped at cap.
 
-    One Floyd-Warshall loop on the labels scaled to ints.  A path's value is
-    its labels folded by join: operator.add gives shortest paths, max gives
-    minimax (bottleneck) paths.
+    One Floyd-Warshall loop on int labels, unlabelled pairs starting at cap.
+    A path's value is its labels folded by join: operator.add gives shortest
+    paths, max gives minimax (bottleneck) paths.  No entry off the diagonal
+    exceeds cap, so an entry at cap or above, joined with any, improves none.
     """
-    ints, scale = _scaled(list(labels.values()))
-    dist: list[list[int | None]] = [[None] * n for _ in range(n)]
+    dist = [[cap] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
-    for (i, j), v in zip(labels, ints):
+    for (i, j), v in labels.items():
         dist[i][j] = dist[j][i] = v
     for k in range(n):
         dk = dist[k]
         for di in dist:
             dik = di[k]
-            if dik is None:
+            if dik >= cap:
                 continue
             for j, dkj in enumerate(dk):
-                if dkj is None:
-                    continue
                 s = join(dik, dkj)
-                if di[j] is None or s < di[j]:
+                if s < di[j]:
                     di[j] = s
-    return [[None if v is None else Fraction(v, scale) for v in row] for row in dist]
+    return dist
 
 
 def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
@@ -339,8 +345,11 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
 
     mode 'sum-cap': d(x,y) = min over paths of min(path sum, r).  The infimum
     over all paths is attained on simple paths because labels are positive.
-    mode 'max': d(x,y) = min over paths of the largest edge label.
-    The returned space agrees with the labelling exactly.
+    mode 'max': d(x,y) = min over paths of the largest edge label, capped at
+    the largest label, which it never exceeds.  The space agrees with the
+    labelling exactly and is metric with no triangle scan: on a connected
+    graph with positive labels, least path sums capped at or above every
+    label form a metric, and minimax path values an ultrametric.
     """
     if not g.is_connected():
         raise InvalidSpace("graph is disconnected; completion undefined")
@@ -354,22 +363,20 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
                 raise InvalidSpace(
                     f"cap {format_fraction(cap)} smaller than label on ({i},{j})"
                 )
-        dist = _path_closure(g.n, labels, operator.add)
-        rows = [
-            [min(dist[i][j], cap) if i != j else Fraction(0) for j in range(g.n)]
-            for i in range(g.n)
-        ]
     elif mode == "max":
-        rows = _path_closure(g.n, labels, max)
+        cap = max(labels.values(), default=Fraction(1))
     else:
         raise InvalidSpace(f"unknown completion mode {mode!r}")
+    ints, scale = _scaled([*labels.values(), cap])
+    join = operator.add if mode == "sum-cap" else max
+    x = FiniteMetricSpace._from_ints(_path_closure(g.n, dict(zip(labels, ints)), join, ints[-1]), scale)
     for (i, j), v in labels.items():
-        if rows[i][j] != v:
+        if x.d[i][j] != v:
             raise InvalidSpace(
                 f"labelling is not {mode}-consistent: pair ({i},{j}) has label "
-                f"{format_fraction(v)} but path value {format_fraction(rows[i][j])}"
+                f"{format_fraction(v)} but path value {format_fraction(x.d[i][j])}"
             )
-    return FiniteMetricSpace(rows)
+    return x
 
 
 def _rank_matrix(x: FiniteMetricSpace, table: dict) -> list[list[int]]:

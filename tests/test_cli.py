@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -498,6 +500,22 @@ class TestInputErrors:
             (tmp_path / f"{name}.txt").write_text(text)
             files[name] = str(tmp_path / f"{name}.txt")
         code, out, err = run_cli(capsys, *(tok.format(**files) for tok in argv.split()))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("milliken build 2678 --depth 40",
+         f"too large: {math.comb((3 ** 41 - 1) // 2, 2)} points > 800; use check='sampled'"),
+        ("milliken embed 2678 --depth 40 --target {far}",
+         "admissible subset too large: more than 20000 points"),
+    ])
+    def test_oversized_depth_refused_before_listing(self, capsys, tmp_path, argv, message):
+        # depth 40 has (3^41 - 1) / 2 nodes: listing them would exhaust memory
+        far = tmp_path / "far.txt"
+        far.write_text("points: 2\n0 2\n2 0\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv.format(far=far).split())
+        assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 

@@ -66,6 +66,18 @@ def _reference_bad_quadruples(s):
     return rows
 
 
+def _reference_similar(s, t):
+    """Equivalence of distance sets: same triple-inequality patterns."""
+    if len(s) != len(t):
+        return False
+    sv, tv = s.values, t.values
+    m = len(sv)
+    return all(
+        (sv[i] <= sv[j] + sv[k]) == (tv[i] <= tv[j] + tv[k])
+        for i, j, k in itertools.product(range(m), repeat=3)
+    )
+
+
 @st.composite
 def mixed_distance_sets(draw, max_size=8):
     """|S| in 1..max_size, each value p/q with q drawn from {1, 2, 3, 6}."""
@@ -437,6 +449,19 @@ def test_every_listed_quadruple_is_bad_and_interval_exact():
 
 
 class TestSimilar:
+    @given(mixed_distance_sets(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, s, data):
+        # a set of the same size from a small pool is often similar to s
+        t = data.draw(st.one_of(
+            st.lists(st.integers(1, 12), min_size=len(s), max_size=len(s), unique=True),
+            st.lists(st.builds(Fraction, st.integers(1, 36), st.sampled_from((1, 2, 3, 6))),
+                     min_size=1, max_size=8, unique=True),
+            st.builds(lambda c: [v * c for v in s], st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))),
+        ))
+        t = DistanceSet(t)
+        assert similar(s, t) == _reference_similar(s, t)
+
     def test_12_23(self):
         assert similar(ds(1, 2), ds(2, 3))
 

@@ -484,6 +484,17 @@ class TestCoreMatchesReference:
         for depth in range(6):
             assert admissible_points(variant, depth) == _reference_admissible_points(variant, depth)
 
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_counts_by_arithmetic(self, name):
+        variant = load_variant(name)
+        assert milliken._strings_shorter_than(variant.alphabet, -3) == 0
+        for depth in range(6):
+            nodes = milliken._strings_shorter_than(variant.alphabet, depth + 1)
+            assert nodes == len(nodes_up_to(variant.alphabet, depth))
+        for depth in range(1, 5):
+            floor = milliken._admissible_floor(variant, depth)
+            assert 0 <= floor <= len(admissible_points(variant, depth))
+
     @given(st.lists(st.integers(0, 2), max_size=5), st.lists(st.integers(0, 2), max_size=5))
     def test_lex_less_is_tuple_order(self, a, b):
         a, b = tuple(a), tuple(b)

@@ -1,0 +1,180 @@
+"""Builders that prove their result metric skip the triangle scan.
+
+Each test passes a builder's result back through the checked constructor,
+which must accept it and give an equal space: the scan the builder no
+longer runs would never have fired.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from finmetric.four_values import amalgamate
+from finmetric.katetov import ResourceLimit, extend_with, is_katetov, urysohn_approx
+from finmetric.milliken import (
+    VARIANTS,
+    _coding_matrix,
+    _case_lookup,
+    _triangle_witness,
+    load_variant,
+    milliken_space,
+)
+from finmetric.spaces import (
+    Config,
+    EdgeLabelledGraph,
+    FiniteMetricSpace,
+    InvalidSpace,
+    complete,
+)
+
+from test_four_values import _amalgam_outcome, amalgamation_inputs
+from test_katetov import closure_inputs
+from test_milliken import _runnable_depths
+from test_spaces import partial_graphs
+
+
+def assert_rechecked(x: FiniteMetricSpace):
+    """The checked constructor accepts x and rebuilds it equal, entry types included."""
+    checked = FiniteMetricSpace(x.d)
+    assert checked == x and checked.n == x.n == len(x.d)
+    assert all(type(v) is Fraction for row in x.d for v in row)
+
+
+class TestFromInts:
+    @given(
+        st.integers(0, 6).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-5, 40), min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.integers(1, 12),
+    )
+    def test_rows_are_the_fraction_matrix(self, m, scale):
+        x = FiniteMetricSpace._from_ints(m, scale)
+        assert x.n == len(m)
+        assert x.d == tuple(tuple(Fraction(u, scale) for u in row) for row in m)
+        assert all(type(v) is Fraction for row in x.d for v in row)
+
+    def test_empty_space(self):
+        x = FiniteMetricSpace._from_ints([], 3)
+        assert x.n == 0 and x.d == () and x == FiniteMetricSpace([])
+
+
+def _random_space(rng, n, ultra=False):
+    """n distinct random points: on a grid under the l1 metric, scaled by 1/q;
+    with ultra, random strings under the first-difference ultrametric."""
+    if ultra:
+        pts = rng.sample(list(itertools.product(range(3), repeat=3)), n)
+        levels = sorted(rng.sample(range(1, 13), 3), reverse=True)
+        dist = [[0 if a == b else levels[next(i for i in range(3) if a[i] != b[i])]
+                 for b in pts] for a in pts]
+        return FiniteMetricSpace(dist)
+    pts = rng.sample(list(itertools.product(range(5), repeat=2)), n)
+    q = rng.choice((1, 2, 3))
+    return FiniteMetricSpace(
+        [[Fraction(abs(a[0] - b[0]) + abs(a[1] - b[1]), q) for b in pts] for a in pts]
+    )
+
+
+def _sparse_graph(rng, x: FiniteMetricSpace) -> EdgeLabelledGraph:
+    """x's labels on a random path through every point and on some other pairs."""
+    order = rng.sample(range(x.n), x.n)
+    keep = set(zip(order, order[1:]))
+    keep |= {p for p in itertools.combinations(range(x.n), 2) if rng.random() < 0.4}
+    return EdgeLabelledGraph(x.n, {(i, j): x.d[i][j] for i, j in keep})
+
+
+class TestExtendWith:
+    @given(st.integers(1, 6), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_random_katetov_maps(self, n, seed):
+        rng = random.Random(seed)
+        x = _random_space(rng, n)
+        for _ in range(200):
+            f = [Fraction(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(n)]
+            if is_katetov(x, f)[0]:
+                break
+        else:
+            assume(False)
+        assert_rechecked(extend_with(x, f))
+
+
+class TestComplete:
+    @given(st.integers(0, 7), st.integers(0, 10**6), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_sum_cap_of_a_sparse_metric(self, n, seed, slack):
+        rng = random.Random(seed)
+        x = _random_space(rng, n)
+        g = _sparse_graph(rng, x)
+        top = max(x.distances(), default=Fraction(1))
+        cap = top + Fraction(slack * rng.randint(0, 6), rng.choice((1, 2, 5)))
+        y = complete(g, "sum-cap", cap)
+        assert_rechecked(y)
+        assert all(y.d[i][j] == g.label(i, j) for i, j in g.labelled_pairs())
+
+    @given(st.integers(0, 7), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_max_of_a_sparse_ultrametric(self, n, seed):
+        rng = random.Random(seed)
+        y = complete(_sparse_graph(rng, _random_space(rng, n, ultra=True)), "max")
+        assert_rechecked(y)
+        assert y.is_ultrametric()
+
+    @given(partial_graphs(), st.builds(Fraction, st.integers(1, 200), st.integers(1, 6)))
+    @settings(max_examples=200, deadline=None)
+    def test_any_partial_graph(self, g, cap):
+        for mode, r in (("sum-cap", cap), ("max", None)):
+            try:
+                y = complete(g, mode, r)
+            except InvalidSpace:
+                continue
+            assert_rechecked(y)
+            if mode == "max":
+                assert y.is_ultrametric()
+
+    def test_one_point_graph_ignores_its_cap(self):
+        for cap in (-1, 0, 5):
+            assert complete(EdgeLabelledGraph(1), "sum-cap", cap).d == ((0,),)
+
+
+class TestAmalgamate:
+    @given(amalgamation_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_inputs(self, inputs):
+        result = _amalgam_outcome(amalgamate, *inputs)
+        if isinstance(result, FiniteMetricSpace):
+            assert_rechecked(result)
+
+
+class TestUrysohnApprox:
+    @given(closure_inputs())
+    @settings(max_examples=30, deadline=None)
+    def test_result_and_partial_space(self, case):
+        s, size_cap, max_points, seed = case
+        try:
+            space, _ = urysohn_approx(s, size_cap, Config(urysohn_max_points=max_points), seed=seed)
+        except ResourceLimit as exc:
+            space = exc.space
+        assert_rechecked(space)
+        assert space.distances() <= set(s)
+
+
+class TestMillikenBuilds:
+    @pytest.mark.parametrize("name", VARIANTS)
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_exhaustive_builds_to_depth_3(self, name, invert):
+        """Up to 120 points the checked constructor rescans the space; the
+        780-point and 455-point depth-3 spaces, too large for its cubic scan
+        here, are rescanned on their int matrix by _triangle_witness."""
+        variant = load_variant(name)
+        for depth in (d for d in _runnable_depths(name) if 1 <= d <= 3):
+            ms = milliken_space(name, depth, invert_membership=invert)
+            assert (ms.space is None) == (ms.witness is not None)
+            if ms.space is None:
+                continue
+            if ms.space.n <= 120:
+                assert_rechecked(ms.space)
+            else:
+                dmat = _coding_matrix(variant, depth, _case_lookup(name, invert))
+                assert _triangle_witness(dmat) is None
+                assert ms.space.d == tuple(tuple(map(Fraction, row)) for row in dmat)
