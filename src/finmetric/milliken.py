@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -77,6 +78,18 @@ def nodes_up_to(alphabet: int, depth: int) -> list[tuple[int, ...]]:
 def _strings_shorter_than(alphabet: int, length: int) -> int:
     """How many strings over range(alphabet), alphabet >= 2, are shorter than length."""
     return (alphabet ** max(length, 0) - 1) // (alphabet - 1)
+
+
+def _point_count(variant: Variant, depth: int) -> int | None:
+    """How many coding points lie at depth, or None, with no power taken, when
+    the count could have more decimal digits than Python formats (its
+    int-to-str limit, 4300 by default).  The count is comb(N, k) <= N**k / k!
+    over N < a**(depth + 1) / (a - 1) nodes, which bounds its log10."""
+    a, k = variant.alphabet, variant.tuple_size
+    log10 = k * ((depth + 1) * math.log10(a) - math.log10(a - 1)) - math.log10(math.factorial(k))
+    if log10 > (sys.get_int_max_str_digits() or 4300):
+        return None
+    return math.comb(_strings_shorter_than(a, depth + 1), k)
 
 
 def _relation(a, b) -> int:
@@ -273,16 +286,20 @@ def milliken_space(
     under 3 points has no triangle and is metric.  The exhaustive space is
     built from its int matrix with no further scan, once the types or the
     bitsets have proved it metric.  The cap is applied to the point count,
-    reckoned from the node count, before any node is listed.
+    reckoned from the node count, before any node is listed; a count too
+    long to format (_point_count) is not reckoned and is refused as more
+    than max_points.
     """
     variant = load_variant(name)
-    n = math.comb(_strings_shorter_than(variant.alphabet, depth + 1), variant.tuple_size)
-    if check == "exhaustive" and n > max_points:
-        raise SearchTooLarge(
-            f"exhaustive metric check too large: {n} points > {max_points}; "
-            "use check='sampled'"
-        )
+    if check == "exhaustive":
+        n = _point_count(variant, depth)
+        if n is None or n > max_points:
+            count = f"more than {max_points} points" if n is None else f"{n} points > {max_points}"
+            raise SearchTooLarge(
+                f"exhaustive metric check too large: {count}; use check='sampled'"
+            )
     points = coding_points(variant, depth)
+    n = len(points)
     lookup = _case_lookup(name, invert_membership)
     typed_metric = _type_verdict(name, invert_membership)
     witness = None
@@ -366,7 +383,10 @@ def _embed_index(name: str, depth: int, max_candidates: int) -> _EmbedIndex:
     else when listing reaches max_candidates + 1 points.
     """
     variant = load_variant(name)
-    if _admissible_floor(variant, depth) > max_candidates:
+    # the floor counts at least one string per length below depth - k + 2, so
+    # a depth that long is refused before the floor's power is taken
+    if (depth - variant.tuple_size + 2 > max_candidates
+            or _admissible_floor(variant, depth) > max_candidates):
         raise SearchTooLarge(f"admissible subset too large: more than {max_candidates} points")
     candidates = list(itertools.islice(_admissible(variant, depth), max_candidates + 1))
     if len(candidates) > max_candidates:

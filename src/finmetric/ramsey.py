@@ -98,16 +98,29 @@ def order_types(
 
     Orderings are point sequences; two are equivalent when the order-driven
     bijection between them is an isometry.  The orbit count is n!/|iso|.
+    The representative is the lexicographically least ordering of its
+    orbit, and the list is in lexicographic order.  An ordering is least in
+    its orbit exactly when each entry c is the least point of its orbit
+    under the isometries fixing the earlier entries pointwise, that is when
+    g[c] >= c for every such g.  So a depth-first search in ascending order
+    keeps that stabilizer, filtered by one more fixed point per level; once
+    it is trivial, every ordering of the unused points is the least of its
+    own orbit (the group acts freely on orderings), and those are emitted in
+    `itertools.permutations` order.  No n! scan is made.
     """
     group = isometries(x, config)
-    seen = set()
-    reps = []
-    for perm in itertools.permutations(range(x.n)):
-        if perm in seen:
-            continue
-        reps.append(perm)
-        for g in group:
-            seen.add(tuple(g[p] for p in perm))
+    reps: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple, unused: list, stab: list) -> None:
+        if len(stab) == 1:
+            reps.extend(prefix + p for p in itertools.permutations(unused))
+            return
+        for c in unused:
+            if all(g[c] >= c for g in stab):
+                extend(prefix + (c,), [u for u in unused if u != c],
+                       [g for g in stab if g[c] == c])
+
+    extend((), list(range(x.n)), group)
     if len(reps) != math.factorial(x.n) // len(group):
         raise AssertionError(
             f"{len(reps)} order types, but n!/|iso| = {math.factorial(x.n) // len(group)}"

@@ -237,17 +237,20 @@ class EdgeLabelledGraph:
         return len(self._labels) == self.n * (self.n - 1) // 2
 
     def is_connected(self) -> bool:
+        """Whether the labelled pairs connect all n points: one walk, O(n + E)."""
         if self.n <= 1:
             return True
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for a, b in self._labels:
+            adj[a].append(b)
+            adj[b].append(a)
         seen = {0}
         stack = [0]
         while stack:
-            i = stack.pop()
-            for (a, b) in self._labels:
-                for nxt, cur in ((a, b), (b, a)):
-                    if cur == i and nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         return len(seen) == self.n
 
     @classmethod
@@ -460,15 +463,49 @@ def _masks_after(masks, order, cache: dict) -> list[list[int]]:
     return out
 
 
+def _twins(r, p: int, q: int) -> bool:
+    """Whether points p < q are twins in the rank matrix r.
+
+    Twins are points whose rank rows agree off their own pair, so swapping
+    two twins is an isometry.  Twinhood is an equivalence relation.
+    """
+    rp, rq = r[p], r[q]
+    return rp[:p] == rq[:p] and rp[p + 1:q] == rq[p + 1:q] and rp[q + 1:] == rq[q + 1:]
+
+
 def isometries(
     x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG
 ) -> list[tuple[int, ...]]:
-    """All distance-preserving permutations of x, in lexicographic order."""
+    """All distance-preserving permutations of x, in lexicographic order.
+
+    Let t be least with every point of t..n-1 a twin of n-1.  The search
+    places points 0..t-1 only.  An isometry maps the twin class t..n-1 onto
+    a set of pairwise twins, and any permutation of such a set is an
+    isometry, so one extension of a placed map means every bijection of the
+    suffix onto the unused points extends it.  These are emitted in
+    `itertools.permutations` order, which keeps the whole list
+    lexicographic: the maps and order of a point-by-point search, with no
+    search node per suffix map.
+    """
     if x.n > config.iso_bound:
         raise SearchTooLarge(f"isometry search too large: n={x.n} > {config.iso_bound}")
     _, r, masks = _ranked(x)
+    n = x.n
     found: list[tuple[int, ...]] = []
-    _match(r, masks, [], lambda img: found.append(tuple(img)))
+    t = n - 1
+    while t > 0 and _twins(r, t - 1, n - 1):
+        t -= 1
+    if t >= n - 1:
+        _match(r, masks, [], lambda img: found.append(tuple(img)))
+        return found
+
+    def emit(img):
+        if _match(r, masks, list(img), lambda _: True):
+            head = tuple(img)
+            rest = [p for p in range(n) if p not in head]
+            found.extend(head + p for p in itertools.permutations(rest))
+
+    _match([row[:t] for row in r[:t]], masks, [], emit)
     return found
 
 
@@ -550,7 +587,7 @@ def _least_order(x: FiniteMetricSpace) -> tuple[int, ...]:
     n, n_ranks = x.n, len(masks[0])
     smaller_twins = [0] * n
     for p, q in itertools.combinations(range(n), 2):
-        if all(r[p][z] == r[q][z] for z in range(n) if z != p and z != q):
+        if _twins(r, p, q):
             smaller_twins[q] |= 1 << p
     order: list[int] = []
     rows: list[tuple[int, ...]] = []

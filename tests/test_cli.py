@@ -508,9 +508,19 @@ class TestInputErrors:
          f"too large: {math.comb((3 ** 41 - 1) // 2, 2)} points > 800; use check='sampled'"),
         ("milliken embed 2678 --depth 40 --target {far}",
          "admissible subset too large: more than 20000 points"),
+        ("milliken build 134 --depth 20000",
+         "exhaustive metric check too large: more than 800 points; use check='sampled'"),
+        ("milliken build 134 --depth 1000000000",
+         "exhaustive metric check too large: more than 800 points; use check='sampled'"),
+        ("milliken build 1378 --depth 1000000000 --inverted",
+         "exhaustive metric check too large: more than 800 points; use check='sampled'"),
+        ("milliken embed 2678 --depth 1000000000 --target {far}",
+         "admissible subset too large: more than 20000 points"),
     ])
     def test_oversized_depth_refused_before_listing(self, capsys, tmp_path, argv, message):
-        # depth 40 has (3^41 - 1) / 2 nodes: listing them would exhaust memory
+        # depth 40 has (3^41 - 1) / 2 nodes: listing them would exhaust memory;
+        # the count at depth 20000 has more digits than Python formats, and
+        # 2 ** 10 ** 9 would take minutes to reckon, so neither is reckoned
         far = tmp_path / "far.txt"
         far.write_text("points: 2\n0 2\n2 0\n")
         start = time.perf_counter()

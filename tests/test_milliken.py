@@ -15,6 +15,7 @@ from finmetric.milliken import (
     VARIANTS,
     MillikenSpace,
     _case_lookup,
+    _point_count,
     _relation,
     _relation_patterns,
     _triangle_witness,
@@ -402,6 +403,27 @@ class TestMetricVerdicts:
         # 9,841 nodes give 48,417,720 pairs, refused without being listed
         with pytest.raises(SearchTooLarge, match="48417720 points > 800"):
             milliken_space("2678", 8)
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_point_count_reckoned_exactly_while_formattable(self, name):
+        # the count is given exactly wherever Python can format it, and
+        # refused unreckoned past that
+        v = load_variant(name)
+        limit = sys.get_int_max_str_digits() or 4300
+        edge = int(limit / (v.tuple_size * math.log10(v.alphabet)))
+        for depth in [*range(-1, 6), *range(edge - 6, edge + 6)]:
+            n = math.comb((v.alphabet ** max(depth + 1, 0) - 1) // (v.alphabet - 1), v.tuple_size)
+            try:
+                text = str(n)
+            except ValueError:
+                text = None
+            assert _point_count(v, depth) == (None if text is None else n)
+            if n > 800:
+                with pytest.raises(SearchTooLarge) as refused:
+                    milliken_space(name, depth)
+                count = "more than 800 points" if text is None else f"{text} points > 800"
+                assert str(refused.value) == (
+                    f"exhaustive metric check too large: {count}; use check='sampled'")
 
 
 class TestTypeVerdict:

@@ -35,6 +35,7 @@ from finmetric.ultratrees import (
     convex_orderings_count,
     ramsey_degree_ultrametric,
 )
+from test_spaces import EDGE_CASES, few_valued_spaces, twin_rich_spaces
 
 
 def scalene():
@@ -185,6 +186,24 @@ def _reference_verify_arrow(z, y, x, k=2, l=1, config=Config()):
         if not good:
             return ArrowResult(False, n_copies, checked, coloring)
     return ArrowResult(True, n_copies, checked)
+
+
+def _reference_order_types(x, config=Config()):
+    """The lexicographically least ordering of each orbit, by a scan of all n!."""
+    group = isometries(x, config)
+    seen = set()
+    reps = []
+    for perm in itertools.permutations(range(x.n)):
+        if perm in seen:
+            continue
+        reps.append(perm)
+        for g in group:
+            seen.add(tuple(g[p] for p in perm))
+    if len(reps) != math.factorial(x.n) // len(group):
+        raise AssertionError(
+            f"{len(reps)} order types, but n!/|iso| = {math.factorial(x.n) // len(group)}"
+        )
+    return reps
 
 
 def _outcome(f, *args, **kwargs):
@@ -391,6 +410,16 @@ class TestMetricOrderings:
 
 
 class TestOrderTypes:
+    @given(st.one_of(twin_rich_spaces(), few_valued_spaces(max_n=6)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, x):
+        assert order_types(x) == _reference_order_types(x)
+
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_edge_cases_match_reference(self, name):
+        x = EDGE_CASES[name]()
+        assert order_types(x) == _reference_order_types(x)
+
     def test_equilateral_single_type(self):
         assert len(order_types(FiniteMetricSpace.equilateral(3, 1))) == 1
 

@@ -65,6 +65,22 @@ def _reference_violating_triple(d, mode):
     return None
 
 
+def _reference_is_connected(g):
+    """Connectivity by a walk that scans every label for each popped point."""
+    if g.n <= 1:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for (a, b) in g._labels:
+            for nxt, cur in ((a, b), (b, a)):
+                if cur == i and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return len(seen) == g.n
+
+
 def _reference_all_pairs(g, mode):
     """Floyd-Warshall over the labelled pairs on Fractions; None = unreachable."""
     n = g.n
@@ -89,7 +105,7 @@ def _reference_all_pairs(g, mode):
 
 
 def _reference_complete(g, mode, r=None):
-    if not g.is_connected():
+    if not _reference_is_connected(g):
         raise InvalidSpace("graph is disconnected; completion undefined")
     if mode == "sum-cap":
         if r is None:
@@ -152,6 +168,20 @@ def partial_graphs(draw, max_n=7, min_n=0):
         v = draw(st.one_of(st.none(), RATIONALS))
         if v is not None:
             g.set_label(i, j, v)
+    return g
+
+
+@st.composite
+def sparse_graphs(draw, max_n=9):
+    """Graphs on 0..max_n points with few labelled pairs, so isolated points
+    and several components are common."""
+    n = draw(st.integers(0, max_n))
+    g = EdgeLabelledGraph(n)
+    if n >= 2:
+        point = st.integers(0, n - 1)
+        for i, j in draw(st.lists(st.tuples(point, point), max_size=n)):
+            if i != j:
+                g.set_label(i, j, 1)
     return g
 
 
@@ -311,6 +341,43 @@ def few_valued_spaces(draw, min_n=1, max_n=8):
     return FiniteMetricSpace(d)
 
 
+@st.composite
+def twin_rich_spaces(draw, max_n=7):
+    """Blow-ups of a random base space: each base point becomes a class of
+    pairwise twins sharing one inner distance.  The classes are laid out in
+    blocks (the last one a twin suffix), interleaved, or as one class (an
+    equilateral space).  Every distance is from WINDOW, so each is metric."""
+    n = draw(st.integers(0, max_n))
+    layout = draw(st.sampled_from(("blocks", "interleaved", "whole")))
+    m = 1 if layout == "whole" else draw(st.integers(1, max(n, 1)))
+    cls = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    if layout == "blocks":
+        cls.sort()
+    inner = draw(st.lists(st.sampled_from(WINDOW), min_size=m, max_size=m))
+    base = {pair: draw(st.sampled_from(WINDOW)) for pair in itertools.combinations(range(m), 2)}
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = sorted((cls[i], cls[j]))
+        d[i][j] = d[j][i] = inner[a] if a == b else base[a, b]
+    return FiniteMetricSpace(d)
+
+
+def rigid_seven():
+    """A 7-point space with a distinct distance on every pair: only the identity."""
+    d = [[Fraction(0)] * 7 for _ in range(7)]
+    for k, (i, j) in enumerate(itertools.combinations(range(7), 2)):
+        d[i][j] = d[j][i] = 1 + Fraction(k, 21)
+    return FiniteMetricSpace(d)
+
+
+EDGE_CASES = {
+    "empty": lambda: FiniteMetricSpace([]),
+    "single": FiniteMetricSpace.single_point,
+    **{f"equilateral-{n}": (lambda n=n: FiniteMetricSpace.equilateral(n, 2)) for n in range(1, 8)},
+    "rigid-7": rigid_seven,
+}
+
+
 class TestSearchesMatchReference:
     # the reference scans take ~1 s on an 8-point equilateral space
     @given(few_valued_spaces())
@@ -319,6 +386,18 @@ class TestSearchesMatchReference:
         group = _reference_isometries(x)
         assert isometries(x) == group
         assert isometry_order(x) == len(group)
+
+    @given(twin_rich_spaces())
+    @settings(max_examples=150, deadline=None)
+    def test_isometries_on_twin_classes(self, x):
+        group = _reference_isometries(x)
+        assert isometries(x) == group
+        assert isometry_order(x) == len(group)
+
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_isometries_edge_cases(self, name):
+        x = EDGE_CASES[name]()
+        assert isometries(x) == _reference_isometries(x)
 
     @given(few_valued_spaces())
     @settings(max_examples=40, deadline=None)
@@ -390,6 +469,19 @@ class TestKernelsMatchReference:
         assert new == _outcome(_reference_complete, g, "sum-cap", cap)
         new = _outcome(lambda: complete(g, "max").d)
         assert new == _outcome(_reference_complete, g, "max")
+
+    @given(st.one_of(sparse_graphs(), partial_graphs(max_n=9)))
+    @settings(max_examples=200, deadline=None)
+    def test_is_connected(self, g):
+        assert g.is_connected() == _reference_is_connected(g)
+
+    def test_is_connected_small_and_isolated(self):
+        assert EdgeLabelledGraph(0).is_connected() and EdgeLabelledGraph(1).is_connected()
+        assert not EdgeLabelledGraph(2).is_connected()
+        g = EdgeLabelledGraph(4, {(0, 1): 1, (1, 2): 1})  # point 3 is isolated
+        assert not g.is_connected() and not _reference_is_connected(g)
+        g.set_label(3, 0, 2)
+        assert g.is_connected() and _reference_is_connected(g)
 
 
 class TestValidate:
