@@ -241,6 +241,8 @@ def _adjoin_point(ints, scale, m, subset, f, choose):
     in place.  Every other point y, in index order, gets choose(values): the
     values of ints in [max |a-b|, min a+b] over the points k placed before
     it, with a = d(new, k) and b = d(k, y).  With no point placed, all of S.
+    The interval is the Katetov test solved for y alone, O(placed + |S|) a
+    point; filtering S through katetov._katetov_witness costs |S| x placed.
     """
     n = len(m)
     new = dict(zip(subset, f))

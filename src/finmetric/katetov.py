@@ -42,22 +42,32 @@ class ResourceLimit(Exception):
         self.log = log
 
 
+def _katetov_witness(d, f) -> tuple[int, int] | None:
+    """The least pair i < j, row-major, failing |f[i]-f[j]| <= d[i][j] <= f[i]+f[j],
+    or None: the one Katetov test, on any ordered numbers."""
+    for i, a in enumerate(f):
+        for j in range(i + 1, len(f)):
+            if not abs(a - f[j]) <= d[i][j] <= a + f[j]:
+                return i, j
+    return None
+
+
 def is_katetov(x: FiniteMetricSpace, values) -> tuple[bool, tuple[int, int] | None]:
     """Check the two-sided Katetov inequality; witness is the least violating pair.
 
     Zero values are allowed here: a map vanishing at a point is identified
-    with that point.  Only extend_with refuses them.
+    with that point.  Only extend_with refuses them.  The test runs on f and
+    the matrix times one lcm, which keeps every comparison, verdict and witness.
     """
     f = [as_fraction(v) for v in values]
     if len(f) != x.n:
         raise InvalidSpace(f"expected {x.n} values, got {len(f)}")
     if any(v < 0 for v in f):
         return False, None
-    for i in range(x.n):
-        for j in range(i + 1, x.n):
-            if not (abs(f[i] - f[j]) <= x.d[i][j] <= f[i] + f[j]):
-                return False, (i, j)
-    return True, None
+    n = x.n
+    ints, _ = _scaled([*f, *itertools.chain.from_iterable(x.d)])
+    witness = _katetov_witness([ints[n * i:n * (i + 1)] for i in range(1, n + 1)], ints[:n])
+    return witness is None, witness
 
 
 def extend_with(x: FiniteMetricSpace, values) -> FiniteMetricSpace:
@@ -130,14 +140,9 @@ class BuildLog:
         )
 
 
-def _admissible_maps(x: FiniteMetricSpace, subset, s: DistanceSet):
-    """All S-valued Katetov maps f over the subspace with F+f distances in S."""
-    sub = list(subset)
-    space = x.submetric(sub)
-    for combo in itertools.product(s.values, repeat=len(sub)):
-        ok, _ = is_katetov(space, combo)
-        if ok:
-            yield combo
+def _admissible_maps(x: FiniteMetricSpace, subset, s: DistanceSet) -> list:
+    """All S-valued Katetov maps f over the subspace, in product order."""
+    return _katetov_maps(x.submetric(list(subset)).d, s.values)
 
 
 def urysohn_approx(
@@ -190,7 +195,7 @@ def urysohn_approx(
                 dist = tuple(m[a][b] for a, b in itertools.combinations(sub, 2))
                 fs = maps.get(dist)
                 if fs is None:
-                    fs = maps[dist] = _katetov_maps(dist, size, ints)
+                    fs = maps[dist] = _katetov_maps([[m[a][b] for b in sub] for a in sub], ints)
                 realized = set(zip(*(m[q] for q in sub)))
                 for f in fs:
                     if f in realized:
@@ -228,17 +233,9 @@ def urysohn_approx(
         pending = [e for e in pending if any(row[q] != v for q, v in zip(e[2], e[3]))]
 
 
-def _katetov_maps(dist, size: int, ints) -> list[tuple[int, ...]]:
-    """The maps F -> S that are Katetov over F, in product order, on ints.
-
-    dist lists the distances within F in itertools.combinations order.
-    """
-    pairs = list(zip(itertools.combinations(range(size), 2), dist))
-    return [
-        f
-        for f in itertools.product(ints, repeat=size)
-        if all(abs(f[i] - f[j]) <= d <= f[i] + f[j] for (i, j), d in pairs)
-    ]
+def _katetov_maps(d, values) -> list[tuple]:
+    """The maps F -> values that are Katetov over F's matrix d, in product order."""
+    return [f for f in itertools.product(values, repeat=len(d)) if _katetov_witness(d, f) is None]
 
 
 def ultrametric_urysohn_grid(s: DistanceSet, arity: int) -> FiniteMetricSpace:

@@ -169,7 +169,7 @@ class FiniteMetricSpace:
     def distance_set(self) -> DistanceSet:
         vals = self.distances()
         if not vals:
-            raise InvalidSpace("one-point space has an empty distance set")
+            raise InvalidSpace(f"{'one-point' if self.n else 'the empty'} space has an empty distance set")
         return DistanceSet(vals)
 
     def distances(self) -> set[Fraction]:

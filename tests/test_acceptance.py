@@ -39,6 +39,7 @@ from test_four_values import (
     brute_force_one_point_oracle,
     one_point_configurations,
 )
+from test_katetov import _reference_admissible_maps
 from test_ultratrees import (
     _reference_convex_orderings_count,
     _reference_linear_extensions,
@@ -236,7 +237,7 @@ def test_criterion_8_urysohn_approx():
     space, _ = katetov.urysohn_approx(s, 3)
     for size in (1, 2):
         for subset in itertools.combinations(range(space.n), size):
-            for f in katetov._admissible_maps(space, subset, s):
+            for f in _reference_admissible_maps(space, subset, s):
                 assert katetov.realizers(space, subset, f), (subset, f)
     types = [
         FiniteMetricSpace.single_point(),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import shlex
 import subprocess
@@ -11,6 +12,9 @@ import pytest
 
 from finmetric.cli import _VERBS, _config, build_parser, main
 from finmetric.spaces import Config, FiniteMetricSpace, space_to_text
+
+# the subprocesses import finmetric from src/, installed or not
+SRC_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 
 def run_cli(capsys, *argv):
@@ -89,7 +93,7 @@ class TestSimilar:
     def test_subprocess_separator(self):
         proc = subprocess.run(
             [sys.executable, "-m", "finmetric.cli", "similar", "1", "2", "--", "2", "3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SRC_ENV,
         )
         assert proc.returncode == 0
 
@@ -365,7 +369,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "finmetric.cli", "check4v", "1", "2", "5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SRC_ENV,
         )
         assert proc.returncode == 0
 
@@ -466,6 +470,10 @@ class TestInputErrors:
         ("ultra tree --space {empty}", "the empty space has no ball tree"),
         ("ultra degree --space {empty}", "the empty space has no ball tree"),
         ("ultra fichet --space {empty}", "the empty space has no ball tree"),
+        ("degree --space {empty} --metric-orderings", "the empty space has an empty distance set"),
+        ("orderprop --y {empty} --x {empty} --order= --ordering-class metric",
+         "the empty space has an empty distance set"),
+        ("degree --space {one} --metric-orderings", "error: one-point space has an empty distance set"),
         ("color indiv --space {tri} --target {tri} -k 0", "need at least 1 color, got k=0"),
         ("color indiv --space {tri} --target {tri} --sampled -2", "need at least 1 sample, got -2"),
         ("color indiv --space {tri} --target {tri} --sampled 0", "need at least 1 sample, got 0"),
@@ -494,6 +502,7 @@ class TestInputErrors:
             # y = 0, start = 1 and end = 2 meet every precondition but the chain's
             ("line", "points: 3\n0 1/10 1\n1/10 0 1\n1 1 0\n"),
             ("empty", "points: 0\n"),
+            ("one", "points: 1\n0\n"),
             ("far", "points: 2\n0 2\n2 0\n"),
             ("zero", "points: 2\n0 1/0\n1/0 0\n"),
         ):

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finmetric import four_values
 from finmetric.katetov import (
     BuildLog,
     ResourceLimit,
     _admissible_maps,
+    _katetov_maps,
+    _katetov_witness,
     extend_with,
     is_katetov,
     realizers,
@@ -230,7 +232,7 @@ class TestUrysohnApprox:
         space, _ = urysohn_approx(s, 3)
         for size in (1, 2):
             for subset in itertools.combinations(range(space.n), size):
-                for f in _admissible_maps(space, subset, s):
+                for f in _reference_admissible_maps(space, subset, s):
                     assert realizers(space, subset, f)
 
     def test_ultrametric_set_gives_ultrametric_space(self):
@@ -302,7 +304,7 @@ def _reference_urysohn_approx(
             if size > space.n:
                 break
             for subset in itertools.combinations(range(space.n), size):
-                for f in _admissible_maps(space, subset, s):
+                for f in _reference_admissible_maps(space, subset, s):
                     if not realizers(space, subset, f):
                         ext = extend_with(space.submetric(subset), f)
                         pending.append((size, canonical_key(ext), subset, f))
@@ -443,3 +445,200 @@ class TestUltrametricGrid:
     def test_arity_below_two_rejected(self):
         with pytest.raises(InvalidSpace):
             ultrametric_urysohn_grid(DistanceSet((1,)), 1)
+
+
+# --- reference Katetov tests: the Fraction loop, the inline int filter and
+# the product loop that the one kernel replaced, kept verbatim ---------------
+
+def _reference_is_katetov(x: FiniteMetricSpace, values) -> tuple[bool, tuple[int, int] | None]:
+    """Check the two-sided Katetov inequality; witness is the least violating pair.
+
+    Zero values are allowed here: a map vanishing at a point is identified
+    with that point.  Only extend_with refuses them.
+    """
+    f = [as_fraction(v) for v in values]
+    if len(f) != x.n:
+        raise InvalidSpace(f"expected {x.n} values, got {len(f)}")
+    if any(v < 0 for v in f):
+        return False, None
+    for i in range(x.n):
+        for j in range(i + 1, x.n):
+            if not (abs(f[i] - f[j]) <= x.d[i][j] <= f[i] + f[j]):
+                return False, (i, j)
+    return True, None
+
+
+def _reference_katetov_maps(dist, size: int, ints) -> list[tuple[int, ...]]:
+    """The maps F -> S that are Katetov over F, in product order, on ints.
+
+    dist lists the distances within F in itertools.combinations order.
+    """
+    pairs = list(zip(itertools.combinations(range(size), 2), dist))
+    return [
+        f
+        for f in itertools.product(ints, repeat=size)
+        if all(abs(f[i] - f[j]) <= d <= f[i] + f[j] for (i, j), d in pairs)
+    ]
+
+
+def _reference_admissible_maps(x: FiniteMetricSpace, subset, s: DistanceSet):
+    """All S-valued Katetov maps f over the subspace with F+f distances in S.
+
+    Verbatim but for the test it runs, the reference one above.
+    """
+    sub = list(subset)
+    space = x.submetric(sub)
+    for combo in itertools.product(s.values, repeat=len(sub)):
+        ok, _ = _reference_is_katetov(space, combo)
+        if ok:
+            yield combo
+
+
+MIXED = st.builds(Fraction, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6)))
+MAP_VALUES = st.builds(Fraction, st.integers(-2, 12), st.sampled_from((1, 2, 3, 5)))
+
+
+@st.composite
+def katetov_spaces(draw, max_n=8):
+    """Metric spaces with mixed denominators, or unchecked and not metric."""
+    n = draw(st.integers(0, max_n))
+    if draw(st.booleans()):
+        # unchecked: asymmetric, zero or negative entries, failing triangles
+        entries = st.builds(Fraction, st.integers(-3, 12), st.sampled_from((1, 2, 3, 4)))
+        return FiniteMetricSpace(draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)), check=False)
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        w[i][j] = w[j][i] = draw(MIXED.filter(bool))
+    for k, i, j in itertools.product(range(n), repeat=3):
+        w[i][j] = min(w[i][j], w[i][k] + w[k][j])
+    return FiniteMetricSpace(w)
+
+
+@st.composite
+def spaces_and_maps(draw):
+    x = draw(katetov_spaces())
+    if draw(st.booleans()) and x.n:
+        # the distances from a point, nudged: near-Katetov maps fail late
+        p = draw(st.integers(0, x.n - 1))
+        f = [x.d[p][q] + draw(st.sampled_from((0, 0, 0, Fraction(1, 2), -1))) for q in range(x.n)]
+    else:
+        f = draw(st.lists(MAP_VALUES, min_size=x.n, max_size=x.n))
+    return x, f
+
+
+class TestKernelMatchesReference:
+    @given(spaces_and_maps())
+    @settings(max_examples=600, deadline=None)
+    def test_is_katetov(self, case):
+        x, f = case
+        assert is_katetov(x, f) == _reference_is_katetov(x, f)
+
+    @given(katetov_spaces(), st.lists(MAP_VALUES, max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_is_katetov_length_error(self, x, f):
+        assume(len(f) != x.n)
+        with pytest.raises(InvalidSpace) as got:
+            is_katetov(x, f)
+        with pytest.raises(InvalidSpace) as want:
+            _reference_is_katetov(x, f)
+        assert str(got.value) == str(want.value)
+
+    @given(
+        st.integers(0, 4).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-2, 9), min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.lists(st.integers(-1, 9), min_size=1, max_size=4, unique=True).map(sorted),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_katetov_maps(self, m, ints):
+        dist = [m[a][b] for a, b in itertools.combinations(range(len(m)), 2)]
+        assert _katetov_maps(m, ints) == _reference_katetov_maps(dist, len(m), ints)
+
+    @given(
+        katetov_spaces(max_n=6),
+        st.data(),
+        st.lists(MIXED.filter(bool), min_size=1, max_size=3).map(DistanceSet),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_admissible_maps(self, x, data, s):
+        subset = data.draw(st.lists(st.integers(0, max(x.n - 1, 0)), max_size=min(x.n, 3)))
+        assert _admissible_maps(x, subset, s) == list(_reference_admissible_maps(x, subset, s))
+
+    @pytest.mark.parametrize("values", [(1, 2), (Fraction(1, 2), 1, Fraction(3, 2))])
+    def test_admissible_maps_over_the_closure(self, values):
+        space, _ = urysohn_approx(DistanceSet((1, 2)), 3)
+        s = DistanceSet(values)
+        for size in range(4):
+            for subset in itertools.combinations(range(space.n), size):
+                want = list(_reference_admissible_maps(space, subset, s))
+                assert _admissible_maps(space, subset, s) == want
+
+    def test_row_major_witness(self):
+        # (0, 3) fails on |1 - 4| > 2 and (1, 2) on 1 + 1 < 3: row-major
+        # order reports (0, 3), column-major would report (1, 2)
+        x = FiniteMetricSpace([[0, 2, 2, 2], [2, 0, 3, 2], [2, 3, 0, 2], [2, 2, 2, 0]])
+        f = (1, 1, 1, 4)
+        assert is_katetov(x, f) == _reference_is_katetov(x, f) == (False, (0, 3))
+        assert _katetov_witness([[2 * v for v in row] for row in x.d], [2, 2, 2, 8]) == (0, 3)
+
+    def test_empty_space(self):
+        x = FiniteMetricSpace([])
+        assert is_katetov(x, []) == _reference_is_katetov(x, []) == (True, None)
+        assert _admissible_maps(x, [], DistanceSet((1,))) == [()]
+
+    def test_one_point(self):
+        x = FiniteMetricSpace.single_point()
+        for v in (0, Fraction(1, 3), 5):
+            assert is_katetov(x, [v]) == _reference_is_katetov(x, [v]) == (True, None)
+        assert is_katetov(x, [-1]) == _reference_is_katetov(x, [-1]) == (False, None)
+
+    def test_vanishing_value(self):
+        x = path3()
+        for f in ((0, 1, 2), (1, 0, 1), (0, 0, 2), (0, 1, 1)):
+            assert is_katetov(x, f) == _reference_is_katetov(x, f)
+        assert is_katetov(x, (0, 1, 2)) == (True, None)
+        assert is_katetov(x, (0, 0, 2)) == (False, (0, 1))
+
+
+@st.composite
+def adjoin_inputs(draw):
+    """An int metric space, the distances from one more point over a subset,
+    and S as ints: a Katetov map to adjoin."""
+    n = draw(st.integers(1, 6))
+    w = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, j in itertools.combinations(range(n + 1), 2):
+        w[i][j] = w[j][i] = draw(st.integers(1, 8))
+    for k, i, j in itertools.product(range(n + 1), repeat=3):
+        w[i][j] = min(w[i][j], w[i][k] + w[k][j])
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    ints = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=5)))
+    f = [w[n][k] for k in subset]
+    return ints, [row[:n] for row in w[:n]], subset, f, draw(st.integers(0, 99))
+
+
+@given(adjoin_inputs())
+@settings(max_examples=300, deadline=None)
+def test_adjoin_point_candidates_are_the_kernels(case):
+    """Each point's candidates are the values of S that the Katetov kernel
+    accepts over the points placed before it, with that point added."""
+    ints, m, subset, f, seed = case
+    rng = random.Random(seed)
+    placed = dict(zip(subset, f))
+    rest = iter([y for y in range(len(m)) if y not in placed])
+
+    def accepted(y):
+        pts = [*placed, y]
+        d = [[m[a][b] for b in pts] for a in pts]
+        return [u for u in ints if _katetov_witness(d, [*placed.values(), u]) is None]
+
+    def choose(candidates):
+        y = next(rest)
+        assert candidates == accepted(y)
+        placed[y] = rng.choice(candidates)
+        return placed[y]
+
+    try:
+        four_values._adjoin_point(ints, 1, [row[:] for row in m], subset, f, choose)
+    except InvalidSpace as exc:
+        assert "stuck" in str(exc)
+        assert accepted(next(rest)) == []

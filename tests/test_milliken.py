@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -477,7 +479,9 @@ class TestTypeVerdict:
             "caches = (m._type_verdict, m._case_lookup, m.load_variant, m._embed_index)\n"
             "print([f.cache_info().currsize for f in caches])\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0, 0]"
 

@@ -776,6 +776,16 @@ class TestCanonicalize:
         assert len(copies(canon, x)) >= 1
 
 
+class TestDistanceSet:
+    def test_empty_space_named(self):
+        with pytest.raises(InvalidSpace, match="^the empty space has an empty distance set$"):
+            FiniteMetricSpace([]).distance_set()
+
+    def test_one_point_message_kept(self):
+        with pytest.raises(InvalidSpace, match="^one-point space has an empty distance set$"):
+            FiniteMetricSpace.single_point().distance_set()
+
+
 class TestFormats:
     def test_text_round_trip(self):
         x = FiniteMetricSpace([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
