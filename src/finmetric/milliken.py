@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .spaces import (
     DistanceSet,
@@ -228,37 +228,51 @@ def _triangle_witness(d) -> tuple | None:
     return None
 
 
-def _coding_matrix(variant: Variant, depth: int, lookup: dict) -> list[list[int]]:
-    """The int distance matrix of coding_points(variant, depth).
+@functools.cache
+def _flat_table(name: str, invert_membership: bool = False) -> tuple[int, ...]:
+    """The case lookup as a flat int table, for _coding_matrix.
 
-    A relation tuple (r_0, ..., r_{k-1}) sits at index sum r_c * (A+1)^(k-1-c)
-    of a flat lookup, A the alphabet.  Per slot c, every node has a table of
-    its relations to all nodes, times (A+1)^(k-1-c); per slot, a column
-    lists each point's node index, from the same combinations as the points.
-    A row is then one comprehension over the columns, adding the row
-    point's tables at the other points' nodes.  Pairs and triples each get
-    their own comprehension: a generic one summing over the slots built the
-    780-point (pairs) and 455-point (triples) matrices 3-7x slower
-    (medians 172-347 ms against 50 ms, and 77-138 ms against 26 ms).
+    A relation tuple (r_0, ..., r_{k-1}) sits at index sum r_c * (A+1)^(k-1-c),
+    A the alphabet.  Index 0 holds 0: only a point and itself have every
+    component equal, so that entry is the diagonal's.
+    """
+    variant = load_variant(name)
+    lookup = _case_lookup(name, invert_membership)
+    flat = [lookup[key] for key in itertools.product(range(variant.alphabet + 1), repeat=variant.tuple_size)]
+    flat[0] = 0
+    return tuple(flat)
+
+
+def _coding_matrix(variant: Variant, depth: int, flat: Sequence) -> tuple[tuple, ...]:
+    """The distance matrix of coding_points(variant, depth), as tuple rows of flat's values.
+
+    flat is a table of _flat_table's layout: the ints themselves, which the
+    triangle scan of the inverted builds reads, or one Fraction per int,
+    which gives a proved space its rows with no second pass.  Per slot c,
+    every node has a table of its relations to all nodes, times
+    (A+1)^(k-1-c); per slot, a column lists each point's node index, from
+    the same combinations as the points.  A row is then one comprehension
+    over the columns, adding the row point's tables at the other points'
+    nodes.  Pairs and triples each get their own comprehension: a generic
+    one summing over the slots built the 780-point (pairs) and 455-point
+    (triples) matrices 3-7x slower (medians 172-347 ms against 50 ms, and
+    77-138 ms against 26 ms).
     """
     base, size = variant.alphabet + 1, variant.tuple_size
     nodes = nodes_up_to(variant.alphabet, depth)
     relations = [[_relation(a, b) for b in nodes] for a in nodes]
-    flat = [lookup[key] for key in itertools.product(range(base), repeat=size)]
     columns = list(zip(*itertools.combinations(range(len(nodes)), size)))
     weighted = [[[r * base ** (size - 1 - c) for r in row] for row in relations] for c in range(size)]
     rows = []
-    for i, own in enumerate(zip(*columns)):
+    for own in zip(*columns):
         tables = [weighted[c][x] for c, x in enumerate(own)]
         if size == 2:
             s, t = tables
-            row = [flat[s[x] + t[y]] for x, y in zip(*columns)]
+            rows.append(tuple([flat[s[x] + t[y]] for x, y in zip(*columns)]))
         else:
             s, t, u = tables
-            row = [flat[s[x] + t[y] + u[z]] for x, y, z in zip(*columns)]
-        row[i] = 0
-        rows.append(row)
-    return rows
+            rows.append(tuple([flat[s[x] + t[y] + u[z]] for x, y, z in zip(*columns)]))
+    return tuple(rows)
 
 
 def milliken_space(
@@ -279,16 +293,17 @@ def milliken_space(
     (the inverted builds) the check decides, and fixes the witness.  The
     exhaustive check builds the whole matrix, capped at max_points
     (covering pairs over the binary tree to depth 4 and over the ternary
-    tree to depth 3, and triples to depth 3), and decides it on bitsets.
-    Use check='sampled' beyond that: it lists the points and, when the
-    types fail, draws `samples` random triangles from `seed`, computing
-    only their distances; samples and seed matter only then.  A space
-    under 3 points has no triangle and is metric.  The exhaustive space is
-    built from its int matrix with no further scan, once the types or the
-    bitsets have proved it metric.  The cap is applied to the point count,
-    reckoned from the node count, before any node is listed; a count too
-    long to format (_point_count) is not reckoned and is refused as more
-    than max_points.
+    tree to depth 3, and triples to depth 3): from the Fraction table when
+    the types prove it metric, so its rows are the space's; otherwise from
+    the int table, which the bitset scan decides, and a space it proves
+    metric is built from that int matrix with no further scan.  Use
+    check='sampled' beyond that: it lists the points and, when the types
+    fail, draws `samples` random triangles from `seed`, computing only
+    their distances; samples and seed matter only then.  A space under 3
+    points has no triangle and is metric.  The cap is applied to the point
+    count, reckoned from the node count, before any node is listed; a count
+    too long to format (_point_count) is not reckoned and is refused as
+    more than max_points.
     """
     variant = load_variant(name)
     if check == "exhaustive":
@@ -309,10 +324,14 @@ def milliken_space(
         return lookup[tuple(map(_relation, points[i], points[j]))]
 
     if check == "exhaustive":
-        dmat = _coding_matrix(variant, depth, lookup)
-        witness = None if typed_metric else _triangle_witness(dmat)
-        if witness is None:
-            space = FiniteMetricSpace._from_ints(dmat, 1)
+        flat = _flat_table(name, invert_membership)
+        if typed_metric:
+            space = FiniteMetricSpace._from_rows(_coding_matrix(variant, depth, [*map(Fraction, flat)]))
+        else:
+            dmat = _coding_matrix(variant, depth, flat)
+            witness = _triangle_witness(dmat)
+            if witness is None:
+                space = FiniteMetricSpace._from_ints(dmat, 1)
     elif check == "sampled":
         if samples < 1:
             raise InvalidSpace(f"need at least 1 sample, got {samples}")

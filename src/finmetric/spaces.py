@@ -8,6 +8,7 @@ by the lcm of their denominators; proved int results skip the re-check.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -156,12 +157,18 @@ class FiniteMetricSpace:
         self.d = d
 
     @classmethod
+    def _from_rows(cls, d: tuple[tuple[Fraction, ...], ...]) -> "FiniteMetricSpace":
+        """The space whose matrix is d, taken as it is: square tuple rows of
+        Fractions that the caller has proved metric."""
+        x = cls.__new__(cls)
+        x.n, x.d = len(d), d
+        return x
+
+    @classmethod
     def _from_ints(cls, m: Sequence[Sequence[int]], scale: int) -> "FiniteMetricSpace":
         """Distances m[i][j] / scale, one Fraction per distinct int, unchecked: m is proved metric."""
         frac = {u: Fraction(u, scale) for u in set().union(*m)}
-        x = cls.__new__(cls)
-        x.n, x.d = len(m), tuple(tuple(map(frac.__getitem__, row)) for row in m)
-        return x
+        return cls._from_rows(tuple(tuple(map(frac.__getitem__, row)) for row in m))
 
     def distance(self, i: int, j: int) -> Fraction:
         return self.d[i][j]
@@ -320,27 +327,34 @@ def validate(g: EdgeLabelledGraph, mode: str, l: int | None = None):
 def _path_closure(n: int, labels: dict, join, cap: int) -> list[list[int]]:
     """Least path value between every two points, capped at cap.
 
-    One Floyd-Warshall loop on int labels, unlabelled pairs starting at cap.
-    A path's value is its labels folded by join: operator.add gives shortest
-    paths, max gives minimax (bottleneck) paths.  No entry off the diagonal
-    exceeds cap, so an entry at cap or above, joined with any, improves none.
+    One Dijkstra search from each source over an adjacency list built once,
+    on int labels in (0, cap]; every entry off the diagonal starts at cap,
+    so a value that reaches cap is never pushed.  A path's value is its
+    labels folded by join: operator.add gives shortest paths, max gives
+    minimax (bottleneck) paths.  Dijkstra's order is exact for both: labels
+    are positive and join is monotone in both arguments, so extending a path
+    never lowers its value, and the least value on the heap is final.
     """
-    dist = [[cap] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (i, j), v in labels.items():
-        dist[i][j] = dist[j][i] = v
-    for k in range(n):
-        dk = dist[k]
-        for di in dist:
-            dik = di[k]
-            if dik >= cap:
+        adj[i].append((j, v))
+        adj[j].append((i, v))
+    out = []
+    for source in range(n):
+        dist = [cap] * n
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
                 continue
-            for j, dkj in enumerate(dk):
-                s = join(dik, dkj)
-                if s < di[j]:
-                    di[j] = s
-    return dist
+            for v, w in adj[u]:
+                s = join(du, w)
+                if s < dist[v]:
+                    dist[v] = s
+                    heapq.heappush(heap, (s, v))
+        out.append(dist)
+    return out
 
 
 def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
@@ -352,7 +366,10 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
     the largest label, which it never exceeds.  The space agrees with the
     labelling exactly and is metric with no triangle scan: on a connected
     graph with positive labels, least path sums capped at or above every
-    label form a metric, and minimax path values an ultrametric.
+    label form a metric, and minimax path values an ultrametric.  Both come
+    from one Dijkstra search per point (_path_closure), exact because the
+    labels are positive and both joins, + and max, are monotone in both
+    arguments.
     """
     if not g.is_connected():
         raise InvalidSpace("graph is disconnected; completion undefined")
@@ -686,9 +703,19 @@ def _parse_lines(text: str):
     return n, rows
 
 
+class _TokenFractions(dict):
+    """as_fraction of string tokens, each distinct token converted once, when
+    first looked up; only strings are keys, so 1.0 never meets 1."""
+
+    def __missing__(self, token: str) -> Fraction:
+        q = self[token] = as_fraction(token)
+        return q
+
+
 def space_from_text(text: str) -> FiniteMetricSpace:
     _, rows = _parse_lines(text)
-    return FiniteMetricSpace([[as_fraction(tok) for tok in row] for row in rows])
+    q = _TokenFractions()
+    return FiniteMetricSpace([[q[tok] for tok in row] for row in rows])
 
 
 def graph_from_text(text: str) -> EdgeLabelledGraph:
@@ -697,6 +724,7 @@ def graph_from_text(text: str) -> EdgeLabelledGraph:
         if len(row) != n:
             raise InvalidSpace(f"row {i} has {len(row)} entries, expected {n}")
     g = EdgeLabelledGraph(n)
+    q = _TokenFractions()
     for i in range(n):
         for j in range(i + 1, n):
             tok, mirror = rows[i][j], rows[j][i]
@@ -704,9 +732,9 @@ def graph_from_text(text: str) -> EdgeLabelledGraph:
                 raise InvalidSpace(f"pair ({i},{j}) labelled on one side only")
             if tok == "?":
                 continue
-            if as_fraction(tok) != as_fraction(mirror):
+            if q[tok] != q[mirror]:
                 raise InvalidSpace(f"asymmetric labels on ({i},{j})")
-            g.set_label(i, j, as_fraction(tok))
+            g.set_label(i, j, q[tok])
     return g
 
 
@@ -717,7 +745,13 @@ def space_to_json(x: FiniteMetricSpace) -> str:
 
 
 def space_from_json(text: str) -> FiniteMetricSpace:
+    """A space from {"points": n, "rows": [[...], ...]}; entries as for as_fraction."""
     obj = json.loads(text)
-    if set(obj) != {"points", "rows"} or obj["points"] != len(obj["rows"]):
+    if not (isinstance(obj, dict) and set(obj) == {"points", "rows"}
+            and isinstance(obj["rows"], list) and obj["points"] == len(obj["rows"])
+            and all(isinstance(row, list) for row in obj["rows"])):
         raise InvalidSpace("bad JSON space payload")
-    return FiniteMetricSpace([[as_fraction(v) for v in row] for row in obj["rows"]])
+    q = _TokenFractions()
+    return FiniteMetricSpace(
+        [[q[v] if type(v) is str else as_fraction(v) for v in row] for row in obj["rows"]]
+    )

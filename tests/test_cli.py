@@ -585,3 +585,18 @@ class TestParserTable:
         table = {(verb, subverb) for verb, (_, body, _) in _VERBS.items()
                  for subverb in (body if isinstance(body, dict) else [None])}
         assert seen == table
+
+
+def test_import_loads_only_the_standard_library():
+    """`import finmetric.cli` in a fresh interpreter loads no third-party
+    module (numpy, say): the CLI's set-up time is its own import."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import finmetric.cli\n"
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'finmetric'}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

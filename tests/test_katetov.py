@@ -305,8 +305,8 @@ def _reference_urysohn_approx(
                 break
             for subset in itertools.combinations(range(space.n), size):
                 for f in _reference_admissible_maps(space, subset, s):
-                    if not realizers(space, subset, f):
-                        ext = extend_with(space.submetric(subset), f)
+                    if not _reference_realizers(space, subset, f):
+                        ext = _reference_extend_with(space.submetric(subset), f)
                         pending.append((size, canonical_key(ext), subset, f))
         if not pending:
             return space, log
@@ -321,6 +321,31 @@ def _reference_urysohn_approx(
             )
         space = _reference_adjoin_point(s, space, subset, f, rng)
         log.record(subset, f)
+
+
+def _reference_realizers(x: FiniteMetricSpace, sub, values) -> list[int]:
+    """The points of X at distance f(s) from every s in the subspace, f
+    checked Katetov there by the reference test, not the kernel under test."""
+    f = [as_fraction(v) for v in values]
+    ok, witness = _reference_is_katetov(x.submetric(sub), f)
+    if not ok:
+        raise InvalidSpace(f"not Katetov over the subspace, witness {witness}")
+    return [y for y in range(x.n) if all(x.d[y][s] == f[k] for k, s in enumerate(sub))]
+
+
+def _reference_extend_with(x: FiniteMetricSpace, values) -> FiniteMetricSpace:
+    """X plus one point at distance f(x) from each x, f checked Katetov by
+    the reference test and the result by the checked constructor."""
+    f = [as_fraction(v) for v in values]
+    ok, witness = _reference_is_katetov(x, f)
+    if not ok:
+        raise InvalidSpace(f"not a Katetov map, witness pair {witness}")
+    for i, v in enumerate(f):
+        if v == 0:
+            raise InvalidSpace(f"map vanishes at point {i}: realized by existing point {i}")
+    rows = [list(row) + [f[i]] for i, row in enumerate(x.d)]
+    rows.append(f + [Fraction(0)])
+    return FiniteMetricSpace(rows)
 
 
 def _reference_adjoin_point(s, space, subset, f, rng):

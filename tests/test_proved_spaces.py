@@ -17,7 +17,7 @@ from finmetric.katetov import ResourceLimit, extend_with, is_katetov, urysohn_ap
 from finmetric.milliken import (
     VARIANTS,
     _coding_matrix,
-    _case_lookup,
+    _flat_table,
     _triangle_witness,
     load_variant,
     milliken_space,
@@ -175,6 +175,28 @@ class TestMillikenBuilds:
             if ms.space.n <= 120:
                 assert_rechecked(ms.space)
             else:
-                dmat = _coding_matrix(variant, depth, _case_lookup(name, invert))
+                dmat = _coding_matrix(variant, depth, _flat_table(name, invert))
                 assert _triangle_witness(dmat) is None
                 assert ms.space.d == tuple(tuple(map(Fraction, row)) for row in dmat)
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_coding_rows_are_the_int_matrix(self, name):
+        """A metric build's rows come from the Fraction table, an inverted
+        build's verdict from the int table; both tables give one matrix."""
+        variant = load_variant(name)
+        for depth in range(4):
+            dmat = _coding_matrix(variant, depth, _flat_table(name))
+            assert all(type(u) is int for row in dmat for u in row)
+            ms = milliken_space(name, depth)
+            assert ms.metric and ms.witness is None
+            assert ms.space.d == tuple(tuple(map(Fraction, row)) for row in dmat)
+            assert all(type(v) is Fraction for row in ms.space.d for v in row)
+            inverted = milliken_space(name, depth, invert_membership=True)
+            imat = _coding_matrix(variant, depth, _flat_table(name, True))
+            witness = _triangle_witness(imat)
+            assert inverted.witness == witness
+            assert (inverted.space is None) == (witness is not None) == (not inverted.metric)
+            if witness is None:
+                assert inverted.space.d == tuple(tuple(map(Fraction, row)) for row in imat)
+            if depth >= 2:
+                assert witness is not None

@@ -29,7 +29,7 @@ from finmetric.spaces import (
     space_to_text,
     validate,
 )
-from finmetric.spaces import _simple_paths, _violating_triple
+from finmetric.spaces import _path_closure, _simple_paths, _violating_triple
 
 
 def path_space():
@@ -104,6 +104,32 @@ def _reference_all_pairs(g, mode):
     return dist
 
 
+def _reference_path_closure(n: int, labels: dict, join, cap: int) -> list[list[int]]:
+    """Least path value between every two points, capped at cap.
+
+    One Floyd-Warshall loop on int labels, unlabelled pairs starting at cap.
+    A path's value is its labels folded by join: operator.add gives shortest
+    paths, max gives minimax (bottleneck) paths.  No entry off the diagonal
+    exceeds cap, so an entry at cap or above, joined with any, improves none.
+    """
+    dist = [[cap] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for (i, j), v in labels.items():
+        dist[i][j] = dist[j][i] = v
+    for k in range(n):
+        dk = dist[k]
+        for di in dist:
+            dik = di[k]
+            if dik >= cap:
+                continue
+            for j, dkj in enumerate(dk):
+                s = join(dik, dkj)
+                if s < di[j]:
+                    di[j] = s
+    return dist
+
+
 def _reference_complete(g, mode, r=None):
     if not _reference_is_connected(g):
         raise InvalidSpace("graph is disconnected; completion undefined")
@@ -169,6 +195,24 @@ def partial_graphs(draw, max_n=7, min_n=0):
         if v is not None:
             g.set_label(i, j, v)
     return g
+
+
+@st.composite
+def int_label_dicts(draw, max_n=12):
+    """(n, labels, cap) as _path_closure takes them: int labels in 1..cap,
+    often at cap, on 0..max_n points; half the draws lay a spanning path
+    first, so connected and disconnected graphs both occur."""
+    n = draw(st.integers(0, max_n))
+    cap = draw(st.integers(1, 30))
+    label = st.one_of(st.just(cap), st.integers(1, cap))
+    labels = {}
+    if draw(st.booleans()):
+        for i in range(n - 1):
+            labels[i, i + 1] = draw(label)
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.integers(0, 3)) == 0:
+            labels[i, j] = draw(label)
+    return n, labels, cap
 
 
 @st.composite
@@ -469,6 +513,21 @@ class TestKernelsMatchReference:
         assert new == _outcome(_reference_complete, g, "sum-cap", cap)
         new = _outcome(lambda: complete(g, "max").d)
         assert new == _outcome(_reference_complete, g, "max")
+
+    @given(int_label_dicts(), st.sampled_from((operator.add, max)))
+    @settings(max_examples=300, deadline=None)
+    def test_path_closure(self, case, join):
+        n, labels, cap = case
+        assert _path_closure(n, labels, join, cap) == _reference_path_closure(n, labels, join, cap)
+
+    def test_path_closure_edges(self):
+        for join in (operator.add, max):
+            assert _path_closure(0, {}, join, 5) == [] == _reference_path_closure(0, {}, join, 5)
+            assert _path_closure(1, {}, join, -1) == [[0]] == _reference_path_closure(1, {}, join, -1)
+            # a label at the cap stays at the cap and extends no path
+            labels = {(0, 1): 4, (1, 2): 1}
+            assert _path_closure(3, labels, join, 4) == _reference_path_closure(3, labels, join, 4)
+        assert complete(EdgeLabelledGraph(1), "sum-cap", -1).d == ((0,),)
 
     @given(st.one_of(sparse_graphs(), partial_graphs(max_n=9)))
     @settings(max_examples=200, deadline=None)
@@ -824,6 +883,55 @@ class TestFormats:
     def test_asymmetric_values_rejected(self):
         with pytest.raises(InvalidSpace, match="asymmetric"):
             graph_from_text("points: 2\n0 1\n2 0\n")
+
+    @pytest.mark.parametrize("text", [
+        '{"points": 1, "rows": 5}', '{"points": 1, "rows": [5]}', "5", "null",
+        '[[0]]', '{"points": 1, "rows": {"0": 0}}',
+    ])
+    def test_malformed_json_shapes_rejected(self, text):
+        with pytest.raises(InvalidSpace, match="^bad JSON space payload$"):
+            space_from_json(text)
+
+    def test_json_float_not_merged_with_its_int(self):
+        with pytest.raises(InvalidSpace, match=r"^float distance 1\.0 not allowed"):
+            space_from_json('{"points": 2, "rows": [[0, 1], [1.0, 0]]}')
+        with pytest.raises(InvalidSpace, match=r"^float distance 1\.0 not allowed"):
+            space_from_json('{"points": 2, "rows": [[0, "1"], [1.0, 0]]}')
+
+    def test_json_unhashable_entry_not_interpreted(self):
+        with pytest.raises(InvalidSpace, match=r"^cannot interpret \[1\] as a rational$"):
+            space_from_json('{"points": 2, "rows": [[0, 1], [[1], 0]]}')
+
+    def test_first_bad_token_in_row_major_order_names_the_error(self):
+        text = "points: 3\n0 1 1/0\n1 0 2/0\n1/0 2/0 0\n"
+        with pytest.raises(InvalidSpace, match="^zero denominator in '1/0'$"):
+            space_from_text(text)
+        text = "points: 3\n0 1 2/0\n1 0 1/0\n2/0 1/0 0\n"
+        with pytest.raises(InvalidSpace, match="^zero denominator in '2/0'$"):
+            space_from_text(text)
+        js = '{"points": 2, "rows": [[0, "3/0"], [1.5, 0]]}'
+        with pytest.raises(InvalidSpace, match="^zero denominator in '3/0'$"):
+            space_from_json(js)
+        js = '{"points": 2, "rows": [[0, 1.5], ["3/0", 0]]}'
+        with pytest.raises(InvalidSpace, match=r"^float distance 1\.5 not allowed"):
+            space_from_json(js)
+        with pytest.raises(InvalidSpace, match="^zero denominator in '2/0'$"):
+            graph_from_text("points: 3\n0 2/0 ?\n2/0 0 1/0\n? 1/0 0\n")
+
+    def test_graph_messages_unchanged(self):
+        with pytest.raises(InvalidSpace, match=r"^pair \(1,2\) labelled on one side only$"):
+            graph_from_text("points: 3\n0 1 1\n1 0 ?\n1 2 0\n")
+        with pytest.raises(InvalidSpace, match=r"^asymmetric labels on \(1,2\)$"):
+            graph_from_text("points: 3\n0 1 2\n1 0 1\n2 2 0\n")
+        g = graph_from_text("points: 3\n0 1/2 2/4\n2/4 0 ?\n1/2 ? 0\n")
+        assert g.labelled_pairs() == [(0, 1), (0, 2)]
+        assert g.label(0, 1) == g.label(0, 2) == Fraction(1, 2)
+
+    def test_repeated_tokens_parse_to_equal_values(self):
+        x = space_from_text("points: 3\n0 7/2 7/2\n7/2 0 7/2\n7/2 7/2 0\n")
+        assert x == FiniteMetricSpace.equilateral(3, Fraction(7, 2))
+        assert all(type(v) is Fraction for row in x.d for v in row)
+        assert space_from_json(space_to_json(x)) == x
 
     def test_ragged_row_rejected(self):
         with pytest.raises(InvalidSpace, match="row 1 has 2 entries"):
