@@ -80,7 +80,8 @@ def hedgehog_build(
     indices' positions, coarse points carry the ceiled metric, and each tree
     node sits at 1/m from its projection.  The returned metric is the capped
     (at 1) shortest-path completion, which must agree with every label:
-    `complete` raises InvalidSpace otherwise.
+    `complete` raises InvalidSpace otherwise.  The ceiled metric needs no check:
+    c <= a + b <= ceil(a) + ceil(b), on the 1/m grid, so ceil(c) <= that sum.
     """
     if m < 1:
         raise InvalidSpace("m must be a positive integer")
@@ -89,11 +90,9 @@ def hedgehog_build(
     n = prefix.n
     if max_tree_size is None:
         max_tree_size = n
-    coarse_rows = [
-        [ceil_to_grid(prefix.d[i][j], m) if i != j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    coarse = FiniteMetricSpace(coarse_rows)
+    coarse = FiniteMetricSpace._from_rows(tuple(
+        tuple(ceil_to_grid(v, m) if i != j else Fraction(0) for j, v in enumerate(row))
+        for i, row in enumerate(prefix.d)))
 
     # increasing t with x_i -> x_{t_i} coarse-isometric, in combinations order
     _, r, masks = _ranked(coarse)

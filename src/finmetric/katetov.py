@@ -20,7 +20,6 @@ from .spaces import (
     DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
-    _check_points,
     _scaled,
     as_fraction,
     canonicalize,
@@ -80,9 +79,8 @@ def extend_with(x: FiniteMetricSpace, values) -> FiniteMetricSpace:
     for i, v in enumerate(f):
         if v == 0:
             raise InvalidSpace(f"map vanishes at point {i}: realized by existing point {i}")
-    rows = [list(row) + [f[i]] for i, row in enumerate(x.d)]
-    rows.append(f + [Fraction(0)])
-    return FiniteMetricSpace(rows, check=False)
+    rows = tuple(row + (f[i],) for i, row in enumerate(x.d))
+    return FiniteMetricSpace._from_rows(rows + ((*f, Fraction(0)),))
 
 
 def shortest_extension(x: FiniteMetricSpace, sub, values) -> list[Fraction]:
@@ -94,11 +92,11 @@ def shortest_extension(x: FiniteMetricSpace, sub, values) -> list[Fraction]:
     sub = list(sub)
     if not sub:
         raise InvalidSpace("the empty subspace has no shortest extension")
-    _check_points(x.n, sub)
+    subx = x.submetric(sub)
     f = [as_fraction(v) for v in values]
     if len(f) != len(sub):
         raise InvalidSpace("one value per subspace point required")
-    ok, witness = is_katetov(x.submetric(sub), f)
+    ok, witness = is_katetov(subx, f)
     if not ok:
         raise InvalidSpace(f"not Katetov over the subspace, witness {witness}")
     return [min(x.d[y][s] + f[k] for k, s in enumerate(sub)) for y in range(x.n)]
@@ -111,9 +109,9 @@ def realizers(x: FiniteMetricSpace, sub, values) -> list[int]:
     itself appears exactly when f is its own distance function there.
     """
     sub = list(sub)
-    _check_points(x.n, sub)
+    subx = x.submetric(sub)
     f = [as_fraction(v) for v in values]
-    ok, witness = is_katetov(x.submetric(sub), f)
+    ok, witness = is_katetov(subx, f)
     if not ok:
         raise InvalidSpace(f"not Katetov over the subspace, witness {witness}")
     return [
@@ -141,8 +139,8 @@ class BuildLog:
 
 
 def _admissible_maps(x: FiniteMetricSpace, subset, s: DistanceSet) -> list:
-    """All S-valued Katetov maps f over the subspace, in product order."""
-    return _katetov_maps(x.submetric(list(subset)).d, s.values)
+    """All S-valued Katetov maps f over the subset's points, in product order."""
+    return _katetov_maps([[x.d[i][j] for j in subset] for i in subset], s.values)
 
 
 def urysohn_approx(
@@ -244,6 +242,7 @@ def ultrametric_urysohn_grid(s: DistanceSet, arity: int) -> FiniteMetricSpace:
     Coordinates are indexed by S sorted decreasing, so the first differing
     coordinate carries the largest relevant distance; the result is the
     canonical finite truncation of the ultrametric Urysohn space over S.
+    First differences over decreasing positive levels give an ultrametric.
     """
     if arity < 2:
         raise InvalidSpace("arity must be at least 2")
@@ -256,4 +255,4 @@ def ultrametric_urysohn_grid(s: DistanceSet, arity: int) -> FiniteMetricSpace:
         for b in range(a + 1, n):
             delta = next(i for i in range(k) if points[a][i] != points[b][i])
             rows[a][b] = rows[b][a] = levels[delta]
-    return FiniteMetricSpace(rows, check=False)
+    return FiniteMetricSpace._from_rows(tuple(map(tuple, rows)))

@@ -55,6 +55,8 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise InvalidSpace(f"zero denominator in {value!r}") from None
+        except ValueError as exc:  # not a rational literal
+            raise InvalidSpace(str(exc)) from None
     raise InvalidSpace(f"cannot interpret {value!r} as a rational")
 
 
@@ -102,10 +104,6 @@ class DistanceSet:
     @property
     def max(self) -> Fraction:
         return self.values[-1]
-
-    @property
-    def min(self) -> Fraction:
-        return self.values[0]
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -170,9 +168,6 @@ class FiniteMetricSpace:
         frac = {u: Fraction(u, scale) for u in set().union(*m)}
         return cls._from_rows(tuple(tuple(map(frac.__getitem__, row)) for row in m))
 
-    def distance(self, i: int, j: int) -> Fraction:
-        return self.d[i][j]
-
     def distance_set(self) -> DistanceSet:
         vals = self.distances()
         if not vals:
@@ -183,10 +178,12 @@ class FiniteMetricSpace:
         return {self.d[i][j] for i in range(self.n) for j in range(i + 1, self.n)}
 
     def submetric(self, indices: Sequence[int]) -> "FiniteMetricSpace":
+        """The points at the indices, in their order: distinct points of a metric space."""
         idx = list(indices)
-        return FiniteMetricSpace(
-            [[self.d[i][j] for j in idx] for i in idx], check=False
-        )
+        _check_points(self.n, idx)
+        if len(set(idx)) != len(idx):
+            raise InvalidSpace(f"repeated point in {idx}")
+        return FiniteMetricSpace._from_rows(tuple(tuple(self.d[i][j] for j in idx) for i in idx))
 
     def is_ultrametric(self) -> bool:
         return _violating_triple(self.d, max) is None
@@ -202,15 +199,17 @@ class FiniteMetricSpace:
 
     @classmethod
     def equilateral(cls, n: int, a) -> "FiniteMetricSpace":
+        """n points pairwise at distance a, metric as a > 0."""
         a = as_fraction(a)
-        return cls(
-            [[Fraction(0) if i == j else a for j in range(n)] for i in range(n)],
-            check=False,
-        )
+        if n >= 2 and a <= 0:
+            raise InvalidSpace(f"equilateral distance must be positive, got {a}")
+        zero = Fraction(0)
+        return cls._from_rows(tuple(tuple(zero if i == j else a for j in range(n)) for i in range(n)))
 
     @classmethod
     def single_point(cls) -> "FiniteMetricSpace":
-        return cls([[0]], check=False)
+        """One point, trivially metric."""
+        return cls._from_rows(((Fraction(0),),))
 
 
 class EdgeLabelledGraph:
@@ -581,7 +580,7 @@ def canonicalize(
     new row are branched on, and a point is skipped while a smaller twin of
     it is unused (twins: equal distances to every other point), because the
     swap of two twins is an isometry.  Two spaces are isometric iff their
-    canonical forms are equal.
+    canonical forms are equal.  The form, a reordering of x, needs no re-check.
     """
     if x.n > config.canon_bound:
         raise SearchTooLarge(
@@ -592,9 +591,7 @@ def canonicalize(
         order = tuple(range(n))
     else:
         order = _least_order(x)
-    canon = FiniteMetricSpace(
-        [[d[order[a]][order[b]] for b in range(n)] for a in range(n)], check=False
-    )
+    canon = FiniteMetricSpace._from_rows(tuple(tuple(d[a][b] for b in order) for a in order))
     return canon, order
 
 

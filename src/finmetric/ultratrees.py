@@ -31,12 +31,7 @@ class UltraTree:
     leaf_points: dict       # leaf node index -> point index, leaves only
 
     def __post_init__(self):
-        lv = tuple(as_fraction(v) for v in self.level_distances)
-        if any(lv[i] <= lv[i + 1] for i in range(len(lv) - 1)):
-            raise InvalidSpace("level distances must be strictly decreasing")
-        if any(v <= 0 for v in lv):
-            raise InvalidSpace("level distances must be positive")
-        self.level_distances = lv
+        lv = self.level_distances = _levels(self.level_distances)
         k = len(lv)
         children = self.children()
         for node, depth in enumerate(self.depths):
@@ -61,6 +56,16 @@ class UltraTree:
 
     def leaves(self) -> list:
         return sorted(self.leaf_points)
+
+
+def _levels(values) -> tuple:
+    """The values as Fractions, which must be strictly decreasing and positive."""
+    lv = tuple(as_fraction(v) for v in values)
+    if any(lv[i] <= lv[i + 1] for i in range(len(lv) - 1)):
+        raise InvalidSpace("level distances must be strictly decreasing")
+    if any(v <= 0 for v in lv):
+        raise InvalidSpace("level distances must be positive")
+    return lv
 
 
 def tree_of_space(x: FiniteMetricSpace) -> UltraTree:
@@ -116,24 +121,22 @@ def _class_tree(x: FiniteMetricSpace, levels) -> tuple[list, list, dict]:
 
 
 def space_of_tree(t: UltraTree) -> FiniteMetricSpace:
-    """Inverse of tree_of_space up to isometry: d(leaf, leaf) = a_(lca depth)."""
-    leaves = t.leaves()
-    n = len(leaves)
-    idx = {leaf: i for i, leaf in enumerate(leaves)}
+    """Inverse of tree_of_space up to isometry: d(leaf, leaf) = a_(lca depth),
+    an ultrametric over a validated tree's decreasing positive levels."""
     ancestors = []
-    for leaf in leaves:
-        chain = []
-        node = leaf
+    for node in t.leaves():
+        chain = set()
         while node != -1:
-            chain.append(node)
+            chain.add(node)
             node = t.parents[node]
-        ancestors.append(set(chain))
+        ancestors.append(chain)
+    n = len(ancestors)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for a, b in itertools.combinations(range(n), 2):
         common = ancestors[a] & ancestors[b]
         lca_depth = max(t.depths[node] for node in common)
         rows[a][b] = rows[b][a] = t.level_distances[lca_depth]
-    return FiniteMetricSpace(rows, check=False)
+    return FiniteMetricSpace._from_rows(tuple(map(tuple, rows)))
 
 
 def convex_orderings_count(x: FiniteMetricSpace) -> int:
@@ -214,20 +217,18 @@ def is_uniformly_branching(x: FiniteMetricSpace) -> bool:
 
 
 def comb_space(n: int, distances=None) -> FiniteMetricSpace:
-    """The comb: all branching nodes on one branch; distances a_0 > ... > a_(n-2)."""
+    """The comb: all branching nodes on one branch; distances a_0 > ... > a_(n-2),
+    and d(i, j) = a_min(i, j) is an ultrametric over those decreasing positive levels."""
     if n < 2:
         return FiniteMetricSpace.single_point()
     if distances is None:
         distances = list(range(n - 1, 0, -1))
-    levels = [as_fraction(v) for v in distances]
+    levels = _levels(distances)
     if len(levels) != n - 1:
         raise InvalidSpace("a comb with n leaves uses n-1 distances")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    # leaf i splits off at depth i: d(i, j) = levels[min(i, j)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = levels[i]
-    return FiniteMetricSpace(rows, check=False)
+    # leaf i splits off at depth i
+    return FiniteMetricSpace._from_rows(tuple(
+        tuple(levels[min(i, j)] if i != j else Fraction(0) for j in range(n)) for i in range(n)))
 
 
 # --- big Ramsey degrees -----------------------------------------------------

@@ -494,6 +494,7 @@ class TestInputErrors:
         ("color lambda --space {tri} --point 0 --eps 1/0", "zero denominator in '1/0'"),
         ("complete --graph {tri} --cap 1/0", "zero denominator in '1/0'"),
         ("katetov --space {tri} --values 1,1,1/0", "zero denominator in '1/0'"),
+        ("iso --space {abc}", "error: Invalid literal for Fraction: 'abc'\n"),
     ])
     def test_contract_inputs(self, capsys, tmp_path, argv, message):
         files = {"dir": str(tmp_path)}
@@ -505,6 +506,7 @@ class TestInputErrors:
             ("one", "points: 1\n0\n"),
             ("far", "points: 2\n0 2\n2 0\n"),
             ("zero", "points: 2\n0 1/0\n1/0 0\n"),
+            ("abc", "points: 2\n0 abc\nabc 0\n"),
         ):
             (tmp_path / f"{name}.txt").write_text(text)
             files[name] = str(tmp_path / f"{name}.txt")

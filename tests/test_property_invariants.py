@@ -121,6 +121,19 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_never_passes_check_false():
+    # a space is built checked (outside data) or by a door that states its proof
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _library_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "check" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+    ]
+    assert found == []
+
+
 def test_library_imports_only_the_standard_library():
     # no runtime dependency: every import is in the standard library or relative
     found = [

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from finmetric.four_values import amalgamate
-from finmetric.katetov import ResourceLimit, extend_with, is_katetov, urysohn_approx
+from finmetric.hedgehog import ceil_to_grid, hedgehog_build
+from finmetric.katetov import (
+    ResourceLimit,
+    extend_with,
+    is_katetov,
+    ultrametric_urysohn_grid,
+    urysohn_approx,
+)
 from finmetric.milliken import (
     VARIANTS,
     _coding_matrix,
@@ -24,22 +31,27 @@ from finmetric.milliken import (
 )
 from finmetric.spaces import (
     Config,
+    DistanceSet,
     EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
+    canonicalize,
     complete,
 )
+from finmetric.ultratrees import UltraTree, comb_space, space_of_tree
 
 from test_four_values import _amalgam_outcome, amalgamation_inputs
+from test_hedgehog import unit_prefixes
 from test_katetov import closure_inputs
 from test_milliken import _runnable_depths
-from test_spaces import partial_graphs
+from test_spaces import RATIONALS, partial_graphs
 
 
 def assert_rechecked(x: FiniteMetricSpace):
-    """The checked constructor accepts x and rebuilds it equal, entry types included."""
+    """The checked constructor accepts x and rebuilds it equal, row and entry types included."""
     checked = FiniteMetricSpace(x.d)
     assert checked == x and checked.n == x.n == len(x.d)
+    assert type(x.d) is tuple and all(type(row) is tuple for row in x.d)
     assert all(type(v) is Fraction for row in x.d for v in row)
 
 
@@ -97,6 +109,118 @@ class TestExtendWith:
         else:
             assume(False)
         assert_rechecked(extend_with(x, f))
+
+
+class TestSubmetric:
+    @given(st.integers(0, 7), st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_points_in_any_order(self, n, seed, ultra):
+        rng = random.Random(seed)
+        x = _random_space(rng, n, ultra)
+        idx = rng.sample(range(n), rng.randint(0, n))
+        y = x.submetric(idx)
+        assert_rechecked(y)
+        assert y.d == tuple(tuple(x.d[i][j] for j in idx) for i in idx)
+
+    @pytest.mark.parametrize("idx, message", [
+        ([0, 0], r"repeated point in \[0, 0\]"),
+        ([-1, 0], "point -1 out of range for a 3-point space"),
+        ([0, 3], "point 3 out of range for a 3-point space"),
+    ])
+    def test_repeated_or_out_of_range_points_rejected(self, idx, message):
+        with pytest.raises(InvalidSpace, match=message):
+            FiniteMetricSpace.equilateral(3, 1).submetric(idx)
+
+
+class TestCanonicalize:
+    @given(st.integers(0, 7), st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_a_reordering(self, n, seed, ultra):
+        x = _random_space(random.Random(seed), n, ultra)
+        canon, order = canonicalize(x)
+        assert_rechecked(canon)
+        assert canon == x.submetric(order)
+
+
+class TestEquilateral:
+    @given(st.integers(0, 8), RATIONALS)
+    def test_positive_distance(self, n, a):
+        x = FiniteMetricSpace.equilateral(n, a)
+        assert_rechecked(x)
+        assert x.distances() == ({a} if n >= 2 else set())
+
+    @pytest.mark.parametrize("a", [0, -2])
+    def test_non_positive_distance_rejected(self, a):
+        with pytest.raises(InvalidSpace, match=f"equilateral distance must be positive, got {a}"):
+            FiniteMetricSpace.equilateral(3, a)
+        # fewer than two points use no distance
+        assert FiniteMetricSpace.equilateral(1, a) == FiniteMetricSpace.single_point()
+
+    def test_single_point(self):
+        assert_rechecked(FiniteMetricSpace.single_point())
+
+
+class TestUltrametricGrid:
+    @given(st.lists(RATIONALS, min_size=1, max_size=3, unique=True), st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_first_difference_distances(self, values, arity):
+        x = ultrametric_urysohn_grid(DistanceSet(values), arity)
+        assert_rechecked(x)
+        assert x.is_ultrametric() and x.n == arity ** len(values)
+
+
+@st.composite
+def ultra_trees(draw):
+    """Validated trees: decreasing positive levels, one to three children a node."""
+    levels = sorted(draw(st.lists(RATIONALS, min_size=1, max_size=3, unique=True)), reverse=True)
+    parents, depths, frontier = [-1], [0], [0]
+    for depth in range(1, len(levels) + 1):
+        below = []
+        for node in frontier:
+            for _ in range(draw(st.integers(1, 3))):
+                below.append(len(parents))
+                parents.append(node)
+                depths.append(depth)
+        frontier = below
+    return UltraTree(tuple(levels), parents, depths, {leaf: p for p, leaf in enumerate(frontier)})
+
+
+class TestSpaceOfTree:
+    @given(ultra_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_lca_depths(self, t):
+        x = space_of_tree(t)
+        assert_rechecked(x)
+        assert x.is_ultrametric() and x.n == len(t.leaves())
+
+
+class TestCombSpace:
+    @given(st.lists(RATIONALS, max_size=6, unique=True))
+    def test_decreasing_positive_levels(self, values):
+        levels = sorted(values, reverse=True)
+        x = comb_space(len(levels) + 1, levels)
+        assert_rechecked(x)
+        assert x.is_ultrametric()
+
+    @pytest.mark.parametrize("levels, message", [
+        ([1, 5], "level distances must be strictly decreasing"),
+        ([2, 2], "level distances must be strictly decreasing"),
+        ([1, 0], "level distances must be positive"),
+    ])
+    def test_other_levels_rejected(self, levels, message):
+        with pytest.raises(InvalidSpace, match=message):
+            comb_space(3, levels)
+
+
+class TestHedgehogCoarse:
+    @given(unit_prefixes(max_n=6), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_ceiled_metric(self, prefix, m):
+        coarse = hedgehog_build(m, prefix, 0).coarse
+        assert_rechecked(coarse)
+        assert coarse.d == tuple(
+            tuple(ceil_to_grid(v, m) if v else Fraction(0) for v in row) for row in prefix.d
+        )
 
 
 class TestComplete:

@@ -869,6 +869,15 @@ class TestFormats:
         with pytest.raises(InvalidSpace):
             FiniteMetricSpace([[0, 1.5], [1.5, 0]])
 
+    def test_bad_literal_rejected(self):
+        message = r"^Invalid literal for Fraction: 'abc'$"
+        with pytest.raises(InvalidSpace, match=message):
+            space_from_text("points: 2\n0 abc\nabc 0\n")
+        with pytest.raises(InvalidSpace, match=message):
+            graph_from_text("points: 2\n0 abc\nabc 0\n")
+        with pytest.raises(InvalidSpace, match=message):
+            space_from_json('{"points": 2, "rows": [[0, "abc"], ["abc", 0]]}')
+
     @pytest.mark.parametrize("text", ["1/0", "0/0", " -3/0 "])
     def test_zero_denominator_rejected(self, text):
         with pytest.raises(InvalidSpace, match="zero denominator"):
