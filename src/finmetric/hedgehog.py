@@ -96,7 +96,7 @@ def hedgehog_build(
 
     # increasing t with x_i -> x_{t_i} coarse-isometric, in combinations order
     _, r, masks = _ranked(coarse)
-    increasing = _masks_after(masks, range(n), {})
+    increasing = _masks_after(masks, range(n))
     tree_nodes = []
     for size in range(1, min(max_tree_size, n) + 1):
         _match(r[:size], increasing, [], lambda t: tree_nodes.append(tuple(t)))

@@ -19,10 +19,10 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
-    _masks_after,
     _match,
     _rank_matrix,
     _ranked,
+    _twins,
     copies,
     isometries,
     isometry_order,
@@ -236,14 +236,16 @@ def _class_groups(y: FiniteMetricSpace, which: str, s: DistanceSet | None) -> li
     return [g for g in masks if g & (g - 1) and g != (1 << y.n) - 1]
 
 
-def _interval_orders(groups: list[int], order: list[int], free: int, visit) -> bool:
+def _interval_orders(groups: list[int], order: list[int], free: int, visit, cut=None) -> bool:
     """Extend order by the points of the bitmask free, one at a time.
 
     The candidates are the free points lying in every group that is started
     but not finished: once a group is entered, no point outside it comes
     before it is complete.  So the complete orders are exactly the orders
     in which every group is contiguous.  visit(order) is called on each,
-    and the search stops as soon as it returns true.
+    and the search stops as soon as it returns true.  If given,
+    cut(order, rest) is called after each placement, with rest the points
+    still free, and a true value drops every completion of order.
     """
     if not free:
         return bool(visit(order))
@@ -255,7 +257,8 @@ def _interval_orders(groups: list[int], order: list[int], free: int, visit) -> b
         low = cands & -cands
         order.append(low.bit_length() - 1)
         rest = free ^ low
-        if _interval_orders(groups, order, rest, visit) if rest else visit(order):
+        if not (cut and cut(order, rest)) and (
+                _interval_orders(groups, order, rest, visit, cut) if rest else visit(order)):
             order.pop()
             return True
         order.pop()
@@ -276,8 +279,21 @@ def verify_ordering_property_witness(
     This is the single-candidate check behind the ordering property: a
     witness y works when no ordering of it avoids an order-preserving copy.
     order_x must list every point of x once; the "metric" class also needs
-    every distance of y in s (default: y's own distance set).  Each copy
-    search runs `_match` on y's masks cut to the points after in y's ordering.
+    every distance of y in s (default: y's own distance set).
+
+    When x is equilateral (as every space of at most two points is), each
+    order of a copy's points is again a copy, so every ordering holds one
+    exactly when y does.  Otherwise the orderings of y in the class are
+    built left to right by `_interval_orders`, which cuts a prefix as soon
+    as every completion of it holds a copy: when the point p just placed
+    is the image of x's second-last point under a copy whose earlier
+    images are placed in increasing order and whose last image is still
+    free, for that point comes after p in every completion.  A complete
+    ordering holding a copy had its prefix cut when that copy's second-last
+    image was placed, so the orderings the search reaches are exactly the
+    avoiding ones.  The copies through p are searched by `_match` from x's
+    second-last point down to its first, on each placed point's masks cut
+    to the points placed before it.
     """
     if y.n > config.ordering_bound:
         raise SearchTooLarge(f"ordering-property scan too large: n={y.n}")
@@ -286,11 +302,33 @@ def verify_ordering_property_witness(
         raise InvalidSpace(
             f"order {','.join(map(str, order_x))} is not an ordering of the {x.n} points of x"
         )
-    groups, cuts = _class_groups(y, ordering_class, s), {}
+    groups, full = _class_groups(y, ordering_class, s), (1 << y.n) - 1
+
+    def class_is_empty():
+        return not _interval_orders(groups, [], full, lambda order_y: True)
+
     table, _, masks = _ranked(y)
     try:
         r = _rank_matrix(x.submetric(order_x), table)
     except KeyError:  # x has a distance that y lacks: only an empty class embeds it
-        return not _interval_orders(groups, [], (1 << y.n) - 1, lambda order_y: True)
-    return not _interval_orders(groups, [], (1 << y.n) - 1, lambda order_y: not _match(
-        r, _masks_after(masks, order_y, cuts), [], lambda img: True))
+        return class_is_empty()
+    if all(_twins(r, 0, q) for q in range(1, x.n)):  # x is equilateral
+        return _match(r, masks, [], lambda img: True) or class_is_empty()
+    back = [row[-2::-1] for row in r[-2::-1]]  # x's points from the second last down
+    last = r[-1][-2::-1]  # the ranks from x's last point to those points
+    cut = [[]] * y.n  # cut[q]: the masks of a placed q, cut to the points placed before q
+
+    def holds_copy(order_y, free):
+        p = order_y[-1]
+        before = full ^ free ^ (1 << p)
+        cut[p] = [m & before for m in masks[p]]
+
+        def last_free(img):  # a free point at the right ranks from every image
+            lasts = free
+            for q, v in zip(img, last):
+                lasts &= masks[q][v]
+            return lasts
+
+        return free & masks[p][last[0]] and _match(back, cut, [p], last_free)
+
+    return not _interval_orders(groups, [], full, lambda order_y: True, holds_copy)

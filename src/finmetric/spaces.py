@@ -36,7 +36,7 @@ class Config:
     arrow_copy_budget: int = 24
     urysohn_max_points: int = 64
     four_values_bound: int = 12  # largest |S| for the |S|^4 scans
-    ordering_bound: int = 8  # largest y for the ordering-property scan
+    ordering_bound: int = 9  # largest y for the ordering-property search
 
 
 DEFAULT_CONFIG = Config()
@@ -462,19 +462,14 @@ def _match(r, masks, img: list[int], visit) -> bool:
     return False
 
 
-def _masks_after(masks, order, cache: dict) -> list[list[int]]:
+def _masks_after(masks, order) -> list[list[int]]:
     """masks with each point's masks cut to the points after it in order.
 
     `_match` on them lists exactly the maps whose images increase along order.
-    A point's cut masks depend only on the set of points after it, so callers
-    cutting for many orderings share them through one cache dict.
     """
     out, after = [[]] * len(masks), 0
     for p in reversed(order):
-        key = after * len(masks) + p
-        if key not in cache:
-            cache[key] = [m & after for m in masks[p]]
-        out[p] = cache[key]
+        out[p] = [m & after for m in masks[p]]
         after |= 1 << p
     return out
 

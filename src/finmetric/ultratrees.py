@@ -33,6 +33,21 @@ class UltraTree:
     def __post_init__(self):
         lv = self.level_distances = _levels(self.level_distances)
         k = len(lv)
+        n_nodes = len(self.parents)
+        if not n_nodes or len(self.depths) != n_nodes or self.parents[0] != -1 or self.depths[0]:
+            raise InvalidSpace("node 0 must be the root, at depth 0, and every node needs a depth")
+        # each node one level below its parent: the parent walk then ends at node 0
+        for node in range(1, n_nodes):
+            par = self.parents[node]
+            if par == -1:
+                raise InvalidSpace(f"node {node} is a second root")
+            if not 0 <= par < n_nodes or self.depths[node] != self.depths[par] + 1:
+                raise InvalidSpace(f"node {node} does not sit one level below its parent")
+            if self.depths[node] > k:
+                raise InvalidSpace(f"node {node} lies below the leaf depth {k}")
+        for leaf in self.leaf_points:
+            if not 0 <= leaf < n_nodes or self.depths[leaf] != k:
+                raise InvalidSpace(f"leaf {leaf} is not a node at depth {k}")
         children = self.children()
         for node, depth in enumerate(self.depths):
             if depth < k and not children[node]:

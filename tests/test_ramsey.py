@@ -538,6 +538,17 @@ POINT = FiniteMetricSpace.single_point()
 PAIR = FiniteMetricSpace.equilateral(2, 1)
 # the 4-cycle: its four crossing 3-point balls leave the convex class empty
 C4 = FiniteMetricSpace([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+# 8-point {1,2}-spaces into whose every ordering PATH3 embeds, in the orders
+# (0, 1, 2) and (1, 0, 2); the cut fires late, so the search extends 1,223
+# and 2,040 prefixes before every branch is cut
+LATE_CUT = FiniteMetricSpace([[0, 2, 1, 2, 1, 1, 1, 2], [2, 0, 2, 2, 2, 1, 2, 2],
+                              [1, 2, 0, 2, 2, 2, 1, 2], [2, 2, 2, 0, 2, 2, 2, 1],
+                              [1, 2, 2, 2, 0, 2, 1, 2], [1, 1, 2, 2, 2, 0, 1, 1],
+                              [1, 2, 1, 2, 1, 1, 0, 1], [2, 2, 2, 1, 2, 1, 1, 0]])
+LATE_CUT_102 = FiniteMetricSpace([[0, 1, 1, 2, 2, 1, 2, 2], [1, 0, 1, 2, 2, 2, 2, 2],
+                                  [1, 1, 0, 2, 2, 2, 1, 2], [2, 2, 2, 0, 2, 2, 1, 2],
+                                  [2, 2, 2, 2, 0, 2, 2, 2], [1, 2, 2, 2, 2, 0, 1, 2],
+                                  [2, 2, 1, 1, 2, 1, 0, 2], [2, 2, 2, 2, 2, 2, 2, 0]])
 
 
 class TestOrderingProperty:
@@ -560,6 +571,10 @@ class TestOrderingProperty:
     @example((PATH3, PATH3, (2, 1, 0), None), "convex")
     @example((PATH3, PATH3.submetric([0, 1]), (1, 0), None), "metric")
     @example((scalene(), scalene(), (2, 0, 1), None), "all")
+    # 8 points, where the n! reference scan still runs
+    @example((FiniteMetricSpace.equilateral(8, 1), PAIR, (0, 1), None), "all")
+    @example((LATE_CUT, PATH3, (0, 1, 2), None), "all")
+    @example((LATE_CUT_102, PATH3, (1, 0, 2), None), "all")
     @settings(max_examples=200, deadline=None)
     def test_verdict_matches_reference_scan(self, case, which):
         y, x, order, s = case
@@ -627,12 +642,17 @@ class TestOrderingProperty:
         )
 
     def test_bound_from_config(self):
-        y = FiniteMetricSpace.equilateral(9, 1)
         pair = FiniteMetricSpace.equilateral(2, 1)
-        with pytest.raises(SearchTooLarge, match="ordering-property scan too large: n=9"):
-            verify_ordering_property_witness(y, pair, (0, 1))
+        assert verify_ordering_property_witness(FiniteMetricSpace.equilateral(9, 1), pair, (0, 1))
+        with pytest.raises(SearchTooLarge, match="ordering-property scan too large: n=10"):
+            verify_ordering_property_witness(FiniteMetricSpace.equilateral(10, 1), pair, (0, 1))
         with pytest.raises(SearchTooLarge, match="ordering-property scan too large: n=3"):
             verify_ordering_property_witness(scalene(), pair, (0, 1), config=Config(ordering_bound=2))
+
+    def test_late_cut_spaces(self):
+        # the two @example spaces above hold the verdict their comment states
+        assert verify_ordering_property_witness(LATE_CUT, PATH3, (0, 1, 2))
+        assert verify_ordering_property_witness(LATE_CUT_102, PATH3, (1, 0, 2))
 
     def test_convex_order_found_in_uniform_grid(self):
         x = FiniteMetricSpace([[0, 3, 3], [3, 0, 1], [3, 1, 0]])

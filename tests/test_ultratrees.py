@@ -14,6 +14,7 @@ from finmetric.spaces import (
     isometries,
 )
 from finmetric.ultratrees import (
+    UltraTree,
     _balls,
     ambient_tree_nodes,
     big_ramsey_degree,
@@ -202,6 +203,28 @@ class TestTreeDuality:
     def test_non_ultrametric_rejected(self):
         with pytest.raises(InvalidSpace):
             tree_of_space(FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+
+
+class TestTreeValidation:
+    """Malformed trees are refused when built, before any space is read off them."""
+
+    def test_node_off_its_parents_level(self):
+        # node 1 at depth 3 under the root: its leaves' common ancestor has no level
+        with pytest.raises(InvalidSpace, match="node 1 does not sit one level below its parent"):
+            UltraTree((1,), [-1, 0, 1, 1], [0, 3, 1, 1], {2: 0, 3: 1})
+
+    def test_second_root(self):
+        with pytest.raises(InvalidSpace, match="node 1 is a second root"):
+            UltraTree((1,), [-1, -1, 0, 1], [0, 0, 1, 1], {2: 0, 3: 1})
+
+    def test_parent_cycle(self):
+        # nodes 2 and 3 are each other's parent, so an ancestor walk from either never ends
+        with pytest.raises(InvalidSpace, match="node 2 does not sit one level below its parent"):
+            UltraTree((1,), [-1, 0, 3, 2], [0, 1, 1, 1], {1: 0, 2: 1, 3: 2})
+
+    def test_leaf_outside_the_tree(self):
+        with pytest.raises(InvalidSpace, match="leaf 7 is not a node at depth 1"):
+            UltraTree((1,), [-1, 0, 0], [0, 1, 1], {1: 0, 2: 1, 7: 2})
 
 
 class TestConvexOrderings:
