@@ -29,6 +29,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _space_dict,
     as_fraction,
     complete,
     copies,
@@ -36,7 +37,6 @@ from .spaces import (
     graph_from_text,
     isometries,
     space_from_text,
-    space_to_json,
     space_to_text,
     validate,
 )
@@ -83,6 +83,10 @@ def _emit(args, payload: dict, lines) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _emit_space(args, x: FiniteMetricSpace) -> None:
+    _emit(args, {"space": _space_dict(x)}, [space_to_text(x).rstrip()])
 
 
 def _quad(q) -> str:
@@ -156,8 +160,7 @@ def cmd_amalgamate(args) -> int:
     x0 = _ints(args.x0) if args.x0 else []
     x1 = _ints(args.x1) if args.x1 else []
     result = four_values.amalgamate(s, y0, y1, x0, x1, _config())
-    _emit(args, {"space": json.loads(space_to_json(result))},
-          [space_to_text(result).rstrip()])
+    _emit_space(args, result)
     return 0
 
 
@@ -175,8 +178,7 @@ def cmd_validate(args) -> int:
 def cmd_complete(args) -> int:
     g = _load_graph(args.graph)
     space = complete(g, args.mode, r=as_fraction(args.cap) if args.cap else None)
-    _emit(args, {"space": json.loads(space_to_json(space))},
-          [space_to_text(space).rstrip()])
+    _emit_space(args, space)
     return 0
 
 
@@ -211,8 +213,7 @@ def cmd_katetov(args) -> int:
 def cmd_extend(args) -> int:
     x = _load_space(args.space)
     result = katetov.extend_with(x, _fracs(args.values))
-    _emit(args, {"space": json.loads(space_to_json(result))},
-          [space_to_text(result).rstrip()])
+    _emit_space(args, result)
     return 0
 
 
@@ -230,7 +231,7 @@ def cmd_urysohn(args) -> int:
 
 def _emit_closure(args, space, log, extra: dict) -> None:
     payload = {
-        "space": json.loads(space_to_json(space)),
+        "space": _space_dict(space),
         "log": [
             {"subset": list(sub), "values": [format_fraction(v) for v in vals]}
             for sub, vals in log.entries
@@ -431,7 +432,7 @@ def _hedgehog_build(args) -> int:
         "m": z.m,
         "baseCount": z.base_count,
         "treeNodes": [list(t) for t in z.tree_nodes],
-        "space": json.loads(space_to_json(z.dz)),
+        "space": _space_dict(z.dz),
     }
     _emit(args, payload, [
         f"m: {z.m}  base points: {z.base_count}  tree nodes: {len(z.tree_nodes)}",

@@ -19,7 +19,6 @@ from .spaces import (
     EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
-    _masks_after,
     _match,
     _ranked,
     as_fraction,
@@ -94,9 +93,10 @@ def hedgehog_build(
         tuple(ceil_to_grid(v, m) if i != j else Fraction(0) for j, v in enumerate(row))
         for i, row in enumerate(prefix.d)))
 
-    # increasing t with x_i -> x_{t_i} coarse-isometric, in combinations order
+    # increasing t with x_i -> x_{t_i} coarse-isometric, in combinations order:
+    # each point's masks are cut to the points above it
     _, r, masks = _ranked(coarse)
-    increasing = _masks_after(masks, range(n))
+    increasing = [[m & (-1 << (p + 1)) for m in row] for p, row in enumerate(masks)]
     tree_nodes = []
     for size in range(1, min(max_tree_size, n) + 1):
         _match(r[:size], increasing, [], lambda t: tree_nodes.append(tuple(t)))

@@ -32,6 +32,7 @@ def epsilon_neighborhood(x: FiniteMetricSpace, subset, eps) -> list[int]:
     if eps < 0:
         raise InvalidSpace("epsilon must be non-negative")
     sub = set(subset)
+    _check_points(x.n, sub)
     return [p for p in range(x.n) if any(x.d[p][q] <= eps for q in sub)]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _check_distances,
     _match,
     _rank_matrix,
     _ranked,
@@ -27,7 +29,7 @@ from .spaces import (
     isometries,
     isometry_order,
 )
-from .ultratrees import DegreeRecord, _balls, _block_orderings, _class_tree
+from .ultratrees import DegreeRecord, _block_orderings, _class_tree
 
 
 def ramsey_degree_general(
@@ -54,29 +56,20 @@ def critical_distances(s: DistanceSet) -> list[Fraction]:
     return out
 
 
-def _critical_class_tree(x: FiniteMetricSpace, s: DistanceSet) -> tuple[list, list, dict]:
-    """The class tree of x over the critical values of s, largest first.
+def metric_orderings_count(x: FiniteMetricSpace, s: DistanceSet) -> int:
+    """Orderings making every closeness class convex, for every critical value.
 
     With every distance of x in S, closeness d <= c at a critical value c is
     transitive: d(a, b), d(b, e) <= c give d(a, e) <= 2c, and S has no value
     in (c, 2c].  So each class is the set of points within c of any one of
-    its members, which is how `_class_tree` splits a node.  The classes of
-    the critical values are nested, each one's partition refining the next
-    larger one's.
+    its members, which is how `_class_tree` splits a node, and the classes
+    of the critical values nest, each one's partition refining the next
+    larger one's.  An ordering keeps the classes intervals exactly when it
+    orders the children of every node of that tree as blocks: the count is
+    the product over the nodes of (number of children)!.
     """
-    if any(v not in s for v in x.distances()):
-        raise InvalidSpace("space has a distance outside S")
-    return _class_tree(x, sorted(critical_distances(s), reverse=True))
-
-
-def metric_orderings_count(x: FiniteMetricSpace, s: DistanceSet) -> int:
-    """Orderings making every closeness class convex, for every critical value.
-
-    An ordering keeps the classes intervals exactly when it orders the
-    children of every node of the critical class tree as blocks: the count
-    is the product over the nodes of (number of children)!.
-    """
-    parents, _, _ = _critical_class_tree(x, s)
+    _check_distances(x, s)
+    parents, _, _ = _class_tree(x, sorted(critical_distances(s), reverse=True))
     return _block_orderings(parents)
 
 
@@ -214,26 +207,34 @@ def verify_arrow(
     return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
 
 
-def _class_groups(y: FiniteMetricSpace, which: str, s: DistanceSet | None) -> list[int]:
+def _class_groups(y: FiniteMetricSpace, which: str, s: DistanceSet | None, masks) -> list[int]:
     """Point bitmasks of the groups that every ordering in the class keeps contiguous.
 
-    Groups of one point or of all points constrain nothing and are left out.
+    masks are y's rank masks (`_ranked`), so the ball of p at rank v is the
+    OR of masks[p][0..v].  The convex class keeps every ball contiguous.
+    The metric class keeps the closeness classes at each critical value c,
+    which, with every distance of y in s, are the balls of radius c (see
+    `metric_orderings_count`): those at the rank cut of c, the number of
+    y's distances at most c.  Groups of one point or of all points
+    constrain nothing and are left out.
     """
     if which == "all":
         return []
     if which == "convex":
-        masks = {sum(1 << p for p in ball) for ball in _balls(y)}
+        cuts = range(len(masks[0])) if masks else ()
     elif which == "metric":
         if s is None:
             s = y.distance_set()
-        parents, _, leaf_points = _critical_class_tree(y, s)
-        node_masks = [1 << leaf_points[v] if v in leaf_points else 0 for v in range(len(parents))]
-        for node in range(len(parents) - 1, 0, -1):  # children follow parents
-            node_masks[parents[node]] |= node_masks[node]
-        masks = set(node_masks)
+        _check_distances(y, s)
+        dist = y.distances()
+        cuts = [sum(v <= c for v in dist) for c in critical_distances(s)]
     else:
         raise InvalidSpace(f"unknown ordering class {which!r}")
-    return [g for g in masks if g & (g - 1) and g != (1 << y.n) - 1]
+    groups = set()
+    for row in masks:
+        balls = list(itertools.accumulate(row, operator.or_))
+        groups.update(balls[v] for v in cuts)
+    return [g for g in groups if g & (g - 1) and g != (1 << y.n) - 1]
 
 
 def _interval_orders(groups: list[int], order: list[int], free: int, visit, cut=None) -> bool:
@@ -302,12 +303,12 @@ def verify_ordering_property_witness(
         raise InvalidSpace(
             f"order {','.join(map(str, order_x))} is not an ordering of the {x.n} points of x"
         )
-    groups, full = _class_groups(y, ordering_class, s), (1 << y.n) - 1
+    table, _, masks = _ranked(y)
+    groups, full = _class_groups(y, ordering_class, s, masks), (1 << y.n) - 1
 
     def class_is_empty():
         return not _interval_orders(groups, [], full, lambda order_y: True)
 
-    table, _, masks = _ranked(y)
     try:
         r = _rank_matrix(x.submetric(order_x), table)
     except KeyError:  # x has a distance that y lacks: only an empty class embeds it

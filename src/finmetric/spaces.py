@@ -71,6 +71,12 @@ def _check_points(n: int, points) -> None:
             raise InvalidSpace(f"point {p} out of range for a {n}-point space")
 
 
+def _check_distances(x: FiniteMetricSpace, s: DistanceSet) -> None:
+    """Reject a space with a distance outside the distance set s."""
+    if any(v not in s for v in x.distances()):
+        raise InvalidSpace("space has a distance outside S")
+
+
 class DistanceSet:
     """A strictly increasing set of positive rationals."""
 
@@ -228,6 +234,7 @@ class EdgeLabelledGraph:
         v = as_fraction(value)
         if v <= 0:
             raise InvalidSpace(f"label on ({i},{j}) must be positive, got {v}")
+        _check_points(self.n, (i, j))
         key = (min(i, j), max(i, j))
         if key in self._labels and self._labels[key] != v:
             raise InvalidSpace(f"conflicting labels on {key}")
@@ -460,18 +467,6 @@ def _match(r, masks, img: list[int], visit) -> bool:
         img.pop()
         cands ^= low
     return False
-
-
-def _masks_after(masks, order) -> list[list[int]]:
-    """masks with each point's masks cut to the points after it in order.
-
-    `_match` on them lists exactly the maps whose images increase along order.
-    """
-    out, after = [[]] * len(masks), 0
-    for p in reversed(order):
-        out[p] = [m & after for m in masks[p]]
-        after |= 1 << p
-    return out
 
 
 def _twins(r, p: int, q: int) -> bool:
@@ -730,10 +725,13 @@ def graph_from_text(text: str) -> EdgeLabelledGraph:
     return g
 
 
+def _space_dict(x: FiniteMetricSpace) -> dict:
+    """The JSON object of x: {"points": n, "rows": [[...], ...]}, entries as strings."""
+    return {"points": x.n, "rows": [[format_fraction(v) for v in row] for row in x.d]}
+
+
 def space_to_json(x: FiniteMetricSpace) -> str:
-    return json.dumps(
-        {"points": x.n, "rows": [[format_fraction(v) for v in row] for row in x.d]}
-    )
+    return json.dumps(_space_dict(x))
 
 
 def space_from_json(text: str) -> FiniteMetricSpace:

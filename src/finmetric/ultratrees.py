@@ -17,6 +17,7 @@ from .spaces import (
     DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
+    _check_distances,
     as_fraction,
 )
 
@@ -175,11 +176,6 @@ def _block_orderings(parents) -> int:
     return math.prod(map(math.factorial, children))
 
 
-def _balls(x: FiniteMetricSpace) -> set:
-    radii = x.distances()
-    return {frozenset(p for p in range(x.n) if x.d[c][p] <= r) for c in range(x.n) for r in radii}
-
-
 def ultrametric_isometry_order(x: FiniteMetricSpace) -> int:
     """|iso| via tree-automorphism recursion (multiset canonicalization)."""
     t = tree_of_space(x)
@@ -255,8 +251,7 @@ def ambient_tree_nodes(x: FiniteMetricSpace, s: DistanceSet):
     including pass-through chain nodes at levels where x does not branch.
     Returns (parents, depths); node 0 is the root.
     """
-    if any(v not in s for v in x.distances()):
-        raise InvalidSpace("space has a distance outside S")
+    _check_distances(x, s)
     parents, depths, _ = _class_tree(x, sorted(s.values, reverse=True))
     return parents, depths
 

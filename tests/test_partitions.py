@@ -172,6 +172,13 @@ class TestEpsilonNeighborhood:
         x = FiniteMetricSpace.equilateral(4, 2)
         assert epsilon_neighborhood(x, [0, 3], 1) == [0, 3]
 
+    @pytest.mark.parametrize("point", [-1, 5])
+    def test_subset_point_out_of_range_rejected(self, point):
+        # -1 was read as point 2 and 5 raised IndexError
+        x = FiniteMetricSpace([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+        with pytest.raises(InvalidSpace, match=f"point {point} out of range for a 3-point space"):
+            epsilon_neighborhood(x, [point], 0)
+
 
 class TestIndivisibilitySearch:
     def test_pigeonhole_on_equilateral(self):

@@ -24,18 +24,19 @@ from finmetric.spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _ranked,
     copies,
     isometries,
     isometry_order,
 )
 from finmetric.katetov import ultrametric_urysohn_grid
 from finmetric.ultratrees import (
-    _balls,
     comb_space,
     convex_orderings_count,
     ramsey_degree_ultrametric,
 )
 from test_spaces import EDGE_CASES, few_valued_spaces, twin_rich_spaces
+from test_ultratrees import _reference_balls
 
 
 def scalene():
@@ -69,23 +70,26 @@ def _is_interval(positions):
     return spots[-1] - spots[0] == len(spots) - 1
 
 
-def _reference_orderings_in_class(y, which, s):
-    """Yield point sequences of y belonging to the requested ordering class."""
+def _reference_class_groups(y, which, s):
+    """The point sets of 2 to n-1 points that every ordering in the class keeps intervals."""
     if which == "all":
-        yield from itertools.permutations(range(y.n))
-        return
+        return set()
     if which == "convex":
-        groups = _balls(y)
+        groups = _reference_balls(y)
     elif which == "metric":
         if s is None:
             s = y.distance_set()
-        groups = set()
-        for c in critical_distances(s):
-            for cls in _equivalence_classes(y, c):
-                if 1 < len(cls) < y.n:
-                    groups.add(frozenset(cls))
+        if any(v not in s for v in y.distances()):
+            raise InvalidSpace("space has a distance outside S")
+        groups = {frozenset(cls) for c in critical_distances(s) for cls in _equivalence_classes(y, c)}
     else:
         raise InvalidSpace(f"unknown ordering class {which!r}")
+    return {grp for grp in groups if 1 < len(grp) < y.n}
+
+
+def _reference_orderings_in_class(y, which, s):
+    """Yield point sequences of y belonging to the requested ordering class."""
+    groups = _reference_class_groups(y, which, s)
     for perm in itertools.permutations(range(y.n)):
         pos = {p: i for i, p in enumerate(perm)}
         if all(_is_interval([pos[p] for p in grp]) for grp in groups):
@@ -587,10 +591,42 @@ class TestOrderingProperty:
         y, _, _, s = case
         assume(which != "metric" or s is not None or y.n >= 2)
         found = []
-        _interval_orders(_class_groups(y, which, s), [], (1 << y.n) - 1,
+        _interval_orders(_class_groups(y, which, s, _ranked(y)[2]), [], (1 << y.n) - 1,
                          lambda order: found.append(tuple(order)))
         assert len(found) == len(set(found))
         assert set(found) == set(_reference_orderings_in_class(y, which, s))
+
+    @given(ordering_cases(), st.sampled_from(("all", "convex", "metric", "bogus")),
+           st.one_of(st.none(), st.sampled_from(S_SETS)))
+    # crossing balls in a non-ultrametric y
+    @example((PATH3, PATH3, (0, 1, 2), None), "convex", None)
+    @example((C4, PAIR, (0, 1), None), "convex", None)
+    @example((C4, PAIR, (0, 1), None), "metric", DistanceSet((1, 2, 5)))
+    # critical values below y's smallest distance and above its largest
+    @example((FiniteMetricSpace.equilateral(3, 3), PAIR, (0, 1), None), "metric", DistanceSet((1, 3, 7)))
+    @example((FiniteMetricSpace([[0, 1, 3], [1, 0, 3], [3, 3, 0]]), PAIR, (0, 1), None), "metric",
+             DistanceSet((Fraction(1, 2), 1, 3, 7)))
+    # a y with a distance outside S
+    @example((PATH3, PAIR, (0, 1), None), "metric", DistanceSet((1, 3)))
+    # 0- and 1-point y
+    @example((POINT, POINT, (0,), None), "convex", None)
+    @example((POINT, POINT, (0,), None), "metric", None)
+    @example((POINT, POINT, (0,), None), "metric", DistanceSet((1,)))
+    @example((EMPTY, EMPTY, (), None), "metric", None)
+    @example((EMPTY, EMPTY, (), None), "convex", DistanceSet((1,)))
+    @settings(max_examples=300, deadline=None)
+    def test_class_groups_match_reference(self, case, which, other_s):
+        """The groups read off the rank masks are the reference balls and critical classes."""
+        y, _, _, s = case
+        if other_s is not None:
+            s = other_s
+
+        def groups(y, which, s):
+            found = _class_groups(y, which, s, _ranked(y)[2])
+            assert len(found) == len(set(found))
+            return {frozenset(p for p in range(y.n) if g >> p & 1) for g in found}
+
+        assert _outcome(groups, y, which, s) == _outcome(_reference_class_groups, y, which, s)
 
     def test_empty_class_is_vacuously_witnessed(self):
         # no ordering of C4 keeps its balls intervals, so even an x with a
@@ -604,7 +640,7 @@ class TestOrderingProperty:
         # only the two monotone orderings keep both intervals
         y = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         found = []
-        _interval_orders(_class_groups(y, "convex", None), [], 0b111,
+        _interval_orders(_class_groups(y, "convex", None, _ranked(y)[2]), [], 0b111,
                          lambda order: found.append(tuple(order)))
         assert sorted(found) == sorted(_reference_orderings_in_class(y, "convex", None))
         assert sorted(found) == [(0, 1, 2), (2, 1, 0)]

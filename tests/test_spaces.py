@@ -584,6 +584,11 @@ class TestValidate:
         with pytest.raises(InvalidSpace):
             validate(g, "metric")
 
+    def test_label_past_last_point_rejected(self):
+        # a label on (0, 5) made a 3-point graph with (0, 2) unlabelled look total
+        with pytest.raises(InvalidSpace, match="point 5 out of range for a 3-point space"):
+            validate(EdgeLabelledGraph(3, {(0, 5): 1, (0, 1): 1, (1, 2): 1}), "metric")
+
 
 class TestComplete:
     def test_two_glued_triangles_match_floyd_warshall(self):
@@ -636,6 +641,11 @@ class TestComplete:
         g = EdgeLabelledGraph(3, {(0, 1): 1})
         with pytest.raises(InvalidSpace):
             complete(g, "sum-cap", r=3)
+
+    def test_negative_point_label_rejected(self):
+        # -1 was read as point 2, which completed to d(0, 2) = 1
+        with pytest.raises(InvalidSpace, match="point -1 out of range for a 3-point space"):
+            complete(EdgeLabelledGraph(3, {(-1, 0): 1, (0, 1): 1}), "sum-cap", 5)
 
     def test_labels_preserved_exhaustively_small(self):
         # every metric graph on 4 points with labels in {1..3} round-trips

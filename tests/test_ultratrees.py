@@ -15,7 +15,6 @@ from finmetric.spaces import (
 )
 from finmetric.ultratrees import (
     UltraTree,
-    _balls,
     ambient_tree_nodes,
     big_ramsey_degree,
     comb_space,
@@ -36,9 +35,15 @@ def comb3():
 
 # --- reference scans: the brute-force counts the formulas replaced -----------
 
+def _reference_balls(x):
+    """Every closed ball of x whose radius is one of its distances, as a point set."""
+    radii = x.distances()
+    return {frozenset(p for p in range(x.n) if x.d[c][p] <= r) for c in range(x.n) for r in radii}
+
+
 def _reference_convex_orderings_count(x):
     """Orderings keeping every ball an interval, over all n!."""
-    balls = _balls(x)
+    balls = _reference_balls(x)
     count = 0
     for perm in itertools.permutations(range(x.n)):
         pos = {p: i for i, p in enumerate(perm)}
