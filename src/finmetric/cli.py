@@ -55,10 +55,6 @@ def _config() -> Config:
     return Config(**{f.name: b for f in dataclasses.fields(Config)})
 
 
-def _distances(tokens) -> DistanceSet:
-    return DistanceSet(as_fraction(t) for t in tokens)
-
-
 def _load_space(path: str) -> FiniteMetricSpace:
     with open(path) as fh:
         return space_from_text(fh.read())
@@ -96,7 +92,7 @@ def _quad(q) -> str:
 # --- verb implementations ----------------------------------------------------
 
 def cmd_check4v(args) -> int:
-    s = _distances(args.distances)
+    s = DistanceSet(args.distances)
     res = four_values.check_four_values(s, _config().four_values_bound)
     if res.holds:
         _emit(args, {"holds": True, "set": [format_fraction(v) for v in s]},
@@ -118,7 +114,7 @@ def cmd_check4v(args) -> int:
 
 
 def cmd_badquads(args) -> int:
-    s = _distances(args.distances)
+    s = DistanceSet(args.distances)
     rows = four_values.bad_quadruples(s, _config().four_values_bound)
     payload = {
         "set": [format_fraction(v) for v in s],
@@ -140,21 +136,20 @@ def cmd_badquads(args) -> int:
 
 
 def cmd_similar(args) -> int:
-    # the shell-level "--" separator is rewritten to "::" before parsing,
+    # main rewrites the shell-level "--" separator to "::" before parsing,
     # because argparse consumes the first bare "--" itself
-    sep = next((tok for tok in ("::", "--") if tok in args.distances), None)
-    if sep is None:
+    if "::" not in args.distances:
         raise InvalidSpace("usage: similar S... -- T...")
-    split = args.distances.index(sep)
-    s = _distances(args.distances[:split])
-    t = _distances(args.distances[split + 1 :])
+    split = args.distances.index("::")
+    s = DistanceSet(args.distances[:split])
+    t = DistanceSet(args.distances[split + 1 :])
     verdict = four_values.similar(s, t)
     _emit(args, {"similar": verdict}, [f"similar: {str(verdict).lower()}"])
     return 0 if verdict else 1
 
 
 def cmd_amalgamate(args) -> int:
-    s = _distances(args.distances)
+    s = DistanceSet(args.distances)
     y0 = _load_space(args.y0)
     y1 = _load_space(args.y1)
     x0 = _ints(args.x0) if args.x0 else []
@@ -218,7 +213,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_urysohn(args) -> int:
-    s = _distances(args.distances)
+    s = DistanceSet(args.distances)
     try:
         space, log = katetov.urysohn_approx(s, args.cap, _config(), seed=args.seed)
     except katetov.ResourceLimit as exc:
@@ -272,16 +267,19 @@ def _ultra_tree(args) -> int:
     return 0
 
 
-def _ultra_degree(args) -> int:
-    rec = ultratrees.ramsey_degree_ultrametric(_load_space(args.space))
-    payload = {"cLO": rec.orderings, "iso": rec.iso, "degree": rec.degree}
-    _emit(args, payload, [f"cLO: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
+def _emit_degree(args, name: str, rec: ultratrees.DegreeRecord) -> int:
+    _emit(args, {name: rec.orderings, "iso": rec.iso, "degree": rec.degree},
+          [f"{name}: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
     return 0
+
+
+def _ultra_degree(args) -> int:
+    return _emit_degree(args, "cLO", ultratrees.ramsey_degree_ultrametric(_load_space(args.space)))
 
 
 def _ultra_bigdegree(args) -> int:
     x = _load_space(args.space)
-    deg = ultratrees.big_ramsey_degree(x, _distances(args.distances))
+    deg = ultratrees.big_ramsey_degree(x, DistanceSet(args.distances))
     _emit(args, {"bigDegree": deg}, [f"big degree: {deg}"])
     return 0
 
@@ -304,19 +302,13 @@ def _ultra_fichet(args) -> int:
 def cmd_degree(args) -> int:
     x = _load_space(args.space)
     if args.metric_orderings is not None:  # given no values: x's own distance set
-        s = _distances(args.metric_orderings) if args.metric_orderings else x.distance_set()
-        rec = ramsey.ramsey_degree_metric_ordered(x, s, _config())
-        payload = {"mLO": rec.orderings, "iso": rec.iso, "degree": rec.degree}
-        _emit(args, payload, [f"mLO: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
-        return 0
-    rec = ramsey.ramsey_degree_general(x, _config())
-    payload = {"LO": rec.orderings, "iso": rec.iso, "degree": rec.degree}
-    _emit(args, payload, [f"LO: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
-    return 0
+        s = DistanceSet(args.metric_orderings) if args.metric_orderings else x.distance_set()
+        return _emit_degree(args, "mLO", ramsey.ramsey_degree_metric_ordered(x, s, _config()))
+    return _emit_degree(args, "LO", ramsey.ramsey_degree_general(x, _config()))
 
 
 def cmd_criticals(args) -> int:
-    s = _distances(args.distances)
+    s = DistanceSet(args.distances)
     crits = ramsey.critical_distances(s)
     _emit(args, {"critical": [format_fraction(v) for v in crits]},
           ["critical: " + " ".join(format_fraction(v) for v in crits)])
@@ -345,7 +337,7 @@ def cmd_orderprop(args) -> int:
     y = _load_space(args.y)
     x = _load_space(args.x)
     order = _ints(args.order)
-    s = _distances(args.s) if args.s else None
+    s = DistanceSet(args.s) if args.s else None
     verdict = ramsey.verify_ordering_property_witness(
         y, x, order, ordering_class=args.ordering_class, s=s, config=_config()
     )

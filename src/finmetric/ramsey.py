@@ -29,18 +29,14 @@ from .spaces import (
     isometries,
     isometry_order,
 )
-from .ultratrees import DegreeRecord, _block_orderings, _class_tree
+from .ultratrees import DegreeRecord, _block_orderings, _class_tree, _degree_record
 
 
 def ramsey_degree_general(
     x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG
 ) -> DegreeRecord:
     """Degree in the class of all finite metric spaces: n! over |iso|."""
-    lo = math.factorial(x.n)
-    iso = isometry_order(x, config)
-    if lo % iso:
-        raise AssertionError(f"|iso|={iso} does not divide |LO|={lo}")
-    return DegreeRecord(lo, iso, lo // iso)
+    return _degree_record("LO", math.factorial(x.n), isometry_order(x, config))
 
 
 def critical_distances(s: DistanceSet) -> list[Fraction]:
@@ -77,11 +73,7 @@ def ramsey_degree_metric_ordered(
     x: FiniteMetricSpace, s: DistanceSet, config: Config = DEFAULT_CONFIG
 ) -> DegreeRecord:
     """Degree in the S-distance class: metric orderings over isometries."""
-    mlo = metric_orderings_count(x, s)
-    iso = isometry_order(x, config)
-    if mlo % iso:
-        raise AssertionError(f"|iso|={iso} does not divide |mLO|={mlo}")
-    return DegreeRecord(mlo, iso, mlo // iso)
+    return _degree_record("mLO", metric_orderings_count(x, s), isometry_order(x, config))
 
 
 def order_types(

@@ -222,6 +222,8 @@ class EdgeLabelledGraph:
     """Symmetric partial assignment of positive rationals to point pairs."""
 
     def __init__(self, n: int, labels: dict | None = None):
+        if n < 0:
+            raise InvalidSpace(f"a graph needs at least 0 points, got {n}")
         self.n = n
         self._labels: dict[tuple[int, int], Fraction] = {}
         if labels:

@@ -136,21 +136,27 @@ def _class_tree(x: FiniteMetricSpace, levels) -> tuple[list, list, dict]:
     return parents, depths, leaf_points
 
 
-def space_of_tree(t: UltraTree) -> FiniteMetricSpace:
-    """Inverse of tree_of_space up to isometry: d(leaf, leaf) = a_(lca depth),
-    an ultrametric over a validated tree's decreasing positive levels."""
-    ancestors = []
+def _ancestor_sets(t: UltraTree) -> list[set]:
+    """For each leaf in sorted order, the nodes on its path to the root."""
+    out = []
     for node in t.leaves():
         chain = set()
         while node != -1:
             chain.add(node)
             node = t.parents[node]
-        ancestors.append(chain)
+        out.append(chain)
+    return out
+
+
+def space_of_tree(t: UltraTree) -> FiniteMetricSpace:
+    """Inverse of tree_of_space up to isometry: d(leaf, leaf) = a_(lca depth), an
+    ultrametric over a validated tree's decreasing positive levels.  A path has one
+    node per depth, so the lca depth is the number of common ancestors less one."""
+    ancestors = _ancestor_sets(t)
     n = len(ancestors)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for a, b in itertools.combinations(range(n), 2):
-        common = ancestors[a] & ancestors[b]
-        lca_depth = max(t.depths[node] for node in common)
+        lca_depth = len(ancestors[a] & ancestors[b]) - 1
         rows[a][b] = rows[b][a] = t.level_distances[lca_depth]
     return FiniteMetricSpace._from_rows(tuple(map(tuple, rows)))
 
@@ -178,7 +184,11 @@ def _block_orderings(parents) -> int:
 
 def ultrametric_isometry_order(x: FiniteMetricSpace) -> int:
     """|iso| via tree-automorphism recursion (multiset canonicalization)."""
-    t = tree_of_space(x)
+    return _tree_automorphisms(tree_of_space(x))
+
+
+def _tree_automorphisms(t: UltraTree) -> int:
+    """Automorphisms of a ball tree, which are the isometries of its space."""
     children = t.children()
 
     def shape_and_aut(node):
@@ -205,15 +215,20 @@ class DegreeRecord:
     degree: int
 
 
+def _degree_record(name: str, orderings: int, iso: int) -> DegreeRecord:
+    """The Ramsey degree of the ordering class `name`: its orderings over |iso|.
+
+    iso divides the count: the isometry group acts freely on any class of
+    orderings that it preserves, for only the identity fixes an ordering."""
+    if orderings % iso:
+        raise AssertionError(f"|iso|={iso} does not divide |{name}|={orderings}")
+    return DegreeRecord(orderings, iso, orderings // iso)
+
+
 def ramsey_degree_ultrametric(x: FiniteMetricSpace) -> DegreeRecord:
-    """Ramsey degree of an ultrametric space: convex orderings over isometries."""
-    clo = convex_orderings_count(x)
-    iso = ultrametric_isometry_order(x)
-    if clo % iso:
-        raise AssertionError(
-            f"internal inconsistency: |cLO|={clo} not divisible by |iso|={iso}"
-        )
-    return DegreeRecord(clo, iso, clo // iso)
+    """Ramsey degree of an ultrametric space: convex orderings over isometries, on one tree."""
+    t = tree_of_space(x)
+    return _degree_record("cLO", _block_orderings(t.parents), _tree_automorphisms(t))
 
 
 def is_uniformly_branching(x: FiniteMetricSpace) -> bool:
@@ -317,16 +332,7 @@ def fichet_embedding(x: FiniteMetricSpace, p: int) -> FichetReport:
             raise AssertionError(f"weight {w} of node {node} is not positive")
         weights[node] = w
 
-    leaves = t.leaves()
-    point_leaf = {t.leaf_points[leaf]: leaf for leaf in leaves}
-    chains = {}
-    for pt, leaf in point_leaf.items():
-        chain = set()
-        node = leaf
-        while node != -1:
-            chain.add(node)
-            node = t.parents[node]
-        chains[pt] = chain
+    chains = {t.leaf_points[leaf]: chain for leaf, chain in zip(t.leaves(), _ancestor_sets(t))}
 
     checks = []
     for i in range(x.n):

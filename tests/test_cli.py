@@ -132,6 +132,24 @@ class TestJsonMirrorsText:
         )[1])
         assert "mLO" in json.loads(out)
 
+    @pytest.mark.parametrize("argv, text, payload", [
+        ("degree --space {x}", "LO: 6  iso: 2  degree: 3", '{"LO": 6, "degree": 3, "iso": 2}'),
+        ("degree --space {x} --metric-orderings", "mLO: 6  iso: 2  degree: 3",
+         '{"degree": 3, "iso": 2, "mLO": 6}'),
+        ("ultra degree --space {x}", "cLO: 4  iso: 2  degree: 2",
+         '{"cLO": 4, "degree": 2, "iso": 2}'),
+    ])
+    def test_degree_outputs_pinned_on_the_comb(self, capsys, spaces, argv, text, payload):
+        paths, _ = spaces
+        argv = [tok.format(x=paths["comb"]) for tok in argv.split()]
+        assert run_cli(capsys, *argv) == (0, text + "\n", "")
+        assert run_cli(capsys, "--json", *argv) == (0, payload + "\n", "")
+
+    def test_criticals(self, capsys):
+        assert run_cli(capsys, "criticals", "1", "2", "3", "7") == (0, "critical: 3 7\n", "")
+        assert run_cli(capsys, "--json", "criticals", "1", "2", "3", "7") == (
+            0, '{"critical": ["3", "7"]}\n', "")
+
 
 class TestSpaces:
     def test_iso_and_copies(self, capsys, spaces):

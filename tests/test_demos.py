@@ -21,6 +21,12 @@ def test_demos_found():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
+def test_readme_lists_every_demo():
+    readme = (ROOT / "README.md").read_text()
+    listed = [line.split()[1] for line in readme.splitlines() if line.startswith("python3 demos/")]
+    assert sorted(listed) == [f"demos/{p.name}" for p in DEMOS]
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

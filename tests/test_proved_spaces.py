@@ -185,6 +185,23 @@ def ultra_trees(draw):
     return UltraTree(tuple(levels), parents, depths, {leaf: p for p, leaf in enumerate(frontier)})
 
 
+def _reference_space_of_tree(t: UltraTree) -> FiniteMetricSpace:
+    """d(leaf, leaf) = a_(lca depth), the lca found as the deepest common ancestor."""
+    ancestors = []
+    for node in t.leaves():
+        chain = set()
+        while node != -1:
+            chain.add(node)
+            node = t.parents[node]
+        ancestors.append(chain)
+    n = len(ancestors)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        lca_depth = max(t.depths[node] for node in ancestors[a] & ancestors[b])
+        rows[a][b] = rows[b][a] = t.level_distances[lca_depth]
+    return FiniteMetricSpace(rows)
+
+
 class TestSpaceOfTree:
     @given(ultra_trees())
     @settings(max_examples=100, deadline=None)
@@ -192,6 +209,7 @@ class TestSpaceOfTree:
         x = space_of_tree(t)
         assert_rechecked(x)
         assert x.is_ultrametric() and x.n == len(t.leaves())
+        assert x.d == _reference_space_of_tree(t).d
 
 
 class TestCombSpace:

@@ -542,6 +542,10 @@ class TestKernelsMatchReference:
         g.set_label(3, 0, 2)
         assert g.is_connected() and _reference_is_connected(g)
 
+    def test_negative_point_count_has_no_connectivity(self):
+        with pytest.raises(InvalidSpace, match="a graph needs at least 0 points, got -2"):
+            EdgeLabelledGraph(-2).is_connected()
+
 
 class TestValidate:
     def test_non_metric_triangle_1_1_3(self):
@@ -588,6 +592,10 @@ class TestValidate:
         # a label on (0, 5) made a 3-point graph with (0, 2) unlabelled look total
         with pytest.raises(InvalidSpace, match="point 5 out of range for a 3-point space"):
             validate(EdgeLabelledGraph(3, {(0, 5): 1, (0, 1): 1, (1, 2): 1}), "metric")
+
+    def test_negative_point_count_rejected(self):
+        with pytest.raises(InvalidSpace, match="a graph needs at least 0 points, got -1"):
+            validate(EdgeLabelledGraph(-1), "metric")
 
 
 class TestComplete:
@@ -646,6 +654,10 @@ class TestComplete:
         # -1 was read as point 2, which completed to d(0, 2) = 1
         with pytest.raises(InvalidSpace, match="point -1 out of range for a 3-point space"):
             complete(EdgeLabelledGraph(3, {(-1, 0): 1, (0, 1): 1}), "sum-cap", 5)
+
+    def test_negative_point_count_rejected(self):
+        with pytest.raises(InvalidSpace, match="a graph needs at least 0 points, got -1"):
+            complete(EdgeLabelledGraph(-1), "max")
 
     def test_labels_preserved_exhaustively_small(self):
         # every metric graph on 4 points with labels in {1..3} round-trips

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmetric.katetov import ultrametric_urysohn_grid
 from finmetric.spaces import (
@@ -14,7 +15,10 @@ from finmetric.spaces import (
     isometries,
 )
 from finmetric.ultratrees import (
+    DegreeRecord,
+    FichetReport,
     UltraTree,
+    _degree_record,
     ambient_tree_nodes,
     big_ramsey_degree,
     comb_space,
@@ -95,6 +99,50 @@ def _reference_extensions_permutation_scan(parents):
     return count
 
 
+def _reference_ramsey_degree_ultrametric(x):
+    """The two-tree degree: the ball tree built once for cLO and once for |iso|."""
+    clo = convex_orderings_count(x)
+    iso = ultrametric_isometry_order(x)
+    if clo % iso:
+        raise AssertionError(
+            f"internal inconsistency: |cLO|={clo} not divisible by |iso|={iso}"
+        )
+    return DegreeRecord(clo, iso, clo // iso)
+
+
+def _reference_fichet_embedding(x, p):
+    """The Fichet report with each point's ancestor chain walked on its own."""
+    t = tree_of_space(x)
+    k = t.height
+    a = t.level_distances
+    weights = {}
+    for node in range(t.n_nodes()):
+        depth = t.depths[node]
+        if depth == 0:
+            continue
+        if depth == k:
+            w = Fraction(a[k - 1] ** p, 2)
+        else:
+            w = Fraction(a[depth - 1] ** p - a[depth] ** p, 2)
+        weights[node] = w
+    chains = {}
+    for leaf in t.leaves():
+        chain = set()
+        node = leaf
+        while node != -1:
+            chain.add(node)
+            node = t.parents[node]
+        chains[t.leaf_points[leaf]] = chain
+    checks = []
+    for i in range(x.n):
+        for j in range(i + 1, x.n):
+            lhs = sum(weights[node] for node in (chains[i] ^ chains[j]) - {0})
+            rhs = x.d[i][j] ** p
+            assert lhs == rhs
+            checks.append(((i, j), lhs, rhs))
+    return FichetReport(p, len(weights), weights, checks, x.n * (x.n + 1) // 2)
+
+
 def all_tree_shapes(n_leaves, max_depth=3):
     """All rooted trees with n_leaves leaves at uniform depth (as child lists)."""
 
@@ -160,6 +208,16 @@ def random_ultrametric(rng, n, levels=(8, 4, 2, 1)):
             delta = next(i for i in range(k) if pts[a][i] != pts[b][i])
             rows[a][b] = rows[b][a] = Fraction(lv[delta])
     return FiniteMetricSpace(rows, check=False)
+
+
+@st.composite
+def ultrametric_spaces(draw, max_n=8):
+    """Random ultrametric spaces of 1 to max_n points, in a shuffled point order."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    x = random_ultrametric(rng, draw(st.integers(1, max_n)))
+    order = list(range(x.n))
+    rng.shuffle(order)
+    return x.submetric(order)
 
 
 class TestTreeDuality:
@@ -286,6 +344,16 @@ class TestRamseyDegree:
                     branching = [c for c in range(t.n_nodes()) if len(children[c]) >= 2]
                     assert all(len(children[b]) == 2 for b in branching)
 
+    @given(ultrametric_spaces())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_tree_reference(self, x):
+        assert ramsey_degree_ultrametric(x) == _reference_ramsey_degree_ultrametric(x)
+
+    def test_quotient_checked(self):
+        assert _degree_record("LO", 6, 2) == DegreeRecord(6, 2, 3)
+        with pytest.raises(AssertionError, match=r"^\|iso\|=2 does not divide \|LO\|=5$"):
+            _degree_record("LO", 5, 2)
+
     def test_degree_one_iff_uniformly_branching(self):
         for n_leaves in range(2, 7):
             for depth, shape in all_tree_shapes(n_leaves):
@@ -379,6 +447,11 @@ class TestFichet:
             for p in (1, 2, 3):
                 rep = fichet_embedding(x, p)
                 assert rep.dimension <= rep.dimension_bound
+
+    @given(ultrametric_spaces(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_report(self, x, p):
+        assert fichet_embedding(x, p) == _reference_fichet_embedding(x, p)
 
     def test_dimension_bound_tight_cases(self):
         # the comb uses the most nodes per leaf count
