@@ -329,7 +329,8 @@ def cmd_arrow(args) -> int:
     if res.holds:
         _emit(args, payload, [f"arrow holds ({res.colorings_checked} colorings over {res.copies_of_x} copies)"])
         return 0
-    _emit(args, payload, ["arrow fails, witness coloring " + "".join(map(str, res.witness_coloring))])
+    witness = "".join(map(str, res.witness_coloring))  # empty exactly when z has no copy of y
+    _emit(args, payload, ["arrow fails, " + ("witness coloring " + witness if witness else "z has no copy of y")])
     return 1
 
 

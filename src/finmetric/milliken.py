@@ -542,8 +542,5 @@ def verify_embedding(variant_name: str, points, target: FiniteMetricSpace) -> bo
     variant = load_variant(variant_name)
     if len(points) != target.n:
         return False
-    for i in range(target.n):
-        for j in range(i + 1, target.n):
-            if coding_distance(variant, points[i], points[j]) != target.d[i][j]:
-                return False
-    return True
+    return all(coding_distance(variant, points[i], points[j]) == target.d[i][j]
+               for i, j in itertools.combinations(range(target.n), 2))

@@ -226,15 +226,13 @@ def band_color(d, r) -> int:
     r = as_fraction(r)
     if d == 0:
         return 0
-    n = 1
-    while True:
+    for n in itertools.count(1):
         lo = r * (1 - Fraction(1, 2 * n))
         hi = r * (1 - Fraction(1, 2 * n + 1))
         if d < lo:
             return 1
         if lo <= d < hi:
             return 0
-        n += 1
 
 
 def divisibility_coloring(x: FiniteMetricSpace, net: NetSystem) -> list[int]:

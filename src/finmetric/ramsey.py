@@ -7,6 +7,7 @@ ordering-property verifiers are exhaustive finite checks, not theorems.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -144,58 +145,67 @@ def verify_arrow(
 
     Every k-coloring of the copies of x in z must admit a copy of y whose
     x-copies carry at most l colors.  Colorings are searched depth first in
-    lexicographic order, so a failure witness is the least one.  Color
-    permutations preserve the verdict, so only colorings whose colors first
-    appear in the order 0, 1, 2, ... are tried: the first copy takes 0, and
-    each later copy at most one more than the largest color so far.
-    Relabelling colors by first appearance keeps a coloring failing and does
-    not raise it lexicographically, so the least witness is among these, and
-    a huge k costs what k = n_copies costs.  A partial coloring is cut as
-    soon as a copy of y whose last x-copy is colored shows at most l colors:
-    every completion of it is good.
+    lexicographic order, so a failure witness is the least one.  Only those
+    whose colors first appear in the order 0, 1, 2, ... are tried: relabelling
+    colors by first appearance keeps a coloring failing and does not raise it
+    lexicographically, so the least witness is among these, and a huge k
+    costs what k = n_copies costs.  Copy t may not take a color that leaves a
+    copy of y whose last x-copy is t with at most l colors: every completion
+    would be good.  This is decided once per node from each such y-copy's
+    rest, the colors of its earlier x-copies: a rest of fewer than l colors
+    leaves t no color, one of exactly l colors bans those, a larger one bans
+    none.  That is the per-color test solved for the color, so the search
+    visits the same nodes in the same order and finds the same witness.
     """
     if k < 1 or l < 0:
         raise InvalidSpace(f"the arrow needs k >= 1 colors and l >= 0 values, got k={k}, l={l}")
     copies_x = copies(z, x, config)
     n_copies = len(copies_x)
     if n_copies > config.arrow_copy_budget:
-        raise SearchTooLarge(
-            f"arrow search too large: {n_copies} copies > {config.arrow_copy_budget}"
-        )
+        raise SearchTooLarge(f"arrow search too large: {n_copies} copies > {config.arrow_copy_budget}")
     copies_y = copies(z, y, config)
     if not copies_y:
         # no big copy at all: the arrow fails for any coloring unless there
         # is nothing to color
         holds = n_copies == 0
         return ArrowResult(holds, n_copies, 0, None if holds else ())
-    closing: list[list[list[int]]] = [[] for _ in range(n_copies)]
+    rests: list[list[list[int]]] = [[] for _ in range(n_copies)]
     for yc in copies_y:
         members = set(yc)
-        sub = [i for i, c in enumerate(copies_x) if set(c) <= members]
+        sub = [i for i, c in enumerate(copies_x) if members.issuperset(c)]
         if not sub:  # no x-copy to color: good under every coloring
             return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
-        closing[sub[-1]].append(sub)
-    coloring: list[int] = []
+        rests[sub.pop()].append(sub)  # filed under the x-copy that closes it
+    bits: list[int] = []  # 1 << color of each colored copy
 
     def witness(used: int) -> bool:
         """Color the next copy with one of the used colors 0..used-1 or a new
         one; true once every copy of y is left bad."""
-        t = len(coloring)
+        t = len(bits)
         if t == n_copies:
             return True
+        banned = 0
+        for rest in rests[t]:
+            seen = 0
+            for i in rest:
+                seen |= bits[i]
+            m = seen.bit_count()
+            if m < l:
+                return False
+            if m == l:
+                banned |= seen
         for color in range(used + 1 if used < k else k):
-            coloring.append(color)
-            if all(len({coloring[i] for i in sub}) > l for sub in closing[t]):
+            if not banned >> color & 1:
+                bits.append(1 << color)
                 if witness(used + (color == used)):
                     return True
-            coloring.pop()
+                bits.pop()
         return False
 
     if witness(0):
-        rank = 0
-        for color in coloring[1:]:
-            rank = rank * k + color
-        return ArrowResult(False, n_copies, rank + 1, tuple(coloring))
+        coloring = tuple(b.bit_length() - 1 for b in bits)
+        rank = functools.reduce(lambda r, color: r * k + color, coloring[1:], 0)
+        return ArrowResult(False, n_copies, rank + 1, coloring)
     return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
 
 

@@ -271,9 +271,8 @@ class EdgeLabelledGraph:
     @classmethod
     def from_space(cls, space: FiniteMetricSpace) -> "EdgeLabelledGraph":
         g = cls(space.n)
-        for i in range(space.n):
-            for j in range(i + 1, space.n):
-                g.set_label(i, j, space.d[i][j])
+        for i, j in itertools.combinations(range(space.n), 2):
+            g.set_label(i, j, space.d[i][j])
         return g
 
 
@@ -714,16 +713,15 @@ def graph_from_text(text: str) -> EdgeLabelledGraph:
             raise InvalidSpace(f"row {i} has {len(row)} entries, expected {n}")
     g = EdgeLabelledGraph(n)
     q = _TokenFractions()
-    for i in range(n):
-        for j in range(i + 1, n):
-            tok, mirror = rows[i][j], rows[j][i]
-            if (tok == "?") != (mirror == "?"):
-                raise InvalidSpace(f"pair ({i},{j}) labelled on one side only")
-            if tok == "?":
-                continue
-            if q[tok] != q[mirror]:
-                raise InvalidSpace(f"asymmetric labels on ({i},{j})")
-            g.set_label(i, j, q[tok])
+    for i, j in itertools.combinations(range(n), 2):
+        tok, mirror = rows[i][j], rows[j][i]
+        if (tok == "?") != (mirror == "?"):
+            raise InvalidSpace(f"pair ({i},{j}) labelled on one side only")
+        if tok == "?":
+            continue
+        if q[tok] != q[mirror]:
+            raise InvalidSpace(f"asymmetric labels on ({i},{j})")
+        g.set_label(i, j, q[tok])
     return g
 
 

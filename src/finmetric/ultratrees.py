@@ -55,6 +55,8 @@ class UltraTree:
                 raise InvalidSpace(f"internal node {node} at depth {depth} has no child")
             if depth == k and node not in self.leaf_points:
                 raise InvalidSpace(f"maximal node {node} is not a leaf")
+        if set(self.leaf_points.values()) != set(range(len(self.leaf_points))):
+            raise InvalidSpace("leaf points must number the leaves 0, 1, ..., one point each")
 
     @property
     def height(self) -> int:
@@ -194,13 +196,9 @@ def _tree_automorphisms(t: UltraTree) -> int:
     def shape_and_aut(node):
         if not children[node]:
             return ("leaf",), 1
-        pairs = sorted(
-            (shape_and_aut(c) for c in children[node]), key=lambda p: p[0]
-        )
+        pairs = sorted((shape_and_aut(c) for c in children[node]), key=lambda p: p[0])
         shapes = tuple(p[0] for p in pairs)
-        aut = 1
-        for _, a in pairs:
-            aut *= a
+        aut = math.prod(a for _, a in pairs)
         for _, group in itertools.groupby(shapes):
             aut *= math.factorial(len(list(group)))
         return ("node", shapes), aut
@@ -335,16 +333,13 @@ def fichet_embedding(x: FiniteMetricSpace, p: int) -> FichetReport:
     chains = {t.leaf_points[leaf]: chain for leaf, chain in zip(t.leaves(), _ancestor_sets(t))}
 
     checks = []
-    for i in range(x.n):
-        for j in range(i + 1, x.n):
-            sep = (chains[i] ^ chains[j]) - {0}
-            lhs = sum(weights[node] for node in sep)
-            rhs = x.d[i][j] ** p
-            if lhs != rhs:
-                raise AssertionError(
-                    f"weight identity fails on pair ({i},{j}): {lhs} != {rhs}"
-                )
-            checks.append(((i, j), lhs, rhs))
+    for i, j in itertools.combinations(range(x.n), 2):
+        sep = (chains[i] ^ chains[j]) - {0}
+        lhs = sum(weights[node] for node in sep)
+        rhs = x.d[i][j] ** p
+        if lhs != rhs:
+            raise AssertionError(f"weight identity fails on pair ({i},{j}): {lhs} != {rhs}")
+        checks.append(((i, j), lhs, rhs))
 
     dim = len(weights)
     bound = x.n * (x.n + 1) // 2

@@ -241,6 +241,21 @@ class TestUltraAndArrow:
         )
         assert code == 1 and "witness coloring" in out
 
+    @pytest.mark.parametrize("z, y, code, text, payload", [
+        ("e5", "triangle", 1, "arrow fails, witness coloring 0011101100\n",
+         '{"colorings": 237, "copies": 10, "holds": false, "witness": [0, 0, 1, 1, 1, 0, 1, 1, 0, 0]}\n'),
+        ("e6", "triangle", 0, "arrow holds (16384 colorings over 15 copies)\n",
+         '{"colorings": 16384, "copies": 15, "holds": true, "witness": null}\n'),
+        # no copy of y in z: nothing to make good, so the arrow fails with no witness
+        ("triangle", "e5", 1, "arrow fails, z has no copy of y\n",
+         '{"colorings": 0, "copies": 3, "holds": false, "witness": null}\n'),
+    ], ids=["k5-fails", "k6-holds", "no-copy-of-y"])
+    def test_arrow_bytes(self, capsys, spaces, z, y, code, text, payload):
+        paths, _ = spaces
+        argv = ["arrow", "--z", paths[z], "--y", paths[y], "--x", paths["pair"]]
+        assert run_cli(capsys, *argv) == (code, text, "")
+        assert run_cli(capsys, "--json", *argv) == (code, payload, "")
+
 
 class TestColorAndCodings:
     def test_color_lambda(self, capsys, spaces):

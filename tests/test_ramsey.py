@@ -192,6 +192,50 @@ def _reference_verify_arrow(z, y, x, k=2, l=1, config=Config()):
     return ArrowResult(True, n_copies, checked)
 
 
+def _reference_arrow_search(z, y, x, k=2, l=1, config=Config()):
+    """The arrow search before each node's banned colors: every candidate color
+    is appended and every closing copy of y re-tested by building its color set."""
+    if k < 1 or l < 0:
+        raise InvalidSpace(f"the arrow needs k >= 1 colors and l >= 0 values, got k={k}, l={l}")
+    copies_x = copies(z, x, config)
+    n_copies = len(copies_x)
+    if n_copies > config.arrow_copy_budget:
+        raise SearchTooLarge(
+            f"arrow search too large: {n_copies} copies > {config.arrow_copy_budget}"
+        )
+    copies_y = copies(z, y, config)
+    if not copies_y:
+        holds = n_copies == 0
+        return ArrowResult(holds, n_copies, 0, None if holds else ())
+    closing = [[] for _ in range(n_copies)]
+    for yc in copies_y:
+        members = set(yc)
+        sub = [i for i, c in enumerate(copies_x) if set(c) <= members]
+        if not sub:
+            return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
+        closing[sub[-1]].append(sub)
+    coloring = []
+
+    def witness(used):
+        t = len(coloring)
+        if t == n_copies:
+            return True
+        for color in range(used + 1 if used < k else k):
+            coloring.append(color)
+            if all(len({coloring[i] for i in sub}) > l for sub in closing[t]):
+                if witness(used + (color == used)):
+                    return True
+            coloring.pop()
+        return False
+
+    if witness(0):
+        rank = 0
+        for color in coloring[1:]:
+            rank = rank * k + color
+        return ArrowResult(False, n_copies, rank + 1, tuple(coloring))
+    return ArrowResult(True, n_copies, k ** max(n_copies - 1, 0))
+
+
 def _reference_order_types(x, config=Config()):
     """The lexicographically least ordering of each orbit, by a scan of all n!."""
     group = isometries(x, config)
@@ -270,11 +314,11 @@ def ordering_cases(draw):
 
 
 @st.composite
-def arrow_triples(draw):
+def arrow_triples(draw, max_n=5):
     """(z, y, x) with x and y isometric to subspaces of z or to random spaces."""
     vals = draw(st.lists(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))),
                          min_size=1, max_size=2, unique=True))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     d = [[Fraction(0)] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         d[i][j] = d[j][i] = draw(st.sampled_from(vals))
@@ -453,13 +497,70 @@ class TestOrderTypes:
             assert isometry_order(x) == len(isometries(x))
 
 
+def _r33(n, a):
+    """(K_n, triangle, edge), all at distance a: the R(3,3) arrow's spaces."""
+    return tuple(FiniteMetricSpace.equilateral(m, a) for m in (n, 3, 2))
+
+
+def _two_distance_host(text):
+    """The bench's seeded two-distance arrows: z from its rows, y its first
+    three points, x the edge at d(0, 1)."""
+    z = FiniteMetricSpace([[int(c) for c in row] for row in text.split("/")])
+    return z, z.submetric([0, 1, 2]), FiniteMetricSpace.equilateral(2, z.d[0][1])
+
+
+# the six two-distance hosts of the bench's symmetry workload, seed 0, pass 0
+BENCH_HOSTS = ["02233/20233/22022/33202/33220", "03233/30222/22023/32202/32320",
+               "022233/202332/220233/232032/333303/323230",
+               "023223/202322/320233/232022/223203/323230",
+               "032232/302333/220233/232032/333302/233220",
+               "02332/20222/32033/32303/22330"]
+
+
 class TestArrow:
-    @given(arrow_triples(), st.sampled_from((2, 3, 4)), st.sampled_from((1, 2)))
+    @given(arrow_triples(), st.sampled_from((1, 2, 3, 4)), st.sampled_from((0, 1, 2, 3)))
     @settings(max_examples=150, deadline=None)
     def test_search_matches_reference_scan(self, zyx, k, l):
         z, y, x = zyx
         assert _outcome(verify_arrow, z, y, x, k, l) == _outcome(
             _reference_verify_arrow, z, y, x, k, l)
+
+    @given(arrow_triples(max_n=6), st.sampled_from((1, 2, 3, 4)), st.sampled_from((0, 1, 2, 3)))
+    @example(_r33(5, Fraction(1, 2)), 2, 1)
+    @example(_r33(5, 3), 2, 1)
+    @example(_r33(6, Fraction(1, 2)), 2, 1)
+    @example(_r33(6, 3), 2, 1)
+    @example(_two_distance_host(BENCH_HOSTS[0]), 2, 1)
+    @example(_two_distance_host(BENCH_HOSTS[1]), 2, 1)
+    @example(_two_distance_host(BENCH_HOSTS[2]), 2, 1)
+    @example(_two_distance_host(BENCH_HOSTS[3]), 2, 1)
+    @example(_two_distance_host(BENCH_HOSTS[4]), 2, 1)
+    @example(_two_distance_host(BENCH_HOSTS[5]), 2, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_banned_colors_match_the_per_color_search(self, zyx, k, l):
+        # the same nodes in the same order: the same whole ArrowResult, or the same exception
+        z, y, x = zyx
+        assert _outcome(verify_arrow, z, y, x, k, l) == _outcome(
+            _reference_arrow_search, z, y, x, k, l)
+
+    @pytest.mark.parametrize("text", BENCH_HOSTS)
+    def test_bench_hosts_match_reference_scan(self, text):
+        z, y, x = _two_distance_host(text)
+        assert verify_arrow(z, y, x) == _reference_verify_arrow(z, y, x)
+
+    @pytest.mark.parametrize("a", [Fraction(1, 2), 3])
+    def test_r33_witness_and_count_at_every_scale(self, a):
+        res = verify_arrow(*_r33(5, a))
+        assert res == ArrowResult(False, 10, 237, (0, 0, 1, 1, 1, 0, 1, 1, 0, 0))
+        assert verify_arrow(*_r33(6, a)) == ArrowResult(True, 15, 2 ** 14)
+
+    def test_rest_below_l_leaves_no_color(self):
+        # with l = 3 a triangle's three edges are always good: the node of the
+        # first edge that closes a triangle sees a rest of at most 2 < 3
+        # colors, so it ends with no color and the arrow holds
+        z, y, x = _r33(4, 1)
+        for k in (1, 2, 3, 4):
+            assert verify_arrow(z, y, x, k, 3) == ArrowResult(True, 6, k ** 5)
 
     @pytest.mark.parametrize("zn", [4, 5, 6])
     def test_triangles_on_pairs_match_reference_scan(self, zn):

@@ -289,6 +289,13 @@ class TestTreeValidation:
         with pytest.raises(InvalidSpace, match="leaf 7 is not a node at depth 1"):
             UltraTree((1,), [-1, 0, 0], [0, 1, 1], {1: 0, 2: 1, 7: 2})
 
+    @pytest.mark.parametrize("points", [{1: 0, 2: 0}, {1: 0, 2: 5}, {1: 0, 2: -1}, {1: 0, 2: "a"}],
+                             ids=["repeated", "past-the-last", "negative", "not-an-int"])
+    def test_leaf_points_not_one_to_one_onto_range(self, points):
+        # space_of_tree reads the leaves in sorted order and never these values
+        with pytest.raises(InvalidSpace, match="leaf points must number the leaves 0, 1, ..."):
+            UltraTree((1,), [-1, 0, 0], [0, 1, 1], points)
+
 
 class TestConvexOrderings:
     def test_single_point(self):
