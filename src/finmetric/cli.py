@@ -195,13 +195,13 @@ def cmd_copies(args) -> int:
 
 
 def cmd_katetov(args) -> int:
-    x = _load_space(args.space)
-    ok, witness = katetov.is_katetov(x, _fracs(args.values))
+    x, f = _load_space(args.space), _fracs(args.values)
+    ok, witness = katetov.is_katetov(x, f)
     payload = {"katetov": ok, "witness": list(witness) if witness else None}
     if ok:
         _emit(args, payload, ["katetov"])
         return 0
-    _emit(args, payload, [f"not katetov, witness pair {witness}"])
+    _emit(args, payload, [f"not katetov, {katetov._refusal(f, witness)}"])
     return 1
 
 

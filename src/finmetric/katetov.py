@@ -20,9 +20,11 @@ from .spaces import (
     DistanceSet,
     FiniteMetricSpace,
     InvalidSpace,
+    _check_canon_bound,
+    _least_order,
+    _rank_masks,
     _scaled,
     as_fraction,
-    canonicalize,
     format_fraction,
 )
 
@@ -69,13 +71,20 @@ def is_katetov(x: FiniteMetricSpace, values) -> tuple[bool, tuple[int, int] | No
     return witness is None, witness
 
 
+def _refusal(f, witness, pair: str = "witness pair") -> str:
+    """Why is_katetov refused f: its witness pair, or its first negative point."""
+    if witness is None:
+        return f"negative value at point {next(i for i, v in enumerate(f) if v < 0)}"
+    return f"{pair} {witness}"
+
+
 def extend_with(x: FiniteMetricSpace, values) -> FiniteMetricSpace:
     """X plus one new point at distance f(x) from each x, with no triangle scan:
     a nonvanishing Katetov map is exactly a metric one-point extension."""
     f = [as_fraction(v) for v in values]
     ok, witness = is_katetov(x, f)
     if not ok:
-        raise InvalidSpace(f"not a Katetov map, witness pair {witness}")
+        raise InvalidSpace(f"not a Katetov map, {_refusal(f, witness)}")
     for i, v in enumerate(f):
         if v == 0:
             raise InvalidSpace(f"map vanishes at point {i}: realized by existing point {i}")
@@ -110,15 +119,11 @@ def realizers(x: FiniteMetricSpace, sub, values) -> list[int]:
     """
     sub = list(sub)
     subx = x.submetric(sub)
-    f = [as_fraction(v) for v in values]
+    f = tuple(map(as_fraction, values))
     ok, witness = is_katetov(subx, f)
     if not ok:
-        raise InvalidSpace(f"not Katetov over the subspace, witness {witness}")
-    return [
-        y
-        for y in range(x.n)
-        if all(x.d[y][s] == f[k] for k, s in enumerate(sub))
-    ]
+        raise InvalidSpace(f"not Katetov over the subspace, {_refusal(f, witness, 'witness')}")
+    return [y for y, row in enumerate(x.d) if tuple(map(row.__getitem__, sub)) == f]
 
 
 @dataclass
@@ -159,8 +164,8 @@ def urysohn_approx(
     admissibility and its key: after point p is added the list only drops
     the pairs that p realizes and gains the unrealized pairs over subspaces
     containing p.  Katetov and realizer tests run on S and the matrix scaled
-    to ints; canonical keys are read off the int matrix of F+f, under
-    config.canon_bound, once per distinct (F, f) distance pattern.  Each
+    to ints; each distinct (F, f) distance pattern is keyed once, by the int
+    matrix of F+f in canonicalize's order, under config.canon_bound.  Each
     added point is Katetov over a metric space (see four_values.amalgamate),
     so no space built here is scanned for triangles.  Cross
     distances to points outside F come from iterated one-point amalgamation;
@@ -202,25 +207,20 @@ def urysohn_approx(
                     if key is None:
                         ext = [[m[a][b] for b in sub] + [v] for a, v in zip(sub, f)]
                         ext.append([*f, 0])
-                        _, order = canonicalize(FiniteMetricSpace._from_ints(ext, scale), config)
-                        key = keys[dist, f] = tuple(
-                            tuple(ext[a][b] for b in order) for a in order
-                        )
+                        key = keys[dist, f] = _closure_key(ext, config)
                     pending.append((size, key, sub, f))
         pending.sort()
         if not pending:
             return FiniteMetricSpace._from_ints(m, scale), log
         _, _, sub, f = pending[0]
         if p + 2 > config.urysohn_max_points:
+            fkeys = {k: tuple(tuple(map(frac.__getitem__, r)) for r in k) for k in {e[1] for e in pending}}
             raise ResourceLimit(
                 f"urysohn closure exceeded {config.urysohn_max_points} points "
                 f"with {len(pending)} extensions still unrealized",
                 space=FiniteMetricSpace._from_ints(m, scale),
-                pending=[
-                    (k, tuple(tuple(frac[v] for v in row) for row in key),
-                     subset, tuple(frac[v] for v in g))
-                    for k, key, subset, g in pending
-                ],
+                pending=[(k, fkeys[key], subset, tuple(map(frac.__getitem__, g)))
+                         for k, key, subset, g in pending],
                 log=log,
             )
         four_values._adjoin_point(ints, scale, m, sub, f, rng.choice)
@@ -228,7 +228,17 @@ def urysohn_approx(
         p += 1
         # drop the pairs that the new point p realizes
         row = m[p]
-        pending = [e for e in pending if any(row[q] != v for q, v in zip(e[2], e[3]))]
+        pending = [e for e in pending if tuple(map(row.__getitem__, e[2])) != e[3]]
+
+
+def _closure_key(ext, config: Config) -> tuple:
+    """The int matrix ext of F+f in canonicalize's order of ext / scale: a
+    positive scale keeps the ranks, so ext's own ranks give that order."""
+    _check_canon_bound(len(ext), config)
+    rank = {u: v for v, u in enumerate(sorted(set().union(*ext)))}
+    r = [list(map(rank.__getitem__, row)) for row in ext]
+    order = _least_order(r, _rank_masks(r, len(rank)))
+    return tuple(tuple(ext[a][b] for b in order) for a in order)
 
 
 def _katetov_maps(d, values) -> list[tuple]:

@@ -432,13 +432,18 @@ def _ranked(x: FiniteMetricSpace) -> tuple[dict, list[list[int]], list[list[int]
             by_key[v.numerator, v.denominator] = v
     table = {k: v for v, k in enumerate(sorted(by_key, key=by_key.__getitem__), 1)}
     r = _rank_matrix(x, table)
+    return table, r, _rank_masks(r, len(table) + 1)
+
+
+def _rank_masks(r, n_ranks: int) -> list[list[int]]:
+    """The point masks of the rank matrix r, whose ranks are 0 .. n_ranks - 1."""
     masks = []
     for row in r:
-        m = [0] * (len(table) + 1)
+        m = [0] * n_ranks
         for q, v in enumerate(row):
             m[v] |= 1 << q
         masks.append(m)
-    return table, r, masks
+    return masks
 
 
 def _match(r, masks, img: list[int], visit) -> bool:
@@ -573,23 +578,26 @@ def canonicalize(
     swap of two twins is an isometry.  Two spaces are isometric iff their
     canonical forms are equal.  The form, a reordering of x, needs no re-check.
     """
-    if x.n > config.canon_bound:
-        raise SearchTooLarge(
-            f"canonicalization too large: n={x.n} > {config.canon_bound}"
-        )
+    _check_canon_bound(x.n, config)
     n, d = x.n, x.d
     if n <= 2:  # every order gives the same matrix
         order = tuple(range(n))
     else:
-        order = _least_order(x)
+        order = _least_order(*_ranked(x)[1:])
     canon = FiniteMetricSpace._from_rows(tuple(tuple(d[a][b] for b in order) for a in order))
     return canon, order
 
 
-def _least_order(x: FiniteMetricSpace) -> tuple[int, ...]:
-    """The first order, lexicographically, giving x its least matrix."""
-    _, r, masks = _ranked(x)
-    n, n_ranks = x.n, len(masks[0])
+def _check_canon_bound(n: int, config: Config) -> None:
+    """Refuse a canonical form of more than config.canon_bound points."""
+    if n > config.canon_bound:
+        raise SearchTooLarge(f"canonicalization too large: n={n} > {config.canon_bound}")
+
+
+def _least_order(r, masks) -> tuple[int, ...]:
+    """The first order, lexicographically, giving the rank matrix r (point masks
+    masks, one point or more) its least matrix: only the ranks' order counts."""
+    n, n_ranks = len(r), len(masks[0])
     smaller_twins = [0] * n
     for p, q in itertools.combinations(range(n), 2):
         if _twins(r, p, q):

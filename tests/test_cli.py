@@ -183,6 +183,16 @@ class TestSpaces:
         )
         assert code == 0 and out.startswith("points: 3")
 
+    def test_negative_values_name_their_first_point(self, capsys, spaces):
+        # a negative map has no witness pair; the payload keeps its null witness
+        tri = spaces[0]["triangle"]
+        got = run_cli(capsys, "katetov", "--space", tri, "--values", "1,-1,1")
+        assert got == (1, "not katetov, negative value at point 1\n", "")
+        got = run_cli(capsys, "--json", "katetov", "--space", tri, "--values", "1,-1,1")
+        assert got == (1, '{"katetov": false, "witness": null}\n', "")
+        got = run_cli(capsys, "extend", "--space", tri, "--values=-1,1,1")
+        assert got == (2, "", "error: not a Katetov map, negative value at point 0\n")
+
     def test_amalgamate(self, capsys, spaces, tmp_path):
         tri = tmp_path / "t.txt"
         tri.write_text("points: 3\n0 1 2\n1 0 3\n2 3 0\n")

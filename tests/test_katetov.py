@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from finmetric import four_values
 from finmetric.katetov import (
     BuildLog,
     ResourceLimit,
     _admissible_maps,
+    _closure_key,
     _katetov_maps,
     _katetov_witness,
     extend_with,
@@ -29,6 +30,7 @@ from finmetric.spaces import (
     SearchTooLarge,
     as_fraction,
     canonical_key,
+    canonicalize,
     complete,
     copies,
     format_fraction,
@@ -61,6 +63,22 @@ class TestIsKatetov:
     def test_length_mismatch(self):
         with pytest.raises(InvalidSpace):
             is_katetov(two_points(), (1,))
+
+    def test_negative_maps_are_refused_at_their_first_negative_point(self):
+        # a negative map has no witness pair, so the refusals name the point
+        x = path3()
+        assert is_katetov(x, (1, -1, -2)) == (False, None)
+        with pytest.raises(InvalidSpace) as info:
+            extend_with(x, (1, -1, -2))
+        assert str(info.value) == "not a Katetov map, negative value at point 1"
+        with pytest.raises(InvalidSpace) as info:
+            realizers(x, [0, 2], (2, -1))
+        assert str(info.value) == "not Katetov over the subspace, negative value at point 1"
+        # shortest_extension keeps its old bytes: the benchmark's recorded
+        # digests of the closure workload hold them
+        with pytest.raises(InvalidSpace) as info:
+            shortest_extension(x, [0], (-1,))
+        assert str(info.value) == "not Katetov over the subspace, witness None"
 
 
 class TestExtendWith:
@@ -230,10 +248,7 @@ class TestUrysohnApprox:
     def test_closure_realizes_everything_below_cap(self):
         s = DistanceSet((1, 2))
         space, _ = urysohn_approx(s, 3)
-        for size in (1, 2):
-            for subset in itertools.combinations(range(space.n), size):
-                for f in _reference_admissible_maps(space, subset, s):
-                    assert realizers(space, subset, f)
+        assert _unrealized(space, s, 3) == []
 
     def test_ultrametric_set_gives_ultrametric_space(self):
         space, _ = urysohn_approx(DistanceSet((1, 3)), 3)
@@ -432,6 +447,22 @@ class TestClosureMatchesReference:
         assert len(info.value.log.entries) == 23
 
 
+class TestClosurePromise:
+    @pytest.mark.parametrize("size_cap", [2, 3])
+    @pytest.mark.parametrize("base", CLOSURE_BASES)
+    def test_finished_closures_leave_nothing_unrealized(self, base, size_cap):
+        # checked by a scan of every subset, apart from the closure's pending
+        # bookkeeping; each seed runs at its own scale
+        for seed, scale in enumerate((1, Fraction(1, 2), 3)):
+            s = DistanceSet(v * scale for v in base)
+            try:
+                space, _ = urysohn_approx(s, size_cap, seed=seed)
+            except ResourceLimit:  # only three values at cap 3 reach the 64-point cap
+                assert (len(base), size_cap) == (3, 3)
+                continue
+            assert _unrealized(space, s, size_cap) == []
+
+
 class TestUltrametricGrid:
     def test_two_level_grid_structure(self):
         grid = ultrametric_urysohn_grid(DistanceSet((3, 1)), 2)
@@ -519,6 +550,70 @@ def _reference_admissible_maps(x: FiniteMetricSpace, subset, s: DistanceSet):
             yield combo
 
 
+def _unrealized(x: FiniteMetricSpace, s: DistanceSet, size_cap: int) -> list:
+    """The pairs (F, f), |F| < size_cap and f an S-valued Katetov map over F,
+    that no point of x realizes, by a scan of every subset of x."""
+    return [
+        (sub, f)
+        for size in range(1, size_cap)
+        for sub in itertools.combinations(range(x.n), size)
+        for f in _reference_admissible_maps(x, sub, s)
+        if not realizers(x, sub, f)
+    ]
+
+
+# --- closure keys: the canonical form of the Fraction space, read off ext ------
+
+def _reference_closure_key(ext, scale, config=DEFAULT_CONFIG):
+    """The key urysohn_approx read off the canonical order of ext / scale."""
+    _, order = canonicalize(FiniteMetricSpace._from_ints(ext, scale), config)
+    return tuple(tuple(ext[a][b] for b in order) for a in order)
+
+
+def _key_outcome(key, *args):
+    try:
+        return key(*args)
+    except SearchTooLarge as exc:
+        return str(exc)
+
+
+@st.composite
+def int_metric_matrices(draw):
+    """Metric int matrices of 1-6 points over at most three values, so twins
+    and rows equal up to order are common."""
+    n = draw(st.integers(1, 6))
+    vals = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True))
+    m = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        m[i][j] = m[j][i] = draw(st.sampled_from(vals))
+    for k, i, j in itertools.product(range(n), repeat=3):
+        m[i][j] = min(m[i][j], m[i][k] + m[k][j])
+    return m
+
+
+TWIN_PAIRS = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
+EQUILATERAL_6 = [[0 if i == j else 3 for j in range(6)] for i in range(6)]
+
+
+class TestClosureKeys:
+    @given(int_metric_matrices(), st.sampled_from((1, 2, 3, 7)), st.integers(1, 7))
+    @example([[0]], 1, 1)
+    @example(EQUILATERAL_6, 2, 6)
+    @example(EQUILATERAL_6, 2, 5)
+    @example(TWIN_PAIRS, 3, 7)
+    @settings(max_examples=400, deadline=None)
+    def test_int_key_matches_the_canonical_form(self, ext, scale, bound):
+        config = Config(canon_bound=bound)
+        assert _key_outcome(_closure_key, ext, config) == _key_outcome(
+            _reference_closure_key, ext, scale, config)
+
+    def test_twins_and_the_refusal(self):
+        assert _closure_key(TWIN_PAIRS, DEFAULT_CONFIG) == tuple(map(tuple, TWIN_PAIRS))
+        assert _closure_key([[0, 5], [5, 0]], DEFAULT_CONFIG) == ((0, 5), (5, 0))
+        with pytest.raises(SearchTooLarge, match="canonicalization too large: n=4 > 3"):
+            _closure_key(TWIN_PAIRS, Config(canon_bound=3))
+
+
 MIXED = st.builds(Fraction, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6)))
 MAP_VALUES = st.builds(Fraction, st.integers(-2, 12), st.sampled_from((1, 2, 3, 5)))
 
@@ -558,6 +653,23 @@ class TestKernelMatchesReference:
     def test_is_katetov(self, case):
         x, f = case
         assert is_katetov(x, f) == _reference_is_katetov(x, f)
+
+    @given(katetov_spaces(max_n=7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_realizers(self, x, data):
+        sub = data.draw(st.lists(st.integers(0, max(x.n - 1, 0)), max_size=min(x.n, 4), unique=True))
+        if x.n and data.draw(st.booleans()):  # realized by point p at least
+            p = data.draw(st.integers(0, x.n - 1))
+            f = [x.d[p][q] for q in sub]
+        else:
+            f = data.draw(st.lists(MAP_VALUES, min_size=len(sub), max_size=len(sub)))
+        try:
+            want = _reference_realizers(x, sub, f)
+        except InvalidSpace:
+            with pytest.raises(InvalidSpace):
+                realizers(x, sub, f)
+        else:
+            assert realizers(x, sub, f) == want
 
     @given(katetov_spaces(), st.lists(MAP_VALUES, max_size=9))
     @settings(max_examples=100, deadline=None)
