@@ -21,6 +21,7 @@ from .spaces import (
     InvalidSpace,
     _match,
     _ranked,
+    _scaled,
     as_fraction,
     complete,
 )
@@ -205,15 +206,20 @@ def hedgehog_verify(z: HedgehogSpace, max_cycle_len: int = 5) -> HedgehogReport:
     for start in range(z.dz.n):
         extend([start])
 
+    # the cycle sums run on the labels and 1 scaled to ints once; a positive
+    # scale keeps every comparison, and Fractions are built only for a violation
+    ints, scale = _scaled([*z.labels.values(), Fraction(1)])
+    one = ints[-1]
+    int_labels = dict(zip(z.labels, ints))
     unexpected = []
     for cycle in cycles:
         edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-        labs = [z.labels[(min(a, b), max(a, b))] for a, b in edges]
+        labs = [int_labels[(a, b) if a < b else (b, a)] for a, b in edges]
         # metricity of the cycle: every edge at most the sum of the others
         length = sum(labs)
         for (a, b), lab in zip(edges, labs):
-            if lab > min(Fraction(1), length - lab):
-                violations.append((a, b, lab, length - lab))
+            if lab > one or lab > length - lab:
+                violations.append((a, b, Fraction(lab, scale), Fraction(length - lab, scale)))
         if min(cycle) < z.base_count <= max(cycle):
             shape = _cycle_shape(z, cycle)
             if shape.startswith("unexpected"):
@@ -229,10 +235,11 @@ def hedgehog_verify(z: HedgehogSpace, max_cycle_len: int = 5) -> HedgehogReport:
                 branch_violations.append((a, b, z.prefix.d[i][j], z.dz.d[a][b]))
 
     fattening_ok = True
+    step = Fraction(1, z.m)
     for branch in branches:
         proj = {z.pi(a) for a in branch}
         for a in branch:
-            if not any(z.dz.d[a][p] <= Fraction(1, z.m) for p in proj):
+            if not any(z.dz.d[a][p] <= step for p in proj):
                 fattening_ok = False
 
     return HedgehogReport(

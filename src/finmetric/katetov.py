@@ -192,7 +192,8 @@ def urysohn_approx(
     p = 0
     while True:
         # list the unrealized pairs over the subsets that contain point p
-        for size in range(1, size_cap):
+        # a subset with p has at most p + 1 points
+        for size in range(1, min(size_cap, p + 2)):
             for rest in itertools.combinations(range(p), size - 1):
                 sub = rest + (p,)
                 dist = tuple(m[a][b] for a, b in itertools.combinations(sub, 2))

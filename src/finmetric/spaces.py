@@ -341,11 +341,13 @@ def _path_closure(n: int, labels: dict, join, cap: int) -> list[list[int]]:
     minimax (bottleneck) paths.  Dijkstra's order is exact for both: labels
     are positive and join is monotone in both arguments, so extending a path
     never lowers its value, and the least value on the heap is final.
+    join must be one of those two: each relaxation writes it inline.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (i, j), v in labels.items():
         adj[i].append((j, v))
         adj[j].append((i, v))
+    add = join is operator.add
     out = []
     for source in range(n):
         dist = [cap] * n
@@ -356,7 +358,7 @@ def _path_closure(n: int, labels: dict, join, cap: int) -> list[list[int]]:
             if du > dist[u]:
                 continue
             for v, w in adj[u]:
-                s = join(du, w)
+                s = du + w if add else (du if du > w else w)
                 if s < dist[v]:
                     dist[v] = s
                     heapq.heappush(heap, (s, v))
@@ -380,30 +382,35 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
     """
     if not g.is_connected():
         raise InvalidSpace("graph is disconnected; completion undefined")
-    labels = {p: g.label(*p) for p in g.labelled_pairs()}
+    labels = {p: g._labels[p] for p in sorted(g._labels)}
     if mode == "sum-cap":
         if r is None:
             raise InvalidSpace("sum-cap mode needs a cap r")
         cap = as_fraction(r)
-        for (i, j), v in labels.items():
-            if v > cap:
-                raise InvalidSpace(
-                    f"cap {format_fraction(cap)} smaller than label on ({i},{j})"
-                )
     elif mode == "max":
         cap = max(labels.values(), default=Fraction(1))
     else:
         raise InvalidSpace(f"unknown completion mode {mode!r}")
+    # the checks run on the labels and the cap scaled to ints, which keeps
+    # every comparison; Fractions are built only for a refusal's message
     ints, scale = _scaled([*labels.values(), cap])
+    top = ints[-1]
+    int_labels = dict(zip(labels, ints))
+    for (i, j), u in int_labels.items():
+        if u > top:
+            raise InvalidSpace(
+                f"cap {format_fraction(cap)} smaller than label on ({i},{j})"
+            )
     join = operator.add if mode == "sum-cap" else max
-    x = FiniteMetricSpace._from_ints(_path_closure(g.n, dict(zip(labels, ints)), join, ints[-1]), scale)
-    for (i, j), v in labels.items():
-        if x.d[i][j] != v:
+    m = _path_closure(g.n, int_labels, join, top)
+    for (i, j), u in int_labels.items():
+        if m[i][j] != u:
             raise InvalidSpace(
                 f"labelling is not {mode}-consistent: pair ({i},{j}) has label "
-                f"{format_fraction(v)} but path value {format_fraction(x.d[i][j])}"
+                f"{format_fraction(labels[i, j])} but path value "
+                f"{format_fraction(Fraction(m[i][j], scale))}"
             )
-    return x
+    return FiniteMetricSpace._from_ints(m, scale)
 
 
 def _rank_matrix(x: FiniteMetricSpace, table: dict) -> list[list[int]]:

@@ -354,7 +354,7 @@ def hedgehog_spaces(draw):
     if dz.n > 1 and draw(st.booleans()):
         labels = dict(labels)
         key = draw(st.sampled_from(sorted(labels)) if labels and draw(st.booleans()) else pairs)
-        labels[tuple(sorted(key))] = Fraction(draw(st.integers(1, 100)), 100)
+        labels[tuple(sorted(key))] = Fraction(draw(st.integers(1, 200)), 100)
     if dz.n > 1 and draw(st.booleans()):
         a, b = sorted(draw(pairs))
         rows = [list(row) for row in dz.d]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,16 @@ class TestUrysohnApprox:
         space, log = urysohn_approx(DistanceSet((1,)), 11, Config(canon_bound=20))
         assert space == FiniteMetricSpace.equilateral(11, 1)
         assert len(log.entries) == 10
+
+    def test_size_cap_above_the_point_cap_lists_nothing_more(self):
+        # a subset containing the newest point p has at most p + 1 points, so
+        # sizes past urysohn_max_points + 1 add nothing to scan
+        s, max_points = DistanceSet((1, 2, 3)), 6
+        start = time.perf_counter()
+        huge = _outcome(urysohn_approx, s, 10**5, max_points, 0)
+        assert time.perf_counter() - start < 1
+        assert huge[0] == "limit"
+        assert huge == _outcome(urysohn_approx, s, max_points + 1, max_points, 0)
 
     def test_build_log_matches_growth(self):
         space, log = urysohn_approx(DistanceSet((1, 2)), 3)

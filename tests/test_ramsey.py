@@ -346,7 +346,21 @@ class TestGeneralDegree:
         assert ramsey_degree_general(FiniteMetricSpace([[0, 3], [3, 0]])).degree == 1
 
 
+def _reference_critical_distances(s):
+    """Values v of S with no S element in (v, 2v], by a scan of all of S."""
+    out = [v for v in s.values if not any(v < w <= 2 * v for w in s.values)]
+    if s.max not in out:
+        raise AssertionError(f"max S = {s.max} is not critical")
+    return out
+
+
 class TestCriticalDistances:
+    @given(st.lists(st.builds(Fraction, st.integers(1, 60), st.integers(1, 6)), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, vals):
+        s = DistanceSet(vals)
+        assert critical_distances(s) == _reference_critical_distances(s)
+
     def test_125(self):
         assert critical_distances(DistanceSet((1, 2, 5))) == [2, 5]
 
