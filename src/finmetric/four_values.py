@@ -6,14 +6,18 @@ I(q) meets S.  S satisfies the 4-values condition exactly when goodness is
 invariant under the swap q* = (u0,u2,u1,u3), and that condition is equivalent
 to the class of finite S-valued metric spaces having strong amalgamation.
 
-The two |S|^4 scans run on integers.  S is multiplied by the lcm of its
+The two scans run on integers.  S is multiplied by the lcm of its
 denominators, which makes every value an int.  Each comparison above is
 between sums, differences and elements of S, and a positive scaling keeps
-all of them, so no verdict, witness or row order changes.  For each index
-pair (i, j) the scans keep one bitset, the pair mask: bit t is set when
-|a_i - a_j| <= a_t <= a_i + a_j.  I(q) is the intersection of its two pair
-intervals, so (a_i, a_j, a_k, a_l) is good exactly when
-mask[i][j] & mask[k][l] is non-zero.
+all of them, so no verdict, witness or row order changes.  Both scans read
+one pair table, the pair intervals: for each index pair (i, j), the least
+and greatest index lo[i][j] <= hi[i][j] of an element of S inside
+[|a_i - a_j|, a_i + a_j].  I(q) is the intersection of its two pair
+intervals, so (a_i, a_j, a_k, a_l) is good exactly when the index intervals
+overlap: lo[k][l] <= hi[i][j] and hi[k][l] >= lo[i][j].  The check reads
+the good l of each (i, j, k) at once off prefix bitsets of the table, and
+scans one representative of each orbit of mismatches, O(|S|^3) in all; the
+bad-quadruple table walks the pairs of index pairs, about |S|^4 / 8.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, groupby
+from operator import or_
 
 from .spaces import (
     DEFAULT_CONFIG,
@@ -86,12 +92,29 @@ def canonical_quadruple(q):
     return p2 + p1
 
 
-def _pair_masks(a: list[int]) -> list[list[int]]:
-    """mask[i][j]: bit t set exactly when |a_i - a_j| <= a_t <= a_i + a_j."""
-    return [
-        [(1 << bisect_right(a, x + y)) - (1 << bisect_left(a, abs(x - y))) for y in a]
-        for x in a
-    ]
+def _pair_intervals(a: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """lo[i][j], hi[i][j]: the index bounds of S inside [|a_i - a_j|, a_i + a_j].
+
+    The interval is never empty: it holds max(a_i, a_j).
+    """
+    lo = [[bisect_left(a, abs(x - y)) for y in a] for x in a]
+    hi = [[bisect_right(a, x + y) - 1 for y in a] for x in a]
+    return lo, hi
+
+
+def _prefix_bitsets(lo: list[list[int]], hi: list[list[int]]):
+    """le[k][h]: the l with lo[k][l] <= h; ge[k][g]: the l with hi[k][l] >= g."""
+    m = len(lo)
+    le, ge = [], []
+    for lk, hk in zip(lo, hi):
+        at_lo, at_hi, bit = [0] * m, [0] * m, 1
+        for x, y in zip(lk, hk):
+            at_lo[x] |= bit
+            at_hi[y] |= bit
+            bit <<= 1
+        le.append(list(accumulate(at_lo, or_)))
+        ge.append(list(accumulate(at_hi[::-1], or_))[::-1])
+    return le, ge
 
 
 @dataclass(frozen=True)
@@ -113,24 +136,39 @@ def check_four_values(
     The witness is the lexicographically least q in S^4 whose goodness differs
     from that of q*.  witness_bad is the bad member of {q, q*} in canonical
     form, which is how such witnesses are conventionally printed.
+
+    The scan is O(|S|^3) on indices.  For fixed (i, j, k) the l with
+    (i, j, k, l) good form the bitset le[k][hi_ij] & ge[k][lo_ij], and the l
+    with (i, k, j, l) good form le[j][hi_ik] & ge[j][lo_ik]; the lowest bit
+    of their XOR is the least mismatching l.
+
+    Only orbit representatives are scanned.  Goodness depends only on the
+    two pairs, unordered.  (j, i, l, k) and (k, l, i, j) have the pairs of
+    q = (i, j, k, l), and their swaps have the pairs of q*, so a mismatch at
+    q is one at both; it is also one at q* = (i, k, j, l), whose swap is q.
+    These moves put each of i, j, k, l first.  No mismatch has j = k
+    (q* = q) or i = l (q* is q with its pairs exchanged).  So the lex-least
+    mismatch has i = min(i, j, k, l), j < k and i < l, and it is the first
+    mismatch that the scan over j >= i, k > j, l > i meets in product order.
     """
     if len(s) > bound:
         raise SearchTooLarge(f"4-values check too large: |S|={len(s)} > {bound}")
-    masks = _pair_masks(_scaled(s.values)[0])
-    r = range(len(masks))
-    # i, j, k, l in itertools.product order: the first mismatch is lex-least
-    for i in r:
-        mi = masks[i]
-        for j in r:
-            mij, mj = mi[j], masks[j]
-            for k in r:
-                mik, mk = mi[k], masks[k]
-                for l in r:
-                    if (not mij & mk[l]) != (not mik & mj[l]):
-                        vals = s.values
-                        q = (vals[i], vals[j], vals[k], vals[l])
-                        bad = swap(q) if mij & mk[l] else q
-                        return FourValuesResult(False, q, swap(q), canonical_quadruple(bad))
+    lo, hi = _pair_intervals(_scaled(s.values)[0])
+    le, ge = _prefix_bitsets(lo, hi)
+    m = len(lo)
+    for i in range(m - 1):
+        lo_i, hi_i, above_i = lo[i], hi[i], -2 << i
+        for j in range(i, m - 1):
+            lo_ij, hi_ij, le_j, ge_j = lo_i[j], hi_i[j], le[j], ge[j]
+            for k in range(j + 1, m):
+                good = le[k][hi_ij] & ge[k][lo_ij]
+                diff = (good ^ (le_j[hi_i[k]] & ge_j[lo_i[k]])) & above_i
+                if diff:
+                    l = (diff & -diff).bit_length() - 1
+                    vals = s.values
+                    q = (vals[i], vals[j], vals[k], vals[l])
+                    bad = swap(q) if good >> l & 1 else q
+                    return FourValuesResult(False, q, swap(q), canonical_quadruple(bad))
     return FourValuesResult(True)
 
 
@@ -155,7 +193,7 @@ def bad_quadruples(
     if len(s) > bound:
         raise SearchTooLarge(f"bad-quadruple scan too large: |S|={len(s)} > {bound}")
     a, scale = _scaled(s.values)
-    masks = _pair_masks(a)
+    lo, hi = _pair_intervals(a)
     m = len(a)
     # index pairs i <= j in the order canonical_quadruple puts pairs in; the
     # representatives are then exactly pairs[x] + pairs[y] with x <= y
@@ -164,6 +202,7 @@ def bad_quadruples(
         key=lambda p: (a[p[0]] - a[p[1]], a[p[0]] + a[p[1]], p),
     )
     rank = {p: x for x, p in enumerate(pairs)}
+    tops = [(k, l, hi[k][l]) for k, l in pairs]
 
     def canonical(u0, u1, u2, u3):
         p1 = (u0, u1) if u0 <= u1 else (u1, u0)
@@ -172,33 +211,44 @@ def bad_quadruples(
 
     keyed = []
     for x, (i, j) in enumerate(pairs):
-        mij = masks[i][j]
-        for k, l in pairs[x:]:
-            if mij & masks[k][l]:
+        lo_ij = lo[i][j]
+        # pairs[x] comes first, so its difference is the larger one and
+        # lo[k][l] <= lo_ij: the pair intervals meet unless hi[k][l] < lo_ij
+        for k, l, hi_kl in tops[x:]:
+            if hi_kl >= lo_ij:
                 continue
             q = (i, j, k, l)
             resolutions = []
             resolved = False
+            # j >= lo_ij > hi_kl >= l >= k, and j >= i: j is the largest index
+            # in q.  Each partner has j in its second pair, so that pair's hi
+            # is at least j, which is at least the first pair's lo: the partner
+            # is bad exactly when the second pair's lo is above the first's hi
             for op, (u0, u1, u2, u3) in (("*", (i, k, j, l)), ("_*", (i, l, k, j))):
-                if not masks[u0][u1] & masks[u2][u3]:
+                if lo[u2][u3] > hi[u0][u1]:
                     resolved = True
                     cp = canonical(u0, u1, u2, u3)
                     if cp != q and all(cp != t for _, t in resolutions):
                         resolutions.append((op, cp))
-            # pairs[x] comes first, so its difference is the larger one
-            lo, hi = a[j] - a[i], min(a[i] + a[j], a[k] + a[l])
-            keyed.append(((lo, hi, q), resolutions, not resolved))
+            keyed.append(((a[j] - a[i], min(a[i] + a[j], a[k] + a[l]), q), resolutions, not resolved))
     keyed.sort()  # the (lo, hi, q) keys are distinct
-    vals = s.values
-    return [
-        BadQuadrupleRow(
-            AdmissibleInterval(Fraction(lo, scale), Fraction(hi, scale)),
-            tuple(vals[u] for u in q),
-            tuple((op, tuple(vals[u] for u in t)) for op, t in resolutions),
-            unresolved,
+    # rows come grouped by interval: one Fraction per distinct endpoint, and
+    # one AdmissibleInterval per group, shared by the rows of the group
+    frac = {u: Fraction(u, scale) for u in {e for (x, y, _), _, _ in keyed for e in (x, y)}}
+    value = s.values.__getitem__
+    rows = []
+    for (x, y), group in groupby(keyed, lambda row: row[0][:2]):
+        iv = AdmissibleInterval(frac[x], frac[y])
+        rows.extend(
+            BadQuadrupleRow(
+                iv,
+                tuple(map(value, q)),
+                tuple((op, tuple(map(value, t))) for op, t in resolutions),
+                unresolved,
+            )
+            for (_, _, q), resolutions, unresolved in group
         )
-        for (lo, hi, q), resolutions, unresolved in keyed
-    ]
+    return rows
 
 
 def format_bad_quadruple_table(rows: list[BadQuadrupleRow]) -> str:

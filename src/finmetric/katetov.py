@@ -180,7 +180,8 @@ def urysohn_approx(
         raise InvalidSpace(f"size cap must be at least 1, got {size_cap}")
     chk = four_values.check_four_values(s, config.four_values_bound)
     if not chk:
-        raise InvalidSpace(f"S fails the 4-values condition, witness {chk.witness}")
+        witness = "(" + ",".join(format_fraction(v) for v in chk.witness) + ")"
+        raise InvalidSpace(f"S fails the 4-values condition, witness {witness}")
     rng = random.Random(seed)
     ints, scale = _scaled(s.values)
     frac = {u: Fraction(u, scale) for u in (0, *ints)}  # shared by the log and pending

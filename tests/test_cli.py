@@ -466,6 +466,16 @@ class TestEntryPoint:
         assert payload["space"]["points"] == 6 and len(payload["log"]) == 5
         assert f"with {payload['pending']} extensions still unrealized" in err
 
+    @pytest.mark.parametrize("values", [("1", "2", "4"), ("1/2", "1", "2")])
+    def test_urysohn_prints_the_4_values_witness_as_check4v_does(self, capsys, values):
+        code, out, _ = run_cli(capsys, "check4v", *values)
+        assert code == 1
+        witness = out.splitlines()[0].removeprefix("bad quadruple ")
+        code, out, err = run_cli(capsys, "urysohn", *values, "--cap", "5")
+        assert code == 2 and out == ""
+        assert err == f"error: S fails the 4-values condition, witness {witness}\n"
+        assert "Fraction" not in err
+
 
 class TestInputErrors:
     """Malformed input exits 2 with an error line, never a traceback."""

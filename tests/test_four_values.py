@@ -1,11 +1,14 @@
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finmetric.four_values import (
+    _pair_intervals,
+    _prefix_bitsets,
     outer_swap,
     AmalgamationError,
     BadQuadrupleRow,
@@ -27,6 +30,7 @@ from finmetric.spaces import (
     InvalidSpace,
     SearchTooLarge,
     _check_points,
+    _scaled,
     format_fraction,
 )
 
@@ -66,6 +70,26 @@ def _reference_bad_quadruples(s):
     return rows
 
 
+def _reference_pair_mask_check(s):
+    """The |S|^4 pair-mask scan that the O(|S|^3) prefix-bitset scan replaced.
+
+    mask[i][j] has bit t set when |a_i - a_j| <= a_t <= a_i + a_j, on S scaled
+    to ints; (a_i, a_j, a_k, a_l) is good when mask[i][j] & mask[k][l] != 0.
+    """
+    a = _scaled(s.values)[0]
+    masks = [
+        [(1 << bisect_right(a, x + y)) - (1 << bisect_left(a, abs(x - y))) for y in a]
+        for x in a
+    ]
+    r = range(len(masks))
+    for i, j, k, l in itertools.product(r, repeat=4):
+        if (not masks[i][j] & masks[k][l]) != (not masks[i][k] & masks[j][l]):
+            q = tuple(s.values[u] for u in (i, j, k, l))
+            bad = swap(q) if masks[i][j] & masks[k][l] else q
+            return FourValuesResult(False, q, swap(q), canonical_quadruple(bad))
+    return FourValuesResult(True)
+
+
 def _reference_similar(s, t):
     """Equivalence of distance sets: same triple-inequality patterns."""
     if len(s) != len(t):
@@ -88,6 +112,25 @@ def mixed_distance_sets(draw, max_size=8):
     return DistanceSet(vals)
 
 
+@st.composite
+def holding_sets(draw, max_size=12):
+    """Sets built to hold: progressions a + i*d, and windows inside [lo, 2*lo].
+
+    In a window every pair interval [|x - y|, x + y] covers the whole set, so
+    every quadruple is good and the check scans all of S^4.
+    """
+    den = draw(st.sampled_from((1, 2, 3)))
+    size = draw(st.integers(1, max_size))
+    if draw(st.booleans()):
+        a, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+        vals = [Fraction(a + i * d, den) for i in range(size)]
+    else:
+        lo = draw(st.integers(size, 40))
+        vals = [Fraction(v, den) for v in draw(st.lists(
+            st.integers(lo, 2 * lo), min_size=1, max_size=size, unique=True))]
+    return DistanceSet(vals)
+
+
 class TestKernelMatchesReference:
     @given(mixed_distance_sets())
     @settings(max_examples=150, deadline=None)
@@ -98,6 +141,51 @@ class TestKernelMatchesReference:
     @settings(max_examples=60, deadline=None)
     def test_bad_quadruples(self, s):
         assert bad_quadruples(s) == _reference_bad_quadruples(s)
+
+    @given(holding_sets())
+    @settings(max_examples=12, deadline=None)
+    def test_holding_sets(self, s):
+        # the full scans the orbit cut and the prefix bitsets shorten most
+        assert check_four_values(s) == _reference_check_four_values(s)
+        assert bad_quadruples(s) == _reference_bad_quadruples(s)
+
+    @given(st.one_of(holding_sets(), mixed_distance_sets(max_size=12)))
+    @settings(max_examples=150, deadline=None)
+    def test_check_four_values_against_the_pair_masks(self, s):
+        assert check_four_values(s) == _reference_pair_mask_check(s)
+
+    @given(mixed_distance_sets(max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_reference_witness_is_an_orbit_representative(self, s):
+        # the scan looks only at q = (u0, u1, u2, u3) with u0 <= u1 < u2 and u0 < u3
+        res = _reference_check_four_values(s)
+        assert res == _reference_pair_mask_check(s)
+        if not res:
+            u0, u1, u2, u3 = res.witness
+            assert u0 <= u1 < u2 and u0 < u3
+
+    @given(mixed_distance_sets(max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_intervals_and_prefix_bitsets(self, s):
+        a = _scaled(s.values)[0]
+        lo, hi = _pair_intervals(a)
+        le, ge = _prefix_bitsets(lo, hi)
+        r = range(len(a))
+        for i, j in itertools.product(r, repeat=2):
+            inside = [t for t in r if abs(a[i] - a[j]) <= a[t] <= a[i] + a[j]]
+            assert a.index(max(a[i], a[j])) in inside
+            assert inside == list(range(lo[i][j], hi[i][j] + 1))
+        for k, h in itertools.product(r, repeat=2):
+            assert le[k][h] == sum(1 << l for l in r if lo[k][l] <= h)
+            assert ge[k][h] == sum(1 << l for l in r if hi[k][l] >= h)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_small_sets(self, size):
+        # |S| = 1 runs no scan at all, |S| = 2 one (i, j, k) triple
+        for vals in itertools.combinations(AMALGAM_POOL, size):
+            s = DistanceSet(vals)
+            assert check_four_values(s) == _reference_check_four_values(s)
+            assert bad_quadruples(s) == _reference_bad_quadruples(s)
 
     def test_initial_segment_of_twelve(self):
         s = ds(*range(1, 13))

@@ -263,7 +263,7 @@ class TestUrysohnApprox:
                 assert copies(grid, sub, big)
 
     def test_rejects_bad_distance_set(self):
-        with pytest.raises(InvalidSpace):
+        with pytest.raises(InvalidSpace, match=r"witness \(1,1,2,4\)$"):
             urysohn_approx(DistanceSet((1, 2, 4)), 3)
 
     def test_deterministic_for_fixed_seed(self):
@@ -318,7 +318,8 @@ def _reference_urysohn_approx(
     """
     chk = four_values.check_four_values(s, config.four_values_bound)
     if not chk:
-        raise InvalidSpace(f"S fails the 4-values condition, witness {chk.witness}")
+        witness = "(" + ",".join(format_fraction(v) for v in chk.witness) + ")"
+        raise InvalidSpace(f"S fails the 4-values condition, witness {witness}")
     rng = random.Random(seed)
     space = FiniteMetricSpace.single_point()
     log = BuildLog()
