@@ -145,7 +145,7 @@ class TestKernelMatchesReference:
     @given(holding_sets())
     @settings(max_examples=12, deadline=None)
     def test_holding_sets(self, s):
-        # the full scans the orbit cut and the prefix bitsets shorten most
+        # a set that holds has no early exit: the check scans every orbit
         assert check_four_values(s) == _reference_check_four_values(s)
         assert bad_quadruples(s) == _reference_bad_quadruples(s)
 
