@@ -248,31 +248,45 @@ def _coding_matrix(variant: Variant, depth: int, flat: Sequence) -> tuple[tuple,
 
     flat is a table of _flat_table's layout: the ints themselves, which the
     triangle scan of the inverted builds reads, or one Fraction per int,
-    which gives a proved space its rows with no second pass.  Per slot c,
-    every node has a table of its relations to all nodes, times
-    (A+1)^(k-1-c); per slot, a column lists each point's node index, from
-    the same combinations as the points.  A row is then one comprehension
-    over the columns, adding the row point's tables at the other points'
-    nodes.  Pairs and triples each get their own comprehension: a generic
-    one summing over the slots built the 780-point (pairs) and 455-point
-    (triples) matrices 3-7x slower (medians 172-347 ms against 50 ms, and
-    77-138 ms against 26 ms).
+    which gives a proved space its rows with no second pass.
+
+    The rows are built for m-subsets of the N nodes, m = 1, ..., k, one
+    size from the last.  With B = A+1, row(t, q) of an m-subset t at table
+    prefix q < B^(k-m) (the relations of the slots before t's, as one
+    index) lists flat[q*B^m + the index of t's relations to u] over the
+    m-subsets u in combinations order; a point's matrix row is row(p, 0).
+    In that order the m-subsets whose first node is x form one run, x
+    followed by the (m-1)-subsets after x: the last C(N-x-1, m-1) of them,
+    so the run is cut from index C(N, m-1) - C(N-x-1, m-1) of their list.
+    So row((a, *t), q) is the concatenation, over x, of row(t, q*B +
+    rel(a, x)) cut there.  A one-node row reads flat directly: row((a,), q)
+    is flat[q*B + rel(a, x)] over x.  Each subset's rows at all its
+    prefixes lie end to end in one tuple, built once per call; the rows of
+    the (m+1)-subsets starting at a are one itemgetter, per a, of the cut
+    pieces' positions, applied to the tuples of the m-subsets after a (the
+    run that follows a, again).  No entry takes a Python step of its own.
     """
     base, size = variant.alphabet + 1, variant.tuple_size
     nodes = nodes_up_to(variant.alphabet, depth)
+    n = len(nodes)
     relations = [[_relation(a, b) for b in nodes] for a in nodes]
-    columns = list(zip(*itertools.combinations(range(len(nodes)), size)))
-    weighted = [[[r * base ** (size - 1 - c) for r in row] for row in relations] for c in range(size)]
-    rows = []
-    for own in zip(*columns):
-        tables = [weighted[c][x] for c, x in enumerate(own)]
-        if size == 2:
-            s, t = tables
-            rows.append(tuple([flat[s[x] + t[y]] for x, y in zip(*columns)]))
-        else:
-            s, t, u = tables
-            rows.append(tuple([flat[s[x] + t[y] + u[z]] for x, y, z in zip(*columns)]))
-    return tuple(rows)
+    blocks = [flat[q:q + base].__getitem__ for q in range(0, len(flat), base)]
+    level = [tuple(itertools.chain.from_iterable(map(block, rel) for block in blocks)) for rel in relations]
+    for m in range(1, size):
+        width = math.comb(n, m)  # one row's length at level m
+        after = [math.comb(n - x - 1, m) for x in range(n)]  # the m-subsets after x, a row's last
+        prefixes = range(0, base ** (size - m), base)
+        cuts = after * len(prefixes)
+        rows = []
+        for a, rel in enumerate(relations):
+            tails = level[width - after[a]:]
+            if tails:
+                ends = [(q + r + 1) * width for q in prefixes for r in rel]
+                spots = [*itertools.chain.from_iterable(map(range, map(operator.sub, ends, cuts), ends))]
+                # itemgetter gives a bare item, not a 1-tuple, for one position
+                rows += map(operator.itemgetter(*spots) if len(spots) > 1 else lambda t, s=spots[0]: (t[s],), tails)
+        level = rows
+    return tuple(level)
 
 
 def milliken_space(

@@ -251,14 +251,21 @@ class EdgeLabelledGraph:
     def is_total(self) -> bool:
         return len(self._labels) == self.n * (self.n - 1) // 2
 
-    def is_connected(self) -> bool:
-        """Whether the labelled pairs connect all n points: one walk, O(n + E)."""
-        if self.n <= 1:
-            return True
+    def neighbours(self) -> list[list[int]]:
+        """Each point's labelled neighbours, in ascending order."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for a, b in self._labels:
             adj[a].append(b)
             adj[b].append(a)
+        for row in adj:
+            row.sort()
+        return adj
+
+    def is_connected(self) -> bool:
+        """Whether the labelled pairs connect all n points: one walk, O(n + E log n)."""
+        if self.n <= 1:
+            return True
+        adj = self.neighbours()
         seen = {0}
         stack = [0]
         while stack:
@@ -276,12 +283,13 @@ class EdgeLabelledGraph:
         return g
 
 
-def _simple_paths(g: EdgeLabelledGraph, start: int, end: int, max_size: int):
-    """Yield simple paths (vertex sequences) from start to end along labelled pairs.
+def _simple_paths(adj: list[list[int]], start: int, end: int, max_size: int):
+    """Yield simple paths (vertex sequences) from start to end along adj's edges.
 
-    The paths come in lexicographic order: the walk takes neighbours in
-    ascending order, and end only ever comes last, so no path is a proper
-    prefix of another.
+    adj lists each point's neighbours in ascending order, as
+    EdgeLabelledGraph.neighbours does, so the paths come in lexicographic
+    order: the walk takes neighbours in that order, and end only ever comes
+    last, so no path is a proper prefix of another.
     """
 
     def walk(path):
@@ -291,8 +299,8 @@ def _simple_paths(g: EdgeLabelledGraph, start: int, end: int, max_size: int):
             return
         if len(path) >= max_size:
             return
-        for nxt in range(g.n):
-            if nxt not in path and g.label(cur, nxt) is not None:
+        for nxt in adj[cur]:
+            if nxt not in path:
                 path.append(nxt)
                 yield from walk(path)
                 path.pop()
@@ -319,9 +327,10 @@ def validate(g: EdgeLabelledGraph, mode: str, l: int | None = None):
     if mode == "l-metric":
         if l is None or l < 1:
             raise InvalidSpace("l-metric mode needs a positive l")
+        adj = g.neighbours()
         for (i, j) in g.labelled_pairs():
             lam = g.label(i, j)
-            for path in _simple_paths(g, i, j, l):
+            for path in _simple_paths(adj, i, j, l):
                 length = sum(
                     g.label(path[t], path[t + 1]) for t in range(len(path) - 1)
                 )

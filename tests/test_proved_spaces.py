@@ -26,8 +26,10 @@ from finmetric.milliken import (
     _coding_matrix,
     _flat_table,
     _triangle_witness,
+    _relation,
     load_variant,
     milliken_space,
+    nodes_up_to,
 )
 from finmetric.spaces import (
     Config,
@@ -301,7 +303,43 @@ class TestUrysohnApprox:
         assert space.distances() <= set(s)
 
 
+def _reference_coding_matrix(variant, depth, flat):
+    """The coding matrix read off flat once per entry: per slot, every node's
+    relations to all nodes times (A+1)^(k-1-slot), summed over the slots at
+    the other points' nodes, one comprehension per row for pairs and one for
+    triples."""
+    base, size = variant.alphabet + 1, variant.tuple_size
+    nodes = nodes_up_to(variant.alphabet, depth)
+    relations = [[_relation(a, b) for b in nodes] for a in nodes]
+    columns = list(zip(*itertools.combinations(range(len(nodes)), size)))
+    weighted = [[[r * base ** (size - 1 - c) for r in row] for row in relations] for c in range(size)]
+    rows = []
+    for own in zip(*columns):
+        tables = [weighted[c][x] for c, x in enumerate(own)]
+        if size == 2:
+            s, t = tables
+            rows.append(tuple([flat[s[x] + t[y]] for x, y in zip(*columns)]))
+        else:
+            s, t, u = tables
+            rows.append(tuple([flat[s[x] + t[y] + u[z]] for x, y, z in zip(*columns)]))
+    return tuple(rows)
+
+
 class TestMillikenBuilds:
+    @pytest.mark.parametrize("name", VARIANTS)
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_coding_matrix_matches_the_reference(self, name, invert):
+        """Every depth up to the exhaustive cap, from the int table and the
+        Fraction table: equal rows, and tuples all the way down."""
+        variant = load_variant(name)
+        ints = _flat_table(name, invert)
+        for depth in _runnable_depths(name):
+            for flat in (ints, [*map(Fraction, ints)]):
+                dmat = _coding_matrix(variant, depth, flat)
+                assert dmat == _reference_coding_matrix(variant, depth, flat)
+                assert type(dmat) is tuple and all(type(row) is tuple for row in dmat)
+                assert all(type(v) is type(flat[0]) for row in dmat for v in row)
+
     @pytest.mark.parametrize("name", VARIANTS)
     @pytest.mark.parametrize("invert", [False, True])
     def test_exhaustive_builds_to_depth_3(self, name, invert):

@@ -250,6 +250,26 @@ def _reference_triple_outcomes(d):
     return built, ultra is None, (metric is None, metric), (ultra is None, ultra)
 
 
+def _reference_simple_paths(g, start, end, max_size):
+    """Simple paths from start to end along labelled pairs, each step trying
+    every point in ascending order and asking g for the label."""
+
+    def walk(path):
+        cur = path[-1]
+        if cur == end and len(path) > 1:
+            yield tuple(path)
+            return
+        if len(path) >= max_size:
+            return
+        for nxt in range(g.n):
+            if nxt not in path and g.label(cur, nxt) is not None:
+                path.append(nxt)
+                yield from walk(path)
+                path.pop()
+
+    yield from walk([start])
+
+
 def _reference_validate(g, mode, l=None):
     """validate with every pair's simple paths sorted before the l-metric scan."""
     if mode in ("metric", "ultrametric"):
@@ -266,7 +286,7 @@ def _reference_validate(g, mode, l=None):
             raise InvalidSpace("l-metric mode needs a positive l")
         for (i, j) in g.labelled_pairs():
             lam = g.label(i, j)
-            for path in sorted(_simple_paths(g, i, j, l)):
+            for path in sorted(_reference_simple_paths(g, i, j, l)):
                 length = sum(
                     g.label(path[t], path[t + 1]) for t in range(len(path) - 1)
                 )
@@ -582,6 +602,19 @@ class TestValidate:
     @settings(max_examples=200, deadline=None)
     def test_l_metric_matches_reference(self, g, l):
         assert validate(g, "l-metric", l) == _reference_validate(g, "l-metric", l)
+
+    @given(partial_graphs(), st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_simple_paths_match_the_reference_walk(self, g, l):
+        """The walk over sorted neighbour lists lists the same paths, in the
+        same order, as the walk over every point; endpoints need no label.
+        The labels go in last pair first, so no list comes out sorted by
+        insertion alone."""
+        pairs = g.labelled_pairs()[::-1]
+        adj = EdgeLabelledGraph(g.n, {p: g.label(*p) for p in pairs}).neighbours()
+        assert adj == [[j for j in range(g.n) if g.label(i, j) is not None] for i in range(g.n)]
+        for i, j in itertools.product(range(g.n), repeat=2):
+            assert list(_simple_paths(adj, i, j, l)) == list(_reference_simple_paths(g, i, j, l))
 
     def test_partial_labelling_rejected_in_total_mode(self):
         g = EdgeLabelledGraph(3, {(0, 1): 1})
