@@ -271,10 +271,11 @@ def _coding_matrix(variant: Variant, depth: int, flat: Sequence) -> tuple[tuple,
     n = len(nodes)
     relations = [[_relation(a, b) for b in nodes] for a in nodes]
     blocks = [flat[q:q + base].__getitem__ for q in range(0, len(flat), base)]
+    # per m-subset, in combinations order: its rows at every prefix, end to end
     level = [tuple(itertools.chain.from_iterable(map(block, rel) for block in blocks)) for rel in relations]
     for m in range(1, size):
-        width = math.comb(n, m)  # one row's length at level m
-        after = [math.comb(n - x - 1, m) for x in range(n)]  # the m-subsets after x, a row's last
+        width = math.comb(n, m)  # an m-subset row's length
+        after = [math.comb(n - x - 1, m) for x in range(n)]  # the m-subsets after x, which end a row
         prefixes = range(0, base ** (size - m), base)
         cuts = after * len(prefixes)
         rows = []
@@ -284,7 +285,8 @@ def _coding_matrix(variant: Variant, depth: int, flat: Sequence) -> tuple[tuple,
                 ends = [(q + r + 1) * width for q in prefixes for r in rel]
                 spots = [*itertools.chain.from_iterable(map(range, map(operator.sub, ends, cuts), ends))]
                 # itemgetter gives a bare item, not a 1-tuple, for one position
-                rows += map(operator.itemgetter(*spots) if len(spots) > 1 else lambda t, s=spots[0]: (t[s],), tails)
+                gather = operator.itemgetter(*spots) if len(spots) > 1 else lambda t, s=spots[0]: (t[s],)
+                rows += map(gather, tails)
         level = rows
     return tuple(level)
 

@@ -271,7 +271,7 @@ def _reference_simple_paths(g, start, end, max_size):
 
 
 def _reference_validate(g, mode, l=None):
-    """validate with every pair's simple paths sorted before the l-metric scan."""
+    """validate on the reference walk, every pair's simple paths sorted before the l-metric scan."""
     if mode in ("metric", "ultrametric"):
         if not g.is_total():
             raise InvalidSpace("incomplete labelling in a total mode")
