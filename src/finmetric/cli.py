@@ -136,7 +136,7 @@ def cmd_badquads(args) -> int:
 
 
 def cmd_similar(args) -> int:
-    # main rewrites the shell-level "--" separator to "::" before parsing,
+    # main rewrites this verb's "--" separator to "::" before parsing,
     # because argparse consumes the first bare "--" itself
     if "::" not in args.distances:
         raise InvalidSpace("usage: similar S... -- T...")
@@ -595,7 +595,8 @@ def _add_verbs(parser, dest: str, table: dict, shared: list) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = ["::" if tok == "--" else tok for tok in argv]
+    if next((tok for tok in argv if not tok.startswith("-")), None) == "similar":
+        argv = ["::" if tok == "--" else tok for tok in argv]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -8,6 +8,8 @@ producing a finite space in which every small admissible extension is realized.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -156,16 +158,24 @@ def urysohn_approx(
 ) -> tuple[FiniteMetricSpace, BuildLog]:
     """A finite S-space realizing every admissible extension below size_cap.
 
-    Closure strategy: keep the pending list of unrealized pairs (F, f), with
-    F a subspace of fewer than size_cap points and f an S-valued Katetov map
-    over F, sorted by |F|, then the canonical form of F+f, then the raw
-    indices.  Add a point realizing the first pair, and repeat until none is
-    pending.  Indices never move, so a pair over an older subspace keeps its
-    admissibility and its key: after point p is added the list only drops
-    the pairs that p realizes and gains the unrealized pairs over subspaces
-    containing p.  Katetov and realizer tests run on S and the matrix scaled
-    to ints; each distinct (F, f) distance pattern is keyed once, by the int
-    matrix of F+f in canonicalize's order, under config.canon_bound.  Each
+    Closure strategy: keep the unrealized pairs (F, f), with F a subspace of
+    fewer than size_cap points and f an S-valued Katetov map over F, ordered
+    by |F|, then the canonical form of F+f, then the raw indices.  Add a
+    point realizing the first pair, and repeat until none is pending.
+    Indices never move, so a pair over an older subspace keeps its
+    admissibility and its key: after point p is added only the pairs that p
+    realizes drop out, and the unrealized pairs over subspaces containing p
+    come in.  The pending pairs are kept by subspace, F -> {f: entry}, and
+    in a heap of the same entries: p realizes exactly one map over each F,
+    so one dict pop per open subspace drops them, and the heap drops its
+    realized entries lazily, when they reach the top.  Katetov and realizer
+    tests run on S and the matrix scaled to ints; each distinct (F, f)
+    distance pattern is keyed once per build, by the int matrix of F+f in
+    canonicalize's order, under config.canon_bound.  That order is read off
+    F+f's rank matrix, and a bounded cache keeps it per rank matrix for the
+    whole process: the scaled copies of one S share it, so a process that
+    runs many builds (a test suite, a benchmark, a loop over seeds) searches
+    each rank pattern once, while a single cold build gains nothing.  Each
     added point is Katetov over a metric space (see four_values.amalgamate),
     so no space built here is scanned for triangles.  Cross
     distances to points outside F come from iterated one-point amalgamation;
@@ -189,7 +199,8 @@ def urysohn_approx(
     log = BuildLog()
     maps: dict = {}  # distances within F -> the Katetov maps over F
     keys: dict = {}  # (distances within F, f) -> canonical key of F+f
-    pending: list = []  # sorted (|F|, key, F, f) in ints
+    pending: dict = {}  # F -> {f: (|F|, key, F, f)} for the unrealized f, in ints
+    heap: list = []  # every (|F|, key, F, f) listed so far; the realized ones lazily dropped
     p = 0
     while True:
         # list the unrealized pairs over the subsets that contain point p
@@ -202,6 +213,7 @@ def urysohn_approx(
                 if fs is None:
                     fs = maps[dist] = _katetov_maps([[m[a][b] for b in sub] for a in sub], ints)
                 realized = set(zip(*(m[q] for q in sub)))
+                open_fs = {}
                 for f in fs:
                     if f in realized:
                         continue
@@ -210,27 +222,34 @@ def urysohn_approx(
                         ext = [[m[a][b] for b in sub] + [v] for a, v in zip(sub, f)]
                         ext.append([*f, 0])
                         key = keys[dist, f] = _closure_key(ext, config)
-                    pending.append((size, key, sub, f))
-        pending.sort()
-        if not pending:
+                    entry = open_fs[f] = (size, key, sub, f)
+                    heapq.heappush(heap, entry)
+                if open_fs:
+                    pending[sub] = open_fs
+        while heap and heap[0][3] not in pending.get(heap[0][2], ()):
+            heapq.heappop(heap)
+        if not heap:
             return FiniteMetricSpace._from_ints(m, scale), log
-        _, _, sub, f = pending[0]
+        _, _, sub, f = heap[0]
         if p + 2 > config.urysohn_max_points:
-            fkeys = {k: tuple(tuple(map(frac.__getitem__, r)) for r in k) for k in {e[1] for e in pending}}
+            listed = sorted(e for fs in pending.values() for e in fs.values())
+            fkeys = {k: tuple(tuple(map(frac.__getitem__, r)) for r in k) for k in {e[1] for e in listed}}
             raise ResourceLimit(
                 f"urysohn closure exceeded {config.urysohn_max_points} points "
-                f"with {len(pending)} extensions still unrealized",
+                f"with {len(listed)} extensions still unrealized",
                 space=FiniteMetricSpace._from_ints(m, scale),
                 pending=[(k, fkeys[key], subset, tuple(map(frac.__getitem__, g)))
-                         for k, key, subset, g in pending],
+                         for k, key, subset, g in listed],
                 log=log,
             )
         four_values._adjoin_point(ints, scale, m, sub, f, rng.choice)
         log.record(sub, [frac[v] for v in f])
         p += 1
-        # drop the pairs that the new point p realizes
+        # the new point p realizes exactly one map over each subset
         row = m[p]
-        pending = [e for e in pending if tuple(map(row.__getitem__, e[2])) != e[3]]
+        for sub, fs in list(pending.items()):
+            if fs.pop(tuple(map(row.__getitem__, sub)), None) and not fs:
+                del pending[sub]
 
 
 def _closure_key(ext, config: Config) -> tuple:
@@ -238,9 +257,14 @@ def _closure_key(ext, config: Config) -> tuple:
     positive scale keeps the ranks, so ext's own ranks give that order."""
     _check_canon_bound(len(ext), config)
     rank = {u: v for v, u in enumerate(sorted(set().union(*ext)))}
-    r = [list(map(rank.__getitem__, row)) for row in ext]
-    order = _least_order(r, _rank_masks(r, len(rank)))
+    order = _rank_order(tuple(tuple(map(rank.__getitem__, row)) for row in ext), len(rank))
     return tuple(tuple(ext[a][b] for b in order) for a in order)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rank_order(r: tuple, n_ranks: int) -> tuple[int, ...]:
+    """_least_order of the rank matrix r, cached for the process (see urysohn_approx)."""
+    return _least_order(r, _rank_masks(r, n_ranks))
 
 
 def _katetov_maps(d, values) -> list[tuple]:

@@ -98,6 +98,21 @@ class TestSimilar:
         assert proc.returncode == 0
 
 
+class TestEndOfOptions:
+    # only similar reads "--" as its own separator; every other verb leaves
+    # it to argparse as the POSIX end of options
+    def test_urysohn_values_after_the_separator(self, capsys):
+        code, out, err = run_cli(capsys, "urysohn", "--cap", "3", "--", "1", "2")
+        assert (code, err) == (0, "")
+        assert (code, out) == run_cli(capsys, "urysohn", "1", "2", "--cap", "3")[:2]
+
+    @pytest.mark.parametrize("argv", [("check4v", "--", "1", "2"), ("check4v", "1", "--", "2")])
+    def test_check4v_around_the_separator(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "check4v", "1", "2")[1]
+
+
 class TestJsonMirrorsText:
     def test_check4v_payload(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "check4v", "1", "2", "5")

@@ -12,6 +12,7 @@ from finmetric.katetov import (
     ResourceLimit,
     _admissible_maps,
     _closure_key,
+    _rank_order,
     _katetov_maps,
     _katetov_witness,
     extend_with,
@@ -334,7 +335,7 @@ def _reference_urysohn_approx(
                 for f in _reference_admissible_maps(space, subset, s):
                     if not _reference_realizers(space, subset, f):
                         ext = _reference_extend_with(space.submetric(subset), f)
-                        pending.append((size, canonical_key(ext), subset, f))
+                        pending.append((size, canonical_key(ext, config), subset, f))
         if not pending:
             return space, log
         pending.sort()
@@ -405,12 +406,15 @@ def _reference_adjoin_point(s, space, subset, f, rng):
 CLOSURE_BASES = ((1,), (1, 2), (2, 3), (1, 2, 3), (1, Fraction(3, 2), 2), (2, 3, 4))
 
 
-def _outcome(build, s, size_cap, max_points, seed):
+def _outcome(build, s, size_cap, max_points, seed, canon_bound=DEFAULT_CONFIG.canon_bound):
     """What a closure run returns or raises, in comparable form."""
+    config = Config(urysohn_max_points=max_points, canon_bound=canon_bound)
     try:
-        space, log = build(s, size_cap, Config(urysohn_max_points=max_points), seed=seed)
+        space, log = build(s, size_cap, config, seed=seed)
     except ResourceLimit as exc:
         return "limit", str(exc), exc.space.d, exc.pending
+    except SearchTooLarge as exc:
+        return "refused", str(exc)
     return "done", space.d, log.entries
 
 
@@ -457,6 +461,44 @@ class TestClosureMatchesReference:
         assert info.value.space.n == 24
         assert info.value.pending
         assert len(info.value.log.entries) == 23
+        _assert_pending_listed(info.value)
+
+    def test_back_to_back_closures_on_a_warm_cache(self):
+        # every base at every scale in one process: the scaled copies of one
+        # S share rank patterns, so the later builds key F+f from the cache
+        # that the earlier ones (and earlier tests) filled; the reference
+        # keys through canonical_key and never reads it.  The bounds refuse
+        # the 4-point F+f of size cap 4, admit it exactly, or leave room.
+        rng = random.Random(29)
+        hits = _rank_order.cache_info().hits
+        outcomes = set()
+        for base in CLOSURE_BASES:
+            for scale in (1, Fraction(1, 2), 2, 3):
+                size_cap = rng.randint(2, 4)
+                top = 6 if size_cap == 4 and len(base) == 3 else 9
+                case = (DistanceSet(v * scale for v in base), size_cap,
+                        rng.randint(3, top), rng.randrange(1000), rng.choice((3, 4, 10)))
+                new = _outcome(urysohn_approx, *case)
+                assert new == _outcome(_reference_urysohn_approx, *case), case
+                outcomes.add(new[0])
+        assert outcomes == {"done", "limit", "refused"}
+        assert _rank_order.cache_info().hits > hits
+
+    @pytest.mark.parametrize("vals, size_cap, max_points", [
+        ((1, 2, 3), 3, 16),
+        ((1, 2), 4, 9),
+        ((2, 3, 4), 2, 3),
+    ])
+    def test_capped_pending_is_sorted_and_counted(self, vals, size_cap, max_points):
+        with pytest.raises(ResourceLimit) as info:
+            urysohn_approx(DistanceSet(vals), size_cap, Config(urysohn_max_points=max_points))
+        _assert_pending_listed(info.value)
+
+
+def _assert_pending_listed(exc: ResourceLimit):
+    """A capped closure lists its pending pairs sorted, as many as it says."""
+    assert exc.pending == sorted(exc.pending)
+    assert f" with {len(exc.pending)} extensions still unrealized" in str(exc)
 
 
 class TestClosurePromise:
@@ -618,6 +660,18 @@ class TestClosureKeys:
         config = Config(canon_bound=bound)
         assert _key_outcome(_closure_key, ext, config) == _key_outcome(
             _reference_closure_key, ext, scale, config)
+
+    def test_a_cached_order_still_checks_the_bound(self):
+        # keyed once under a bound that admits six points, EQUILATERAL_6's
+        # rank pattern is in the cache; a tighter bound must still refuse it
+        assert _closure_key(EQUILATERAL_6, Config(canon_bound=6)) == tuple(map(tuple, EQUILATERAL_6))
+        with pytest.raises(SearchTooLarge, match="canonicalization too large: n=6 > 5"):
+            _closure_key(EQUILATERAL_6, Config(canon_bound=5))
+        assert _closure_key(EQUILATERAL_6, Config(canon_bound=6)) == tuple(map(tuple, EQUILATERAL_6))
+
+    def test_the_order_cache_is_bounded(self):
+        maxsize = _rank_order.cache_parameters()["maxsize"]
+        assert maxsize is not None and 0 < maxsize < 10**5
 
     def test_twins_and_the_refusal(self):
         assert _closure_key(TWIN_PAIRS, DEFAULT_CONFIG) == tuple(map(tuple, TWIN_PAIRS))
