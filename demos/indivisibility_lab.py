@@ -50,9 +50,6 @@ print(f"greedy chase for a 4-point path: found {len(res.copy_indices)} points "
       f"in color {res.color}" + ("" if res.complete else " (obstructed)"))
 
 # chain spans: the largest distance reachable through small steps
-line = FiniteMetricSpace(
-    [[abs(Fraction(a, 2) - Fraction(b, 2)) for b in range(3)] for a in range(3)],
-    check=False,
-)
+line = FiniteMetricSpace([[abs(Fraction(a, 2) - Fraction(b, 2)) for b in range(3)] for a in range(3)])
 print("span through 1/2-steps on {0, 1/2, 1}:", lambda_epsilon(line, 0, Fraction(1, 2)))
 print("span when steps cannot bridge:", lambda_epsilon(line, 0, Fraction(1, 4)))

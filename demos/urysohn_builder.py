@@ -12,11 +12,11 @@ from finmetric import (
     DistanceSet,
     FiniteMetricSpace,
     copies,
+    is_katetov,
     realizers,
     ultrametric_urysohn_grid,
     urysohn_approx,
 )
-from finmetric.katetov import _admissible_maps
 
 s = DistanceSet((1, 2))
 space, log = urysohn_approx(s, 3)
@@ -27,8 +27,9 @@ print(f"closure for distances {s} below size 3: {space.n} points, "
 missing = 0
 for size in (1, 2):
     for subset in itertools.combinations(range(space.n), size):
-        for f in _admissible_maps(space, subset, s):
-            if not realizers(space, subset, f):
+        sub = space.submetric(subset)
+        for f in itertools.product(s, repeat=size):
+            if is_katetov(sub, f)[0] and not realizers(space, subset, f):
                 missing += 1
 print("unrealized admissible extensions after closure:", missing)
 

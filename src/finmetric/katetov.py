@@ -145,11 +145,6 @@ class BuildLog:
         )
 
 
-def _admissible_maps(x: FiniteMetricSpace, subset, s: DistanceSet) -> list:
-    """All S-valued Katetov maps f over the subset's points, in product order."""
-    return _katetov_maps([[x.d[i][j] for j in subset] for i in subset], s.values)
-
-
 def urysohn_approx(
     s: DistanceSet,
     size_cap: int,
@@ -197,8 +192,7 @@ def urysohn_approx(
     frac = {u: Fraction(u, scale) for u in (0, *ints)}  # shared by the log and pending
     m = [[0]]  # the distance matrix so far, scaled to ints
     log = BuildLog()
-    maps: dict = {}  # distances within F -> the Katetov maps over F
-    keys: dict = {}  # (distances within F, f) -> canonical key of F+f
+    maps: dict = {}  # distances within F -> {Katetov map f: key of F+f, None until f is first open}
     pending: dict = {}  # F -> {f: (|F|, key, F, f)} for the unrealized f, in ints
     heap: list = []  # every (|F|, key, F, f) listed so far; the realized ones lazily dropped
     p = 0
@@ -211,17 +205,16 @@ def urysohn_approx(
                 dist = tuple(m[a][b] for a, b in itertools.combinations(sub, 2))
                 fs = maps.get(dist)
                 if fs is None:
-                    fs = maps[dist] = _katetov_maps([[m[a][b] for b in sub] for a in sub], ints)
+                    fs = maps[dist] = dict.fromkeys(_katetov_maps([[m[a][b] for b in sub] for a in sub], ints))
                 realized = set(zip(*(m[q] for q in sub)))
                 open_fs = {}
-                for f in fs:
+                for f, key in fs.items():
                     if f in realized:
                         continue
-                    key = keys.get((dist, f))
                     if key is None:
                         ext = [[m[a][b] for b in sub] + [v] for a, v in zip(sub, f)]
                         ext.append([*f, 0])
-                        key = keys[dist, f] = _closure_key(ext, config)
+                        key = fs[f] = _closure_key(ext, config)
                     entry = open_fs[f] = (size, key, sub, f)
                     heapq.heappush(heap, entry)
                 if open_fs:

@@ -220,12 +220,15 @@ def band_color(d, r) -> int:
 
     The left endpoints are included, the right ones are not, exactly as the
     rule is written; d = 0 (a point at its own center) sits below every band
-    and takes the color of the innermost even band.
+    and takes the color of the innermost even band.  Every band lies below
+    r, so d >= r (r <= 0 included) takes 1.
     """
     d = as_fraction(d)
     r = as_fraction(r)
     if d == 0:
         return 0
+    if d >= r:
+        return 1
     for n in itertools.count(1):
         lo = r * (1 - Fraction(1, 2 * n))
         hi = r * (1 - Fraction(1, 2 * n + 1))

@@ -141,22 +141,24 @@ class FiniteMetricSpace:
     """n points with an exact symmetric distance matrix satisfying the triangle inequality."""
 
     def __init__(self, rows: Sequence[Sequence], check: bool = True):
+        """Rows checked on every call: square, zero diagonal, symmetric, positive,
+        triangle inequality.  check is ignored, kept only for the benchmark's one
+        caller; _from_rows and _from_ints are the only unchecked constructors."""
         d = tuple(tuple(as_fraction(v) for v in row) for row in rows)
         n = len(d)
         if any(len(row) != n for row in d):
             raise InvalidSpace("distance matrix must be square")
-        if check:
-            for i in range(n):
-                if d[i][i] != 0:
-                    raise InvalidSpace(f"d({i},{i}) = {d[i][i]} != 0")
-                for j in range(i + 1, n):
-                    if d[i][j] != d[j][i]:
-                        raise InvalidSpace(f"d({i},{j}) != d({j},{i})")
-                    if d[i][j] <= 0:
-                        raise InvalidSpace(f"d({i},{j}) = {d[i][j]} must be positive")
-            bad = _violating_triple(d, operator.add)
-            if bad is not None:
-                raise InvalidSpace("triangle inequality fails on ({},{},{})".format(*bad))
+        for i in range(n):
+            if d[i][i] != 0:
+                raise InvalidSpace(f"d({i},{i}) = {d[i][i]} != 0")
+            for j in range(i + 1, n):
+                if d[i][j] != d[j][i]:
+                    raise InvalidSpace(f"d({i},{j}) != d({j},{i})")
+                if d[i][j] <= 0:
+                    raise InvalidSpace(f"d({i},{j}) = {d[i][j]} must be positive")
+        bad = _violating_triple(d, operator.add)
+        if bad is not None:
+            raise InvalidSpace("triangle inequality fails on ({},{},{})".format(*bad))
         self.n = n
         self.d = d
 
@@ -340,23 +342,22 @@ def validate(g: EdgeLabelledGraph, mode: str, l: int | None = None):
     raise InvalidSpace(f"unknown mode {mode!r}")
 
 
-def _path_closure(n: int, labels: dict, join, cap: int) -> list[list[int]]:
+def _path_closure(n: int, labels: dict, add: bool, cap: int) -> list[list[int]]:
     """Least path value between every two points, capped at cap.
 
     One Dijkstra search from each source over an adjacency list built once,
     on int labels in (0, cap]; every entry off the diagonal starts at cap,
     so a value that reaches cap is never pushed.  A path's value is its
-    labels folded by join: operator.add gives shortest paths, max gives
-    minimax (bottleneck) paths.  Dijkstra's order is exact for both: labels
-    are positive and join is monotone in both arguments, so extending a path
-    never lowers its value, and the least value on the heap is final.
-    join must be one of those two: each relaxation writes it inline.
+    labels folded by + when add is true (shortest paths) and by max when it
+    is false (minimax, bottleneck paths).  Dijkstra's order is exact for
+    both: labels are positive and both folds are monotone in both arguments,
+    so extending a path never lowers its value, and the least value on the
+    heap is final.  Each relaxation writes its fold inline.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (i, j), v in labels.items():
         adj[i].append((j, v))
         adj[j].append((i, v))
-    add = join is operator.add
     out = []
     for source in range(n):
         dist = [cap] * n
@@ -410,8 +411,7 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
             raise InvalidSpace(
                 f"cap {format_fraction(cap)} smaller than label on ({i},{j})"
             )
-    join = operator.add if mode == "sum-cap" else max
-    m = _path_closure(g.n, int_labels, join, top)
+    m = _path_closure(g.n, int_labels, mode == "sum-cap", top)
     for (i, j), u in int_labels.items():
         if m[i][j] != u:
             raise InvalidSpace(

@@ -10,7 +10,6 @@ from finmetric import four_values
 from finmetric.katetov import (
     BuildLog,
     ResourceLimit,
-    _admissible_maps,
     _closure_key,
     _katetov_maps,
     _katetov_witness,
@@ -591,7 +590,7 @@ def _reference_admissible_maps(x: FiniteMetricSpace, subset, s: DistanceSet):
     Verbatim but for the test it runs, the reference one above.
     """
     sub = list(subset)
-    space = FiniteMetricSpace([[x.d[i][j] for j in sub] for i in sub], check=False)
+    space = FiniteMetricSpace._from_rows(tuple(tuple(x.d[i][j] for j in sub) for i in sub))
     for combo in itertools.product(s.values, repeat=len(sub)):
         ok, _ = _reference_is_katetov(space, combo)
         if ok:
@@ -685,8 +684,8 @@ def katetov_spaces(draw, max_n=8):
     if draw(st.booleans()):
         # unchecked: asymmetric, zero or negative entries, failing triangles
         entries = st.builds(Fraction, st.integers(-3, 12), st.sampled_from((1, 2, 3, 4)))
-        return FiniteMetricSpace(draw(st.lists(
-            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)), check=False)
+        return FiniteMetricSpace._from_rows(tuple(map(tuple, draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))))
     w = [[Fraction(0)] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         w[i][j] = w[j][i] = draw(MIXED.filter(bool))
@@ -751,25 +750,6 @@ class TestKernelMatchesReference:
         dist = [m[a][b] for a, b in itertools.combinations(range(len(m)), 2)]
         assert _katetov_maps(m, ints) == _reference_katetov_maps(dist, len(m), ints)
 
-    @given(
-        katetov_spaces(max_n=6),
-        st.data(),
-        st.lists(MIXED.filter(bool), min_size=1, max_size=3).map(DistanceSet),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_admissible_maps(self, x, data, s):
-        subset = data.draw(st.lists(st.integers(0, max(x.n - 1, 0)), max_size=min(x.n, 3)))
-        assert _admissible_maps(x, subset, s) == list(_reference_admissible_maps(x, subset, s))
-
-    @pytest.mark.parametrize("values", [(1, 2), (Fraction(1, 2), 1, Fraction(3, 2))])
-    def test_admissible_maps_over_the_closure(self, values):
-        space, _ = urysohn_approx(DistanceSet((1, 2)), 3)
-        s = DistanceSet(values)
-        for size in range(4):
-            for subset in itertools.combinations(range(space.n), size):
-                want = list(_reference_admissible_maps(space, subset, s))
-                assert _admissible_maps(space, subset, s) == want
-
     def test_row_major_witness(self):
         # (0, 3) fails on |1 - 4| > 2 and (1, 2) on 1 + 1 < 3: row-major
         # order reports (0, 3), column-major would report (1, 2)
@@ -781,7 +761,6 @@ class TestKernelMatchesReference:
     def test_empty_space(self):
         x = FiniteMetricSpace([])
         assert is_katetov(x, []) == _reference_is_katetov(x, []) == (True, None)
-        assert _admissible_maps(x, [], DistanceSet((1,))) == [()]
 
     def test_one_point(self):
         x = FiniteMetricSpace.single_point()

@@ -252,7 +252,8 @@ def _reference_milliken_space(
         witness = _triangle_witness(dmat)
         if witness is None:
             shared = {v: Fraction(v) for v in {0, *lookup.values()}}
-            space = FiniteMetricSpace([[shared[v] for v in row] for row in dmat], check=False)
+            # proved metric by the witness scan just above
+            space = FiniteMetricSpace._from_rows(tuple(tuple(shared[v] for v in row) for row in dmat))
     elif check == "sampled":
         if samples < 1:
             raise InvalidSpace(f"need at least 1 sample, got {samples}")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -151,12 +152,11 @@ def indivisibility_cases(draw):
 
 
 def line_space(positions):
-    # |p_i - p_j| is a metric by construction; skip the O(n^3) validation
+    # |p - q| on the rational line is a metric, so the rows are proved; the
+    # annulus tests build a thousand of these, and a checked build of each
+    # would only re-prove it
     pos = [Fraction(p) for p in positions]
-    n = len(pos)
-    return FiniteMetricSpace(
-        [[abs(pos[i] - pos[j]) for j in range(n)] for i in range(n)], check=False
-    )
+    return FiniteMetricSpace._from_rows(tuple(tuple(abs(p - q) for q in pos) for p in pos))
 
 
 class TestEpsilonNeighborhood:
@@ -385,6 +385,25 @@ class TestDivisibilityColoring:
         assert band_color(Fraction(4, 15), r) == 1  # right endpoint excluded
         assert band_color(Fraction(0), r) == 0
         assert band_color(Fraction(3, 10), r) == 0  # second even band opens
+
+    def test_band_rule_at_and_past_the_radius(self):
+        # every band lies below r, so d >= r takes 1, r <= 0 included; the
+        # alarm turns a band loop that never ends into a failure
+        def hang(signum, frame):
+            raise TimeoutError("band_color did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            r = Fraction(1, 4)
+            assert band_color(r, r) == 1
+            assert band_color(Fraction(1), r) == 1
+            assert band_color(Fraction(1), Fraction(0)) == 1
+            assert band_color(Fraction(1), Fraction(-1)) == 1
+            assert band_color(Fraction(0), Fraction(0)) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_same_band_same_color(self):
         x, net = small_net_space()

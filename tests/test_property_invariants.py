@@ -103,18 +103,22 @@ def test_initial_segments_satisfy_four_values(m):
     assert check_four_values(DistanceSet(range(1, m + 1)))
 
 
-def _library_trees():
-    """Every module of the finmetric package, parsed, with its file name."""
-    sources = sorted(Path(finmetric.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _trees(folder=Path(finmetric.__file__).parent):
+    """Every module in folder, the finmetric package by default, parsed, with
+    its folder and file name."""
+    sources = sorted(folder.glob("*.py"))
     assert sources
-    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in sources]
+    return [(f"{folder.name}/{path.name}", ast.parse(path.read_text(), filename=str(path))) for path in sources]
 
 
 def test_library_has_no_assert_statements():
     # `python -O` strips assert statements, so internal checks must raise
     found = [
         f"{name}:{node.lineno}"
-        for name, tree in _library_trees()
+        for name, tree in _trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
@@ -122,10 +126,11 @@ def test_library_has_no_assert_statements():
 
 
 def test_library_never_passes_check_false():
-    # a space is built checked (outside data) or by a door that states its proof
+    # a space is built checked or by a door that states its proof, in the
+    # library, its tests and its demos alike; the constructor ignores check
     found = [
         f"{name}:{node.lineno}"
-        for name, tree in _library_trees()
+        for name, tree in _trees() + _trees(ROOT / "tests") + _trees(ROOT / "demos")
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         for kw in node.keywords
@@ -134,11 +139,24 @@ def test_library_never_passes_check_false():
     assert found == []
 
 
+def test_demos_import_no_private_names():
+    # the demos show the public API: no underscore name from finmetric
+    found = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _trees(ROOT / "demos")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "finmetric"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_library_imports_only_the_standard_library():
     # no runtime dependency: every import is in the standard library or relative
     found = [
         f"{name}:{node.lineno} {module}"
-        for name, tree in _library_trees()
+        for name, tree in _trees()
         for node in ast.walk(tree)
         for module in (
             [alias.name for alias in node.names] if isinstance(node, ast.Import)

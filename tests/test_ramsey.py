@@ -451,7 +451,7 @@ class TestMetricOrderings:
                             i for i in range(depth) if points[a][i] != points[b][i]
                         )
                         rows[a][b] = rows[b][a] = Fraction(lv[delta])
-                x = FiniteMetricSpace(rows, check=False)
+                x = FiniteMetricSpace(rows)
                 assert metric_orderings_count(x, s_all) == convex_orderings_count(x)
 
     def test_degree_cross_module(self):

@@ -231,10 +231,11 @@ def sparse_graphs(draw, max_n=9):
 
 def _triple_outcomes(d):
     """Every verdict the triple scan serves, for one matrix."""
-    g = EdgeLabelledGraph.from_space(FiniteMetricSpace(d, check=False))
+    x = FiniteMetricSpace._from_rows(tuple(map(tuple, d)))
+    g = EdgeLabelledGraph.from_space(x)
     return (
         _outcome(lambda: FiniteMetricSpace(d).d),
-        FiniteMetricSpace(d, check=False).is_ultrametric(),
+        x.is_ultrametric(),
         validate(g, "metric"),
         validate(g, "ultrametric"),
     )
@@ -383,9 +384,7 @@ def _reference_canonicalize(x, config=Config()):
 
     extend([], [])
     order = best["order"]
-    canon = FiniteMetricSpace(
-        [[d[order[a]][order[b]] for b in range(n)] for a in range(n)], check=False
-    )
+    canon = FiniteMetricSpace([[d[order[a]][order[b]] for b in range(n)] for a in range(n)])
     return canon, order
 
 
@@ -534,19 +533,20 @@ class TestKernelsMatchReference:
         new = _outcome(lambda: complete(g, "max").d)
         assert new == _outcome(_reference_complete, g, "max")
 
-    @given(int_label_dicts(), st.sampled_from((operator.add, max)))
+    @given(int_label_dicts(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_path_closure(self, case, join):
+    def test_path_closure(self, case, add):
         n, labels, cap = case
-        assert _path_closure(n, labels, join, cap) == _reference_path_closure(n, labels, join, cap)
+        join = operator.add if add else max
+        assert _path_closure(n, labels, add, cap) == _reference_path_closure(n, labels, join, cap)
 
     def test_path_closure_edges(self):
-        for join in (operator.add, max):
-            assert _path_closure(0, {}, join, 5) == [] == _reference_path_closure(0, {}, join, 5)
-            assert _path_closure(1, {}, join, -1) == [[0]] == _reference_path_closure(1, {}, join, -1)
+        for add, join in ((True, operator.add), (False, max)):
+            assert _path_closure(0, {}, add, 5) == [] == _reference_path_closure(0, {}, join, 5)
+            assert _path_closure(1, {}, add, -1) == [[0]] == _reference_path_closure(1, {}, join, -1)
             # a label at the cap stays at the cap and extends no path
             labels = {(0, 1): 4, (1, 2): 1}
-            assert _path_closure(3, labels, join, 4) == _reference_path_closure(3, labels, join, 4)
+            assert _path_closure(3, labels, add, 4) == _reference_path_closure(3, labels, join, 4)
         assert complete(EdgeLabelledGraph(1), "sum-cap", -1).d == ((0,),)
 
     @given(st.one_of(sparse_graphs(), partial_graphs(max_n=9)))
@@ -905,6 +905,23 @@ class TestDistanceSet:
     def test_one_point_message_kept(self):
         with pytest.raises(InvalidSpace, match="^one-point space has an empty distance set$"):
             FiniteMetricSpace.single_point().distance_set()
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1]], "distance matrix must be square"),
+        ([[0, 1], [1, 2]], "d(1,1) = 2 != 0"),
+        ([[0, 1], [2, 0]], "d(0,1) != d(1,0)"),
+        ([[0, 0], [0, 0]], "d(0,1) = 0 must be positive"),
+        ([[0, -1], [-1, 0]], "d(0,1) = -1 must be positive"),
+        ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "triangle inequality fails on (0,1,2)"),
+    ])
+    def test_every_call_is_checked(self, rows, message):
+        # the check keyword is ignored: False refuses what True refuses
+        for check in (True, False):
+            with pytest.raises(InvalidSpace) as err:
+                FiniteMetricSpace(rows, check=check)
+            assert str(err.value) == message
 
 
 class TestFormats:

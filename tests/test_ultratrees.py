@@ -191,7 +191,7 @@ def space_from_shape(depth, shape):
         for b in range(a + 1, n):
             delta = next(i for i in range(depth) if points[a][i] != points[b][i])
             rows[a][b] = rows[b][a] = levels[delta]
-    return FiniteMetricSpace(rows, check=False)
+    return FiniteMetricSpace(rows)
 
 
 def random_ultrametric(rng, n, levels=(8, 4, 2, 1)):
@@ -207,7 +207,7 @@ def random_ultrametric(rng, n, levels=(8, 4, 2, 1)):
         for b in range(a + 1, n):
             delta = next(i for i in range(k) if pts[a][i] != pts[b][i])
             rows[a][b] = rows[b][a] = Fraction(lv[delta])
-    return FiniteMetricSpace(rows, check=False)
+    return FiniteMetricSpace(rows)
 
 
 @st.composite
