@@ -46,9 +46,6 @@ class AdmissibleInterval:
     lo: Fraction
     hi: Fraction  # lo > hi encodes the empty interval
 
-    def meets(self, s: DistanceSet) -> bool:
-        return any(self.lo <= v <= self.hi for v in s)
-
     def __str__(self):
         return f"[{format_fraction(self.lo)},{format_fraction(self.hi)}]"
 
@@ -64,16 +61,6 @@ def swap(q):
     """q* : exchange the inner entries, pairing u0 with u2 and u1 with u3."""
     u0, u1, u2, u3 = q
     return (u0, u2, u1, u3)
-
-
-def outer_swap(q):
-    """The other useful involution, exchanging u1 and u3."""
-    u0, u1, u2, u3 = q
-    return (u0, u3, u2, u1)
-
-
-def is_good(q, s: DistanceSet) -> bool:
-    return interval(q).meets(s)
 
 
 def canonical_quadruple(q):
@@ -355,14 +342,17 @@ def amalgamate(
         if any(v not in s for v in sp.distances()):
             raise AmalgamationError("input space has a distance outside S")
 
+    # the int views of y0 and y1 at S's scale, which their scales divide:
+    # their distances lie in S
     ints, scale = _scaled(s.values)
-    code = dict(zip((0, *s.values), (0, *ints)))  # 0 for the diagonal
-    m = [[code[v] for v in row] for row in y0.d]
+    (m0, scale0), (m1, scale1) = y0._scaled_rows(), y1._scaled_rows()
+    k0, k1 = scale // scale0, scale // scale1
+    m = [[u * k0 for u in row] for row in m0]
     placed = dict(zip(x1, x0))  # y1 index -> amalgam index
     try:
         for e in range(y1.n):
             if e not in placed:
-                f = [code[y1.d[e][q]] for q in placed]
+                f = [m1[e][q] * k1 for q in placed]
                 _adjoin_point(ints, scale, m, placed.values(), f, min)
                 placed[e] = len(m) - 1
     except InvalidSpace as exc:  # unreachable once the 4-values check passed

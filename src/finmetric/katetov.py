@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .spaces import (
     _check_canon_bound,
     _least_order,
     _rank_masks,
+    _rank_rows,
     _scaled,
     as_fraction,
     format_fraction,
@@ -59,17 +61,22 @@ def is_katetov(x: FiniteMetricSpace, values) -> tuple[bool, tuple[int, int] | No
     """Check the two-sided Katetov inequality; witness is the least violating pair.
 
     Zero values are allowed here: a map vanishing at a point is identified
-    with that point.  Only extend_with refuses them.  The test runs on f and
-    the matrix times one lcm, which keeps every comparison, verdict and witness.
+    with that point.  Only extend_with refuses them.  The test runs on ints,
+    which keeps every comparison, verdict and witness: x's int view and f at
+    the lcm of its scale and f's denominators.  The view is multiplied only
+    when f is finer than x's scale.
     """
     f = [as_fraction(v) for v in values]
     if len(f) != x.n:
         raise InvalidSpace(f"expected {x.n} values, got {len(f)}")
     if any(v < 0 for v in f):
         return False, None
-    n = x.n
-    ints, _ = _scaled([*f, *itertools.chain.from_iterable(x.d)])
-    witness = _katetov_witness([ints[n * i:n * (i + 1)] for i in range(1, n + 1)], ints[:n])
+    m, scale = x._scaled_rows()
+    common = math.lcm(scale, *{v.denominator for v in f})
+    if common != scale:
+        k = common // scale
+        m = [[u * k for u in row] for row in m]
+    witness = _katetov_witness(m, [v.numerator * (common // v.denominator) for v in f])
     return witness is None, witness
 
 
@@ -249,8 +256,8 @@ def _closure_key(ext, config: Config) -> tuple:
     """The int matrix ext of F+f in canonicalize's order of ext / scale: a
     positive scale keeps the ranks, so ext's own ranks give that order."""
     _check_canon_bound(len(ext), config)
-    rank = {u: v for v, u in enumerate(sorted(set().union(*ext)))}
-    order = _rank_order(tuple(tuple(map(rank.__getitem__, row)) for row in ext), len(rank))
+    table, r = _rank_rows(ext)
+    order = _rank_order(r, len(table))
     return tuple(tuple(ext[a][b] for b in order) for a in order)
 
 

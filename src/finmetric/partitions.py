@@ -221,7 +221,9 @@ def band_color(d, r) -> int:
     The left endpoints are included, the right ones are not, exactly as the
     rule is written; d = 0 (a point at its own center) sits below every band
     and takes the color of the innermost even band.  Every band lies below
-    r, so d >= r (r <= 0 included) takes 1.
+    r, so d >= r (r <= 0 included) takes 1.  For 0 < d < r, d lies in the
+    band [r(1-1/k), r(1-1/(k+1))) exactly when k <= r/(r-d) < k + 1, so the
+    band is k = r // (r - d), read in one division, and even k takes 0.
     """
     d = as_fraction(d)
     r = as_fraction(r)
@@ -229,13 +231,8 @@ def band_color(d, r) -> int:
         return 0
     if d >= r:
         return 1
-    for n in itertools.count(1):
-        lo = r * (1 - Fraction(1, 2 * n))
-        hi = r * (1 - Fraction(1, 2 * n + 1))
-        if d < lo:
-            return 1
-        if lo <= d < hi:
-            return 0
+    k = r // (r - d)
+    return 0 if k > 0 and k % 2 == 0 else 1
 
 
 def divisibility_coloring(x: FiniteMetricSpace, net: NetSystem) -> list[int]:

@@ -311,7 +311,7 @@ def verify_ordering_property_witness(
         return not _interval_orders(groups, [], full, lambda order_y: True)
 
     try:
-        r = _rank_matrix(x.submetric(order_x), table)
+        r = _rank_matrix(x.submetric(order_x), table, y._scaled_rows()[1])
     except KeyError:  # x has a distance that y lacks: only an empty class embeds it
         return class_is_empty()
     if all(_twins(r, 0, q) for q in range(1, x.n)):  # x is equilateral

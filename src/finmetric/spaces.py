@@ -2,8 +2,13 @@
 
 All distances are `fractions.Fraction` values kept in lowest terms, so every
 verdict in this package is bit-exact.  Floats are rejected at the boundary.
-The triple scan and the path closure below run on the values scaled to ints
-by the lcm of their denominators; proved int results skip the re-check.
+Fractions stay at the boundary: each space also carries one int view of its
+matrix, the rows times the lcm of their denominators, built once (by the
+checked constructor, by `_from_ints`, or lazily on first use) and read
+through `_scaled_rows()`.  A positive scale keeps every comparison, so the
+constructor's checks, the triple scan, the rankings of the searches below
+and the Katetov and amalgamation kernels all run on those ints; proved int
+results skip the re-check.
 """
 
 from __future__ import annotations
@@ -118,19 +123,23 @@ def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _violating_triple(d, join) -> tuple[int, int, int] | None:
+def _int_rows(d) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The Fraction rows d times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*{v.denominator for row in d for v in row})
+    if scale == 1:
+        return tuple(tuple([v.numerator for v in row]) for row in d), 1
+    return tuple(tuple([v.numerator * (scale // v.denominator) for v in row]) for row in d), scale
+
+
+def _violating_triple(m, join) -> tuple[int, int, int] | None:
     """The least (i, j, k) with one side > join of the other two, or None.
 
-    join is operator.add for the triangle inequality and max for the
-    ultrametric one.  Triples are scanned in itertools.combinations order
-    on the matrix scaled to ints; a positive scaling keeps every comparison.
+    m is an int matrix (a space's view, or its rows scaled to ints: a
+    positive scaling keeps every comparison).  join is operator.add for the
+    triangle inequality and max for the ultrametric one.  Triples are
+    scanned in itertools.combinations order.
     """
-    n = len(d)
-    if n < 3:
-        return None
-    flat, _ = _scaled([v for row in d for v in row])
-    m = [flat[i * n:(i + 1) * n] for i in range(n)]
-    for i, j, k in itertools.combinations(range(n), 3):
+    for i, j, k in itertools.combinations(range(len(m)), 3):
         a, b, c = m[i][j], m[i][k], m[j][k]
         if a > join(b, c) or b > join(a, c) or c > join(a, b):
             return i, j, k
@@ -138,43 +147,66 @@ def _violating_triple(d, join) -> tuple[int, int, int] | None:
 
 
 class FiniteMetricSpace:
-    """n points with an exact symmetric distance matrix satisfying the triangle inequality."""
+    """n points with an exact symmetric distance matrix satisfying the triangle inequality.
+
+    .d holds the Fraction rows.  The int view, read through _scaled_rows(),
+    is always _int_rows(.d): the pair (m, scale) with scale the lcm of .d's
+    reduced denominators and m = .d times scale.  The scale must be that
+    least one, not any common multiple: _rank_matrix reads a space's
+    distances at another space's scale, which it can only do when the first
+    scale divides the second.
+    """
 
     def __init__(self, rows: Sequence[Sequence], check: bool = True):
         """Rows checked on every call: square, zero diagonal, symmetric, positive,
-        triangle inequality.  check is ignored, kept only for the benchmark's one
-        caller; _from_rows and _from_ints are the only unchecked constructors."""
+        triangle inequality, all on the int view, which is kept.  check is
+        ignored, kept only for the benchmark's one caller; _from_rows and
+        _from_ints are the only unchecked constructors."""
         d = tuple(tuple(as_fraction(v) for v in row) for row in rows)
         n = len(d)
         if any(len(row) != n for row in d):
             raise InvalidSpace("distance matrix must be square")
-        for i in range(n):
-            if d[i][i] != 0:
+        m, _ = ints = _int_rows(d)
+        for i, mi in enumerate(m):
+            if mi[i] != 0:
                 raise InvalidSpace(f"d({i},{i}) = {d[i][i]} != 0")
             for j in range(i + 1, n):
-                if d[i][j] != d[j][i]:
+                if mi[j] != m[j][i]:
                     raise InvalidSpace(f"d({i},{j}) != d({j},{i})")
-                if d[i][j] <= 0:
+                if mi[j] <= 0:
                     raise InvalidSpace(f"d({i},{j}) = {d[i][j]} must be positive")
-        bad = _violating_triple(d, operator.add)
+        bad = _violating_triple(m, operator.add)
         if bad is not None:
             raise InvalidSpace("triangle inequality fails on ({},{},{})".format(*bad))
-        self.n = n
-        self.d = d
+        self.n, self.d, self._ints = n, d, ints
 
     @classmethod
     def _from_rows(cls, d: tuple[tuple[Fraction, ...], ...]) -> "FiniteMetricSpace":
         """The space whose matrix is d, taken as it is: square tuple rows of
-        Fractions that the caller has proved metric."""
+        Fractions that the caller has proved metric.  The int view is built
+        on first use."""
         x = cls.__new__(cls)
-        x.n, x.d = len(d), d
+        x.n, x.d, x._ints = len(d), d, None
         return x
 
     @classmethod
     def _from_ints(cls, m: Sequence[Sequence[int]], scale: int) -> "FiniteMetricSpace":
-        """Distances m[i][j] / scale, one Fraction per distinct int, unchecked: m is proved metric."""
-        frac = {u: Fraction(u, scale) for u in set().union(*m)}
-        return cls._from_rows(tuple(tuple(map(frac.__getitem__, row)) for row in m))
+        """Distances m[i][j] / scale, one Fraction per distinct int, unchecked: m is
+        proved metric.  m divided by its common factor with scale is the int view."""
+        values = set().union(*m)
+        frac = {u: Fraction(u, scale) for u in values}
+        x = cls._from_rows(tuple(tuple(map(frac.__getitem__, row)) for row in m))
+        g = math.gcd(scale, *values)
+        if g > 1:
+            m, scale = [[u // g for u in row] for row in m], scale // g
+        x._ints = tuple(map(tuple, m)), scale
+        return x
+
+    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The int view (m, scale) = _int_rows(self.d), built at most once."""
+        if self._ints is None:
+            self._ints = _int_rows(self.d)
+        return self._ints
 
     def distance_set(self) -> DistanceSet:
         vals = self.distances()
@@ -194,7 +226,7 @@ class FiniteMetricSpace:
         return FiniteMetricSpace._from_rows(tuple(tuple(self.d[i][j] for j in idx) for i in idx))
 
     def is_ultrametric(self) -> bool:
-        return _violating_triple(self.d, max) is None
+        return _violating_triple(self._scaled_rows()[0], max) is None
 
     def __eq__(self, other):
         return isinstance(other, FiniteMetricSpace) and self.d == other.d
@@ -277,13 +309,6 @@ class EdgeLabelledGraph:
                     stack.append(nxt)
         return len(seen) == self.n
 
-    @classmethod
-    def from_space(cls, space: FiniteMetricSpace) -> "EdgeLabelledGraph":
-        g = cls(space.n)
-        for i, j in itertools.combinations(range(space.n), 2):
-            g.set_label(i, j, space.d[i][j])
-        return g
-
 
 def _simple_paths(adj: list[list[int]], start: int, end: int, max_size: int):
     """Yield simple paths (vertex sequences) from start to end along adj's edges.
@@ -324,7 +349,7 @@ def validate(g: EdgeLabelledGraph, mode: str, l: int | None = None):
             [Fraction(0) if i == j else g.label(i, j) for j in range(g.n)]
             for i in range(g.n)
         ]
-        bad = _violating_triple(d, operator.add if mode == "metric" else max)
+        bad = _violating_triple(_int_rows(d)[0], operator.add if mode == "metric" else max)
         return bad is None, bad
     if mode == "l-metric":
         if l is None or l < 1:
@@ -422,33 +447,32 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
     return FiniteMetricSpace._from_ints(m, scale)
 
 
-def _rank_matrix(x: FiniteMetricSpace, table: dict) -> list[list[int]]:
-    """x's distances as ranks from table (0 on the diagonal); KeyError if absent."""
-    d = x.d
-    r = [[0] * x.n for _ in range(x.n)]
-    for i in range(x.n):
-        ri, di = r[i], d[i]
-        for j in range(i + 1, x.n):
-            v = di[j]
-            ri[j] = r[j][i] = table[v.numerator, v.denominator]
-    return r
+def _rank_rows(m) -> tuple[dict, tuple[tuple[int, ...], ...]]:
+    """The ranks of the int matrix m: its distinct values get 0, 1, 2, ... in
+    increasing order (0 is the diagonal, every other value of a space is
+    positive), and the table with m read through it."""
+    table = {u: v for v, u in enumerate(sorted(set().union(*m)))}
+    return table, tuple(tuple(map(table.__getitem__, row)) for row in m)
 
 
-def _ranked(x: FiniteMetricSpace) -> tuple[dict, list[list[int]], list[list[int]]]:
-    """x's ranking: the rank table, the rank matrix and the point masks.
+def _rank_matrix(x: FiniteMetricSpace, table: dict, scale: int) -> list[list[int]]:
+    """x's distances as ranks from table, another space's ranks at that
+    space's scale; KeyError if x has a distance the table lacks, which is
+    so when x's scale does not divide scale."""
+    m, own = x._scaled_rows()
+    if scale % own:
+        raise KeyError(own)
+    k = scale // own
+    return [[table[u * k] for u in row] for row in m]
 
-    The distinct distances get ranks 1, 2, ... in increasing order, keyed by
-    (numerator, denominator), which hashes faster than a Fraction.
-    masks[p][v] has bit q set when the rank of d(p, q) is v, so every
-    comparison of the searches below is between ints.
+
+def _ranked(x: FiniteMetricSpace) -> tuple[dict, tuple, list[list[int]]]:
+    """x's ranking, read off its int view: the rank table, the rank matrix
+    and the point masks.  masks[p][v] has bit q set when the rank of d(p, q)
+    is v, so every comparison of the searches below is between ints.
     """
-    by_key = {}
-    for i, row in enumerate(x.d):
-        for v in row[i + 1:]:
-            by_key[v.numerator, v.denominator] = v
-    table = {k: v for v, k in enumerate(sorted(by_key, key=by_key.__getitem__), 1)}
-    r = _rank_matrix(x, table)
-    return table, r, _rank_masks(r, len(table) + 1)
+    table, r = _rank_rows(x._scaled_rows()[0])
+    return table, r, _rank_masks(r, len(table))
 
 
 def _rank_masks(r, n_ranks: int) -> list[list[int]]:
@@ -572,7 +596,7 @@ def copies(
         return []
     table, _, masks = _ranked(y)
     try:
-        r = _rank_matrix(x, table)
+        r = _rank_matrix(x, table, y._scaled_rows()[1])
     except KeyError:  # x has a distance that y lacks
         return []
     out: set[tuple[int, ...]] = set()
@@ -680,20 +704,6 @@ def space_to_text(x: FiniteMetricSpace) -> str:
     lines = [f"points: {x.n}"]
     for row in x.d:
         lines.append(" ".join(format_fraction(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_text(g: EdgeLabelledGraph) -> str:
-    lines = [f"points: {g.n}"]
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            if i == j:
-                row.append("0")
-            else:
-                v = g.label(i, j)
-                row.append("?" if v is None else format_fraction(v))
-        lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
 
 

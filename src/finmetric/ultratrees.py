@@ -184,11 +184,6 @@ def _block_orderings(parents) -> int:
     return math.prod(map(math.factorial, children))
 
 
-def ultrametric_isometry_order(x: FiniteMetricSpace) -> int:
-    """|iso| via tree-automorphism recursion (multiset canonicalization)."""
-    return _tree_automorphisms(tree_of_space(x))
-
-
 def _tree_automorphisms(t: UltraTree) -> int:
     """Automorphisms of a ball tree, which are the isometries of its space."""
     children = t.children()
@@ -227,17 +222,6 @@ def ramsey_degree_ultrametric(x: FiniteMetricSpace) -> DegreeRecord:
     """Ramsey degree of an ultrametric space: convex orderings over isometries, on one tree."""
     t = tree_of_space(x)
     return _degree_record("cLO", _block_orderings(t.parents), _tree_automorphisms(t))
-
-
-def is_uniformly_branching(x: FiniteMetricSpace) -> bool:
-    """True when the associated tree branches equally on each level."""
-    t = tree_of_space(x)
-    children = t.children()
-    by_depth: dict[int, set] = {}
-    for node in range(t.n_nodes()):
-        if children[node]:
-            by_depth.setdefault(t.depths[node], set()).add(len(children[node]))
-    return all(len(v) == 1 for v in by_depth.values())
 
 
 def comb_space(n: int, distances=None) -> FiniteMetricSpace:

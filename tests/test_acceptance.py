@@ -16,8 +16,6 @@ from finmetric import four_values, hedgehog, katetov, milliken, partitions, rams
 from finmetric.four_values import (
     bad_quadruples,
     check_four_values,
-    is_good,
-    outer_swap,
     swap,
 )
 from finmetric.spaces import (
@@ -36,12 +34,15 @@ from test_four_values import (
     TABLES,
     VERDICTS_FALSE,
     VERDICTS_TRUE,
+    _reference_is_good,
+    _reference_outer_swap,
     brute_force_one_point_oracle,
     one_point_configurations,
 )
 from test_katetov import _reference_admissible_maps
 from test_ultratrees import (
     _reference_convex_orderings_count,
+    _reference_is_uniformly_branching,
     _reference_linear_extensions,
     all_tree_shapes,
     random_ultrametric,
@@ -69,8 +70,8 @@ def test_criterion_1_appendix_reproduction():
         assert not res, f"{s} should fail the condition"
         if named is not None:
             sset = ds(*s)
-            assert not is_good(named, sset)
-            assert is_good(swap(named), sset) or is_good(outer_swap(named), sset)
+            assert not _reference_is_good(named, sset)
+            assert _reference_is_good(swap(named), sset) or _reference_is_good(_reference_outer_swap(named), sset)
         slowest = max(slowest, time.time() - t0)
     for s, expected in TABLES.items():
         t0 = time.time()
@@ -134,7 +135,7 @@ def test_criterion_3b_amalgamation_constructive():
                 )
                 assert out.distances() <= set(sset.values)
         else:
-            u0, u1, u2, u3 = res.witness if is_good(res.witness, sset) else res.witness_swap
+            u0, u1, u2, u3 = res.witness if _reference_is_good(res.witness, sset) else res.witness_swap
             # the good member supplies the V-configuration with no completion
             candidates = [t for t in sset.values
                           if abs(u0 - u1) <= t <= u0 + u1 and abs(u2 - u3) <= t <= u2 + u3]
@@ -159,7 +160,7 @@ def test_criterion_4_ultrametric_degrees():
         for depth, shape in all_tree_shapes(n_leaves):
             x = space_from_shape(depth, shape)
             assert ultratrees.convex_orderings_count(x) == _reference_convex_orderings_count(x)
-            if ultratrees.is_uniformly_branching(x):
+            if _reference_is_uniformly_branching(x):
                 assert ultratrees.ramsey_degree_ultrametric(x).degree == 1
             shapes += 1
     announce(4, f"comb degrees 2^(n-2) for n=3..6; formula = brute force on {shapes} shapes")

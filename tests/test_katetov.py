@@ -65,6 +65,25 @@ class TestIsKatetov:
         with pytest.raises(InvalidSpace):
             is_katetov(two_points(), (1,))
 
+    def test_map_on_the_space_grid(self):
+        # f's denominators divide the space's scale 2: the view is read as it is
+        x = FiniteMetricSpace([[0, "1/2", 1], ["1/2", 0, "1/2"], [1, "1/2", 0]])
+        assert x._scaled_rows()[1] == 2
+        cases = [(("1/2", 1, "3/2"), (True, None)), (("1/2", "3/2", "1/2"), (False, (0, 1))),
+                 ((1, 1, 1), (True, None)), ((2, "1/2", 1), (False, (0, 1)))]
+        for f, want in cases:
+            assert is_katetov(x, f) == _reference_is_katetov(x, f) == want
+
+    def test_map_finer_than_the_space(self):
+        # an integer space and f in halves: the view is multiplied by 2
+        cases = [(two_points(1), ("1/2", "3/2"), (True, None)),
+                 (two_points(2), ("1/2", "1/2"), (False, (0, 1))),
+                 (path3(), ("1/2", "1/2", "3/2"), (True, None)),
+                 (path3(), ("1/2", "3/2", "1/2"), (False, (0, 2)))]
+        for x, f, want in cases:
+            assert x._scaled_rows()[1] == 1
+            assert is_katetov(x, f) == _reference_is_katetov(x, f) == want
+
     def test_negative_maps_are_refused_at_their_first_negative_point(self):
         # a negative map has no witness pair, so the refusals name the point
         x = path3()

@@ -22,6 +22,7 @@ from finmetric.partitions import (
     indivisibility_search,
     lambda_epsilon,
 )
+from finmetric.cli import main
 from finmetric.katetov import urysohn_approx
 from finmetric.spaces import (
     DEFAULT_CONFIG,
@@ -81,6 +82,36 @@ def _reference_indivisibility_search(
         copy, color = _reference_monochromatic_copy(x, target, coloring, k, cfg)
         outcomes.append(ColoringOutcome(coloring, copy is not None, copy, color))
     return IndivisibilityReport(outcomes, exhaustive)
+
+
+def _reference_band_color(d, r):
+    """The annulus rule band by band: 0 on [r(1-1/2n), r(1-1/(2n+1))), else 1."""
+    d, r = Fraction(d), Fraction(r)
+    if d == 0:
+        return 0
+    if d >= r:
+        return 1
+    for n in itertools.count(1):
+        lo = r * (1 - Fraction(1, 2 * n))
+        hi = r * (1 - Fraction(1, 2 * n + 1))
+        if d < lo:
+            return 1
+        if lo <= d < hi:
+            return 0
+
+
+@st.composite
+def band_inputs(draw):
+    """(d, r) with r positive: d anywhere in [0, 2r], or on a band endpoint
+    r(1 - 1/k), or just beside one."""
+    r = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    kind = draw(st.sampled_from(("any", "endpoint", "beside")))
+    if kind == "any":
+        return Fraction(draw(st.integers(0, 400)), 200) * r, r
+    d = r * (1 - Fraction(1, draw(st.integers(1, 40))))
+    if kind == "beside":
+        d += draw(st.sampled_from((-1, 1))) * r / draw(st.integers(10**3, 10**5))
+    return max(d, Fraction(0)), r
 
 
 def _reference_greedy_monochromatic(x, coloring, target):
@@ -404,6 +435,30 @@ class TestDivisibilityColoring:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    @given(band_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_band_color_matches_the_band_loop(self, case):
+        d, r = case
+        assert band_color(d, r) == _reference_band_color(d, r)
+
+    def test_color_divide_close_to_the_radius(self, capsys, tmp_path):
+        # d = r(1 - 2/(2*10**6 + 1)) with r = 1/3, in band 10**6: the band
+        # loop took seconds here; the alarm turns a slow rule into a failure
+        f = tmp_path / "near.txt"
+        f.write_text("points: 2\n0 1999999/6000003\n1999999/6000003 0\n")
+
+        def slow(signum, frame):
+            raise TimeoutError("color divide did not finish within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, slow)
+        signal.alarm(1)
+        try:
+            code = main(["color", "divide", "--space", str(f), "--centers", "0", "--radii", "1/3"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0 and capsys.readouterr().out.strip() == "coloring: 00"
 
     def test_same_band_same_color(self):
         x, net = small_net_space()

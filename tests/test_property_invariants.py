@@ -1,6 +1,7 @@
 """Hypothesis property suites for the structural invariants."""
 
 import ast
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -9,14 +10,18 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import finmetric
-from finmetric.four_values import check_four_values, interval, is_good, swap
+from finmetric import spaces
+from finmetric.four_values import check_four_values, interval, swap
 from finmetric.katetov import extend_with, is_katetov
 from finmetric.spaces import (
     DistanceSet,
     FiniteMetricSpace,
     canonical_key,
+    copies,
     isometries,
 )
+
+from test_four_values import _reference_is_good
 
 
 @st.composite
@@ -79,7 +84,7 @@ def test_swap_is_an_involution_preserving_failure(s):
     if not res.holds:
         q = res.witness
         assert swap(swap(q)) == q
-        assert is_good(q, s) != is_good(swap(q), s)
+        assert _reference_is_good(q, s) != _reference_is_good(swap(q), s)
 
 
 @given(metric_spaces(max_n=4), st.data())
@@ -106,9 +111,10 @@ def test_initial_segments_satisfy_four_values(m):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@functools.lru_cache(maxsize=None)
 def _trees(folder=Path(finmetric.__file__).parent):
     """Every module in folder, the finmetric package by default, parsed, with
-    its folder and file name."""
+    its folder and file name; each folder is parsed once per session."""
     sources = sorted(folder.glob("*.py"))
     assert sources
     return [(f"{folder.name}/{path.name}", ast.parse(path.read_text(), filename=str(path))) for path in sources]
@@ -137,6 +143,42 @@ def test_library_never_passes_check_false():
         if kw.arg == "check" and isinstance(kw.value, ast.Constant) and kw.value.value is False
     ]
     assert found == []
+
+
+def test_only_spaces_touches_the_int_view():
+    # the int view has one owner: every other module, test, demo and bench
+    # file reads it through _scaled_rows(), so only spaces.py names _ints
+    found = {
+        name
+        for name, tree in _trees() + _trees(ROOT / "tests") + _trees(ROOT / "demos") + _trees(ROOT / "bench")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_ints"
+    }
+    assert found == {"finmetric/spaces.py"}
+
+
+def test_kernels_build_the_int_view_once(monkeypatch):
+    # repeated kernel calls on one space read the view it carries: a checked
+    # build makes it, an unchecked one on first use, and no kernel again
+    built = []
+    int_rows = spaces._int_rows
+    host = FiniteMetricSpace([[0, 1, "3/2"], [1, 0, 1], ["3/2", 1, 0]])
+    monkeypatch.setattr(spaces, "_int_rows", lambda d: built.append(d) or int_rows(d))
+    builders = [
+        lambda: FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+        lambda: FiniteMetricSpace.equilateral(4, Fraction(1, 2)),
+        lambda: host.submetric([2, 0, 1]),
+    ]
+    for build in builders:
+        built.clear()
+        x = build()
+        for _ in range(3):
+            is_katetov(x, [Fraction(1, 3)] * x.n)
+            is_katetov(x, [1] * x.n)
+            copies(x, x)
+            isometries(x)
+            x.is_ultrametric()
+        assert len(built) == 1
 
 
 def test_demos_import_no_private_names():

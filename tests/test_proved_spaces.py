@@ -2,7 +2,9 @@
 
 Each test passes a builder's result back through the checked constructor,
 which must accept it and give an equal space: the scan the builder no
-longer runs would never have fired.
+longer runs would never have fired.  Each also checks the result's int view
+against its Fraction rows: the view must be _int_rows(.d), least scale
+included.
 """
 
 import itertools
@@ -37,21 +39,37 @@ from finmetric.spaces import (
     EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
+    _int_rows,
     canonicalize,
     complete,
+    copies,
 )
 from finmetric.ultratrees import UltraTree, comb_space, space_of_tree
 
-from test_four_values import _amalgam_outcome, amalgamation_inputs
+from test_four_values import _amalgam_outcome, _reference_amalgamate, amalgamation_inputs
 from test_hedgehog import unit_prefixes
-from test_katetov import closure_inputs
+from test_katetov import _reference_is_katetov, closure_inputs
 from test_milliken import _runnable_depths
-from test_spaces import RATIONALS, partial_graphs
+from test_spaces import RATIONALS, _reference_copies, _reference_violating_triple, partial_graphs
+
+
+def assert_view(x: FiniteMetricSpace):
+    """x's int view is _int_rows(x.d), compared row by row: the rows times
+    the least common denominator, and that denominator."""
+    m, scale = x._scaled_rows()
+    want, want_scale = _int_rows(x.d)
+    assert scale == want_scale
+    assert len(m) == len(want)
+    for row, want_row in zip(m, want):
+        assert tuple(row) == want_row
 
 
 def assert_rechecked(x: FiniteMetricSpace):
-    """The checked constructor accepts x and rebuilds it equal, row and entry types included."""
+    """The checked constructor accepts x and rebuilds it equal, row and entry
+    types included; both int views are the least one."""
+    assert_view(x)
     checked = FiniteMetricSpace(x.d)
+    assert_view(checked)
     assert checked == x and checked.n == x.n == len(x.d)
     assert type(x.d) is tuple and all(type(row) is tuple for row in x.d)
     assert all(type(v) is Fraction for row in x.d for v in row)
@@ -65,6 +83,7 @@ class TestFromInts:
     )
     def test_rows_are_the_fraction_matrix(self, m, scale):
         x = FiniteMetricSpace._from_ints(m, scale)
+        assert_view(x)
         assert x.n == len(m)
         assert x.d == tuple(tuple(Fraction(u, scale) for u in row) for row in m)
         assert all(type(v) is Fraction for row in x.d for v in row)
@@ -72,6 +91,63 @@ class TestFromInts:
     def test_empty_space(self):
         x = FiniteMetricSpace._from_ints([], 3)
         assert x.n == 0 and x.d == () and x == FiniteMetricSpace([])
+        assert x._scaled_rows() == ((), 1)
+
+
+def _capped_closure_space():
+    """The 2-point partial space of a closure over {1, 3/2} capped at 2 points:
+    its one distance is 1, so it lacks S's denominator 2."""
+    with pytest.raises(ResourceLimit) as info:
+        urysohn_approx(DistanceSet([1, Fraction(3, 2)]), 2, Config(urysohn_max_points=2))
+    return info.value.space
+
+
+# spaces built from ints at a scale larger than their least one, each with a
+# checked partner space at its own least scale and a distance set holding both
+NON_MINIMAL = {
+    "complete-unreached-cap": (
+        lambda: complete(EdgeLabelledGraph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 2}), "sum-cap", Fraction(5, 2)),
+        lambda: FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+        (1, 2),
+    ),
+    "closure-missing-denominator": (
+        _capped_closure_space,
+        lambda: FiniteMetricSpace.equilateral(3, 1),
+        (1, Fraction(3, 2)),
+    ),
+}
+
+
+class TestNonMinimalScale:
+    """A builder's scale may exceed its space's least one; the view holds the least."""
+
+    @pytest.mark.parametrize("name", NON_MINIMAL)
+    def test_view_is_the_least_scale(self, name):
+        build, _, _ = NON_MINIMAL[name]
+        x = build()
+        assert_view(x)
+        assert x._scaled_rows()[1] == 1
+
+    def test_copies_of_the_unreached_cap_space(self):
+        build, partner, _ = NON_MINIMAL["complete-unreached-cap"]
+        assert copies(partner(), build()) == [(0, 1, 2)]
+
+    @pytest.mark.parametrize("name", NON_MINIMAL)
+    def test_kernels_match_their_references(self, name):
+        build, partner, values = NON_MINIMAL[name]
+        x, y = build(), partner()
+        s = DistanceSet(values)
+        for host, target in ((y, x), (x, y), (x, x)):
+            assert copies(host, target) == _reference_copies(host, target)
+        for shared in ([], [0], [0, 1]):
+            assert _amalgam_outcome(amalgamate, s, x, y, shared, shared) == _amalgam_outcome(
+                _reference_amalgamate, s, x, y, shared, shared)
+            assert _amalgam_outcome(amalgamate, s, y, x, shared, shared) == _amalgam_outcome(
+                _reference_amalgamate, s, y, x, shared, shared)
+        grid = [Fraction(k, 2) for k in range(6)]
+        for f in itertools.product(grid, repeat=x.n):
+            assert is_katetov(x, f) == _reference_is_katetov(x, f)
+        assert x.is_ultrametric() == (_reference_violating_triple(x.d, "ultrametric") is None)
 
 
 def _random_space(rng, n, ultra=False):
@@ -358,6 +434,8 @@ class TestMillikenBuilds:
                 dmat = _coding_matrix(variant, depth, _flat_table(name, invert))
                 assert _triangle_witness(dmat) is None
                 assert ms.space.d == tuple(tuple(map(Fraction, row)) for row in dmat)
+                # the rows are dmat over 1, so _int_rows(.d) is (dmat, 1)
+                assert ms.space._scaled_rows() == (tuple(map(tuple, dmat)), 1)
 
     @pytest.mark.parametrize("name", VARIANTS)
     def test_coding_rows_are_the_int_matrix(self, name):

@@ -19,17 +19,16 @@ from finmetric.ultratrees import (
     FichetReport,
     UltraTree,
     _degree_record,
+    _tree_automorphisms,
     ambient_tree_nodes,
     big_ramsey_degree,
     comb_space,
     convex_orderings_count,
     fichet_embedding,
-    is_uniformly_branching,
     linear_extensions_tree,
     ramsey_degree_ultrametric,
     space_of_tree,
     tree_of_space,
-    ultrametric_isometry_order,
 )
 
 
@@ -102,12 +101,23 @@ def _reference_extensions_permutation_scan(parents):
 def _reference_ramsey_degree_ultrametric(x):
     """The two-tree degree: the ball tree built once for cLO and once for |iso|."""
     clo = convex_orderings_count(x)
-    iso = ultrametric_isometry_order(x)
+    iso = _tree_automorphisms(tree_of_space(x))
     if clo % iso:
         raise AssertionError(
             f"internal inconsistency: |cLO|={clo} not divisible by |iso|={iso}"
         )
     return DegreeRecord(clo, iso, clo // iso)
+
+
+def _reference_is_uniformly_branching(x):
+    """True when the ball tree branches equally on each level."""
+    t = tree_of_space(x)
+    children = t.children()
+    by_depth = {}
+    for node in range(t.n_nodes()):
+        if children[node]:
+            by_depth.setdefault(t.depths[node], set()).add(len(children[node]))
+    return all(len(v) == 1 for v in by_depth.values())
 
 
 def _reference_fichet_embedding(x, p):
@@ -320,7 +330,7 @@ class TestIsometryOrder:
         rng = random.Random(4)
         for _ in range(20):
             x = random_ultrametric(rng, rng.randint(2, 7))
-            assert ultrametric_isometry_order(x) == len(isometries(x))
+            assert ramsey_degree_ultrametric(x).iso == len(isometries(x))
 
 
 class TestRamseyDegree:
@@ -333,7 +343,7 @@ class TestRamseyDegree:
         grid = ultrametric_urysohn_grid(DistanceSet((3, 1)), 2)
         rec = ramsey_degree_ultrametric(grid)
         assert rec.degree == 1
-        assert is_uniformly_branching(grid)
+        assert _reference_is_uniformly_branching(grid)
 
     def test_single_point(self):
         assert ramsey_degree_ultrametric(FiniteMetricSpace.single_point()).degree == 1
@@ -366,7 +376,7 @@ class TestRamseyDegree:
             for depth, shape in all_tree_shapes(n_leaves):
                 x = space_from_shape(depth, shape)
                 rec = ramsey_degree_ultrametric(x)
-                assert (rec.degree == 1) == is_uniformly_branching(x)
+                assert (rec.degree == 1) == _reference_is_uniformly_branching(x)
 
 
 class TestBigRamseyDegree:
