@@ -26,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
+from math import inf
 from operator import or_
 
 from .spaces import (
@@ -286,8 +287,13 @@ def _adjoin_point(ints, scale, m, subset, f, choose):
     for y in range(n):
         if y in new:
             continue
-        lo = max((abs(v - m[k][y]) for k, v in new.items()), default=0)
-        hi = min((v + m[k][y] for k, v in new.items()), default=ints[-1])
+        row, lo, hi = m[y], 0, inf  # m is symmetric: row[k] is d(k, y)
+        for k, v in new.items():
+            b = row[k]
+            if abs(v - b) > lo:
+                lo = abs(v - b)
+            if v + b < hi:
+                hi = v + b
         candidates = [u for u in ints if lo <= u <= hi]
         if not candidates:
             raise InvalidSpace(

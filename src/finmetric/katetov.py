@@ -69,7 +69,7 @@ def is_katetov(x: FiniteMetricSpace, values) -> tuple[bool, tuple[int, int] | No
     f = [as_fraction(v) for v in values]
     if len(f) != x.n:
         raise InvalidSpace(f"expected {x.n} values, got {len(f)}")
-    if any(v < 0 for v in f):
+    if any(v.numerator < 0 for v in f):
         return False, None
     m, scale = x._scaled_rows()
     common = math.lcm(scale, *{v.denominator for v in f})
@@ -171,13 +171,16 @@ def urysohn_approx(
     in a heap of the same entries: p realizes exactly one map over each F,
     so one dict pop per open subspace drops them, and the heap drops its
     realized entries lazily, when they reach the top.  Katetov and realizer
-    tests run on S and the matrix scaled to ints; each distinct (F, f)
-    distance pattern is keyed once per build, by the int matrix of F+f in
-    canonicalize's order, under config.canon_bound.  That order is read off
-    F+f's rank matrix, and a bounded cache keeps it per rank matrix for the
-    whole process: the scaled copies of one S share it, so a process that
-    runs many builds (a test suite, a benchmark, a loop over seeds) searches
-    each rank pattern once, while a single cold build gains nothing.  Each
+    tests run on S and the matrix scaled to ints.  One bounded table for the
+    whole process, keyed by S's ints, |F| and F's distances, holds F's
+    Katetov maps and, once a map is first open, the key of F+f: its int
+    matrix in canonicalize's order, read off its ranks, packed into one int
+    whose digits are the entries' indices in (0, *S).  So a process that runs
+    many builds (a test suite, a benchmark, a loop over seeds) lists and keys
+    each distance pattern once, while a single cold build gains nothing.
+    config.canon_bound is checked once per subset with an open map, before
+    its keys are read, so a key cached under a looser bound is still
+    refused; only a capped run's listing decodes keys to matrices.  Each
     added point is Katetov over a metric space (see four_values.amalgamate),
     so no space built here is scanned for triangles.  Cross
     distances to points outside F come from iterated one-point amalgamation;
@@ -196,10 +199,11 @@ def urysohn_approx(
         raise InvalidSpace(f"S fails the 4-values condition, witness {witness}")
     rng = random.Random(seed)
     ints, scale = _scaled(s.values)
+    ints = tuple(ints)
     frac = {u: Fraction(u, scale) for u in (0, *ints)}  # shared by the log and pending
+    digit = {u: i for i, u in enumerate(frac)}  # each int of F+f as its digit in a key
     m = [[0]]  # the distance matrix so far, scaled to ints
     log = BuildLog()
-    maps: dict = {}  # distances within F -> {Katetov map f: key of F+f, None until f is first open}
     pending: dict = {}  # F -> {f: (|F|, key, F, f)} for the unrealized f, in ints
     heap: list = []  # every (|F|, key, F, f) listed so far; the realized ones lazily dropped
     p = 0
@@ -209,23 +213,21 @@ def urysohn_approx(
         for size in range(1, min(size_cap, p + 2)):
             for rest in itertools.combinations(range(p), size - 1):
                 sub = rest + (p,)
-                dist = tuple(m[a][b] for a, b in itertools.combinations(sub, 2))
-                fs = maps.get(dist)
-                if fs is None:
-                    fs = maps[dist] = dict.fromkeys(_katetov_maps([[m[a][b] for b in sub] for a in sub], ints))
+                fs = _pattern_maps(ints, size, tuple(m[a][b] for a, b in itertools.combinations(sub, 2)))
                 realized = set(zip(*(m[q] for q in sub)))
-                open_fs = {}
-                for f, key in fs.items():
-                    if f in realized:
-                        continue
+                open_fs = [f for f in fs if f not in realized]
+                if not open_fs:
+                    continue
+                _check_canon_bound(size + 1, config)  # a key may come from a looser bound
+                entries = pending[sub] = {}
+                for f in open_fs:
+                    key = fs[f]
                     if key is None:
                         ext = [[m[a][b] for b in sub] + [v] for a, v in zip(sub, f)]
                         ext.append([*f, 0])
-                        key = fs[f] = _closure_key(ext, config)
-                    entry = open_fs[f] = (size, key, sub, f)
+                        key = fs[f] = _closure_key(ext, digit)
+                    entry = entries[f] = (size, key, sub, f)
                     heapq.heappush(heap, entry)
-                if open_fs:
-                    pending[sub] = open_fs
         while heap and heap[0][3] not in pending.get(heap[0][2], ()):
             heapq.heappop(heap)
         if not heap:
@@ -233,12 +235,13 @@ def urysohn_approx(
         _, _, sub, f = heap[0]
         if p + 2 > config.urysohn_max_points:
             listed = sorted(e for fs in pending.values() for e in fs.values())
-            fkeys = {k: tuple(tuple(map(frac.__getitem__, r)) for r in k) for k in {e[1] for e in listed}}
+            values = tuple(frac.values())
+            fkeys = {k: _key_rows(k[1], k[0] + 1, values) for k in {e[:2] for e in listed}}
             raise ResourceLimit(
                 f"urysohn closure exceeded {config.urysohn_max_points} points "
                 f"with {len(listed)} extensions still unrealized",
                 space=FiniteMetricSpace._from_ints(m, scale),
-                pending=[(k, fkeys[key], subset, tuple(map(frac.__getitem__, g)))
+                pending=[(k, fkeys[k, key], subset, tuple(map(frac.__getitem__, g)))
                          for k, key, subset, g in listed],
                 log=log,
             )
@@ -252,19 +255,38 @@ def urysohn_approx(
                 del pending[sub]
 
 
-def _closure_key(ext, config: Config) -> tuple:
-    """The int matrix ext of F+f in canonicalize's order of ext / scale: a
-    positive scale keeps the ranks, so ext's own ranks give that order."""
-    _check_canon_bound(len(ext), config)
-    table, r = _rank_rows(ext)
-    order = _rank_order(r, len(table))
-    return tuple(tuple(ext[a][b] for b in order) for a in order)
-
-
 @functools.lru_cache(maxsize=4096)
-def _rank_order(r: tuple, n_ranks: int) -> tuple[int, ...]:
-    """_least_order of the rank matrix r, cached for the process (see urysohn_approx)."""
-    return _least_order(r, _rank_masks(r, n_ranks))
+def _pattern_maps(ints: tuple, size: int, dist: tuple) -> dict:
+    """{f: key of F+f, None until f is first open} over the Katetov maps f of
+    F into ints, in product order: F has size points and the distances dist
+    in combinations order.  One table for the process (see urysohn_approx);
+    the builds fill its dicts in place."""
+    d = [[0] * size for _ in range(size)]
+    for (a, b), u in zip(itertools.combinations(range(size), 2), dist):
+        d[a][b] = d[b][a] = u
+    return dict.fromkeys(_katetov_maps(d, ints))
+
+
+def _closure_key(ext, digit: dict) -> int:
+    """The int matrix ext of F+f in canonicalize's order, read row by row as
+    base-len(digit) digits digit[entry].  A positive scale keeps the ranks, so
+    ext's own ranks give that order; same-size keys have as many digits, so
+    they compare as the matrices do."""
+    table, r = _rank_rows(ext)
+    order = _least_order(r, _rank_masks(r, len(table)))
+    key, base = 0, len(digit)
+    for a in order:
+        for b in order:
+            key = key * base + digit[ext[a][b]]
+    return key
+
+
+def _key_rows(key: int, n: int, values) -> tuple:
+    """The n x n matrix that key holds: its base-len(values) digits, row by
+    row, each read as values[digit]."""
+    base = len(values)
+    digits = [key // base ** e % base for e in reversed(range(n * n))]
+    return tuple(tuple(values[i] for i in digits[a * n:(a + 1) * n]) for a in range(n))
 
 
 def _katetov_maps(d, values) -> list[tuple]:

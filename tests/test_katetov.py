@@ -13,7 +13,8 @@ from finmetric.katetov import (
     _closure_key,
     _katetov_maps,
     _katetov_witness,
-    _rank_order,
+    _key_rows,
+    _pattern_maps,
     extend_with,
     is_katetov,
     realizers,
@@ -29,6 +30,7 @@ from finmetric.spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _check_canon_bound,
     as_fraction,
     canonical_key,
     canonicalize,
@@ -490,7 +492,7 @@ class TestClosureMatchesReference:
         # keys through canonical_key and never reads it.  The bounds refuse
         # the 4-point F+f of size cap 4, admit it exactly, or leave room.
         rng = random.Random(29)
-        hits = _rank_order.cache_info().hits
+        hits = _pattern_maps.cache_info().hits
         outcomes = set()
         for base in CLOSURE_BASES:
             for scale in (1, Fraction(1, 2), 2, 3):
@@ -504,7 +506,26 @@ class TestClosureMatchesReference:
                     _assert_pending_listed(new[1], new[3])
                 outcomes.add(new[0])
         assert outcomes == {"done", "limit", "refused"}
-        assert _rank_order.cache_info().hits > hits
+        assert _pattern_maps.cache_info().hits > hits
+
+    @pytest.mark.parametrize("case", [
+        (DistanceSet((1, 2)), 3, 64, 0, 10),  # finished
+        (DistanceSet((1, 2)), 4, 9, 0, 10),  # capped
+        (DistanceSet((1, 2)), 4, 9, 0, 3),  # refused: F+f reaches 4 points
+    ])
+    def test_cold_and_warm_builds(self, case):
+        # the first build fills an empty pattern table, the second reads it
+        want = _outcome(_reference_urysohn_approx, *case)
+        assert want[0] in ("done", "limit", "refused")
+        _pattern_maps.cache_clear()
+        cold = _outcome(urysohn_approx, *case)
+        hits = _pattern_maps.cache_info().hits
+        warm = _outcome(urysohn_approx, *case)
+        assert _pattern_maps.cache_info().hits > hits
+        for got in (cold, warm):
+            assert len(got) == len(want)
+            for field_got, field_want in zip(got, want):
+                assert field_got == field_want
 
 
 def _assert_pending_listed(message: str, pending: list):
@@ -636,6 +657,20 @@ def _reference_closure_key(ext, scale, config=DEFAULT_CONFIG):
     return tuple(tuple(ext[a][b] for b in order) for a in order)
 
 
+def _digits(values) -> dict:
+    """The closure's digits over S, the positive values given: 0 first, then
+    S increasing."""
+    return {u: i for i, u in enumerate(sorted({0, *values}))}
+
+
+def _decoded_key(ext, extra, config):
+    """The closure's key of ext over S = ext's values and extra, under
+    config.canon_bound, which the closure checks first, read back to ints."""
+    _check_canon_bound(len(ext), config)
+    digit = _digits([*itertools.chain(*ext), *extra])
+    return _key_rows(_closure_key(ext, digit), len(ext), tuple(digit))
+
+
 def _key_outcome(key, *args):
     try:
         return key(*args)
@@ -644,10 +679,10 @@ def _key_outcome(key, *args):
 
 
 @st.composite
-def int_metric_matrices(draw):
-    """Metric int matrices of 1-6 points over at most three values, so twins
-    and rows equal up to order are common."""
-    n = draw(st.integers(1, 6))
+def int_metric_matrices(draw, n=None):
+    """Metric int matrices of n points (1-6 if not given) over at most three
+    values, so twins and rows equal up to order are common."""
+    n = n or draw(st.integers(1, 6))
     vals = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True))
     m = [[0] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
@@ -662,34 +697,57 @@ EQUILATERAL_6 = [[0 if i == j else 3 for j in range(6)] for i in range(6)]
 
 
 class TestClosureKeys:
-    @given(int_metric_matrices(), st.sampled_from((1, 2, 3, 7)), st.integers(1, 7))
-    @example([[0]], 1, 1)
-    @example(EQUILATERAL_6, 2, 6)
-    @example(EQUILATERAL_6, 2, 5)
-    @example(TWIN_PAIRS, 3, 7)
+    @given(int_metric_matrices(), st.sampled_from((1, 2, 3, 7)), st.integers(1, 7),
+           st.sets(st.integers(1, 20), max_size=3))
+    @example([[0]], 1, 1, set())
+    @example(EQUILATERAL_6, 2, 6, set())
+    @example(EQUILATERAL_6, 2, 5, {1, 4})
+    @example(TWIN_PAIRS, 3, 7, {3})
     @settings(max_examples=400, deadline=None)
-    def test_int_key_matches_the_canonical_form(self, ext, scale, bound):
+    def test_int_key_matches_the_canonical_form(self, ext, scale, bound, extra):
         config = Config(canon_bound=bound)
-        assert _key_outcome(_closure_key, ext, config) == _key_outcome(
+        assert _key_outcome(_decoded_key, ext, extra, config) == _key_outcome(
             _reference_closure_key, ext, scale, config)
 
-    def test_a_cached_order_still_checks_the_bound(self):
-        # keyed once under a bound that admits six points, EQUILATERAL_6's
-        # rank pattern is in the cache; a tighter bound must still refuse it
-        assert _closure_key(EQUILATERAL_6, Config(canon_bound=6)) == tuple(map(tuple, EQUILATERAL_6))
-        with pytest.raises(SearchTooLarge, match="canonicalization too large: n=6 > 5"):
-            _closure_key(EQUILATERAL_6, Config(canon_bound=5))
-        assert _closure_key(EQUILATERAL_6, Config(canon_bound=6)) == tuple(map(tuple, EQUILATERAL_6))
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(int_metric_matrices(n), int_metric_matrices(n))),
+           st.sets(st.integers(1, 20), max_size=2))
+    @example((TWIN_PAIRS, TWIN_PAIRS), set())
+    @example((TWIN_PAIRS, [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]), set())
+    @settings(max_examples=300, deadline=None)
+    def test_int_order_is_the_matrix_order(self, pair, extra):
+        # two same-size F+f over one S: the ints compare as the matrices do
+        digit = _digits([*itertools.chain(*pair[0], *pair[1]), *extra])
+        (ka, kb), (ta, tb) = ([_closure_key(e, digit) for e in pair],
+                              [_reference_closure_key(e, 1) for e in pair])
+        assert (ka > kb) - (ka < kb) == (ta > tb) - (ta < tb)
 
-    def test_the_order_cache_is_bounded(self):
-        maxsize = _rank_order.cache_parameters()["maxsize"]
+    def test_a_cached_order_still_checks_the_bound(self):
+        # a bound of 4 admits the 4-point F+f of |F| = 3 and keys it into the
+        # process-wide table; a bound of 3 must still refuse the same S there
+        s, size_cap, max_points = DistanceSet((1, 2)), 4, 8
+        loose = _outcome(urysohn_approx, s, size_cap, max_points, 0, 4)
+        assert loose == _outcome(_reference_urysohn_approx, s, size_cap, max_points, 0, 4)
+        _, _, partial, pending = loose
+        sub, f = next((sub, f) for k, _, sub, f in pending if k == 3)
+        dist = tuple(partial[a][b].numerator for a, b in itertools.combinations(sub, 2))
+        assert _pattern_maps((1, 2), 3, dist)[tuple(v.numerator for v in f)] is not None
+        hits = _pattern_maps.cache_info().hits
+        tight = _outcome(urysohn_approx, s, size_cap, max_points, 0, 3)
+        assert _pattern_maps.cache_info().hits > hits
+        assert tight == _outcome(_reference_urysohn_approx, s, size_cap, max_points, 0, 3)
+        assert tight == ("refused", "canonicalization too large: n=4 > 3")
+
+    def test_the_pattern_table_is_bounded(self):
+        maxsize = _pattern_maps.cache_parameters()["maxsize"]
         assert maxsize is not None and 0 < maxsize < 10**5
 
     def test_twins_and_the_refusal(self):
-        assert _closure_key(TWIN_PAIRS, DEFAULT_CONFIG) == tuple(map(tuple, TWIN_PAIRS))
-        assert _closure_key([[0, 5], [5, 0]], DEFAULT_CONFIG) == ((0, 5), (5, 0))
+        assert _decoded_key(TWIN_PAIRS, set(), DEFAULT_CONFIG) == tuple(map(tuple, TWIN_PAIRS))
+        assert _decoded_key([[0, 5], [5, 0]], set(), DEFAULT_CONFIG) == ((0, 5), (5, 0))
+        # digits 0 1 / 1 0 in base 2 over (0, 5)
+        assert _closure_key([[0, 5], [5, 0]], {0: 0, 5: 1}) == 0b0110
         with pytest.raises(SearchTooLarge, match="canonicalization too large: n=4 > 3"):
-            _closure_key(TWIN_PAIRS, Config(canon_bound=3))
+            _decoded_key(TWIN_PAIRS, set(), Config(canon_bound=3))
 
 
 MIXED = st.builds(Fraction, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6)))
