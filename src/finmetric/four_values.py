@@ -37,6 +37,7 @@ from .spaces import (
     InvalidSpace,
     SearchTooLarge,
     _check_points,
+    _fraction_rows,
     _scaled,
     format_fraction,
 )
@@ -363,4 +364,4 @@ def amalgamate(
                 placed[e] = len(m) - 1
     except InvalidSpace as exc:  # unreachable once the 4-values check passed
         raise AmalgamationError(f"amalgam is not metric: {exc}") from exc
-    return FiniteMetricSpace._from_ints(m, scale)
+    return FiniteMetricSpace._from_rows(_fraction_rows(m, scale))

@@ -24,6 +24,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     _check_canon_bound,
+    _fraction_rows,
     _least_order,
     _rank_masks,
     _rank_rows,
@@ -231,7 +232,7 @@ def urysohn_approx(
         while heap and heap[0][3] not in pending.get(heap[0][2], ()):
             heapq.heappop(heap)
         if not heap:
-            return FiniteMetricSpace._from_ints(m, scale), log
+            return FiniteMetricSpace._from_rows(_fraction_rows(m, scale)), log
         _, _, sub, f = heap[0]
         if p + 2 > config.urysohn_max_points:
             listed = sorted(e for fs in pending.values() for e in fs.values())
@@ -240,7 +241,7 @@ def urysohn_approx(
             raise ResourceLimit(
                 f"urysohn closure exceeded {config.urysohn_max_points} points "
                 f"with {len(listed)} extensions still unrealized",
-                space=FiniteMetricSpace._from_ints(m, scale),
+                space=FiniteMetricSpace._from_rows(_fraction_rows(m, scale)),
                 pending=[(k, fkeys[k, key], subset, tuple(map(frac.__getitem__, g)))
                          for k, key, subset, g in listed],
                 log=log,

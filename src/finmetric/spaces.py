@@ -3,9 +3,9 @@
 All distances are `fractions.Fraction` values kept in lowest terms, so every
 verdict in this package is bit-exact.  Floats are rejected at the boundary.
 Fractions stay at the boundary: each space also carries one int view of its
-matrix, the rows times the lcm of their denominators, built once (by the
-checked constructor, by `_from_ints`, or lazily on first use) and read
-through `_scaled_rows()`.  A positive scale keeps every comparison, so the
+matrix, the rows times the lcm of their denominators, built once by
+`_int_rows` (in the checked constructor, or on first use) and read through
+`_scaled_rows()`.  A positive scale keeps every comparison, so the
 constructor's checks, the triple scan, the rankings of the searches below
 and the Katetov and amalgamation kernels all run on those ints; proved int
 results skip the re-check.
@@ -131,6 +131,12 @@ def _int_rows(d) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple([v.numerator * (scale // v.denominator) for v in row]) for row in d), scale
 
 
+def _fraction_rows(m, scale: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The int rows m over scale as Fraction rows, one Fraction per distinct int."""
+    frac = {u: Fraction(u, scale) for u in set().union(*m)}
+    return tuple(tuple(map(frac.__getitem__, row)) for row in m)
+
+
 def _violating_triple(m, join) -> tuple[int, int, int] | None:
     """The least (i, j, k) with one side > join of the other two, or None.
 
@@ -150,18 +156,18 @@ class FiniteMetricSpace:
     """n points with an exact symmetric distance matrix satisfying the triangle inequality.
 
     .d holds the Fraction rows.  The int view, read through _scaled_rows(),
-    is always _int_rows(.d): the pair (m, scale) with scale the lcm of .d's
-    reduced denominators and m = .d times scale.  The scale must be that
-    least one, not any common multiple: _rank_matrix reads a space's
-    distances at another space's scale, which it can only do when the first
-    scale divides the second.
+    is _int_rows(.d), which alone builds it: the pair (m, scale) with scale
+    the lcm of .d's reduced denominators and m = .d times scale.  The scale
+    must be that least one, not any common multiple: _rank_matrix reads a
+    space's distances at another space's scale, which it can only do when
+    the first scale divides the second.
     """
 
     def __init__(self, rows: Sequence[Sequence], check: bool = True):
         """Rows checked on every call: square, zero diagonal, symmetric, positive,
         triangle inequality, all on the int view, which is kept.  check is
-        ignored, kept only for the benchmark's one caller; _from_rows and
-        _from_ints are the only unchecked constructors."""
+        ignored, kept only for the benchmark's one caller; _from_rows is the
+        only unchecked constructor."""
         d = tuple(tuple(as_fraction(v) for v in row) for row in rows)
         n = len(d)
         if any(len(row) != n for row in d):
@@ -183,23 +189,10 @@ class FiniteMetricSpace:
     @classmethod
     def _from_rows(cls, d: tuple[tuple[Fraction, ...], ...]) -> "FiniteMetricSpace":
         """The space whose matrix is d, taken as it is: square tuple rows of
-        Fractions that the caller has proved metric.  The int view is built
-        on first use."""
+        Fractions that the caller has proved metric (a proved int matrix
+        passes _fraction_rows(m, scale)).  The int view is built on first use."""
         x = cls.__new__(cls)
         x.n, x.d, x._ints = len(d), d, None
-        return x
-
-    @classmethod
-    def _from_ints(cls, m: Sequence[Sequence[int]], scale: int) -> "FiniteMetricSpace":
-        """Distances m[i][j] / scale, one Fraction per distinct int, unchecked: m is
-        proved metric.  m divided by its common factor with scale is the int view."""
-        values = set().union(*m)
-        frac = {u: Fraction(u, scale) for u in values}
-        x = cls._from_rows(tuple(tuple(map(frac.__getitem__, row)) for row in m))
-        g = math.gcd(scale, *values)
-        if g > 1:
-            m, scale = [[u // g for u in row] for row in m], scale // g
-        x._ints = tuple(map(tuple, m)), scale
         return x
 
     def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -444,7 +437,7 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
                 f"{format_fraction(labels[i, j])} but path value "
                 f"{format_fraction(Fraction(m[i][j], scale))}"
             )
-    return FiniteMetricSpace._from_ints(m, scale)
+    return FiniteMetricSpace._from_rows(_fraction_rows(m, scale))
 
 
 def _rank_rows(m) -> tuple[dict, tuple[tuple[int, ...], ...]]:

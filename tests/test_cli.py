@@ -546,6 +546,9 @@ class TestInputErrors:
         ("color indiv --space {tri} --target {tri} --sampled -2", "need at least 1 sample, got -2"),
         ("color indiv --space {tri} --target {tri} --sampled 0", "need at least 1 sample, got 0"),
         ("milliken build 134 --depth 2 --sampled 0", "need at least 1 sample, got 0"),
+        ("milliken build 26712 --depth 99 --inverted --sampled 0", "need at least 1 sample, got 0"),
+        ("milliken build 134 --depth 12 --sampled 1",
+         "sampled metric check too large: 33542145 points > 4194304"),
         ("arrow --z {tri} --y {tri} --x {tri} -k 0", "the arrow needs k >= 1 colors"),
         ("arrow --z {tri} --y {tri} --x {tri} -l -1", "and l >= 0 values, got k=2, l=-1"),
         ("color greedy --space {tri} --target {tri} --coloring 5,5,5", "color 5 outside {0, 1}"),

@@ -31,6 +31,7 @@ from finmetric.spaces import (
     InvalidSpace,
     SearchTooLarge,
     _check_canon_bound,
+    _fraction_rows,
     as_fraction,
     canonical_key,
     canonicalize,
@@ -653,7 +654,7 @@ def _unrealized(x: FiniteMetricSpace, s: DistanceSet, size_cap: int) -> list:
 
 def _reference_closure_key(ext, scale, config=DEFAULT_CONFIG):
     """The key urysohn_approx read off the canonical order of ext / scale."""
-    _, order = canonicalize(FiniteMetricSpace._from_ints(ext, scale), config)
+    _, order = canonicalize(FiniteMetricSpace._from_rows(_fraction_rows(ext, scale)), config)
     return tuple(tuple(ext[a][b] for b in order) for a in order)
 
 

@@ -407,6 +407,34 @@ class TestMetricVerdicts:
         with pytest.raises(SearchTooLarge, match="48417720 points > 800"):
             milliken_space("2678", 8)
 
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(name="134", depth=12, check="sampled", samples=1),
+         SearchTooLarge, "sampled metric check too large: 33542145 points > 4194304"),
+        (dict(name="134", depth=10**9, check="sampled"),
+         SearchTooLarge, "sampled metric check too large: more than 4194304 points"),
+        (dict(name="26712", depth=99, invert_membership=True, check="sampled", samples=0),
+         InvalidSpace, "need at least 1 sample, got 0"),
+        (dict(name="26712", depth=99, check="fast"), InvalidSpace, "unknown check mode 'fast'"),
+    ])
+    def test_sampled_build_refused_before_listing_points(self, monkeypatch, kwargs, error, message):
+        # the mode, then samples, then the point count against the sampled
+        # cap are checked before any point is listed
+        def listed(*args):
+            raise AssertionError("points listed")
+
+        monkeypatch.setattr(milliken, "coding_points", listed)
+        with pytest.raises(error) as refused:
+            milliken_space(**kwargs)
+        assert str(refused.value) == message
+
+    def test_sampled_cap_admits_its_own_count(self, monkeypatch):
+        n = _point_count(load_variant("2678"), 3)
+        monkeypatch.setattr(milliken, "_SAMPLED_MAX_POINTS", n)
+        assert milliken_space("2678", 3, check="sampled", samples=1).space is None
+        monkeypatch.setattr(milliken, "_SAMPLED_MAX_POINTS", n - 1)
+        with pytest.raises(SearchTooLarge, match=f"{n} points > {n - 1}"):
+            milliken_space("2678", 3, check="sampled", samples=1)
+
     @pytest.mark.parametrize("name", VARIANTS)
     def test_point_count_reckoned_exactly_while_formattable(self, name):
         # the count is given exactly wherever Python can format it, and

@@ -11,17 +11,21 @@ from hypothesis import given, settings, strategies as st
 
 import finmetric
 from finmetric import spaces
-from finmetric.four_values import check_four_values, interval, swap
-from finmetric.katetov import extend_with, is_katetov
+from finmetric.four_values import amalgamate, check_four_values, interval, swap
+from finmetric.katetov import extend_with, is_katetov, urysohn_approx
+from finmetric.milliken import milliken_space
 from finmetric.spaces import (
     DistanceSet,
+    EdgeLabelledGraph,
     FiniteMetricSpace,
     canonical_key,
+    complete,
     copies,
     isometries,
 )
 
 from test_four_values import _reference_is_good
+from test_proved_spaces import _capped_closure_space
 
 
 @st.composite
@@ -159,19 +163,27 @@ def test_only_spaces_touches_the_int_view():
 
 def test_kernels_build_the_int_view_once(monkeypatch):
     # repeated kernel calls on one space read the view it carries: a checked
-    # build makes it, an unchecked one on first use, and no kernel again
+    # build makes it, every unchecked one (the builders that prove their
+    # result, int-built ones included) on first use, and no kernel again
     built = []
     int_rows = spaces._int_rows
     host = FiniteMetricSpace([[0, 1, "3/2"], [1, 0, 1], ["3/2", 1, 0]])
+    pair = FiniteMetricSpace([[0, 1], [1, 0]])
     monkeypatch.setattr(spaces, "_int_rows", lambda d: built.append(d) or int_rows(d))
-    builders = [
-        lambda: FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
-        lambda: FiniteMetricSpace.equilateral(4, Fraction(1, 2)),
-        lambda: host.submetric([2, 0, 1]),
+    builders = [  # each with the number of views its build makes
+        (lambda: FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 1),
+        (lambda: FiniteMetricSpace.equilateral(4, Fraction(1, 2)), 0),
+        (lambda: host.submetric([2, 0, 1]), 0),
+        (lambda: complete(EdgeLabelledGraph(3, {(0, 1): 1, (1, 2): 1}), "sum-cap", Fraction(5, 2)), 0),
+        (lambda: amalgamate(DistanceSet([1, 2]), pair, pair, [0], [0]), 0),
+        (lambda: urysohn_approx(DistanceSet([1, Fraction(3, 2)]), 2)[0], 0),
+        (_capped_closure_space, 0),
+        (lambda: milliken_space("1378", 1, invert_membership=True).space, 0),
     ]
-    for build in builders:
+    for build, at_build in builders:
         built.clear()
         x = build()
+        assert len(built) == at_build
         for _ in range(3):
             is_katetov(x, [Fraction(1, 3)] * x.n)
             is_katetov(x, [1] * x.n)
@@ -179,6 +191,32 @@ def test_kernels_build_the_int_view_once(monkeypatch):
             isometries(x)
             x.is_ultrametric()
         assert len(built) == 1
+
+
+def test_one_unchecked_constructor():
+    # _int_rows alone builds a view, so the least scale holds: no library,
+    # test, demo or bench file names _from_ints, an int handover that set
+    # a view of its own, and only _from_rows calls __new__, so every space
+    # passes the checked constructor or _from_rows
+    trees = _trees() + _trees(ROOT / "tests") + _trees(ROOT / "demos") + _trees(ROOT / "bench")
+    named = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if "_from_ints" in {getattr(node, field, None) for field in ("id", "attr", "name")}
+    ]
+    assert named == []
+    new_calls = []
+
+    def visit(name, node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "__new__":
+                new_calls.append((name, func))
+            visit(name, child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    for name, tree in trees:
+        visit(name, tree, None)
+    assert new_calls == [("finmetric/spaces.py", "_from_rows")]
 
 
 def test_demos_import_no_private_names():

@@ -39,6 +39,7 @@ from finmetric.spaces import (
     EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
+    _fraction_rows,
     _int_rows,
     canonicalize,
     complete,
@@ -76,20 +77,24 @@ def assert_rechecked(x: FiniteMetricSpace):
 
 
 class TestFromInts:
+    """A proved int matrix m at a scale becomes a space as
+    _from_rows(_fraction_rows(m, scale)); its view is then _int_rows(.d),
+    at the least scale, whatever common factor m and scale share."""
+
     @given(
         st.integers(0, 6).flatmap(lambda n: st.lists(
             st.lists(st.integers(-5, 40), min_size=n, max_size=n), min_size=n, max_size=n)),
         st.integers(1, 12),
     )
     def test_rows_are_the_fraction_matrix(self, m, scale):
-        x = FiniteMetricSpace._from_ints(m, scale)
+        x = FiniteMetricSpace._from_rows(_fraction_rows(m, scale))
         assert_view(x)
         assert x.n == len(m)
         assert x.d == tuple(tuple(Fraction(u, scale) for u in row) for row in m)
         assert all(type(v) is Fraction for row in x.d for v in row)
 
     def test_empty_space(self):
-        x = FiniteMetricSpace._from_ints([], 3)
+        x = FiniteMetricSpace._from_rows(_fraction_rows([], 3))
         assert x.n == 0 and x.d == () and x == FiniteMetricSpace([])
         assert x._scaled_rows() == ((), 1)
 
