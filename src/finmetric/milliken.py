@@ -36,6 +36,7 @@ from .spaces import (
 
 VARIANTS = ("134", "2379", "2678", "26712", "1378")
 _SAMPLED_MAX_POINTS = 2**22  # a sampled build lists its points: 2,094,081 took 0.16 s and 145 MB (Xeon core)
+_ROW_TABLE_SIZE = 1024  # distance rows kept across coding_embed calls (see _distance_row)
 
 
 @dataclass(frozen=True)
@@ -443,8 +444,20 @@ def _embed_index(name: str, depth: int, max_candidates: int) -> _EmbedIndex:
     return _EmbedIndex(variant.alphabet, candidates, by_value, slots)
 
 
-def _distance_row(index: _EmbedIndex, k: int) -> dict:
-    """Candidate k's distance row: per value, the bitset of the other candidates at it.
+@functools.lru_cache(maxsize=_ROW_TABLE_SIZE)
+def _distance_row(name: str, depth: int, max_candidates: int, k: int) -> dict:
+    """Candidate k's distance row in _embed_index(name, depth, max_candidates):
+    per value, the bitset of the other candidates at it.
+
+    One bounded table for the process, kept across coding_embed calls: a
+    row depends only on the index and k.  A row holds one bitset per value
+    of the variant's set (at most 4), each under max_candidates bits, plus
+    under 0.5 KB of dict and table entry.  So at the default cap of 20,000
+    a row is at most about 11 KB (4 ints of 2.7 KB), and the
+    _ROW_TABLE_SIZE rows at most about 11 MB.  Under tracemalloc a row took
+    1.3-3.1 KB at 2678, depth 5 (5,779 candidates) and 4.0-4.6 KB at 26712,
+    depth 7 (10,795).  Rows are asked for only once the index is built, so
+    a refused index caches none.
 
     Per slot, the candidates fall into groups by the relation of their node
     to k's node x there (see _relation): x itself; the rest of x's height;
@@ -454,6 +467,7 @@ def _distance_row(index: _EmbedIndex, k: int) -> dict:
     intersected.  k itself is left out: the table gives an equal tuple a
     nonzero distance.
     """
+    index = _embed_index(name, depth, max_candidates)
     groups = []  # groups[c][r]: the candidates whose slot-c node has relation r to k's
     for (nodes, heights, digits), x in zip(index.slots, index.candidates[k]):
         group = [0] * (index.alphabet + 1)
@@ -491,34 +505,38 @@ def coding_embed(
     exists at this depth.  Returns the list of chosen coding points or None.
 
     The search runs on Python-int bitsets over the admissible list, which is
-    indexed once per (variant, depth).  Level i's domain is the AND of the
-    distance rows of the points placed so far, each taken at its wanted
-    distance to target point i.  A row is built only when its candidate is
-    tried, and only for this call.  After each placement every later level
-    must keep a nonempty domain, or the branch is cut (forward checking, as
-    in Haralick & Elliott 1980).  The levels keep their fixed order and each
-    domain is scanned by ascending index, so the first embedding found, or
-    None, is that of the plain backtracker over the same order.
+    indexed once per (variant, depth, cap).  Level i's domain is the AND of
+    the distance rows of the points placed so far, each taken at its wanted
+    distance to target point i.  A row is built when its candidate is first
+    tried and kept in a process-wide table (_distance_row), so a warm call
+    builds none.  After each placement every later level must keep a
+    nonempty domain, or the branch is cut (forward checking, as in Haralick
+    & Elliott 1980).  The levels keep their fixed order and each domain is
+    scanned by ascending index, so the first embedding found, or None, is
+    that of the plain backtracker over the same order.  The target is read
+    through its int view; Fractions are read only to name a distance
+    outside the variant's set.  A negative max_candidates is refused.
     """
     variant = load_variant(name)
     if target.n > 6:
         raise SearchTooLarge("embedding targets are capped at 6 points")
-    for v in target.distances():
-        if v not in variant.distance_set:
-            raise InvalidSpace(f"target distance {v} outside the variant's set")
-    index = _embed_index(name, depth, max_candidates)
-    candidates = index.candidates
+    # every variant's set holds ints, so a target that passes is at scale 1
+    m, scale = target._scaled_rows()
+    if scale != 1 or not set().union(*m) <= {0, *variant.distance_set.values}:
+        for v in target.distances():
+            if v not in variant.distance_set:
+                raise InvalidSpace(f"target distance {v} outside the variant's set")
+    if max_candidates < 0:
+        raise InvalidSpace(f"max_candidates must be non-negative, got {max_candidates}")
+    candidates = _embed_index(name, depth, max_candidates).candidates
 
     # place tightly-linked target points consecutively: component reuse is
     # then forced early and the backtracking prunes hard
     order = [0] if target.n else []
     while len(order) < target.n:
         rest = [p for p in range(target.n) if p not in order]
-        order.append(min(rest, key=lambda p: min(target.d[p][q] for q in order)))
-    reordered = target.submetric(order)
-
-    want = [[int(v) for v in row] for row in reordered.d]
-    rows: dict = {}
+        order.append(min(rest, key=lambda p: min(m[p][q] for q in order)))
+    want = [[m[a][b] for b in order] for a in order]
     chosen: list = []
 
     def extend(domains: list) -> bool:
@@ -531,9 +549,7 @@ def coding_embed(
         while domain:
             k = (domain & -domain).bit_length() - 1
             domain &= domain - 1
-            row = rows.get(k)
-            if row is None:
-                row = rows[k] = _distance_row(index, k)
+            row = _distance_row(name, depth, max_candidates, k)
             later = []
             for d, v in wanted:
                 d &= row.get(v, 0)
@@ -547,7 +563,7 @@ def coding_embed(
                 chosen.pop()
         return False
 
-    if not extend([(1 << len(candidates)) - 1] * reordered.n):
+    if not extend([(1 << len(candidates)) - 1] * target.n):
         return None
     result = [None] * target.n
     for slot, point in enumerate(order):

@@ -294,36 +294,38 @@ def fichet_embedding(x: FiniteMetricSpace, p: int) -> FichetReport:
 
     Verification runs entirely on p-th powers in rationals: for every pair,
     the weights of the nodes separating the two leaves sum to d(x,y)^p.  Real
-    coordinates (p-th roots) are never materialized.
+    coordinates (p-th roots) are never materialized.  The sums run on ints:
+    x's int view at scale s turns each weight into an int over 2 s^p, one
+    per depth, and d(x,y)^p into one over s^p; Fractions are built only for
+    the report, one per depth and one per distance.
     """
-    if p < 1:
+    if not isinstance(p, int) or p < 1:
         raise InvalidSpace("p must be a positive integer")
     t = tree_of_space(x)
     k = t.height
-    a = t.level_distances
-    weights: dict[int, Fraction] = {}
-    for node in range(t.n_nodes()):
-        depth = t.depths[node]
-        if depth == 0:
-            continue  # the root separates nothing
-        if depth == k:
-            w = Fraction(a[k - 1] ** p, 2)
-        else:
-            w = Fraction(a[depth - 1] ** p - a[depth] ** p, 2)
-        if w <= 0:  # strictly decreasing level distances forbid it
-            raise AssertionError(f"weight {w} of node {node} is not positive")
-        weights[node] = w
+    m, scale = x._scaled_rows()
+    a = [v.numerator * (scale // v.denominator) for v in t.level_distances]
+    # per depth, the weight of its nodes times 2 s^p; the root separates nothing
+    by_depth = [0, *(a[j - 1] ** p - a[j] ** p for j in range(1, k)), a[k - 1] ** p]
+    unit = 2 * scale ** p
+    fracs = {w: Fraction(w, unit) for w in by_depth}
+    ints = [by_depth[depth] for depth in t.depths]  # only node 0, the root, has depth 0
+    for node in range(1, len(ints)):
+        if ints[node] <= 0:  # strictly decreasing level distances forbid it
+            raise AssertionError(f"weight {fracs[ints[node]]} of node {node} is not positive")
+    weights = {node: fracs[w] for node, w in enumerate(ints) if node}
 
     chains = {t.leaf_points[leaf]: chain for leaf, chain in zip(t.leaves(), _ancestor_sets(t))}
+    powers = {u: (2 * u ** p, Fraction(u, scale) ** p) for u in set().union(*m)}
 
     checks = []
     for i, j in itertools.combinations(range(x.n), 2):
-        sep = (chains[i] ^ chains[j]) - {0}
-        lhs = sum(weights[node] for node in sep)
-        rhs = x.d[i][j] ** p
+        lhs = sum(map(ints.__getitem__, chains[i] ^ chains[j]))  # the root is on both chains
+        rhs, power = powers[m[i][j]]
         if lhs != rhs:
-            raise AssertionError(f"weight identity fails on pair ({i},{j}): {lhs} != {rhs}")
-        checks.append(((i, j), lhs, rhs))
+            raise AssertionError(f"weight identity fails on pair ({i},{j}): "
+                                 f"{Fraction(lhs, unit)} != {power}")
+        checks.append(((i, j), power, power))
 
     dim = len(weights)
     bound = x.n * (x.n + 1) // 2

@@ -505,14 +505,14 @@ class TestTypeVerdict:
         code = (
             "import finmetric, finmetric.cli\n"
             "from finmetric import milliken as m\n"
-            "caches = (m._type_verdict, m._case_lookup, m.load_variant, m._embed_index)\n"
+            "caches = (m._type_verdict, m._case_lookup, m.load_variant, m._embed_index, m._distance_row)\n"
             "print([f.cache_info().currsize for f in caches])\n"
         )
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0, 0]"
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 class TestCoreMatchesReference:
@@ -623,11 +623,13 @@ class TestEmbedding:
         admissible = milliken._admissible
         monkeypatch.setattr(milliken, "_admissible", counted)
         cached = milliken._embed_index.cache_info().currsize
+        rows = milliken._distance_row.cache_info()
         target = FiniteMetricSpace([[0, 2], [2, 0]])
         with pytest.raises(SearchTooLarge, match="more than 20000 points"):
             coding_embed("2678", 8, target)
         assert len(listed) == 20001
         assert milliken._embed_index.cache_info().currsize == cached
+        assert milliken._distance_row.cache_info() == rows
         # 134 has 26 admissible points at depth 3
         pair = FiniteMetricSpace([[0, 1], [1, 0]])
         with pytest.raises(SearchTooLarge, match="more than 25 points"):
@@ -645,9 +647,76 @@ class TestEmbedding:
             assert s < t
 
     def test_distance_outside_s_rejected(self):
-        t = FiniteMetricSpace([[0, 5], [5, 0]])
-        with pytest.raises(InvalidSpace):
+        t = FiniteMetricSpace([[0, 1, 5], [1, 0, 5], [5, 5, 0]])
+        with pytest.raises(InvalidSpace) as info:
             coding_embed("134", 3, t)
+        assert str(info.value) == "target distance 5 outside the variant's set"
+
+    @pytest.mark.parametrize("v", [Fraction(5, 2), Fraction(3, 2)])
+    def test_fraction_distance_outside_s_rejected(self, v):
+        # a target at scale 2 is named from its Fractions, also when its
+        # scaled ints (here 1 and 3 for 3/2) all lie in the variant's set
+        t = FiniteMetricSpace([[0, 1, v], [1, 0, v], [v, v, 0]] if v > 2 else [[0, v], [v, 0]])
+        with pytest.raises(InvalidSpace) as info:
+            coding_embed("134", 3, t)
+        assert str(info.value) == f"target distance {v} outside the variant's set"
+
+    def test_warm_call_builds_no_row(self):
+        target = FiniteMetricSpace([[0, 3, 4], [3, 0, 1], [4, 1, 0]])
+        first = coding_embed("134", 5, target)
+        misses = milliken._distance_row.cache_info().misses
+        assert coding_embed("134", 5, target) == first
+        assert milliken._distance_row.cache_info().misses == misses
+        milliken._distance_row.cache_clear()
+        assert coding_embed("134", 5, target) == first
+        assert milliken._distance_row.cache_info().misses > 0
+
+    def test_row_table_bounded(self):
+        maxsize = milliken._distance_row.cache_parameters()["maxsize"]
+        assert maxsize == milliken._ROW_TABLE_SIZE and 0 < maxsize <= 1024
+
+    def test_negative_cap_refused_before_listing(self, monkeypatch):
+        def listed(*args):
+            raise AssertionError("admissible points listed")
+
+        monkeypatch.setattr(milliken, "_admissible", listed)
+        index, rows = milliken._embed_index.cache_info(), milliken._distance_row.cache_info()
+        pair = FiniteMetricSpace([[0, 1], [1, 0]])
+        with pytest.raises(InvalidSpace) as info:
+            coding_embed("134", 3, pair, max_candidates=-5)
+        assert str(info.value) == "max_candidates must be non-negative, got -5"
+        assert (milliken._embed_index.cache_info(), milliken._distance_row.cache_info()) == (index, rows)
+        # a target over the set is still named first
+        with pytest.raises(InvalidSpace, match="target distance 5 outside"):
+            coding_embed("134", 3, FiniteMetricSpace([[0, 5], [5, 0]]), max_candidates=-5)
+
+    def test_zero_cap_stays_valid(self):
+        # depth 0 has one node and so no admissible pair
+        assert coding_embed("134", 0, FiniteMetricSpace([]), max_candidates=0) == []
+        assert coding_embed("134", 0, FiniteMetricSpace.single_point(), max_candidates=0) is None
+        with pytest.raises(SearchTooLarge, match="more than 0 points"):
+            coding_embed("134", 3, FiniteMetricSpace.single_point(), max_candidates=0)
+
+    @given(st.lists(st.tuples(st.sampled_from(VARIANTS), st.integers(2, 3), st.sampled_from([26, 20000]),
+                              st.integers(1, 4), st.integers(0, 10**6), st.booleans()),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_rows_match_reference(self, steps):
+        # interleaved variants, depths and caps on a warm row table, some after a clear
+        for name, depth, cap, n, seed, clear in steps:
+            if clear:
+                milliken._distance_row.cache_clear()
+            svals = [int(v) for v in load_variant(name).distance_set.values]
+            target = random_s_space(random.Random(seed), svals, n)
+            try:
+                want = _reference_coding_embed(name, depth, target, max_candidates=cap)
+            except SearchTooLarge:
+                rows = milliken._distance_row.cache_info().currsize
+                with pytest.raises(SearchTooLarge, match=f"more than {cap} points"):
+                    coding_embed(name, depth, target, max_candidates=cap)
+                assert milliken._distance_row.cache_info().currsize == rows
+                continue
+            assert coding_embed(name, depth, target, max_candidates=cap) == want
 
     def test_insufficient_depth_reports_failure(self):
         # two points at distance 9 need distinct s parts and a t-edge; depth 0

@@ -246,3 +246,30 @@ def test_library_imports_only_the_standard_library():
         if module.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert found == []
+
+
+def test_every_lru_cache_in_the_library_is_bounded():
+    # a table kept for the life of the process needs a bound: each
+    # functools.lru_cache in the library names a positive int maxsize, as a
+    # literal or as a module constant, and none is bare (its bound unstated)
+    found = []
+    for name, tree in _trees():
+        constants = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        called = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if "lru_cache" not in (getattr(node, "id", None), getattr(node, "attr", None)):
+                continue
+            call = called.get(id(node))
+            sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1] if call else []
+            size = sizes[0] if sizes else None
+            if isinstance(size, ast.Name):
+                size = ast.Constant(constants.get(size.id))
+            if not (isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -121,7 +121,8 @@ def _reference_is_uniformly_branching(x):
 
 
 def _reference_fichet_embedding(x, p):
-    """The Fichet report with each point's ancestor chain walked on its own."""
+    """The Fichet report summed on Fractions, node weight by node weight, with
+    each point's ancestor chain walked on its own."""
     t = tree_of_space(x)
     k = t.height
     a = t.level_distances
@@ -469,6 +470,29 @@ class TestFichet:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_report(self, x, p):
         assert fichet_embedding(x, p) == _reference_fichet_embedding(x, p)
+
+    @given(st.lists(st.fractions(Fraction(1, 12), 12), min_size=1, max_size=4, unique=True),
+           st.integers(1, 8), st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_fraction_levels(self, levels, n, p, seed):
+        # levels with denominators put the int view at a scale above 1
+        x = random_ultrametric(random.Random(seed), n, levels=tuple(levels))
+        assert fichet_embedding(x, p) == _reference_fichet_embedding(x, p)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_reference_on_grids_and_combs(self, p):
+        spaces = [comb_space(n) for n in range(1, 8)]
+        spaces += [ultrametric_urysohn_grid(DistanceSet(s), 2) for s in ([1], [1, 2], [Fraction(1, 3), 2, 5])]
+        for x in spaces:
+            rep = fichet_embedding(x, p)
+            assert rep == _reference_fichet_embedding(x, p)
+            assert [str(v) for v in rep.node_weights_p.values()] == \
+                [str(v) for v in _reference_fichet_embedding(x, p).node_weights_p.values()]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, Fraction(2), "2", 0, -1])
+    def test_non_integer_p_refused(self, p):
+        with pytest.raises(InvalidSpace, match="^p must be a positive integer$"):
+            fichet_embedding(comb3(), p)
 
     def test_dimension_bound_tight_cases(self):
         # the comb uses the most nodes per leaf count
