@@ -286,12 +286,9 @@ def _ultra_bigdegree(args) -> int:
 
 def _ultra_fichet(args) -> int:
     rep = ultratrees.fichet_embedding(_load_space(args.space), args.p)
-    payload = {
-        "p": rep.p,
-        "dimension": rep.dimension,
-        "dimensionBound": rep.dimension_bound,
-        "weightsP": {str(k): format_fraction(v) for k, v in rep.node_weights_p.items()},
-    }
+    payload = {"p": rep.p, "dimension": rep.dimension, "dimensionBound": rep.dimension_bound}
+    if args.json:  # the text shows no weight; a large p's can pass Python's int-to-str limit
+        payload["weightsP"] = {str(k): format_fraction(v) for k, v in rep.node_weights_p.items()}
     _emit(args, payload, [
         f"p: {rep.p}  dimension: {rep.dimension} <= {rep.dimension_bound}",
         f"pairs verified: {len(rep.pair_checks)}",
@@ -391,9 +388,10 @@ def _color_greedy(args) -> int:
 
 def _color_divide(args) -> int:
     x = _load_space(args.space)
-    centers = tuple(_ints(args.centers))
-    radii = {c: r for c, r in zip(centers, _fracs(args.radii))}
-    colors = partitions.divisibility_coloring(x, partitions.NetSystem(centers, radii))
+    centers, radii = tuple(_ints(args.centers)), _fracs(args.radii)
+    if len(radii) > len(centers):
+        raise InvalidSpace(f"{len(radii)} radii for {len(centers)} centers")
+    colors = partitions.divisibility_coloring(x, partitions.NetSystem(centers, dict(zip(centers, radii))))
     _emit(args, {"coloring": colors}, ["coloring: " + "".join(map(str, colors))])
     return 0
 

@@ -35,7 +35,10 @@ from .spaces import (
 )
 
 VARIANTS = ("134", "2379", "2678", "26712", "1378")
-_SAMPLED_MAX_POINTS = 2**22  # a sampled build lists its points: 2,094,081 took 0.16 s and 145 MB (Xeon core)
+# points per build, by check mode (the keys are the modes); a sampled build
+# lists its points: 2,094,081 took 0.16 s and 145 MB (Xeon core)
+_MAX_POINTS = {"exhaustive": 800, "sampled": 2**22}
+_MAX_CANDIDATES = 20000  # admissible points per embed index (see _embed_index)
 _ROW_TABLE_SIZE = 1024  # distance rows kept across coding_embed calls (see _distance_row)
 
 
@@ -301,7 +304,6 @@ def milliken_space(
     check: str = "exhaustive",
     samples: int = 200_000,
     seed: int = 0,
-    max_points: int = 800,
 ) -> MillikenSpace:
     """Build the coding space at the given depth and check metricity.
 
@@ -310,7 +312,7 @@ def milliken_space(
     (_type_verdict): when every type is a triangle, the space is metric at
     every depth, and no matrix is scanned nor triangle drawn.  Otherwise
     (the inverted builds) the check decides, and fixes the witness.  The
-    exhaustive check builds the whole matrix, capped at max_points
+    exhaustive check builds the whole matrix, capped at 800 points
     (covering pairs over the binary tree to depth 4 and over the ternary
     tree to depth 3, and triples to depth 3): from the Fraction table when
     the types prove it metric, so its rows are the space's; otherwise from
@@ -321,16 +323,16 @@ def milliken_space(
     their distances; samples and seed matter only then.  A space under 3
     points has no triangle and is metric.  The mode and samples are checked
     first, then the point count, reckoned from the node count before any
-    node is listed, against max_points or, sampled, _SAMPLED_MAX_POINTS; a
-    count too long to format (_point_count) is not reckoned and is refused
-    as more than the cap.
+    node is listed, against the mode's cap in _MAX_POINTS; a count too long
+    to format (_point_count) is not reckoned and is refused as more than
+    the cap.
     """
     variant = load_variant(name)
-    if check not in ("exhaustive", "sampled"):
+    if check not in _MAX_POINTS:
         raise InvalidSpace(f"unknown check mode {check!r}")
     if check == "sampled" and samples < 1:
         raise InvalidSpace(f"need at least 1 sample, got {samples}")
-    cap = max_points if check == "exhaustive" else _SAMPLED_MAX_POINTS
+    cap = _MAX_POINTS[check]
     n = _point_count(variant, depth)
     if n is None or n > cap:
         count = f"more than {cap} points" if n is None else f"{n} points > {cap}"
@@ -412,22 +414,24 @@ class _EmbedIndex(NamedTuple):
 
 
 @functools.cache
-def _embed_index(name: str, depth: int, max_candidates: int) -> _EmbedIndex:
-    """The embedding index of a (variant, depth), built once per cap.
+def _embed_index(name: str, depth: int) -> _EmbedIndex:
+    """The embedding index of a (variant, depth), built once.
 
-    An oversized subset is refused, and not cached, without being listed
-    in full: at once when _admissible_floor already exceeds max_candidates,
-    else when listing reaches max_candidates + 1 points.
+    An index holds the whole admissible subset, which must not exceed
+    _MAX_CANDIDATES points.  The depths under that cap form a prefix per
+    variant (0-7 for 134, 2379 and 26712, 0-6 for 1378, 0-5 for 2678), so
+    at most 37 indexes are kept.  An oversized subset is refused, and not
+    cached, without being listed in full: at once when _admissible_floor
+    already exceeds the cap, else when listing reaches the cap + 1 points.
     """
-    variant = load_variant(name)
+    variant, cap = load_variant(name), _MAX_CANDIDATES
     # the floor counts at least one string per length below depth - k + 2, so
     # a depth that long is refused before the floor's power is taken
-    if (depth - variant.tuple_size + 2 > max_candidates
-            or _admissible_floor(variant, depth) > max_candidates):
-        raise SearchTooLarge(f"admissible subset too large: more than {max_candidates} points")
-    candidates = list(itertools.islice(_admissible(variant, depth), max_candidates + 1))
-    if len(candidates) > max_candidates:
-        raise SearchTooLarge(f"admissible subset too large: more than {max_candidates} points")
+    if depth - variant.tuple_size + 2 > cap or _admissible_floor(variant, depth) > cap:
+        raise SearchTooLarge(f"admissible subset too large: more than {cap} points")
+    candidates = list(itertools.islice(_admissible(variant, depth), cap + 1))
+    if len(candidates) > cap:
+        raise SearchTooLarge(f"admissible subset too large: more than {cap} points")
     by_value = {}
     for relations, value in _case_lookup(name).items():
         by_value.setdefault(value, []).append(relations)
@@ -445,19 +449,18 @@ def _embed_index(name: str, depth: int, max_candidates: int) -> _EmbedIndex:
 
 
 @functools.lru_cache(maxsize=_ROW_TABLE_SIZE)
-def _distance_row(name: str, depth: int, max_candidates: int, k: int) -> dict:
-    """Candidate k's distance row in _embed_index(name, depth, max_candidates):
-    per value, the bitset of the other candidates at it.
+def _distance_row(name: str, depth: int, k: int) -> dict:
+    """Candidate k's distance row in _embed_index(name, depth): per value,
+    the bitset of the other candidates at it.
 
     One bounded table for the process, kept across coding_embed calls: a
     row depends only on the index and k.  A row holds one bitset per value
-    of the variant's set (at most 4), each under max_candidates bits, plus
-    under 0.5 KB of dict and table entry.  So at the default cap of 20,000
-    a row is at most about 11 KB (4 ints of 2.7 KB), and the
-    _ROW_TABLE_SIZE rows at most about 11 MB.  Under tracemalloc a row took
-    1.3-3.1 KB at 2678, depth 5 (5,779 candidates) and 4.0-4.6 KB at 26712,
-    depth 7 (10,795).  Rows are asked for only once the index is built, so
-    a refused index caches none.
+    of the variant's set (at most 4), each under _MAX_CANDIDATES (20,000)
+    bits, plus under 0.5 KB of dict and table entry.  So a row is at most
+    about 11 KB (4 ints of 2.7 KB), and the _ROW_TABLE_SIZE rows at most
+    about 11 MB.  Under tracemalloc a row took 1.3-3.1 KB at 2678, depth 5
+    (5,779 candidates) and 4.0-4.6 KB at 26712, depth 7 (10,795).  Rows are
+    asked for only once the index is built, so a refused index caches none.
 
     Per slot, the candidates fall into groups by the relation of their node
     to k's node x there (see _relation): x itself; the rest of x's height;
@@ -467,7 +470,7 @@ def _distance_row(name: str, depth: int, max_candidates: int, k: int) -> dict:
     intersected.  k itself is left out: the table gives an equal tuple a
     nonzero distance.
     """
-    index = _embed_index(name, depth, max_candidates)
+    index = _embed_index(name, depth)
     groups = []  # groups[c][r]: the candidates whose slot-c node has relation r to k's
     for (nodes, heights, digits), x in zip(index.slots, index.candidates[k]):
         group = [0] * (index.alphabet + 1)
@@ -491,12 +494,7 @@ def _distance_row(name: str, depth: int, max_candidates: int, k: int) -> dict:
     return row
 
 
-def coding_embed(
-    name: str,
-    depth: int,
-    target: FiniteMetricSpace,
-    max_candidates: int = 20000,
-):
+def coding_embed(name: str, depth: int, target: FiniteMetricSpace):
     """Embed a small target space into the coding's admissible subset.
 
     Complete backtracking in greedy height-increasing order: candidates are
@@ -505,17 +503,17 @@ def coding_embed(
     exists at this depth.  Returns the list of chosen coding points or None.
 
     The search runs on Python-int bitsets over the admissible list, which is
-    indexed once per (variant, depth, cap).  Level i's domain is the AND of
-    the distance rows of the points placed so far, each taken at its wanted
-    distance to target point i.  A row is built when its candidate is first
-    tried and kept in a process-wide table (_distance_row), so a warm call
-    builds none.  After each placement every later level must keep a
-    nonempty domain, or the branch is cut (forward checking, as in Haralick
-    & Elliott 1980).  The levels keep their fixed order and each domain is
-    scanned by ascending index, so the first embedding found, or None, is
-    that of the plain backtracker over the same order.  The target is read
-    through its int view; Fractions are read only to name a distance
-    outside the variant's set.  A negative max_candidates is refused.
+    indexed once per (variant, depth) and capped at _MAX_CANDIDATES points.
+    Level i's domain is the AND of the distance rows of the points placed so
+    far, each taken at its wanted distance to target point i.  A row is
+    built when its candidate is first tried and kept in a process-wide
+    table (_distance_row), so a warm call builds none.  After each placement
+    every later level must keep a nonempty domain, or the branch is cut
+    (forward checking, as in Haralick & Elliott 1980).  The levels keep
+    their fixed order and each domain is scanned by ascending index, so the
+    first embedding found, or None, is that of the plain backtracker over
+    the same order.  The target is read through its int view; Fractions are
+    read only to name a distance outside the variant's set.
     """
     variant = load_variant(name)
     if target.n > 6:
@@ -526,9 +524,7 @@ def coding_embed(
         for v in target.distances():
             if v not in variant.distance_set:
                 raise InvalidSpace(f"target distance {v} outside the variant's set")
-    if max_candidates < 0:
-        raise InvalidSpace(f"max_candidates must be non-negative, got {max_candidates}")
-    candidates = _embed_index(name, depth, max_candidates).candidates
+    candidates = _embed_index(name, depth).candidates
 
     # place tightly-linked target points consecutively: component reuse is
     # then forced early and the backtracking prunes hard
@@ -549,7 +545,7 @@ def coding_embed(
         while domain:
             k = (domain & -domain).bit_length() - 1
             domain &= domain - 1
-            row = _distance_row(name, depth, max_candidates, k)
+            row = _distance_row(name, depth, k)
             later = []
             for d, v in wanted:
                 d &= row.get(v, 0)

@@ -422,6 +422,15 @@ class TestMoreSurface:
         code, out, _ = run_cli(capsys, "ultra", "fichet", "--space", paths["comb"], "-p", "3")
         assert code == 0 and "pairs verified: 3" in out
 
+    def test_ultra_fichet_large_p_text(self, capsys, spaces):
+        # the text shows no weight, so a weight too long to format (2^20000
+        # has 6,021 digits) only stops --json, which prints the weights
+        paths, _ = spaces
+        code, out, _ = run_cli(capsys, "ultra", "fichet", "--space", paths["comb"], "-p", "20000")
+        assert code == 0 and out == "p: 20000  dimension: 5 <= 6\npairs verified: 3\n"
+        code, out, err = run_cli(capsys, "--json", "ultra", "fichet", "--space", paths["comb"], "-p", "20000")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -532,6 +541,7 @@ class TestInputErrors:
         ("color annulus --space {line} --start 1 --end 2 --chain=", "chain must run from start to end"),
         ("color divide --space {tri} --centers 0,9 --radii 1/3,1/3", "point 9 out of range"),
         ("color divide --space {tri} --centers 0,1 --radii 1/3", "center 1 has no radius"),
+        ("color divide --space {tri} --centers 0,1,2 --radii 1/3,1/3,1/3,1/4", "4 radii for 3 centers"),
         ("amalgamate 1 --y0 {tri} --y1 {tri} --x0 0,9 --x1 0,1", "point 9 out of range"),
         ("amalgamate 1 --y0 {tri} --y1 {tri} --x0 -1 --x1 0", "point -1 out of range"),
         ("iso --space {dir}", "Is a directory"),

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -429,9 +430,9 @@ class TestMetricVerdicts:
 
     def test_sampled_cap_admits_its_own_count(self, monkeypatch):
         n = _point_count(load_variant("2678"), 3)
-        monkeypatch.setattr(milliken, "_SAMPLED_MAX_POINTS", n)
+        monkeypatch.setitem(milliken._MAX_POINTS, "sampled", n)
         assert milliken_space("2678", 3, check="sampled", samples=1).space is None
-        monkeypatch.setattr(milliken, "_SAMPLED_MAX_POINTS", n - 1)
+        monkeypatch.setitem(milliken._MAX_POINTS, "sampled", n - 1)
         with pytest.raises(SearchTooLarge, match=f"{n} points > {n - 1}"):
             milliken_space("2678", 3, check="sampled", samples=1)
 
@@ -563,6 +564,21 @@ class TestCoreMatchesReference:
         assert _triangle_witness(d) == _reference_triangle_witness(d)
 
 
+@contextlib.contextmanager
+def _candidate_cap(monkeypatch, cap):
+    """Embed with _MAX_CANDIDATES set to cap, on cleared index and row tables
+    (an index built under a larger cap would pass a smaller one)."""
+    milliken._embed_index.cache_clear()
+    milliken._distance_row.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(milliken, "_MAX_CANDIDATES", cap)
+            yield
+    finally:
+        milliken._embed_index.cache_clear()
+        milliken._distance_row.cache_clear()
+
+
 class TestEmbedding:
     @pytest.mark.parametrize("name", VARIANTS)
     def test_empty_target_embeds_as_empty_list(self, name):
@@ -632,9 +648,29 @@ class TestEmbedding:
         assert milliken._distance_row.cache_info() == rows
         # 134 has 26 admissible points at depth 3
         pair = FiniteMetricSpace([[0, 1], [1, 0]])
-        with pytest.raises(SearchTooLarge, match="more than 25 points"):
-            coding_embed("134", 3, pair, max_candidates=25)
-        assert coding_embed("134", 3, pair, max_candidates=26) == coding_embed("134", 3, pair)
+        want = coding_embed("134", 3, pair)
+        with _candidate_cap(monkeypatch, 25), pytest.raises(SearchTooLarge, match="more than 25 points"):
+            coding_embed("134", 3, pair)
+        with _candidate_cap(monkeypatch, 26):
+            assert coding_embed("134", 3, pair) == want
+
+    def test_index_table_holds_at_most_37_indexes(self):
+        # under the cap the depths form a prefix per variant; every deeper
+        # one is refused and cached nowhere
+        milliken._embed_index.cache_clear()
+        deepest = {}
+        for name, depth in itertools.product(VARIANTS, range(13)):
+            cached = milliken._embed_index.cache_info().currsize
+            try:
+                assert coding_embed(name, depth, FiniteMetricSpace([])) == []
+            except SearchTooLarge as refused:
+                assert str(refused) == "admissible subset too large: more than 20000 points"
+                assert milliken._embed_index.cache_info().currsize == cached
+            else:
+                assert deepest.get(name, -1) == depth - 1, (name, depth)
+                deepest[name] = depth
+        assert deepest == {"134": 7, "2379": 7, "2678": 5, "26712": 7, "1378": 6}
+        assert milliken._embed_index.cache_info().currsize == 37
 
     def test_membership_constraints_hold(self):
         rng = random.Random(7)
@@ -675,48 +711,26 @@ class TestEmbedding:
         maxsize = milliken._distance_row.cache_parameters()["maxsize"]
         assert maxsize == milliken._ROW_TABLE_SIZE and 0 < maxsize <= 1024
 
-    def test_negative_cap_refused_before_listing(self, monkeypatch):
-        def listed(*args):
-            raise AssertionError("admissible points listed")
-
-        monkeypatch.setattr(milliken, "_admissible", listed)
-        index, rows = milliken._embed_index.cache_info(), milliken._distance_row.cache_info()
-        pair = FiniteMetricSpace([[0, 1], [1, 0]])
-        with pytest.raises(InvalidSpace) as info:
-            coding_embed("134", 3, pair, max_candidates=-5)
-        assert str(info.value) == "max_candidates must be non-negative, got -5"
-        assert (milliken._embed_index.cache_info(), milliken._distance_row.cache_info()) == (index, rows)
-        # a target over the set is still named first
-        with pytest.raises(InvalidSpace, match="target distance 5 outside"):
-            coding_embed("134", 3, FiniteMetricSpace([[0, 5], [5, 0]]), max_candidates=-5)
-
-    def test_zero_cap_stays_valid(self):
+    def test_zero_cap_stays_valid(self, monkeypatch):
         # depth 0 has one node and so no admissible pair
-        assert coding_embed("134", 0, FiniteMetricSpace([]), max_candidates=0) == []
-        assert coding_embed("134", 0, FiniteMetricSpace.single_point(), max_candidates=0) is None
-        with pytest.raises(SearchTooLarge, match="more than 0 points"):
-            coding_embed("134", 3, FiniteMetricSpace.single_point(), max_candidates=0)
+        with _candidate_cap(monkeypatch, 0):
+            assert coding_embed("134", 0, FiniteMetricSpace([])) == []
+            assert coding_embed("134", 0, FiniteMetricSpace.single_point()) is None
+            with pytest.raises(SearchTooLarge, match="more than 0 points"):
+                coding_embed("134", 3, FiniteMetricSpace.single_point())
 
-    @given(st.lists(st.tuples(st.sampled_from(VARIANTS), st.integers(2, 3), st.sampled_from([26, 20000]),
+    @given(st.lists(st.tuples(st.sampled_from(VARIANTS), st.integers(2, 3),
                               st.integers(1, 4), st.integers(0, 10**6), st.booleans()),
                     min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_shared_rows_match_reference(self, steps):
-        # interleaved variants, depths and caps on a warm row table, some after a clear
-        for name, depth, cap, n, seed, clear in steps:
+        # interleaved variants and depths on a warm row table, some after a clear
+        for name, depth, n, seed, clear in steps:
             if clear:
                 milliken._distance_row.cache_clear()
             svals = [int(v) for v in load_variant(name).distance_set.values]
             target = random_s_space(random.Random(seed), svals, n)
-            try:
-                want = _reference_coding_embed(name, depth, target, max_candidates=cap)
-            except SearchTooLarge:
-                rows = milliken._distance_row.cache_info().currsize
-                with pytest.raises(SearchTooLarge, match=f"more than {cap} points"):
-                    coding_embed(name, depth, target, max_candidates=cap)
-                assert milliken._distance_row.cache_info().currsize == rows
-                continue
-            assert coding_embed(name, depth, target, max_candidates=cap) == want
+            assert coding_embed(name, depth, target) == _reference_coding_embed(name, depth, target)
 
     def test_insufficient_depth_reports_failure(self):
         # two points at distance 9 need distinct s parts and a t-edge; depth 0
