@@ -11,19 +11,21 @@ is checked exhaustively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .spaces import (
-    EdgeLabelledGraph,
     FiniteMetricSpace,
     InvalidSpace,
+    _complete_ints,
+    _fraction_rows,
     _match,
-    _ranked,
+    _rank_masks,
+    _rank_rows,
     _scaled,
     as_fraction,
-    complete,
 )
 
 
@@ -80,8 +82,16 @@ def hedgehog_build(
     indices' positions, coarse points carry the ceiled metric, and each tree
     node sits at 1/m from its projection.  The returned metric is the capped
     (at 1) shortest-path completion, which must agree with every label:
-    `complete` raises InvalidSpace otherwise.  The ceiled metric needs no check:
-    c <= a + b <= ceil(a) + ceil(b), on the 1/m grid, so ceil(c) <= that sum.
+    `spaces._complete_ints` raises InvalidSpace otherwise.  The ceiled metric
+    needs no check: c <= a + b <= ceil(a) + ceil(b), on the 1/m grid, so
+    ceil(c) <= that sum.
+
+    The completion runs on ints, every label on one grid of 1/L, with L the
+    lcm of m and the prefix's scale s: a prefix distance u/s ceils to
+    ceil(u*m/s) steps of L/m, a fine distance is u*(L/s), the node-to-top
+    label is L/m and the cap is L.  The graph is connected by construction:
+    the base points are pairwise labelled and each node is labelled to its
+    top point.
     """
     if m < 1:
         raise InvalidSpace("m must be a positive integer")
@@ -90,13 +100,20 @@ def hedgehog_build(
     n = prefix.n
     if max_tree_size is None:
         max_tree_size = n
-    coarse = FiniteMetricSpace._from_rows(tuple(
-        tuple(ceil_to_grid(v, m) if i != j else Fraction(0) for j, v in enumerate(row))
-        for i, row in enumerate(prefix.d)))
+    fine_rows, s = prefix._scaled_rows()
+    if n and max(map(max, fine_rows)) > s:  # ceil_to_grid refuses the first distance above 1
+        for v in chain.from_iterable(prefix.d):
+            if v > 1:
+                ceil_to_grid(v, m)
+    grid = math.lcm(s, m)
+    step, fine = grid // m, grid // s
+    coarse_rows = tuple(tuple(-(-u * m // s) * step for u in row) for row in fine_rows)
+    coarse = FiniteMetricSpace._from_rows(_fraction_rows(coarse_rows, grid))
 
     # increasing t with x_i -> x_{t_i} coarse-isometric, in combinations order:
     # each point's masks are cut to the points above it
-    _, r, masks = _ranked(coarse)
+    table, r = _rank_rows(coarse_rows)
+    masks = _rank_masks(r, len(table))
     increasing = [[m & (-1 << (p + 1)) for m in row] for p, row in enumerate(masks)]
     tree_nodes = []
     for size in range(1, min(max_tree_size, n) + 1):
@@ -105,16 +122,19 @@ def hedgehog_build(
     # tree nodes follow the base points, shorter nodes first, so every key
     # below is already (smaller index, larger index)
     node_index = {t: n + i for i, t in enumerate(tree_nodes)}
-    labels = {(i, j): coarse.d[i][j] for i, j in combinations(range(n), 2)}
+    ints = {(i, j): coarse_rows[i][j] for i, j in combinations(range(n), 2)}
     # comparable under end-extension: fine distance of the positions; every
     # proper prefix of a tree node is itself a tree node
     for t in tree_nodes:
+        top, row = node_index[t], fine_rows[len(t) - 1]
         for j in range(1, len(t)):
-            labels[(node_index[t[:j]], node_index[t])] = prefix.d[j - 1][len(t) - 1]
+            ints[node_index[t[:j]], top] = row[j - 1] * fine
     for t in tree_nodes:
-        labels[(max(t), node_index[t])] = Fraction(1, m)
+        ints[max(t), node_index[t]] = step
+    frac = {u: Fraction(u, grid) for u in set(ints.values())}
+    labels = {pair: frac[u] for pair, u in ints.items()}
 
-    dz = complete(EdgeLabelledGraph(n + len(tree_nodes), labels), "sum-cap", 1)
+    dz = _complete_ints(n + len(tree_nodes), ints, "sum-cap", grid, grid)
     return HedgehogSpace(m, prefix, coarse, tree_nodes, labels, dz, n)
 
 
@@ -160,6 +180,49 @@ def _cycle_shape(z: HedgehogSpace, cycle) -> str:
     return f"unexpected({len(cycle)} nodes, {len(base)} base)"
 
 
+def _chordless_cycles(total: int, labels: dict, max_cycle_len: int) -> list[tuple[int, ...]]:
+    """The chordless cycles of at most max_cycle_len points of the graph of
+    labels on range(total).
+
+    Each chordless cycle is listed once, walked from its least point in the
+    direction whose second point is below its last.  A chordless cycle is
+    the only cycle on its points, so its two directions are its only
+    repeats, and the walk over ascending neighbours meets that direction
+    first.  A path stops at its first chord: it grows only by points
+    adjacent to none of path[1:-1], and a last point adjacent to path[0]
+    closes it.  The walk runs on neighbour bitsets: the next points are
+    nbr[tail] less the path and the blocked points, those at or below the
+    start and the neighbours of path[1:-1], taken by ascending bit.
+    """
+    nbr = [0] * total
+    for a, b in labels:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    cycles = []
+
+    def extend(path, on_path, blocked):
+        tail = path[-1]
+        if len(path) > 2 and nbr[tail] >> path[0] & 1:
+            if path[1] < tail:
+                cycles.append(tuple(path))
+            return
+        if len(path) >= max_cycle_len:
+            return
+        cands = nbr[tail] & ~(on_path | blocked)
+        if len(path) > 1:  # tail is inside every longer path
+            blocked |= nbr[tail]
+        while cands:
+            low = cands & -cands
+            path.append(low.bit_length() - 1)
+            extend(path, on_path | low, blocked)
+            path.pop()
+            cands ^= low
+
+    for start in range(total):
+        extend([start], 1 << start, (2 << start) - 1)
+    return cycles
+
+
 def hedgehog_verify(z: HedgehogSpace, max_cycle_len: int = 5) -> HedgehogReport:
     """Check the three finite-scale facts behind the gluing construction.
 
@@ -169,42 +232,14 @@ def hedgehog_verify(z: HedgehogSpace, max_cycle_len: int = 5) -> HedgehogReport:
     metric; (c) every branch is isometric to its prefix of the fine space and
     stays within 1/m of its projections.
 
-    Each chordless cycle is listed once, walked from its least point in the
-    direction whose second point is below its last.  A chordless cycle is
-    the only cycle on its points, so its two directions are its only
-    repeats, and the walk over sorted neighbours meets that direction first.
-    A path stops at its first chord: it grows only by points adjacent to none
-    of path[1:-1], and a last point adjacent to path[0] closes it.
+    The cycles are those of _chordless_cycles.
     """
     violations = []
     for (a, b), v in sorted(z.labels.items()):
         if z.dz.d[a][b] != v:
             violations.append((a, b, v, z.dz.d[a][b]))
 
-    adj = [set() for _ in range(z.dz.n)]
-    for (a, b) in z.labels:
-        adj[a].add(b)
-        adj[b].add(a)
-    neighbours = [sorted(a) for a in adj]
-
-    cycles = []
-
-    def extend(path):
-        tail = path[-1]
-        if len(path) > 2 and tail in adj[path[0]]:
-            if path[1] < tail:
-                cycles.append(tuple(path))
-            return
-        if len(path) >= max_cycle_len:
-            return
-        for nxt in neighbours[tail]:
-            if nxt > path[0] and nxt not in path and adj[nxt].isdisjoint(path[1:-1]):
-                path.append(nxt)
-                extend(path)
-                path.pop()
-
-    for start in range(z.dz.n):
-        extend([start])
+    cycles = _chordless_cycles(z.dz.n, z.labels, max_cycle_len)
 
     # the cycle sums run on the labels and 1 scaled to ints once; a positive
     # scale keeps every comparison, and Fractions are built only for a violation

@@ -137,14 +137,41 @@ def _fraction_rows(m, scale: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(map(frac.__getitem__, row)) for row in m)
 
 
+def _triangles_hold(m) -> bool:
+    """Whether the zero-diagonal symmetric matrix m satisfies every triangle
+    inequality.
+
+    Let rho(p) be the least distance from p to another point.  A pair (i, j)
+    is the long side of a failing triangle only if d(i,j) > rho(i) + rho(j),
+    since d(i,k) >= rho(i) and d(j,k) >= rho(j); no other pair is scanned.  A
+    flagged pair holds when min over k of d(i,k) + d(j,k) is at least d(i,j):
+    k = i and k = j each give exactly d(i,j), so the min falls below d(i,j)
+    only at a third point k that breaks the triangle.
+    """
+    n = len(m)
+    if n < 3:
+        return True
+    rho = [min(row[:p] + row[p + 1:]) for p, row in enumerate(m)]
+    for i, mi in enumerate(m):
+        ri = rho[i]
+        for j in range(i + 1, n):
+            if mi[j] > ri + rho[j] and min(map(operator.add, mi, m[j])) < mi[j]:
+                return False
+    return True
+
+
 def _violating_triple(m, join) -> tuple[int, int, int] | None:
     """The least (i, j, k) with one side > join of the other two, or None.
 
     m is an int matrix (a space's view, or its rows scaled to ints: a
-    positive scaling keeps every comparison).  join is operator.add for the
-    triangle inequality and max for the ultrametric one.  Triples are
-    scanned in itertools.combinations order.
+    positive scaling keeps every comparison) with a zero diagonal, symmetric.
+    join is operator.add for the triangle inequality and max for the
+    ultrametric one.  Triples are scanned in itertools.combinations order;
+    for the sum join the scan runs only when _triangles_hold fails, to name
+    the least triple.
     """
+    if join is operator.add and _triangles_hold(m):
+        return None
     for i, j, k in itertools.combinations(range(len(m)), 3):
         a, b, c = m[i][j], m[i][k], m[j][k]
         if a > join(b, c) or b > join(a, c) or c > join(a, b):
@@ -366,32 +393,56 @@ def _path_closure(n: int, labels: dict, add: bool, cap: int) -> list[list[int]]:
     One Dijkstra search from each source over an adjacency list built once,
     on int labels in (0, cap]; every entry off the diagonal starts at cap,
     so a value that reaches cap is never pushed.  A path's value is its
-    labels folded by + when add is true (shortest paths) and by max when it
-    is false (minimax, bottleneck paths).  Dijkstra's order is exact for
-    both: labels are positive and both folds are monotone in both arguments,
-    so extending a path never lowers its value, and the least value on the
-    heap is final.  Each relaxation writes its fold inline.
+    labels folded by + when add is true (shortest paths, _sum_row) and by
+    max when it is false (minimax, bottleneck paths, _max_row); the fold is
+    chosen once per call.  Dijkstra's order is exact for both: labels are
+    positive and both folds are monotone in both arguments, so extending a
+    path never lowers its value, and the least value on the heap is final.
+    A heap entry is one int, value * n + point, so entries order as the
+    pairs (value, point) do.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (i, j), v in labels.items():
         adj[i].append((j, v))
         adj[j].append((i, v))
-    out = []
-    for source in range(n):
-        dist = [cap] * n
-        dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            for v, w in adj[u]:
-                s = du + w if add else (du if du > w else w)
-                if s < dist[v]:
-                    dist[v] = s
-                    heapq.heappush(heap, (s, v))
-        out.append(dist)
-    return out
+    row = _sum_row if add else _max_row
+    return [row(adj, cap, source) for source in range(n)]
+
+
+def _sum_row(adj, cap: int, source: int) -> list[int]:
+    """Least path sums from source over adj, capped at cap."""
+    n = len(adj)
+    dist = [cap] * n
+    dist[source] = 0
+    heap = [source]
+    while heap:
+        du, u = divmod(heapq.heappop(heap), n)
+        if du > dist[u]:
+            continue
+        for v, w in adj[u]:
+            s = du + w
+            if s < dist[v]:
+                dist[v] = s
+                heapq.heappush(heap, s * n + v)
+    return dist
+
+
+def _max_row(adj, cap: int, source: int) -> list[int]:
+    """Least path maxima from source over adj, capped at cap."""
+    n = len(adj)
+    dist = [cap] * n
+    dist[source] = 0
+    heap = [source]
+    while heap:
+        du, u = divmod(heapq.heappop(heap), n)
+        if du > dist[u]:
+            continue
+        for v, w in adj[u]:
+            s = du if du > w else w
+            if s < dist[v]:
+                dist[v] = s
+                heapq.heappush(heap, s * n + v)
+    return dist
 
 
 def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
@@ -429,14 +480,24 @@ def complete(g: EdgeLabelledGraph, mode: str, r=None) -> FiniteMetricSpace:
             raise InvalidSpace(
                 f"cap {format_fraction(cap)} smaller than label on ({i},{j})"
             )
-    m = _path_closure(g.n, int_labels, mode == "sum-cap", top)
-    for (i, j), u in int_labels.items():
-        if m[i][j] != u:
-            raise InvalidSpace(
-                f"labelling is not {mode}-consistent: pair ({i},{j}) has label "
-                f"{format_fraction(labels[i, j])} but path value "
-                f"{format_fraction(Fraction(m[i][j], scale))}"
-            )
+    return _complete_ints(g.n, int_labels, mode, top, scale)
+
+
+def _complete_ints(n: int, labels: dict, mode: str, cap: int, scale: int) -> FiniteMetricSpace:
+    """complete's kernel: the completion of the int labels in (0, cap] on the
+    n points, which they connect, at scale (each int u stands for u / scale).
+
+    Refuses the least labelled pair whose path value differs from its label.
+    """
+    m = _path_closure(n, labels, mode == "sum-cap", cap)
+    bad = [(i, j) for (i, j), u in labels.items() if m[i][j] != u]
+    if bad:
+        i, j = min(bad)
+        raise InvalidSpace(
+            f"labelling is not {mode}-consistent: pair ({i},{j}) has label "
+            f"{format_fraction(Fraction(labels[i, j], scale))} but path value "
+            f"{format_fraction(Fraction(m[i][j], scale))}"
+        )
     return FiniteMetricSpace._from_rows(_fraction_rows(m, scale))
 
 
@@ -765,7 +826,8 @@ def space_from_json(text: str) -> FiniteMetricSpace:
     """A space from {"points": n, "rows": [[...], ...]}; entries as for as_fraction."""
     obj = json.loads(text)
     if not (isinstance(obj, dict) and set(obj) == {"points", "rows"}
-            and isinstance(obj["rows"], list) and obj["points"] == len(obj["rows"])
+            and isinstance(obj["rows"], list)
+            and type(obj["points"]) is int and obj["points"] == len(obj["rows"])
             and all(isinstance(row, list) for row in obj["rows"])):
         raise InvalidSpace("bad JSON space payload")
     q = _TokenFractions()

@@ -186,6 +186,11 @@ class TestSpaces:
         )
         assert code == 0
         assert "points: 3" in out and "2" in out
+        # a total labelling breaking the triangle inequality: exit 1 and the least triple
+        graph.write_text("points: 4\n0 1 1 1\n1 0 1 3\n1 1 0 1\n1 3 1 0\n")
+        assert run_cli(capsys, "validate", "--graph", str(graph)) == (1, "invalid, witness (0, 1, 3)\n", "")
+        got = run_cli(capsys, "--json", "validate", "--graph", str(graph))
+        assert got == (1, '{"valid": false, "witness": [0, 1, 3]}\n', "")
 
     def test_katetov_and_extend(self, capsys, spaces):
         paths, _ = spaces
@@ -576,8 +581,14 @@ class TestInputErrors:
         ("complete --graph {tri} --cap 1/0", "zero denominator in '1/0'"),
         ("katetov --space {tri} --values 1,1,1/0", "zero denominator in '1/0'"),
         ("iso --space {abc}", "error: Invalid literal for Fraction: 'abc'\n"),
+        ("iso --space {headless}", "error: missing 'points:' header\n"),
+        ("iso --space {short}", "error: expected 3 rows, found 2\n"),
+        ("FINMETRIC_BUDGET=ten iso --space {tri}", "error: FINMETRIC_BUDGET must be an integer, got 'ten'\n"),
     ])
-    def test_contract_inputs(self, capsys, tmp_path, argv, message):
+    def test_contract_inputs(self, capsys, monkeypatch, tmp_path, argv, message):
+        tokens = argv.split()
+        if "=" in tokens[0]:  # an environment setting before the verb
+            monkeypatch.setenv(*tokens.pop(0).split("=", 1))
         files = {"dir": str(tmp_path)}
         for name, text in (
             ("tri", "points: 3\n0 1 1\n1 0 1\n1 1 0\n"),
@@ -588,10 +599,12 @@ class TestInputErrors:
             ("far", "points: 2\n0 2\n2 0\n"),
             ("zero", "points: 2\n0 1/0\n1/0 0\n"),
             ("abc", "points: 2\n0 abc\nabc 0\n"),
+            ("headless", "0 1\n1 0\n"),
+            ("short", "points: 3\n0 1 1\n1 0 1\n"),
         ):
             (tmp_path / f"{name}.txt").write_text(text)
             files[name] = str(tmp_path / f"{name}.txt")
-        code, out, err = run_cli(capsys, *(tok.format(**files) for tok in argv.split()))
+        code, out, err = run_cli(capsys, *(tok.format(**files) for tok in tokens))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 

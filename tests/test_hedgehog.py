@@ -8,12 +8,20 @@ from hypothesis import given, settings, strategies as st
 from finmetric.hedgehog import (
     HedgehogReport,
     HedgehogSpace,
+    _chordless_cycles,
     _cycle_shape,
     ceil_to_grid,
     hedgehog_build,
     hedgehog_verify,
 )
-from finmetric.spaces import FiniteMetricSpace, InvalidSpace
+from finmetric.spaces import (
+    EdgeLabelledGraph,
+    FiniteMetricSpace,
+    InvalidSpace,
+    _match,
+    _ranked,
+    complete,
+)
 
 
 def random_unit_space(rng, n):
@@ -116,6 +124,72 @@ def _reference_branches(z):
     return out
 
 
+def _reference_hedgehog_build(m, prefix, max_tree_size=None):
+    """The build on Fractions: the coarse space ceiled entry by entry, the
+    labels set on an EdgeLabelledGraph and its capped completion."""
+    if m < 1:
+        raise InvalidSpace("m must be a positive integer")
+    if max_tree_size is not None and max_tree_size < 0:
+        raise InvalidSpace(f"max tree size must be non-negative, got {max_tree_size}")
+    n = prefix.n
+    if max_tree_size is None:
+        max_tree_size = n
+    coarse = FiniteMetricSpace._from_rows(tuple(
+        tuple(ceil_to_grid(v, m) if i != j else Fraction(0) for j, v in enumerate(row))
+        for i, row in enumerate(prefix.d)))
+    _, r, masks = _ranked(coarse)
+    increasing = [[m & (-1 << (p + 1)) for m in row] for p, row in enumerate(masks)]
+    tree_nodes = []
+    for size in range(1, min(max_tree_size, n) + 1):
+        _match(r[:size], increasing, [], lambda t: tree_nodes.append(tuple(t)))
+    node_index = {t: n + i for i, t in enumerate(tree_nodes)}
+    labels = {(i, j): coarse.d[i][j] for i, j in itertools.combinations(range(n), 2)}
+    for t in tree_nodes:
+        for j in range(1, len(t)):
+            labels[(node_index[t[:j]], node_index[t])] = prefix.d[j - 1][len(t) - 1]
+    for t in tree_nodes:
+        labels[(max(t), node_index[t])] = Fraction(1, m)
+    dz = complete(EdgeLabelledGraph(n + len(tree_nodes), labels), "sum-cap", 1)
+    return HedgehogSpace(m, prefix, coarse, tree_nodes, labels, dz, n)
+
+
+def _reference_chordless_cycles(total, labels, max_cycle_len):
+    """The chordless cycles by the walk on neighbour sets: a path grows by a
+    neighbour above its start, off the path and adjacent to none of path[1:-1]."""
+    adj = [set() for _ in range(total)]
+    for (a, b) in labels:
+        adj[a].add(b)
+        adj[b].add(a)
+    neighbours = [sorted(a) for a in adj]
+    cycles = []
+
+    def extend(path):
+        tail = path[-1]
+        if len(path) > 2 and tail in adj[path[0]]:
+            if path[1] < tail:
+                cycles.append(tuple(path))
+            return
+        if len(path) >= max_cycle_len:
+            return
+        for nxt in neighbours[tail]:
+            if nxt > path[0] and nxt not in path and adj[nxt].isdisjoint(path[1:-1]):
+                path.append(nxt)
+                extend(path)
+                path.pop()
+
+    for start in range(total):
+        extend([start])
+    return cycles
+
+
+def _outcome(f, *args):
+    """The result, or the type and text of the error, for equality checks."""
+    try:
+        return f(*args)
+    except InvalidSpace as exc:
+        return ("InvalidSpace", str(exc))
+
+
 def _reference_hedgehog_verify(z, max_cycle_len=5):
     """The report with a tree walk for the branches and a seen-set of cycles."""
     violations = []
@@ -208,12 +282,13 @@ def _reference_hedgehog_verify(z, max_cycle_len=5):
 
 
 @st.composite
-def unit_prefixes(draw, max_n=5):
-    """Metric spaces with distances in (0, 1] on hundredths, 1..max_n points."""
+def unit_prefixes(draw, max_n=5, top=100):
+    """Metric spaces with distances in (0, top/100] on hundredths, 1..max_n
+    points: in (0, 1] at the default top."""
     n = draw(st.integers(1, max_n))
     w = [[Fraction(0)] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        w[i][j] = w[j][i] = Fraction(draw(st.integers(20, 100)), 100)
+        w[i][j] = w[j][i] = Fraction(draw(st.integers(20, top)), 100)
     for k, i, j in itertools.product(range(n), repeat=3):
         w[i][j] = min(w[i][j], w[i][k] + w[k][j])
     return FiniteMetricSpace(w)
@@ -291,7 +366,7 @@ class TestBuildMatchesReference:
         assert z.dz.d == _reference_capped_completion(z.dz.n, z.labels)
 
     @given(unit_prefixes(max_n=7), st.integers(1, 5))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     def test_tree_nodes(self, prefix, m):
         for max_tree_size in range(prefix.n + 1):
             z = hedgehog_build(m, prefix, max_tree_size)
@@ -308,6 +383,21 @@ class TestBuildMatchesReference:
         for i, t in enumerate(z.tree_nodes):
             want[(max(t), n + i)] = Fraction(1, m)
         assert z.labels == want
+
+
+    @given(st.one_of(unit_prefixes(max_n=6), unit_prefixes(max_n=4, top=150)),
+           st.integers(0, 6), st.none() | st.integers(-1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_build(self, prefix, m, max_tree_size):
+        # distances above 1 and the refusals of m and the tree size included
+        new = _outcome(hedgehog_build, m, prefix, max_tree_size)
+        assert new == _outcome(_reference_hedgehog_build, m, prefix, max_tree_size)
+
+    def test_build_refuses_the_first_distance_above_one(self):
+        prefix = FiniteMetricSpace([[0, Fraction(3, 2), 1], [Fraction(3, 2), 0, Fraction(5, 4)],
+                                    [1, Fraction(5, 4), 0]])
+        with pytest.raises(InvalidSpace, match=r"^value 3/2 outside \(0, 1\]$"):
+            hedgehog_build(2, prefix)
 
 
 class TestBranches:
@@ -363,11 +453,28 @@ def hedgehog_spaces(draw):
     return HedgehogSpace(z.m, z.prefix, z.coarse, z.tree_nodes, labels, dz, z.base_count)
 
 
+@st.composite
+def labelled_pairs(draw, max_n=9):
+    """(total, labels) with each pair of 0..max_n points labelled or not, so
+    cycles with and without chords of every length occur."""
+    total = draw(st.integers(0, max_n))
+    pairs = [p for p in itertools.combinations(range(total), 2) if draw(st.booleans())]
+    return total, dict.fromkeys(pairs, Fraction(1))
+
+
 class TestVerifyMatchesReference:
     @given(hedgehog_spaces())
     @settings(max_examples=150, deadline=None)
     def test_branches(self, z):
         assert z.branches() == _reference_branches(z)
+
+    @given(st.one_of(labelled_pairs(), hedgehog_spaces().map(lambda z: (z.dz.n, z.labels))),
+           st.integers(0, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_chordless_cycles(self, graph, max_cycle_len):
+        total, labels = graph
+        assert (_chordless_cycles(total, labels, max_cycle_len)
+                == _reference_chordless_cycles(total, labels, max_cycle_len))
 
     @given(hedgehog_spaces(), st.integers(2, 6))
     @settings(max_examples=150, deadline=None)

@@ -28,7 +28,7 @@ from finmetric.spaces import (
     space_to_text,
     validate,
 )
-from finmetric.spaces import _path_closure, _simple_paths, _violating_triple
+from finmetric.spaces import _path_closure, _simple_paths, _triangles_hold, _violating_triple
 
 
 def path_space():
@@ -202,6 +202,27 @@ def symmetric_matrices(draw, max_n=7):
 
 
 @st.composite
+def screened_matrices(draw, max_n=12):
+    """Zero-diagonal symmetric int matrices on 0..max_n points, with entries
+    in a near-equilateral window [a, 2a], where no pair is flagged by the
+    screen, or in a wide range [1, hi], where most pairs are; half are
+    repaired to a metric, so flagged pairs that hold occur too."""
+    n = draw(st.integers(0, max_n))
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, 50))
+        hi = 2 * lo
+    else:
+        lo, hi = 1, draw(st.integers(2, 1000))
+    d = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(st.integers(lo, hi))
+    if draw(st.booleans()):
+        for k, i, j in itertools.product(range(n), repeat=3):
+            d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+@st.composite
 def partial_graphs(draw, max_n=7, min_n=0):
     """Partial labellings, disconnected and inconsistent ones included."""
     n = draw(st.integers(min_n, max_n))
@@ -296,7 +317,7 @@ def _reference_validate(g, mode, l=None):
             [Fraction(0) if i == j else g.label(i, j) for j in range(g.n)]
             for i in range(g.n)
         ]
-        bad = _violating_triple(d, operator.add if mode == "metric" else max)
+        bad = _reference_violating_triple(d, mode)
         return bad is None, bad
     if mode == "l-metric":
         if l is None or l < 1:
@@ -530,6 +551,23 @@ class TestKernelsMatchReference:
     @settings(max_examples=200, deadline=None)
     def test_triple_scan(self, d):
         assert _triple_outcomes(d) == _reference_triple_outcomes(d)
+
+    @given(screened_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_screened_verdict(self, d):
+        want = _reference_violating_triple(d, "metric")
+        assert _triangles_hold(d) == (want is None)
+        assert _violating_triple(d, operator.add) == want
+        assert _violating_triple(tuple(map(tuple, d)), operator.add) == want
+
+    def test_screened_verdict_edges(self):
+        # every pair of the line metric |i - j| is flagged, and all hold
+        line = [[abs(i - j) for j in range(12)] for i in range(12)]
+        assert _triangles_hold(line) and _violating_triple(line, operator.add) is None
+        line[0][11] = line[11][0] = 12  # one long side too long: (0, k, 11) fails for each k
+        assert _violating_triple(line, operator.add) == (0, 1, 11)
+        for n in range(3):
+            assert _triangles_hold([[0] * n for _ in range(n)])
 
     def test_triple_scan_small_spaces_exhaustive(self):
         values = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 7))
@@ -991,6 +1029,8 @@ class TestFormats:
     @pytest.mark.parametrize("text", [
         '{"points": 1, "rows": 5}', '{"points": 1, "rows": [5]}', "5", "null",
         '[[0]]', '{"points": 1, "rows": {"0": 0}}',
+        # equal to the row count, but not an int
+        '{"points": true, "rows": [[0]]}', '{"points": 2.0, "rows": [[0, 1], [1, 0]]}',
     ])
     def test_malformed_json_shapes_rejected(self, text):
         with pytest.raises(InvalidSpace, match="^bad JSON space payload$"):
