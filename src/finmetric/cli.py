@@ -73,16 +73,20 @@ def _ints(text: str):
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _emit(args, payload: dict, lines) -> None:
+def _emit(args, payload, lines) -> None:
+    """Print payload() as JSON under --json, else each line of lines().
+
+    Both are zero-argument callables, so only the rendering printed is built.
+    """
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
 def _emit_space(args, x: FiniteMetricSpace) -> None:
-    _emit(args, {"space": _space_dict(x)}, [space_to_text(x).rstrip()])
+    _emit(args, lambda: {"space": _space_dict(x)}, lambda: [space_to_text(x).rstrip()])
 
 
 def _quad(q) -> str:
@@ -95,17 +99,16 @@ def cmd_check4v(args) -> int:
     s = DistanceSet(args.distances)
     res = four_values.check_four_values(s, _config().four_values_bound)
     if res.holds:
-        _emit(args, {"holds": True, "set": [format_fraction(v) for v in s]},
-              [f"4-values condition holds for {s}"])
+        _emit(args, lambda: {"holds": True, "set": [format_fraction(v) for v in s]},
+              lambda: [f"4-values condition holds for {s}"])
         return 0
-    payload = {
+    _emit(args, lambda: {
         "holds": False,
         "set": [format_fraction(v) for v in s],
         "witness": [format_fraction(v) for v in res.witness],
         "witnessSwap": [format_fraction(v) for v in res.witness_swap],
         "witnessBad": [format_fraction(v) for v in res.witness_bad],
-    }
-    _emit(args, payload, [
+    }, lambda: [
         f"bad quadruple {_quad(res.witness)}",
         f"swap {_quad(res.witness_swap)} disagrees; bad member in table form "
         f"{_quad(res.witness_bad)}",
@@ -116,7 +119,7 @@ def cmd_check4v(args) -> int:
 def cmd_badquads(args) -> int:
     s = DistanceSet(args.distances)
     rows = four_values.bad_quadruples(s, _config().four_values_bound)
-    payload = {
+    _emit(args, lambda: {
         "set": [format_fraction(v) for v in s],
         "rows": [
             {
@@ -130,8 +133,7 @@ def cmd_badquads(args) -> int:
             }
             for r in rows
         ],
-    }
-    _emit(args, payload, [four_values.format_bad_quadruple_table(rows)] if rows else ["(no bad quadruples)"])
+    }, lambda: [four_values.format_bad_quadruple_table(rows) if rows else "(no bad quadruples)"])
     return 0 if not any(r.unresolved for r in rows) else 1
 
 
@@ -144,7 +146,7 @@ def cmd_similar(args) -> int:
     s = DistanceSet(args.distances[:split])
     t = DistanceSet(args.distances[split + 1 :])
     verdict = four_values.similar(s, t)
-    _emit(args, {"similar": verdict}, [f"similar: {str(verdict).lower()}"])
+    _emit(args, lambda: {"similar": verdict}, lambda: [f"similar: {str(verdict).lower()}"])
     return 0 if verdict else 1
 
 
@@ -162,12 +164,9 @@ def cmd_amalgamate(args) -> int:
 def cmd_validate(args) -> int:
     g = _load_graph(args.graph)
     ok, witness = validate(g, args.mode, l=args.l)
-    payload = {"valid": ok, "witness": list(witness) if witness else None}
-    if ok:
-        _emit(args, payload, ["valid"])
-        return 0
-    _emit(args, payload, [f"invalid, witness {tuple(witness)}"])
-    return 1
+    _emit(args, lambda: {"valid": ok, "witness": list(witness) if witness else None},
+          lambda: ["valid" if ok else f"invalid, witness {tuple(witness)}"])
+    return 0 if ok else 1
 
 
 def cmd_complete(args) -> int:
@@ -180,8 +179,8 @@ def cmd_complete(args) -> int:
 def cmd_iso(args) -> int:
     x = _load_space(args.space)
     group = isometries(x, _config())
-    payload = {"order": len(group), "permutations": [list(g) for g in group]}
-    _emit(args, payload, [f"order: {len(group)}"] + [" ".join(map(str, g)) for g in group])
+    _emit(args, lambda: {"order": len(group), "permutations": [list(g) for g in group]},
+          lambda: [f"order: {len(group)}"] + [" ".join(map(str, g)) for g in group])
     return 0
 
 
@@ -189,20 +188,17 @@ def cmd_copies(args) -> int:
     y = _load_space(args.y)
     x = _load_space(args.x)
     found = copies(y, x, _config())
-    payload = {"count": len(found), "copies": [list(c) for c in found]}
-    _emit(args, payload, [f"count: {len(found)}"] + [" ".join(map(str, c)) for c in found])
+    _emit(args, lambda: {"count": len(found), "copies": [list(c) for c in found]},
+          lambda: [f"count: {len(found)}"] + [" ".join(map(str, c)) for c in found])
     return 0 if found else 1
 
 
 def cmd_katetov(args) -> int:
     x, f = _load_space(args.space), _fracs(args.values)
     ok, witness = katetov.is_katetov(x, f)
-    payload = {"katetov": ok, "witness": list(witness) if witness else None}
-    if ok:
-        _emit(args, payload, ["katetov"])
-        return 0
-    _emit(args, payload, [f"not katetov, {katetov._refusal(f, witness)}"])
-    return 1
+    _emit(args, lambda: {"katetov": ok, "witness": list(witness) if witness else None},
+          lambda: ["katetov" if ok else f"not katetov, {katetov._refusal(f, witness)}"])
+    return 0 if ok else 1
 
 
 def cmd_extend(args) -> int:
@@ -225,18 +221,20 @@ def cmd_urysohn(args) -> int:
 
 
 def _emit_closure(args, space, log, extra: dict) -> None:
-    payload = {
+    def lines():
+        out = [space_to_text(space).rstrip()]
+        if log.entries:
+            out += ["# provenance", log.format()]
+        return out
+
+    _emit(args, lambda: {
         "space": _space_dict(space),
         "log": [
             {"subset": list(sub), "values": [format_fraction(v) for v in vals]}
             for sub, vals in log.entries
         ],
         **extra,
-    }
-    lines = [space_to_text(space).rstrip()]
-    if log.entries:
-        lines += ["# provenance", log.format()]
-    _emit(args, payload, lines)
+    }, lines)
 
 
 def _tree_text(t: ultratrees.UltraTree) -> str:
@@ -258,18 +256,17 @@ def _tree_text(t: ultratrees.UltraTree) -> str:
 
 def _ultra_tree(args) -> int:
     t = ultratrees.tree_of_space(_load_space(args.space))
-    payload = {
+    _emit(args, lambda: {
         "levels": [format_fraction(v) for v in t.level_distances],
         "parents": list(t.parents),
         "leafPoints": {str(k): v for k, v in t.leaf_points.items()},
-    }
-    _emit(args, payload, [_tree_text(t)])
+    }, lambda: [_tree_text(t)])
     return 0
 
 
 def _emit_degree(args, name: str, rec: ultratrees.DegreeRecord) -> int:
-    _emit(args, {name: rec.orderings, "iso": rec.iso, "degree": rec.degree},
-          [f"{name}: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
+    _emit(args, lambda: {name: rec.orderings, "iso": rec.iso, "degree": rec.degree},
+          lambda: [f"{name}: {rec.orderings}  iso: {rec.iso}  degree: {rec.degree}"])
     return 0
 
 
@@ -280,16 +277,17 @@ def _ultra_degree(args) -> int:
 def _ultra_bigdegree(args) -> int:
     x = _load_space(args.space)
     deg = ultratrees.big_ramsey_degree(x, DistanceSet(args.distances))
-    _emit(args, {"bigDegree": deg}, [f"big degree: {deg}"])
+    _emit(args, lambda: {"bigDegree": deg}, lambda: [f"big degree: {deg}"])
     return 0
 
 
 def _ultra_fichet(args) -> int:
     rep = ultratrees.fichet_embedding(_load_space(args.space), args.p)
-    payload = {"p": rep.p, "dimension": rep.dimension, "dimensionBound": rep.dimension_bound}
-    if args.json:  # the text shows no weight; a large p's can pass Python's int-to-str limit
-        payload["weightsP"] = {str(k): format_fraction(v) for k, v in rep.node_weights_p.items()}
-    _emit(args, payload, [
+    # only the JSON shows the weights; a large p's can pass Python's int-to-str limit
+    _emit(args, lambda: {
+        "p": rep.p, "dimension": rep.dimension, "dimensionBound": rep.dimension_bound,
+        "weightsP": {str(k): format_fraction(v) for k, v in rep.node_weights_p.items()},
+    }, lambda: [
         f"p: {rep.p}  dimension: {rep.dimension} <= {rep.dimension_bound}",
         f"pairs verified: {len(rep.pair_checks)}",
     ])
@@ -307,8 +305,8 @@ def cmd_degree(args) -> int:
 def cmd_criticals(args) -> int:
     s = DistanceSet(args.distances)
     crits = ramsey.critical_distances(s)
-    _emit(args, {"critical": [format_fraction(v) for v in crits]},
-          ["critical: " + " ".join(format_fraction(v) for v in crits)])
+    _emit(args, lambda: {"critical": [format_fraction(v) for v in crits]},
+          lambda: ["critical: " + " ".join(format_fraction(v) for v in crits)])
     return 0
 
 
@@ -317,18 +315,19 @@ def cmd_arrow(args) -> int:
     y = _load_space(args.y)
     x = _load_space(args.x)
     res = ramsey.verify_arrow(z, y, x, k=args.k, l=args.l, config=_config())
-    payload = {
+    def lines():
+        if res.holds:
+            return [f"arrow holds ({res.colorings_checked} colorings over {res.copies_of_x} copies)"]
+        witness = "".join(map(str, res.witness_coloring))  # empty exactly when z has no copy of y
+        return ["arrow fails, " + ("witness coloring " + witness if witness else "z has no copy of y")]
+
+    _emit(args, lambda: {
         "holds": res.holds,
         "copies": res.copies_of_x,
         "colorings": res.colorings_checked,
         "witness": list(res.witness_coloring) if res.witness_coloring else None,
-    }
-    if res.holds:
-        _emit(args, payload, [f"arrow holds ({res.colorings_checked} colorings over {res.copies_of_x} copies)"])
-        return 0
-    witness = "".join(map(str, res.witness_coloring))  # empty exactly when z has no copy of y
-    _emit(args, payload, ["arrow fails, " + ("witness coloring " + witness if witness else "z has no copy of y")])
-    return 1
+    }, lines)
+    return 0 if res.holds else 1
 
 
 def cmd_orderprop(args) -> int:
@@ -339,7 +338,7 @@ def cmd_orderprop(args) -> int:
     verdict = ramsey.verify_ordering_property_witness(
         y, x, order, ordering_class=args.ordering_class, s=s, config=_config()
     )
-    _emit(args, {"holds": verdict}, [f"ordering property witness: {str(verdict).lower()}"])
+    _emit(args, lambda: {"holds": verdict}, lambda: [f"ordering property witness: {str(verdict).lower()}"])
     return 0 if verdict else 1
 
 
@@ -356,13 +355,12 @@ def _color_indiv(args) -> int:
         x, target, k=args.k, mode="exhaustive" if args.sampled is None else "sampled",
         samples=100 if args.sampled is None else args.sampled, seed=args.seed, config=_config(),
     )
-    payload = {
+    _emit(args, lambda: {
         "exhaustive": report.exhaustive,
         "colorings": len(report.outcomes),
         "monochromatic": report.all_monochromatic(),
         "outcomes": [o.to_json_dict() for o in report.outcomes],
-    }
-    _emit(args, payload, [
+    }, lambda: [
         f"{len(report.outcomes)} colorings, "
         f"{len(report.counterexamples)} without a monochromatic copy"
     ])
@@ -373,13 +371,12 @@ def _color_greedy(args) -> int:
     target = _load_target(args)
     x = _load_space(args.space)
     res = partitions.greedy_monochromatic(x, _ints(args.coloring), target)
-    payload = {
+    _emit(args, lambda: {
         "copy": list(res.copy_indices),
         "color": res.color,
         "complete": res.complete,
         "obstruction": list(res.obstruction) if res.obstruction else None,
-    }
-    _emit(args, payload, [
+    }, lambda: [
         f"copy {' '.join(map(str, res.copy_indices))} in color {res.color}"
         + ("" if res.complete else " (partial)")
     ])
@@ -392,7 +389,7 @@ def _color_divide(args) -> int:
     if len(radii) > len(centers):
         raise InvalidSpace(f"{len(radii)} radii for {len(centers)} centers")
     colors = partitions.divisibility_coloring(x, partitions.NetSystem(centers, dict(zip(centers, radii))))
-    _emit(args, {"coloring": colors}, ["coloring: " + "".join(map(str, colors))])
+    _emit(args, lambda: {"coloring": colors}, lambda: ["coloring: " + "".join(map(str, colors))])
     return 0
 
 
@@ -402,14 +399,14 @@ def _color_annulus(args) -> int:
         x, args.y, args.start, args.end, as_fraction(args.r), args.n,
         _ints(args.chain), as_fraction(args.eps),
     )
-    _emit(args, {"witnessIndex": idx}, [f"witness index: {idx}"])
+    _emit(args, lambda: {"witnessIndex": idx}, lambda: [f"witness index: {idx}"])
     return 0
 
 
 def _color_lambda(args) -> int:
     x = _load_space(args.space)
     val = partitions.lambda_epsilon(x, args.point, as_fraction(args.eps))
-    _emit(args, {"lambda": format_fraction(val)}, [f"lambda: {format_fraction(val)}"])
+    _emit(args, lambda: {"lambda": format_fraction(val)}, lambda: [f"lambda: {format_fraction(val)}"])
     return 0
 
 
@@ -419,13 +416,12 @@ def _hedgehog(args) -> hedgehog.HedgehogSpace:
 
 def _hedgehog_build(args) -> int:
     z = _hedgehog(args)
-    payload = {
+    _emit(args, lambda: {
         "m": z.m,
         "baseCount": z.base_count,
         "treeNodes": [list(t) for t in z.tree_nodes],
         "space": _space_dict(z.dz),
-    }
-    _emit(args, payload, [
+    }, lambda: [
         f"m: {z.m}  base points: {z.base_count}  tree nodes: {len(z.tree_nodes)}",
         space_to_text(z.dz).rstrip(),
     ])
@@ -434,7 +430,7 @@ def _hedgehog_build(args) -> int:
 
 def _hedgehog_verify(args) -> int:
     report = hedgehog.hedgehog_verify(_hedgehog(args))
-    _emit(args, report.to_json_dict(), [
+    _emit(args, report.to_json_dict, lambda: [
         f"cycles checked: {report.cycles_checked}",
         f"labels preserved: {str(report.labels_preserved).lower()}",
         f"branches verified: {report.branches_verified}",
@@ -449,14 +445,13 @@ def _milliken_build(args) -> int:
         check="exhaustive" if args.sampled is None else "sampled",
         samples=200000 if args.sampled is None else args.sampled, seed=args.seed,
     )
-    payload = {
+    _emit(args, lambda: {
         "variant": args.variant,
         "depth": args.depth,
         "points": len(ms.points),
         "metric": ms.metric,
         "witness": list(ms.witness) if ms.witness else None,
-    }
-    _emit(args, payload, [
+    }, lambda: [
         f"variant {args.variant} depth {args.depth}: {len(ms.points)} points, "
         f"metric: {str(ms.metric).lower()}"
         + ("" if ms.metric else f", witness {ms.witness}")
@@ -468,15 +463,14 @@ def _milliken_embed(args) -> int:
     target = _load_target(args)
     emb = milliken.coding_embed(args.variant, args.depth, target)
     if emb is None:
-        _emit(args, {"found": False}, ["no embedding at this depth"])
+        _emit(args, lambda: {"found": False}, lambda: ["no embedding at this depth"])
         return 1
     ok = milliken.verify_embedding(args.variant, emb, target)
-    payload = {
+    _emit(args, lambda: {
         "found": True,
         "verified": ok,
         "points": [[list(c) for c in p] for p in emb],
-    }
-    _emit(args, payload, ["embedding: " + "; ".join(
+    }, lambda: ["embedding: " + "; ".join(
         "{" + ",".join("".join(map(str, c)) or "()" for c in p) + "}" for p in emb
     ), f"verified: {str(ok).lower()}"])
     return 0 if ok else 1

@@ -37,8 +37,8 @@ from .spaces import (
     InvalidSpace,
     SearchTooLarge,
     _check_points,
+    _distances_in,
     _fraction_rows,
-    _scaled,
     format_fraction,
 )
 
@@ -139,10 +139,22 @@ def check_four_values(
     (q* = q) or i = l (q* is q with its pairs exchanged).  So the lex-least
     mismatch has i = min(i, j, k, l), j < k and i < l, and it is the first
     mismatch that the scan over j >= i, k > j, l > i meets in product order.
+
+    The verdict is a property of S alone: the set keeps the first one
+    computed, and later calls return it.  The bound is checked on every
+    call, before the kept verdict is read, so a verdict computed under a
+    looser bound is still refused under a tighter one.
     """
     if len(s) > bound:
         raise SearchTooLarge(f"4-values check too large: |S|={len(s)} > {bound}")
-    lo, hi = _pair_intervals(_scaled(s.values)[0])
+    if s._four_values is None:
+        s._four_values = _four_values_scan(s)
+    return s._four_values
+
+
+def _four_values_scan(s: DistanceSet) -> FourValuesResult:
+    """check_four_values's O(|S|^3) scan on S's int view."""
+    lo, hi = _pair_intervals(s._scaled_values()[0])
     le, ge = _prefix_bitsets(lo, hi)
     m = len(lo)
     for i in range(m - 1):
@@ -181,7 +193,7 @@ def bad_quadruples(
     """
     if len(s) > bound:
         raise SearchTooLarge(f"bad-quadruple scan too large: |S|={len(s)} > {bound}")
-    a, scale = _scaled(s.values)
+    a, scale = s._scaled_values()
     lo, hi = _pair_intervals(a)
     m = len(a)
     # index pairs i <= j in the order canonical_quadruple puts pairs in; the
@@ -262,7 +274,7 @@ def similar(s: DistanceSet, t: DistanceSet) -> bool:
     """
     if len(s) != len(t):
         return False
-    a, b = _scaled(s.values)[0], _scaled(t.values)[0]
+    a, b = s._scaled_values()[0], t._scaled_values()[0]
     return all(
         bisect_right(a, a[j] + a[k]) == bisect_right(b, b[j] + b[k])
         for j in range(len(a)) for k in range(j, len(a))
@@ -346,12 +358,12 @@ def amalgamate(
             if y0.d[x0[a]][x0[b]] != y1.d[x1[a]][x1[b]]:
                 raise AmalgamationError("y0 and y1 disagree on the shared subspace")
     for sp in (y0, y1):
-        if any(v not in s for v in sp.distances()):
+        if not _distances_in(sp, s):
             raise AmalgamationError("input space has a distance outside S")
 
     # the int views of y0 and y1 at S's scale, which their scales divide:
     # their distances lie in S
-    ints, scale = _scaled(s.values)
+    ints, scale = s._scaled_values()
     (m0, scale0), (m1, scale1) = y0._scaled_rows(), y1._scaled_rows()
     k0, k1 = scale // scale0, scale // scale1
     m = [[u * k0 for u in row] for row in m0]

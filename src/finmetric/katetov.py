@@ -28,7 +28,6 @@ from .spaces import (
     _least_order,
     _rank_masks,
     _rank_rows,
-    _scaled,
     as_fraction,
     format_fraction,
 )
@@ -199,8 +198,7 @@ def urysohn_approx(
         witness = "(" + ",".join(format_fraction(v) for v in chk.witness) + ")"
         raise InvalidSpace(f"S fails the 4-values condition, witness {witness}")
     rng = random.Random(seed)
-    ints, scale = _scaled(s.values)
-    ints = tuple(ints)
+    ints, scale = s._scaled_values()
     frac = {u: Fraction(u, scale) for u in (0, *ints)}  # shared by the log and pending
     digit = {u: i for i, u in enumerate(frac)}  # each int of F+f as its digit in a key
     m = [[0]]  # the distance matrix so far, scaled to ints

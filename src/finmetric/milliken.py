@@ -31,6 +31,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     SearchTooLarge,
+    _distances_in,
     _fraction_rows,
 )
 
@@ -519,11 +520,11 @@ def coding_embed(name: str, depth: int, target: FiniteMetricSpace):
     if target.n > 6:
         raise SearchTooLarge("embedding targets are capped at 6 points")
     # every variant's set holds ints, so a target that passes is at scale 1
-    m, scale = target._scaled_rows()
-    if scale != 1 or not set().union(*m) <= {0, *variant.distance_set.values}:
+    if not _distances_in(target, variant.distance_set):
         for v in target.distances():
             if v not in variant.distance_set:
                 raise InvalidSpace(f"target distance {v} outside the variant's set")
+    m = target._scaled_rows()[0]
     candidates = _embed_index(name, depth).candidates
 
     # place tightly-linked target points consecutively: component reuse is

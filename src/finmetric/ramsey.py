@@ -47,9 +47,10 @@ def critical_distances(s: DistanceSet) -> list[Fraction]:
     admit further critical values beyond this interval test is not addressed
     here; this is exactly the (s, 2s] criterion.
     """
-    vals = s.values
-    # sorted and distinct: the least value above v is the next one
-    return [v for v, w in zip(vals, vals[1:]) if w > 2 * v] + [vals[-1]]
+    vals, ints = s.values, s._scaled_values()[0]
+    # sorted and distinct: the least value above v is the next one; the
+    # test runs on S's int view
+    return [v for v, u, w in zip(vals, ints, ints[1:]) if w > 2 * u] + [vals[-1]]
 
 
 def metric_orderings_count(x: FiniteMetricSpace, s: DistanceSet) -> int:

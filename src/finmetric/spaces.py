@@ -48,12 +48,12 @@ DEFAULT_CONFIG = Config()
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats and bools."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise InvalidSpace(f"float distance {value!r} not allowed; use p/q rationals")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -76,23 +76,53 @@ def _check_points(n: int, points) -> None:
             raise InvalidSpace(f"point {p} out of range for a {n}-point space")
 
 
+def _distances_in(x: FiniteMetricSpace, s: DistanceSet) -> bool:
+    """Whether every distance of x lies in s, tested on the int views.
+
+    Every distance lies in s only if x's scale, the lcm of its denominators,
+    divides s's; then each nonzero entry of x's view, times s's scale over
+    x's, must be one of s's ints.
+    """
+    m, own = x._scaled_rows()
+    k, rest = divmod(s._scaled_values()[1], own)
+    return not rest and {u * k for u in set().union(*m) if u} <= s._members
+
+
 def _check_distances(x: FiniteMetricSpace, s: DistanceSet) -> None:
     """Reject a space with a distance outside the distance set s."""
-    if any(v not in s for v in x.distances()):
+    if not _distances_in(x, s):
         raise InvalidSpace("space has a distance outside S")
 
 
 class DistanceSet:
-    """A strictly increasing set of positive rationals."""
+    """A strictly increasing set of positive rationals.
+
+    .values holds the Fractions.  The int view, read through
+    _scaled_values(), is the pair (ints, scale) = _scaled(.values): scale is
+    the lcm of the values' denominators and ints the values times it, as a
+    tuple.  The constructor builds it, sorting and deduplicating on those
+    ints, and every kernel reads it; membership tests run on its ints.  The
+    set also keeps its 4-values verdict, stored by
+    four_values.check_four_values on the first call that asks for it.
+    """
 
     def __init__(self, values: Iterable):
-        vals = sorted({as_fraction(v) for v in values})
-        if not vals:
+        fracs = [as_fraction(v) for v in values]
+        if not fracs:
             raise InvalidSpace("distance set must be non-empty")
-        if vals[0] <= 0:
+        ints, scale = _scaled(fracs)
+        by_int = dict(zip(ints, fracs))
+        ints = sorted(by_int)
+        if ints[0] <= 0:
             raise InvalidSpace("distance set values must be positive")
-        self.values: tuple[Fraction, ...] = tuple(vals)
-        self._members = frozenset(vals)
+        self.values: tuple[Fraction, ...] = tuple(map(by_int.__getitem__, ints))
+        self._ints = tuple(ints), scale
+        self._members = frozenset(ints)
+        self._four_values = None  # the FourValuesResult, once a check asks for it
+
+    def _scaled_values(self) -> tuple[tuple[int, ...], int]:
+        """The int view (ints, scale) = _scaled(self.values), built by the constructor."""
+        return self._ints
 
     def __iter__(self):
         return iter(self.values)
@@ -101,7 +131,9 @@ class DistanceSet:
         return len(self.values)
 
     def __contains__(self, v):
-        return as_fraction(v) in self._members
+        q = as_fraction(v)
+        scale = self._ints[1]
+        return not scale % q.denominator and q.numerator * (scale // q.denominator) in self._members
 
     def __eq__(self, other):
         return isinstance(other, DistanceSet) and self.values == other.values

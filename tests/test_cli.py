@@ -11,7 +11,7 @@ import time
 import pytest
 
 from finmetric.cli import _VERBS, _config, build_parser, main
-from finmetric.spaces import Config, FiniteMetricSpace, space_to_text
+from finmetric.spaces import Config, FiniteMetricSpace, copies, isometries, space_to_text
 
 # the subprocesses import finmetric from src/, installed or not
 SRC_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -234,6 +234,60 @@ class TestSpaces:
         assert len(rows) == 6 and rows[0][3] == "1"
 
 
+class TestEmitBuildsOneRendering:
+    """Each verb builds the rendering it prints: text or the --json payload."""
+
+    @pytest.fixture
+    def one_rendering(self, monkeypatch):
+        from finmetric import cli
+
+        def refuse(*_):
+            raise AssertionError("the rendering not printed was built")
+
+        space_dict = cli._space_dict
+
+        def under(json_mode):
+            monkeypatch.setattr(cli, "space_to_text", refuse if json_mode else space_to_text)
+            monkeypatch.setattr(cli, "_space_dict", space_dict if json_mode else refuse)
+        return under
+
+    def test_space_verbs(self, capsys, spaces, tmp_path, one_rendering):
+        paths, _ = spaces
+        graph = tmp_path / "g.txt"
+        graph.write_text("points: 3\n0 1 ?\n1 0 1\n? 1 0\n")
+        for argv in (["complete", "--graph", str(graph), "--cap", "5"],
+                     ["extend", "--space", paths["pair"], "--values", "1,1"],
+                     ["amalgamate", "1", "--y0", paths["pair"], "--y1", paths["pair"], "--x0", "0", "--x1", "0"],
+                     ["urysohn", "1", "--cap", "2"]):
+            one_rendering(json_mode=True)
+            code, out, _ = run_cli(capsys, "--json", *argv)
+            assert code == 0 and "space" in json.loads(out)
+            one_rendering(json_mode=False)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out.startswith("points: ")
+
+    def test_iso_and_copies_join_no_line_under_json(self, capsys, spaces, monkeypatch):
+        from finmetric import cli
+
+        paths, _ = spaces
+        verbs = [["iso", "--space", paths["triangle"]],
+                 ["copies", "--y", paths["e5"], "--x", paths["triangle"]]]
+        want = [run_cli(capsys, "--json", *argv) for argv in verbs]
+        monkeypatch.setattr(cli, "isometries", lambda x, config: _unprintable(isometries(x, config)))
+        monkeypatch.setattr(cli, "copies", lambda y, x, config: _unprintable(copies(y, x, config)))
+        assert [run_cli(capsys, "--json", *argv) for argv in verbs] == want
+
+
+def _unprintable(maps):
+    """The point tuples of maps with points that refuse str(), which a text line needs."""
+    return [tuple(map(_NoStr, m)) for m in maps]
+
+
+class _NoStr(int):
+    def __str__(self):
+        raise AssertionError("text line built under --json")
+
+
 class TestUltraAndArrow:
     def test_ultra_degree(self, capsys, spaces):
         paths, _ = spaces
@@ -339,6 +393,13 @@ class TestColorAndCodings:
             capsys, "milliken", "embed", "134", "--depth", "3", "--target", paths["pair"]
         )
         assert code == 0 and "verified: true" in out
+
+    def test_milliken_embed_none_at_depth_zero(self, capsys, spaces):
+        # depth 0 codes one point, so no 2-point target embeds
+        paths, _ = spaces
+        argv = ("milliken", "embed", "134", "--depth", "0", "--target", paths["pair"])
+        assert run_cli(capsys, *argv) == (1, "no embedding at this depth\n", "")
+        assert run_cli(capsys, "--json", *argv) == (1, '{"found": false}\n', "")
 
     def test_milliken_embed_empty_target(self, capsys, tmp_path):
         empty = tmp_path / "empty.txt"

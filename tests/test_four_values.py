@@ -216,6 +216,52 @@ class TestKernelMatchesReference:
             bad_quadruples(ds(1, 2, 5), bound=2)
 
 
+class TestKeptVerdict:
+    """The set keeps its first verdict; the bound is checked on every call."""
+
+    @given(st.one_of(mixed_distance_sets(), holding_sets(max_size=8)),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_checks_under_drawn_bounds(self, s, offsets):
+        want = _reference_check_four_values(s)
+        for bound in (len(s) + d for d in offsets):
+            if len(s) > bound:
+                with pytest.raises(SearchTooLarge, match=rf"^4-values check too large: \|S\|={len(s)} > {bound}$"):
+                    check_four_values(s, bound)
+            else:
+                assert check_four_values(s, bound) == want
+
+    def test_a_looser_bound_does_not_open_a_tighter_one(self):
+        s, pair = ds(1, 2, 4), FiniteMetricSpace([[0, 1], [1, 0]])
+        assert not check_four_values(s, 12)
+        with pytest.raises(SearchTooLarge):
+            check_four_values(s, 2)
+        with pytest.raises(AmalgamationError, match="^S fails the 4-values condition"):
+            amalgamate(s, pair, pair, [0], [0])
+        with pytest.raises(SearchTooLarge):
+            amalgamate(s, pair, pair, [0], [0], Config(four_values_bound=2))
+        assert check_four_values(s, 3) == _reference_check_four_values(s)
+
+    def test_each_set_is_scanned_once(self, monkeypatch):
+        from finmetric import four_values
+        from finmetric.katetov import urysohn_approx
+
+        scans = []
+        scan = four_values._four_values_scan
+        monkeypatch.setattr(four_values, "_four_values_scan", lambda s: scans.append(s) or scan(s))
+        s = ds(1, 2)
+        pair = FiniteMetricSpace([[0, 1], [1, 0]])
+        for _ in range(3):
+            check_four_values(s)
+            amalgamate(s, pair, pair, [0], [0])
+        urysohn_approx(s, 2)
+        assert scans == [s]
+        # no table outlives a set: an equal set is scanned again
+        t = ds(1, 2)
+        check_four_values(t)
+        assert len(scans) == 2 and scans[1] is t
+
+
 class TestInterval:
     def test_published_bad_quadruple_125(self):
         iv = interval((2, 5, 1, 1))

@@ -161,6 +161,27 @@ def test_only_spaces_touches_the_int_view():
     assert found == {"finmetric/spaces.py"}
 
 
+def test_only_distance_sets_scale_their_values():
+    # a distance set's int view has one producer too: DistanceSet builds it
+    # and every kernel reads it through _scaled_values(), so no library code
+    # outside the class passes a .values to _scaled
+    inside = {
+        id(node)
+        for name, tree in _trees() if name == "finmetric/spaces.py"
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "DistanceSet"
+        for node in ast.walk(cls)
+    }
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_scaled"
+        and any(isinstance(arg, ast.Attribute) and arg.attr == "values" for arg in node.args)
+    ]
+    assert found == []
+
+
 def test_kernels_build_the_int_view_once(monkeypatch):
     # repeated kernel calls on one space read the view it carries: a checked
     # build makes it, every unchecked one (the builders that prove their

@@ -28,7 +28,14 @@ from finmetric.spaces import (
     space_to_text,
     validate,
 )
-from finmetric.spaces import _path_closure, _simple_paths, _triangles_hold, _violating_triple
+from finmetric.spaces import (
+    _check_distances,
+    _path_closure,
+    _scaled,
+    _simple_paths,
+    _triangles_hold,
+    _violating_triple,
+)
 
 
 def path_space():
@@ -685,6 +692,23 @@ class TestValidate:
             validate(EdgeLabelledGraph(-1), "metric")
 
 
+class TestGraphRefusals:
+    def test_label_on_the_diagonal(self):
+        with pytest.raises(InvalidSpace, match=r"^no label allowed on \(0,0\)$"):
+            EdgeLabelledGraph(1, {(0, 0): 1})
+
+    def test_conflicting_labels_on_one_pair(self):
+        with pytest.raises(InvalidSpace, match=r"^conflicting labels on \(0, 1\)$"):
+            EdgeLabelledGraph(2, {(0, 1): 1, (1, 0): 2})
+        assert EdgeLabelledGraph(2, {(0, 1): 1, (1, 0): 1}).label(1, 0) == 1
+
+    def test_unknown_completion_mode(self):
+        g = EdgeLabelledGraph(2, {(0, 1): 1})
+        assert g.is_connected()
+        with pytest.raises(InvalidSpace, match="^unknown completion mode 'min'$"):
+            complete(g, "min")
+
+
 class TestComplete:
     def test_two_glued_triangles_match_floyd_warshall(self):
         # two triangles glued on the edge (1,2), integer labels
@@ -951,7 +975,99 @@ class TestCanonicalize:
         assert len(copies(canon, x)) >= 1
 
 
+def _reference_distance_set_values(values):
+    """The values of DistanceSet(values): sorted and deduplicated as Fractions."""
+    return tuple(sorted({as_fraction(v) for v in values}))
+
+
+def _reference_contains(s, v):
+    """v in s, by Fraction hashing."""
+    return as_fraction(v) in frozenset(s.values)
+
+
+def _reference_check_distances(x, s):
+    """Refuse x with a distance outside s, by a Fraction loop."""
+    if any(not _reference_contains(s, v) for v in x.distances()):
+        raise InvalidSpace("space has a distance outside S")
+
+
+# rationals with denominators 1-12, some in several spellings, so that a set's
+# scale need not be divisible by every probe's denominator
+rationals = st.builds(Fraction, st.integers(-3, 40), st.integers(1, 12))
+spellings = rationals.flatmap(lambda q: st.sampled_from(
+    [q, format_fraction(q)] + ([q.numerator] if q.denominator == 1 else [])))
+
+
+@st.composite
+def set_and_space(draw):
+    """A distance set and a space whose distances come partly from it.
+
+    The space is the line of its points' positions (differences of positive
+    rationals), so it is metric with whatever values it draws."""
+    s = DistanceSet(draw(st.lists(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)),
+                                  min_size=1, max_size=6)))
+    steps = draw(st.lists(st.one_of(st.sampled_from(s.values),
+                                    st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))),
+                          max_size=4))
+    pos = [sum(steps[:k], Fraction(0)) for k in range(len(steps) + 1)]
+    return s, FiniteMetricSpace([[abs(p - q) for q in pos] for p in pos])
+
+
 class TestDistanceSet:
+    @given(st.lists(spellings, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_view_is_the_scaled_values(self, values):
+        # the constructor sorts and dedupes on ints: the same values as on
+        # Fractions, and one view equal to _scaled of them
+        if any(as_fraction(v) <= 0 for v in values):
+            with pytest.raises(InvalidSpace, match="^distance set values must be positive$"):
+                DistanceSet(values)
+            return
+        s = DistanceSet(values)
+        assert s.values == _reference_distance_set_values(values)
+        ints, scale = _scaled(s.values)
+        assert s._scaled_values() == (tuple(ints), scale)
+        assert s._scaled_values() is s._scaled_values()
+
+    @given(st.lists(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)), min_size=1, max_size=6),
+           st.lists(spellings, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_membership_on_ints_matches_fractions(self, values, probes):
+        s = DistanceSet(values)
+        for v in [*probes, *s.values, 0]:
+            assert (v in s) == _reference_contains(s, v)
+
+    def test_membership_of_a_denominator_outside_the_scale(self):
+        # 1/3 times S's scale 2 is no int; no member of {1/2, 1} has it
+        s = DistanceSet([Fraction(1, 2), 1])
+        assert Fraction(1, 3) not in s and Fraction(3, 2) not in s
+        assert "1/2" in s and 1 in s and 0 not in s and -1 not in s
+
+    def test_float_membership_refused(self):
+        with pytest.raises(InvalidSpace, match=r"^float distance 1\.0 not allowed"):
+            1.0 in DistanceSet([1, 2])
+
+    @given(set_and_space())
+    @settings(max_examples=200, deadline=None)
+    def test_check_distances_on_ints_matches_fractions(self, case):
+        s, x = case
+        assert _outcome(_check_distances, x, s) == _outcome(_reference_check_distances, x, s)
+
+    def test_check_distances_scale_not_dividing(self):
+        # x's scale 3 does not divide S's scale 2: refused before any entry is read
+        s = DistanceSet([Fraction(1, 2), 1])
+        with pytest.raises(InvalidSpace, match="^space has a distance outside S$"):
+            _check_distances(FiniteMetricSpace([[0, Fraction(1, 3)], [Fraction(1, 3), 0]]), s)
+        _check_distances(FiniteMetricSpace([[0, 1], [1, 0]]), s)
+        _check_distances(FiniteMetricSpace.single_point(), s)
+        _check_distances(FiniteMetricSpace([]), s)
+
+    def test_bool_values_refused(self):
+        with pytest.raises(InvalidSpace, match="^cannot interpret True as a rational$"):
+            DistanceSet([True, 2])
+        with pytest.raises(InvalidSpace, match="^cannot interpret False as a rational$"):
+            as_fraction(False)
+
     def test_empty_space_named(self):
         with pytest.raises(InvalidSpace, match="^the empty space has an empty distance set$"):
             FiniteMetricSpace([]).distance_set()
@@ -1041,6 +1157,14 @@ class TestFormats:
             space_from_json('{"points": 2, "rows": [[0, 1], [1.0, 0]]}')
         with pytest.raises(InvalidSpace, match=r"^float distance 1\.0 not allowed"):
             space_from_json('{"points": 2, "rows": [[0, "1"], [1.0, 0]]}')
+
+    def test_json_bool_entry_refused(self):
+        # a bool is an int to Python, but no distance: the first one, in
+        # row-major order, names the error
+        with pytest.raises(InvalidSpace, match="^cannot interpret False as a rational$"):
+            space_from_json('{"points": 2, "rows": [[false, true], [true, 0]]}')
+        with pytest.raises(InvalidSpace, match="^cannot interpret True as a rational$"):
+            space_from_json('{"points": 2, "rows": [[0, true], [true, 0]]}')
 
     def test_json_unhashable_entry_not_interpreted(self):
         with pytest.raises(InvalidSpace, match=r"^cannot interpret \[1\] as a rational$"):
