@@ -10,14 +10,15 @@ The two scans run on integers.  S is multiplied by the lcm of its
 denominators, which makes every value an int.  Each comparison above is
 between sums, differences and elements of S, and a positive scaling keeps
 all of them, so no verdict, witness or row order changes.  Both scans read
-one pair table, the pair intervals: for each index pair (i, j), the least
+one pair table, built once per set and kept on it (`_pair_table`), the pair
+intervals: for each index pair (i, j), the least
 and greatest index lo[i][j] <= hi[i][j] of an element of S inside
 [|a_i - a_j|, a_i + a_j].  I(q) is the intersection of its two pair
 intervals, so (a_i, a_j, a_k, a_l) is good exactly when the index intervals
 overlap: lo[k][l] <= hi[i][j] and hi[k][l] >= lo[i][j].  The check reads
 the good l of each (i, j, k) at once off prefix bitsets of the table, and
 scans one representative of each orbit of mismatches, O(|S|^3) in all; the
-bad-quadruple table walks the pairs of index pairs, about |S|^4 / 8.
+bad-quadruple table walks the pairs of pair ranks, about |S|^4 / 8.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import inf
 from operator import or_
 
@@ -152,9 +153,16 @@ def check_four_values(
     return s._four_values
 
 
+def _pair_table(s: DistanceSet) -> tuple[list[list[int]], list[list[int]]]:
+    """S's pair intervals (lo, hi) on its int view, built once and kept on the set."""
+    if s._pair_table is None:
+        s._pair_table = _pair_intervals(s._scaled_values()[0])
+    return s._pair_table
+
+
 def _four_values_scan(s: DistanceSet) -> FourValuesResult:
     """check_four_values's O(|S|^3) scan on S's int view."""
-    lo, hi = _pair_intervals(s._scaled_values()[0])
+    lo, hi = _pair_table(s)
     le, ge = _prefix_bitsets(lo, hi)
     m = len(lo)
     for i in range(m - 1):
@@ -190,65 +198,72 @@ def bad_quadruples(
     Each row records how its quadruple is matched by a swap: the inner swap
     (*), the outer swap, both when they give distinct partners, or neither
     (only possible when S fails the 4-values condition).
+
+    The walk runs on pair ranks.  The index pairs i <= j are ranked in the
+    order canonical_quadruple puts pairs in, so the representatives are
+    exactly rank pairs x <= y, and a partner's canonical form is its two
+    pair ranks in order.  Two pair intervals are disjoint exactly when one
+    hi is below the other's lo, so S has a bad quadruple only if its
+    greatest lo exceeds its least hi; otherwise no per-rank table is built.
     """
     if len(s) > bound:
         raise SearchTooLarge(f"bad-quadruple scan too large: |S|={len(s)} > {bound}")
+    lo, hi = _pair_table(s)
+    if max(map(max, lo)) <= min(map(min, hi)):
+        return []
     a, scale = s._scaled_values()
-    lo, hi = _pair_intervals(a)
+    vals = s.values
     m = len(a)
-    # index pairs i <= j in the order canonical_quadruple puts pairs in; the
-    # representatives are then exactly pairs[x] + pairs[y] with x <= y
     pairs = sorted(
-        ((i, j) for i in range(m) for j in range(i, m)),
-        key=lambda p: (a[p[0]] - a[p[1]], a[p[0]] + a[p[1]], p),
+        (a[i] - a[j], a[i] + a[j], i, j) for i in range(m) for j in range(i, m)
     )
-    rank = {p: x for x, p in enumerate(pairs)}
-    tops = [(k, l, hi[k][l]) for k, l in pairs]
-
-    def canonical(u0, u1, u2, u3):
-        p1 = (u0, u1) if u0 <= u1 else (u1, u0)
-        p2 = (u2, u3) if u2 <= u3 else (u3, u2)
-        return p1 + p2 if rank[p1] <= rank[p2] else p2 + p1
-
+    rank = [[0] * m for _ in range(m)]  # symmetric: rank[j][i] = rank[i][j]
+    for x, (_, _, i, j) in enumerate(pairs):
+        rank[i][j] = rank[j][i] = x
+    lo_r = [lo[i][j] for _, _, i, j in pairs]
+    hi_r = [hi[i][j] for _, _, i, j in pairs]
+    vals_r = [(vals[i], vals[j]) for _, _, i, j in pairs]
     keyed = []
-    for x, (i, j) in enumerate(pairs):
-        lo_ij = lo[i][j]
-        # pairs[x] comes first, so its difference is the larger one and
-        # lo[k][l] <= lo_ij: the pair intervals meet unless hi[k][l] < lo_ij
-        for k, l, hi_kl in tops[x:]:
-            if hi_kl >= lo_ij:
+    for x, (neg_d, sum_x, i, j) in enumerate(pairs):
+        lo_x, rank_i, rank_j = lo_r[x], rank[i], rank[j]
+        # rank x comes first, so its difference is the larger one and
+        # lo_r[y] <= lo_x: the pair intervals meet unless hi_r[y] < lo_x
+        for y in range(x, len(pairs)):
+            if hi_r[y] >= lo_x:
                 continue
-            q = (i, j, k, l)
+            _, sum_y, k, l = pairs[y]
+            # j >= lo_x > hi_r[y] >= l >= k, and j >= i: j is the largest
+            # index.  Each partner has j in its second pair, so that pair's
+            # hi is at least j, which is at least the first pair's lo: the
+            # partner is bad exactly when the second pair's lo is above the
+            # first pair's hi
             resolutions = []
-            resolved = False
-            # j >= lo_ij > hi_kl >= l >= k, and j >= i: j is the largest index
-            # in q.  Each partner has j in its second pair, so that pair's hi
-            # is at least j, which is at least the first pair's lo: the partner
-            # is bad exactly when the second pair's lo is above the first's hi
-            for op, (u0, u1, u2, u3) in (("*", (i, k, j, l)), ("_*", (i, l, k, j))):
-                if lo[u2][u3] > hi[u0][u1]:
-                    resolved = True
-                    cp = canonical(u0, u1, u2, u3)
-                    if cp != q and all(cp != t for _, t in resolutions):
-                        resolutions.append((op, cp))
-            keyed.append(((a[j] - a[i], min(a[i] + a[j], a[k] + a[l]), q), resolutions, not resolved))
-    keyed.sort()  # the (lo, hi, q) keys are distinct
+            r, t = rank_i[k], rank_j[l]  # the inner swap (i, k, j, l)
+            inner = lo_r[t] > hi_r[r]
+            if inner:
+                inner = (r, t) if r <= t else (t, r)
+                if inner != (x, y):
+                    resolutions.append(("*", vals_r[inner[0]] + vals_r[inner[1]]))
+            r, t = rank_i[l], rank_j[k]  # the outer swap (i, l, k, j)
+            outer = lo_r[t] > hi_r[r]
+            if outer:
+                outer = (r, t) if r <= t else (t, r)
+                if outer != (x, y) and outer != inner:
+                    resolutions.append(("_*", vals_r[outer[0]] + vals_r[outer[1]]))
+            keyed.append((
+                -neg_d, min(sum_x, sum_y), i, j, k, l,
+                vals_r[x] + vals_r[y], tuple(resolutions), not (inner or outer),
+            ))
+    keyed.sort()  # the (lo, hi, i, j, k, l) keys are distinct
     # rows come grouped by interval: one Fraction per distinct endpoint, and
     # one AdmissibleInterval per group, shared by the rows of the group
-    frac = {u: Fraction(u, scale) for u in {e for (x, y, _), _, _ in keyed for e in (x, y)}}
-    value = s.values.__getitem__
-    rows = []
-    for (x, y), group in groupby(keyed, lambda row: row[0][:2]):
-        iv = AdmissibleInterval(frac[x], frac[y])
-        rows.extend(
-            BadQuadrupleRow(
-                iv,
-                tuple(map(value, q)),
-                tuple((op, tuple(map(value, t))) for op, t in resolutions),
-                unresolved,
-            )
-            for (_, _, q), resolutions, unresolved in group
-        )
+    frac = {u: Fraction(u, scale) for u in {e for row in keyed for e in row[:2]}}
+    rows, group = [], None
+    for u, v, _, _, _, _, quadruple, resolutions, unresolved in keyed:
+        if group != (u, v):
+            group = u, v
+            iv = AdmissibleInterval(frac[u], frac[v])
+        rows.append(BadQuadrupleRow(iv, quadruple, resolutions, unresolved))
     return rows
 
 

@@ -57,6 +57,11 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # an ASCII 'p' or 'p/q' of digits is read by int(), which raises
+            # what Fraction(str) would; any other text goes to Fraction(str)
+            p, slash, q = value.partition("/")
+            if value.isascii() and p.isdigit() and (not slash or q.isdigit()):
+                return Fraction(int(p), int(q)) if slash else Fraction(int(p))
             return Fraction(value)
         except ZeroDivisionError:
             raise InvalidSpace(f"zero denominator in {value!r}") from None
@@ -103,7 +108,9 @@ class DistanceSet:
     tuple.  The constructor builds it, sorting and deduplicating on those
     ints, and every kernel reads it; membership tests run on its ints.  The
     set also keeps its 4-values verdict, stored by
-    four_values.check_four_values on the first call that asks for it.
+    four_values.check_four_values on the first call that asks for it, and
+    the pair-interval table that the verdict and the bad-quadruple table
+    read, stored by four_values._pair_table.
     """
 
     def __init__(self, values: Iterable):
@@ -119,6 +126,7 @@ class DistanceSet:
         self._ints = tuple(ints), scale
         self._members = frozenset(ints)
         self._four_values = None  # the FourValuesResult, once a check asks for it
+        self._pair_table = None  # four_values._pair_intervals of the ints, once a scan asks for it
 
     def _scaled_values(self) -> tuple[tuple[int, ...], int]:
         """The int view (ints, scale) = _scaled(self.values), built by the constructor."""

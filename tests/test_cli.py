@@ -605,6 +605,7 @@ class TestInputErrors:
         ("milliken embed 134 --depth 4", "milliken embed needs --target"),
         ("color annulus --space {tri} --y 9", "point 9 out of range for a 3-point space"),
         ("color annulus --space {line} --start 1 --end 2 --chain=", "chain must run from start to end"),
+        ("color annulus --space {line} --start 1 --end 2 -n 0 --chain 1,2 --eps 1/100", "n must be at least 1"),
         ("color divide --space {tri} --centers 0,9 --radii 1/3,1/3", "point 9 out of range"),
         ("color divide --space {tri} --centers 0,1 --radii 1/3", "center 1 has no radius"),
         ("color divide --space {tri} --centers 0,1,2 --radii 1/3,1/3,1/3,1/4", "4 radii for 3 centers"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from finmetric.four_values import (
     _pair_intervals,
     _prefix_bitsets,
+    AdmissibleInterval,
     AmalgamationError,
     BadQuadrupleRow,
     FourValuesResult,
@@ -80,6 +81,62 @@ def _reference_bad_quadruples(s):
     return rows
 
 
+def _reference_index_pair_bad_quadruples(s):
+    """The walk over index pairs that the pair-rank walk replaced.
+
+    It builds its own pair-interval table, ranks the index pairs in a dict
+    keyed by pair, canonicalizes each bad partner through that dict and maps
+    every row back to Fractions.
+    """
+    a, scale = _scaled(s.values)
+    lo, hi = _pair_intervals(a)
+    m = len(a)
+    pairs = sorted(
+        ((i, j) for i in range(m) for j in range(i, m)),
+        key=lambda p: (a[p[0]] - a[p[1]], a[p[0]] + a[p[1]], p),
+    )
+    rank = {p: x for x, p in enumerate(pairs)}
+    tops = [(k, l, hi[k][l]) for k, l in pairs]
+
+    def canonical(u0, u1, u2, u3):
+        p1 = (u0, u1) if u0 <= u1 else (u1, u0)
+        p2 = (u2, u3) if u2 <= u3 else (u3, u2)
+        return p1 + p2 if rank[p1] <= rank[p2] else p2 + p1
+
+    keyed = []
+    for x, (i, j) in enumerate(pairs):
+        lo_ij = lo[i][j]
+        for k, l, hi_kl in tops[x:]:
+            if hi_kl >= lo_ij:
+                continue
+            q = (i, j, k, l)
+            resolutions = []
+            resolved = False
+            for op, (u0, u1, u2, u3) in (("*", (i, k, j, l)), ("_*", (i, l, k, j))):
+                if lo[u2][u3] > hi[u0][u1]:
+                    resolved = True
+                    cp = canonical(u0, u1, u2, u3)
+                    if cp != q and all(cp != t for _, t in resolutions):
+                        resolutions.append((op, cp))
+            keyed.append(((a[j] - a[i], min(a[i] + a[j], a[k] + a[l]), q), resolutions, not resolved))
+    keyed.sort()
+    frac = {u: Fraction(u, scale) for u in {e for (x, y, _), _, _ in keyed for e in (x, y)}}
+    value = s.values.__getitem__
+    rows = []
+    for (x, y), group in itertools.groupby(keyed, lambda row: row[0][:2]):
+        iv = AdmissibleInterval(frac[x], frac[y])
+        rows.extend(
+            BadQuadrupleRow(
+                iv,
+                tuple(map(value, q)),
+                tuple((op, tuple(map(value, t))) for op, t in resolutions),
+                unresolved,
+            )
+            for (_, _, q), resolutions, unresolved in group
+        )
+    return rows
+
+
 def _reference_pair_mask_check(s):
     """The |S|^4 pair-mask scan that the O(|S|^3) prefix-bitset scan replaced.
 
@@ -141,6 +198,17 @@ def holding_sets(draw, max_size=12):
     return DistanceSet(vals)
 
 
+@st.composite
+def quarter_sets(draw, max_size=9):
+    """|S| in 1..max_size, each value p/q with q in 1..4.  Most such sets
+    fail the 4-values condition, so rows marked UNRESOLVED are drawn."""
+    vals = draw(st.lists(
+        st.builds(Fraction, st.integers(1, 40), st.integers(1, 4)),
+        min_size=1, max_size=max_size, unique=True,
+    ))
+    return DistanceSet(vals)
+
+
 class TestKernelMatchesReference:
     @given(mixed_distance_sets())
     @settings(max_examples=150, deadline=None)
@@ -151,6 +219,25 @@ class TestKernelMatchesReference:
     @settings(max_examples=60, deadline=None)
     def test_bad_quadruples(self, s):
         assert bad_quadruples(s) == _reference_bad_quadruples(s)
+
+    @given(quarter_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_quadruples_match_the_index_pair_walk(self, s):
+        assert bad_quadruples(s) == _reference_index_pair_bad_quadruples(s)
+
+    def test_unresolved_rows_are_drawn(self):
+        # sixty seeded sets of quarter_sets' shape, each compared with the
+        # references, full rows included; some of their rows are UNRESOLVED
+        rng, unresolved = random.Random(38), 0
+        for _ in range(60):
+            size = rng.randint(3, 9)
+            s = DistanceSet(Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(size))
+            rows = bad_quadruples(s)
+            assert rows == _reference_index_pair_bad_quadruples(s)
+            if len(s) <= 6:
+                assert rows == _reference_bad_quadruples(s)
+            unresolved += sum(r.unresolved for r in rows)
+        assert unresolved > 0
 
     @given(holding_sets())
     @settings(max_examples=12, deadline=None)
@@ -260,6 +347,53 @@ class TestKeptVerdict:
         t = ds(1, 2)
         check_four_values(t)
         assert len(scans) == 2 and scans[1] is t
+
+
+class TestKeptPairTable:
+    """The pair-interval table is built once per set, by whichever of the
+    check and the bad-quadruple table runs first; both refuse |S| > bound
+    before reading it."""
+
+    @pytest.mark.parametrize("vals", [
+        (1, 2, 4), (1, 2, 5), tuple(range(1, 9)), (Fraction(1, 2), Fraction(2, 3), 2), (3,),
+    ])
+    @pytest.mark.parametrize("check_first", [True, False], ids=["check-first", "table-first"])
+    def test_interleaved_calls_build_one_table(self, monkeypatch, vals, check_first):
+        from finmetric import four_values
+
+        built = []
+        pair_intervals = four_values._pair_intervals
+        monkeypatch.setattr(four_values, "_pair_intervals", lambda a: built.append(a) or pair_intervals(a))
+        s = DistanceSet(vals)
+        want = {check_four_values: _reference_check_four_values(s),
+                bad_quadruples: _reference_bad_quadruples(s)}
+        refusal = {check_four_values: "4-values check", bad_quadruples: "bad-quadruple scan"}
+        calls = [check_four_values, bad_quadruples]
+        if not check_first:
+            calls.reverse()
+        for offset in (-1, 0, 2, -2, 1):
+            bound = len(s) + offset
+            for fn in calls + calls[::-1]:
+                if len(s) > bound:
+                    with pytest.raises(SearchTooLarge, match=rf"^{refusal[fn]} too large: \|S\|={len(s)} > {bound}$"):
+                        fn(s, bound)
+                else:
+                    assert fn(s, bound) == want[fn]
+        assert len(built) == 1
+        # no table outlives a set: an equal set builds its own
+        calls[0](DistanceSet(vals))
+        assert len(built) == 2
+
+    def test_a_refused_call_builds_no_table(self, monkeypatch):
+        from finmetric import four_values
+
+        built = []
+        monkeypatch.setattr(four_values, "_pair_intervals", lambda a: built.append(a))
+        s = ds(1, 2, 5)
+        for fn in (check_four_values, bad_quadruples):
+            with pytest.raises(SearchTooLarge):
+                fn(s, 2)
+        assert built == [] and s._pair_table is None
 
 
 class TestInterval:

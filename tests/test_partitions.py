@@ -515,6 +515,20 @@ class TestAnnulusLemma:
                 x, 0, 1, 2, Fraction(2, 5), 1, [1, 2], Fraction(1, 30)
             )
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 1, 2, Fraction(1, 2), 0, [1, 2], Fraction(1, 100)), "n must be at least 1"),
+        ((2, 0, 1, Fraction(1, 2), 1, [0, 1], Fraction(1, 100)),
+         "start point too far from the center: d=1 >= 1/4"),
+        ((0, 0, 1, 2, 1, [0, 1], Fraction(1, 100)), "end point is not beyond radius r from the start"),
+        ((0, 0, 2, Fraction(1, 2), 1, [0, 2], Fraction(1, 2)), "eps is not below 1/((n+1)(n+2))"),
+    ], ids=["n-below-one", "start-too-far", "end-within-r", "eps-too-large"])
+    def test_each_precondition_named(self, args, message):
+        # y = 0 and 1 sit 1/10 apart, 2 is 1 from both
+        x = FiniteMetricSpace([[0, Fraction(1, 10), 1], [Fraction(1, 10), 0, 1], [1, 1, 0]])
+        with pytest.raises(PreconditionError) as exc:
+            annulus_lemma_check(x, *args)
+        assert str(exc.value) == message
+
     def test_thousand_random_instances(self):
         rng = random.Random(99)
         for _ in range(1000):

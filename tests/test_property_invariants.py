@@ -182,6 +182,26 @@ def test_only_distance_sets_scale_their_values():
     assert found == []
 
 
+def test_only_the_pair_table_builds_pair_intervals():
+    # a distance set's pair-interval table has one producer too:
+    # four_values._pair_table builds it once and keeps it on the set, and the
+    # 4-values scan and the bad-quadruple table read it there
+    inside = {
+        id(node)
+        for name, tree in _trees() if name == "finmetric/four_values.py"
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_pair_table"
+        for node in ast.walk(fn)
+    }
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_pair_intervals"
+    ]
+    assert inside and found == []
+
+
 def test_kernels_build_the_int_view_once(monkeypatch):
     # repeated kernel calls on one space read the view it carries: a checked
     # build makes it, every unchecked one (the builders that prove their

@@ -702,6 +702,11 @@ class TestGraphRefusals:
             EdgeLabelledGraph(2, {(0, 1): 1, (1, 0): 2})
         assert EdgeLabelledGraph(2, {(0, 1): 1, (1, 0): 1}).label(1, 0) == 1
 
+    @pytest.mark.parametrize("label, shown", [(0, "0"), ("-1/2", "-1/2")])
+    def test_label_not_positive(self, label, shown):
+        with pytest.raises(InvalidSpace, match=rf"^label on \(0,1\) must be positive, got {shown}$"):
+            EdgeLabelledGraph(2, {(0, 1): label})
+
     def test_unknown_completion_mode(self):
         g = EdgeLabelledGraph(2, {(0, 1): 1})
         assert g.is_connected()
@@ -989,6 +994,66 @@ def _reference_check_distances(x, s):
     """Refuse x with a distance outside s, by a Fraction loop."""
     if any(not _reference_contains(s, v) for v in x.distances()):
         raise InvalidSpace("space has a distance outside S")
+
+
+def _reference_as_fraction(value):
+    """as_fraction with every string read by Fraction(str)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise InvalidSpace(f"float distance {value!r} not allowed; use p/q rationals")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise InvalidSpace(f"zero denominator in {value!r}") from None
+        except ValueError as exc:
+            raise InvalidSpace(str(exc)) from None
+    raise InvalidSpace(f"cannot interpret {value!r} as a rational")
+
+
+def _outcome_of(f, value):
+    """f(value) as ("value", result) or ("raised", type, message)."""
+    try:
+        q = f(value)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    return ("value", type(q), q)
+
+
+class TestTokenReading:
+    """as_fraction reads ASCII 'p' and 'p/q' tokens with int(); every outcome
+    is the one Fraction(str) gives."""
+
+    # digits, the separators and signs Fraction(str) knows, and two
+    # non-ASCII digits: Arabic-Indic one (int() reads it) and superscript two
+    # (str.isdigit() holds, int() refuses it)
+    @given(st.text(alphabet="0123456789/+- .e_\u0661\u00b2", max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_of_str(self, text):
+        assert _outcome_of(as_fraction, text) == _outcome_of(_reference_as_fraction, text)
+
+    @given(st.integers(0, 10 ** 30), st.integers(0, 10 ** 30))
+    @settings(max_examples=200, deadline=None)
+    def test_digit_tokens(self, p, q):
+        for text in (str(p), f"{p}/{q}", f"{p:05d}/{q:03d}"):
+            assert _outcome_of(as_fraction, text) == _outcome_of(_reference_as_fraction, text)
+
+    @pytest.mark.parametrize("text", [
+        "0/0", "3/0", "1" * 5000, "1/" + "2" * 5000, "1" * 5000 + "/0",
+        "/", "1/", "/2", "", "\u0661/2", "\u00b2", "1_000/3", " 7/2", "-3/0",
+    ], ids=["0/0", "3/0", "long-numerator", "long-denominator", "long-over-zero",
+            "slash", "no-denominator", "no-numerator", "empty", "arabic-indic",
+            "superscript", "underscore", "space", "negative-over-zero"])
+    def test_edge_cases(self, text):
+        # a numerator past the int-to-str limit raises that limit's error
+        # before the zero denominator is seen, as Fraction(str) does
+        got = _outcome_of(as_fraction, text)
+        assert got == _outcome_of(_reference_as_fraction, text)
+        if text.startswith("1" * 5000):
+            assert got[:2] == ("raised", InvalidSpace) and "limit" in got[2]
 
 
 # rationals with denominators 1-12, some in several spellings, so that a set's

@@ -300,6 +300,25 @@ class TestTreeValidation:
         with pytest.raises(InvalidSpace, match="leaf 7 is not a node at depth 1"):
             UltraTree((1,), [-1, 0, 0], [0, 1, 1], {1: 0, 2: 1, 7: 2})
 
+    @pytest.mark.parametrize("parents, depths", [([], []), ([0], [0]), ([-1], [1]), ([-1, 0], [0])],
+                             ids=["no-node", "root-with-a-parent", "root-below-depth-0", "node-without-depth"])
+    def test_root_and_depths_required(self, parents, depths):
+        with pytest.raises(InvalidSpace, match="^node 0 must be the root, at depth 0, and every node needs a depth$"):
+            UltraTree((2,), parents, depths, {})
+
+    def test_node_below_the_leaf_depth(self):
+        # a one-level tree whose leaf has a child
+        with pytest.raises(InvalidSpace, match="^node 2 lies below the leaf depth 1$"):
+            UltraTree((2,), [-1, 0, 1], [0, 1, 2], {2: 0})
+
+    def test_internal_node_without_a_child(self):
+        with pytest.raises(InvalidSpace, match="^internal node 0 at depth 0 has no child$"):
+            UltraTree((2,), [-1], [0], {})
+
+    def test_maximal_node_not_a_leaf(self):
+        with pytest.raises(InvalidSpace, match="^maximal node 1 is not a leaf$"):
+            UltraTree((2,), [-1, 0], [0, 1], {})
+
     @pytest.mark.parametrize("points", [{1: 0, 2: 0}, {1: 0, 2: 5}, {1: 0, 2: -1}, {1: 0, 2: "a"}],
                              ids=["repeated", "past-the-last", "negative", "not-an-int"])
     def test_leaf_points_not_one_to_one_onto_range(self, points):
