@@ -1,10 +1,11 @@
 import itertools
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finmetric.spaces import (
     Config,
@@ -1014,15 +1015,6 @@ def _reference_as_fraction(value):
     raise InvalidSpace(f"cannot interpret {value!r} as a rational")
 
 
-def _outcome_of(f, value):
-    """f(value) as ("value", result) or ("raised", type, message)."""
-    try:
-        q = f(value)
-    except Exception as exc:
-        return ("raised", type(exc), str(exc))
-    return ("value", type(q), q)
-
-
 class TestTokenReading:
     """as_fraction reads ASCII 'p' and 'p/q' tokens with int(); every outcome
     is the one Fraction(str) gives."""
@@ -1033,13 +1025,16 @@ class TestTokenReading:
     @given(st.text(alphabet="0123456789/+- .e_\u0661\u00b2", max_size=12))
     @settings(max_examples=400, deadline=None)
     def test_matches_fraction_of_str(self, text):
-        assert _outcome_of(as_fraction, text) == _outcome_of(_reference_as_fraction, text)
+        # Fraction(str) raises 10 to a written exponent in full, in both
+        # functions alike: '1e9999999' takes seconds, so exponents stay short
+        assume(not re.search(r"e[+-]?[\d_]{5}", text))
+        assert _outcome(as_fraction, text) == _outcome(_reference_as_fraction, text)
 
     @given(st.integers(0, 10 ** 30), st.integers(0, 10 ** 30))
     @settings(max_examples=200, deadline=None)
     def test_digit_tokens(self, p, q):
         for text in (str(p), f"{p}/{q}", f"{p:05d}/{q:03d}"):
-            assert _outcome_of(as_fraction, text) == _outcome_of(_reference_as_fraction, text)
+            assert _outcome(as_fraction, text) == _outcome(_reference_as_fraction, text)
 
     @pytest.mark.parametrize("text", [
         "0/0", "3/0", "1" * 5000, "1/" + "2" * 5000, "1" * 5000 + "/0",
@@ -1050,10 +1045,10 @@ class TestTokenReading:
     def test_edge_cases(self, text):
         # a numerator past the int-to-str limit raises that limit's error
         # before the zero denominator is seen, as Fraction(str) does
-        got = _outcome_of(as_fraction, text)
-        assert got == _outcome_of(_reference_as_fraction, text)
+        got = _outcome(as_fraction, text)
+        assert got == _outcome(_reference_as_fraction, text)
         if text.startswith("1" * 5000):
-            assert got[:2] == ("raised", InvalidSpace) and "limit" in got[2]
+            assert got[0] == "InvalidSpace" and "limit" in got[1]
 
 
 # rationals with denominators 1-12, some in several spellings, so that a set's
