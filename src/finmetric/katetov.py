@@ -12,6 +12,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     _check_canon_bound,
+    _check_points,
     _fraction_rows,
     _least_order,
     _rank_masks,
@@ -51,39 +53,67 @@ def _katetov_witness(d, f) -> tuple[int, int] | None:
     """The least pair i < j, row-major, failing |f[i]-f[j]| <= d[i][j] <= f[i]+f[j],
     or None: the one Katetov test, on any ordered numbers."""
     for i, a in enumerate(f):
+        row = d[i]
         for j in range(i + 1, len(f)):
-            if not abs(a - f[j]) <= d[i][j] <= a + f[j]:
+            b = f[j]
+            if not (a - b if a > b else b - a) <= row[j] <= a + b:
                 return i, j
     return None
+
+
+def _scaled_map(x: FiniteMetricSpace, f: list[Fraction]) -> tuple[list, list[int], int]:
+    """(m, g, scale): x's int view and the Fraction map f as ints, both at
+    scale, the lcm of the view's scale and f's denominators.  A positive
+    scale keeps every comparison.  The view is multiplied only when f is
+    finer than it, that is when scale is not the view's own."""
+    m, own = x._scaled_rows()
+    scale = math.lcm(own, *{v.denominator for v in f})
+    if scale != own:
+        k = scale // own
+        m = [[u * k for u in row] for row in m]
+    return m, [v.numerator * (scale // v.denominator) for v in f], scale
+
+
+def _verdict(d, g) -> tuple[bool, tuple[int, int] | None]:
+    """is_katetov's answer for the int map g over the int matrix d: False
+    with no witness if g is negative somewhere, else the kernel's pair."""
+    if g and min(g) < 0:
+        return False, None
+    witness = _katetov_witness(d, g)
+    return witness is None, witness
+
+
+def _check_subset(n: int, sub: list) -> None:
+    """Refuse sub as submetric does unless it lists distinct points of range(n)."""
+    _check_points(n, sub)
+    if len(set(sub)) != len(sub):
+        raise InvalidSpace(f"repeated point in {sub}")
+
+
+def _block(m, sub: list[int]) -> list[list[int]]:
+    """The rows and columns sub of the matrix m, in sub's order."""
+    return [[m[a][b] for b in sub] for a in sub]
 
 
 def is_katetov(x: FiniteMetricSpace, values) -> tuple[bool, tuple[int, int] | None]:
     """Check the two-sided Katetov inequality; witness is the least violating pair.
 
     Zero values are allowed here: a map vanishing at a point is identified
-    with that point.  Only extend_with refuses them.  The test runs on ints,
-    which keeps every comparison, verdict and witness: x's int view and f at
-    the lcm of its scale and f's denominators.  The view is multiplied only
-    when f is finer than x's scale.
+    with that point.  Only extend_with refuses them.  The test runs on x's
+    int view and f at one scale (_scaled_map), which keeps every
+    comparison, verdict and witness.
     """
     f = [as_fraction(v) for v in values]
     if len(f) != x.n:
         raise InvalidSpace(f"expected {x.n} values, got {len(f)}")
-    if any(v.numerator < 0 for v in f):
-        return False, None
-    m, scale = x._scaled_rows()
-    common = math.lcm(scale, *{v.denominator for v in f})
-    if common != scale:
-        k = common // scale
-        m = [[u * k for u in row] for row in m]
-    witness = _katetov_witness(m, [v.numerator * (common // v.denominator) for v in f])
-    return witness is None, witness
+    m, g, _ = _scaled_map(x, f)
+    return _verdict(m, g)
 
 
-def _refusal(f, witness, pair: str = "witness pair") -> str:
-    """Why is_katetov refused f: its witness pair, or its first negative point."""
+def _refusal(g, witness, pair: str = "witness pair") -> str:
+    """Why is_katetov refused the map g: its witness pair, or its first negative point."""
     if witness is None:
-        return f"negative value at point {next(i for i, v in enumerate(f) if v < 0)}"
+        return f"negative value at point {next(i for i, v in enumerate(g) if v < 0)}"
     return f"{pair} {witness}"
 
 
@@ -91,14 +121,17 @@ def extend_with(x: FiniteMetricSpace, values) -> FiniteMetricSpace:
     """X plus one new point at distance f(x) from each x, with no triangle scan:
     a nonvanishing Katetov map is exactly a metric one-point extension."""
     f = [as_fraction(v) for v in values]
-    ok, witness = is_katetov(x, f)
+    if len(f) != x.n:
+        raise InvalidSpace(f"expected {x.n} values, got {len(f)}")
+    m, g, _ = _scaled_map(x, f)
+    ok, witness = _verdict(m, g)
     if not ok:
-        raise InvalidSpace(f"not a Katetov map, {_refusal(f, witness)}")
-    for i, v in enumerate(f):
-        if v == 0:
-            raise InvalidSpace(f"map vanishes at point {i}: realized by existing point {i}")
-    rows = tuple(row + (f[i],) for i, row in enumerate(x.d))
-    return FiniteMetricSpace._from_rows(rows + ((*f, Fraction(0)),))
+        raise InvalidSpace(f"not a Katetov map, {_refusal(g, witness)}")
+    if 0 in g:
+        i = g.index(0)
+        raise InvalidSpace(f"map vanishes at point {i}: realized by existing point {i}")
+    rows = [row + (v,) for row, v in zip(x.d, f)]
+    return FiniteMetricSpace._from_rows((*rows, (*f, Fraction(0))))
 
 
 def shortest_extension(x: FiniteMetricSpace, sub, values) -> list[Fraction]:
@@ -106,33 +139,43 @@ def shortest_extension(x: FiniteMetricSpace, sub, values) -> list[Fraction]:
 
     The result restricts back to f on the subspace and is Katetov over X; it
     is the distance function of the path-metric amalgam of X and sub-plus-f.
+    The test and the minimums run on x's int view and f at one scale.
     """
     sub = list(sub)
     if not sub:
         raise InvalidSpace("the empty subspace has no shortest extension")
-    subx = x.submetric(sub)
+    _check_subset(x.n, sub)
     f = [as_fraction(v) for v in values]
     if len(f) != len(sub):
         raise InvalidSpace("one value per subspace point required")
-    ok, witness = is_katetov(subx, f)
+    m, g, scale = _scaled_map(x, f)
+    ok, witness = _verdict(_block(m, sub), g)
     if not ok:
         raise InvalidSpace(f"not Katetov over the subspace, witness {witness}")
-    return [min(x.d[y][s] + f[k] for k, s in enumerate(sub)) for y in range(x.n)]
+    return [Fraction(min(map(operator.add, map(row.__getitem__, sub), g)), scale) for row in m]
 
 
 def realizers(x: FiniteMetricSpace, sub, values) -> list[int]:
     """Points of X at distance exactly f(s) from every s in the subspace.
 
     With an empty subspace every point qualifies.  A point of the subspace
-    itself appears exactly when f is its own distance function there.
+    itself appears exactly when f is its own distance function there.  The
+    test and the comparisons run on x's int view and f at one scale; a map
+    finer than x's scale takes a value that no distance of x has.
     """
     sub = list(sub)
-    subx = x.submetric(sub)
-    f = tuple(map(as_fraction, values))
-    ok, witness = is_katetov(subx, f)
+    _check_subset(x.n, sub)
+    f = [as_fraction(v) for v in values]
+    if len(f) != len(sub):
+        raise InvalidSpace(f"expected {len(sub)} values, got {len(f)}")
+    m, g, scale = _scaled_map(x, f)
+    ok, witness = _verdict(_block(m, sub), g)
     if not ok:
-        raise InvalidSpace(f"not Katetov over the subspace, {_refusal(f, witness, 'witness')}")
-    return [y for y, row in enumerate(x.d) if tuple(map(row.__getitem__, sub)) == f]
+        raise InvalidSpace(f"not Katetov over the subspace, {_refusal(g, witness, 'witness')}")
+    if scale != x._scaled_rows()[1]:
+        return []
+    g = tuple(g)
+    return [y for y, row in enumerate(m) if tuple(map(row.__getitem__, sub)) == g]
 
 
 @dataclass
@@ -233,15 +276,20 @@ def urysohn_approx(
             return FiniteMetricSpace._from_rows(_fraction_rows(m, scale)), log
         _, _, sub, f = heap[0]
         if p + 2 > config.urysohn_max_points:
-            listed = sorted(e for fs in pending.values() for e in fs.values())
+            listed = [e for fs in pending.values() for e in fs.values()]
+            listed.sort()
             values = tuple(frac.values())
-            fkeys = {k: _key_rows(k[1], k[0] + 1, values) for k in {e[:2] for e in listed}}
+            rows, maps = {}, {}  # each distinct key decoded, each distinct f's Fractions built, once
+            for k, key, _, g in listed:
+                if (k, key) not in rows:
+                    rows[k, key] = _key_rows(key, k + 1, values)
+                if g not in maps:
+                    maps[g] = tuple(map(frac.__getitem__, g))
             raise ResourceLimit(
                 f"urysohn closure exceeded {config.urysohn_max_points} points "
                 f"with {len(listed)} extensions still unrealized",
                 space=FiniteMetricSpace._from_rows(_fraction_rows(m, scale)),
-                pending=[(k, fkeys[k, key], subset, tuple(map(frac.__getitem__, g)))
-                         for k, key, subset, g in listed],
+                pending=[(k, rows[k, key], subset, maps[g]) for k, key, subset, g in listed],
                 log=log,
             )
         four_values._adjoin_point(ints, scale, m, sub, f, rng.choice)
@@ -284,8 +332,12 @@ def _key_rows(key: int, n: int, values) -> tuple:
     """The n x n matrix that key holds: its base-len(values) digits, row by
     row, each read as values[digit]."""
     base = len(values)
-    digits = [key // base ** e % base for e in reversed(range(n * n))]
-    return tuple(tuple(values[i] for i in digits[a * n:(a + 1) * n]) for a in range(n))
+    entries = []
+    for _ in range(n * n):
+        key, i = divmod(key, base)
+        entries.append(values[i])
+    entries.reverse()
+    return tuple(tuple(entries[a * n:(a + 1) * n]) for a in range(n))
 
 
 def _katetov_maps(d, values) -> list[tuple]:

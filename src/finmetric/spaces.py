@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -47,6 +48,33 @@ class Config:
 DEFAULT_CONFIG = Config()
 
 
+# the literals Fraction(str) reads (Python 3.11's grammar; its own pattern
+# also lets the decimal part be a run of the letter d, which int() refuses
+# before any power is taken)
+_RATIONAL = re.compile(r"""
+    \A\s*[-+]?(?=\d|\.\d)
+    (?P<num>\d*|\d+(_\d+)*)
+    (?:/\d+(_\d+)*|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z
+""", re.VERBOSE | re.IGNORECASE)
+_MAX_EXPONENT = 4300  # Python's default int-to-str limit
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse a literal that Fraction(str) would read with an exponent past
+    _MAX_EXPONENT, before Fraction(str) takes 10 to that power in full.  The
+    numerator and decimal digits are read first, as Fraction(str) reads
+    them, so a token that it refuses earlier keeps its message."""
+    m = _RATIONAL.match(text)
+    if m is None or m["exp"] is None:
+        return
+    int(m["num"] or "0")
+    if m["decimal"]:
+        int(m["decimal"].replace("_", ""))
+    if abs(int(m["exp"])) > _MAX_EXPONENT:
+        raise InvalidSpace(f"exponent out of range in {text!r}: its absolute value exceeds {_MAX_EXPONENT}")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats and bools."""
     if isinstance(value, Fraction):
@@ -62,6 +90,7 @@ def as_fraction(value) -> Fraction:
             p, slash, q = value.partition("/")
             if value.isascii() and p.isdigit() and (not slash or q.isdigit()):
                 return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+            _check_exponent(value)
             return Fraction(value)
         except ZeroDivisionError:
             raise InvalidSpace(f"zero denominator in {value!r}") from None

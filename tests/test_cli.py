@@ -696,6 +696,14 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 
+    def test_long_exponent_refused_at_once(self, capsys):
+        # Fraction(str) would take 10 ** 9999999 in full (about ten seconds)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check4v", "1", "2", "1e9999999")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: exponent out of range in '1e9999999': its absolute value exceeds 4300\n"
+
 
 GOLDEN_HELP = pathlib.Path(__file__).parent / "golden" / "help"
 PLAIN_VERBS = ["check4v", "badquads", "similar", "amalgamate", "validate", "complete", "iso",

@@ -854,6 +854,165 @@ class TestKernelMatchesReference:
         assert is_katetov(x, (0, 0, 2)) == (False, (0, 1))
 
 
+# --- the queries on submetric spaces and Fractions that the int-view queries
+# replaced, kept verbatim but for the Katetov test, the reference one above --
+
+def _reference_refusal(f, witness, pair: str = "witness pair") -> str:
+    """Why the Katetov test refused f: its witness pair, or its first negative point."""
+    if witness is None:
+        return f"negative value at point {next(i for i, v in enumerate(f) if v < 0)}"
+    return f"{pair} {witness}"
+
+
+def _reference_fraction_extend_with(x: FiniteMetricSpace, values) -> FiniteMetricSpace:
+    """X plus one new point at distance f(x) from each x, with no triangle scan."""
+    f = [as_fraction(v) for v in values]
+    ok, witness = _reference_is_katetov(x, f)
+    if not ok:
+        raise InvalidSpace(f"not a Katetov map, {_reference_refusal(f, witness)}")
+    for i, v in enumerate(f):
+        if v == 0:
+            raise InvalidSpace(f"map vanishes at point {i}: realized by existing point {i}")
+    rows = tuple(row + (f[i],) for i, row in enumerate(x.d))
+    return FiniteMetricSpace._from_rows(rows + ((*f, Fraction(0)),))
+
+
+def _reference_shortest_extension(x: FiniteMetricSpace, sub, values) -> list[Fraction]:
+    """Extend a Katetov map on a subspace to all of X by g(y) = min d(y,s) + f(s)."""
+    sub = list(sub)
+    if not sub:
+        raise InvalidSpace("the empty subspace has no shortest extension")
+    subx = x.submetric(sub)
+    f = [as_fraction(v) for v in values]
+    if len(f) != len(sub):
+        raise InvalidSpace("one value per subspace point required")
+    ok, witness = _reference_is_katetov(subx, f)
+    if not ok:
+        raise InvalidSpace(f"not Katetov over the subspace, witness {witness}")
+    return [min(x.d[y][s] + f[k] for k, s in enumerate(sub)) for y in range(x.n)]
+
+
+def _reference_submetric_realizers(x: FiniteMetricSpace, sub, values) -> list[int]:
+    """Points of X at distance exactly f(s) from every s in the subspace."""
+    sub = list(sub)
+    subx = x.submetric(sub)
+    f = tuple(map(as_fraction, values))
+    ok, witness = _reference_is_katetov(subx, f)
+    if not ok:
+        raise InvalidSpace(f"not Katetov over the subspace, {_reference_refusal(f, witness, 'witness')}")
+    return [y for y, row in enumerate(x.d) if tuple(map(row.__getitem__, sub)) == f]
+
+
+def _reference_key_rows(key: int, n: int, values) -> tuple:
+    """The n x n matrix that key holds, one power of the base per digit."""
+    base = len(values)
+    digits = [key // base ** e % base for e in reversed(range(n * n))]
+    return tuple(tuple(values[i] for i in digits[a * n:(a + 1) * n]) for a in range(n))
+
+
+def _query_outcome(query, *args):
+    """The result, or the type and text of the error, for equality checks."""
+    try:
+        return query(*args)
+    except InvalidSpace as exc:
+        return "InvalidSpace", str(exc)
+
+
+# map values: negative, zero and mixed denominators; finer than every host's
+# scale (sevenths and elevenths); tokens good and malformed
+QUERY_TOKENS = st.one_of(
+    MAP_VALUES,
+    st.builds(Fraction, st.integers(1, 12), st.sampled_from((7, 11))),
+    st.sampled_from(("3/2", "-1", "abc", "1/0", "", 1.5, True, None)),
+)
+
+
+@st.composite
+def query_cases(draw, min_size=0):
+    """A host from katetov_spaces, a subset of at least min_size entries that
+    may hold out-of-range and repeated points, and a map on it: often the
+    distances from one point, with at most one entry swapped for a drawn
+    token, sometimes a value too few or too many."""
+    x = draw(katetov_spaces(max_n=6))
+    points = st.integers(0, x.n - 1) if x.n else st.nothing()
+    anywhere = st.lists(st.integers(-2, x.n + 1), min_size=min_size, max_size=4)
+    sub = draw(st.one_of(st.lists(points, min_size=min_size, max_size=min(x.n, 4), unique=True), anywhere)
+               if x.n >= min_size else anywhere)
+    if x.n and draw(st.booleans()):
+        p = draw(points)
+        f = [x.d[p][q] if 0 <= q < x.n else Fraction(1) for q in sub]
+        if f and draw(st.booleans()):
+            f[draw(st.integers(0, len(f) - 1))] = draw(QUERY_TOKENS)
+    else:
+        f = draw(st.lists(QUERY_TOKENS, min_size=len(sub), max_size=len(sub)))
+    change = draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+    f = f[:-1] if change < 0 else f + [Fraction(1)] * change
+    return x, sub, f
+
+
+@st.composite
+def extension_cases(draw):
+    """A host from katetov_spaces and a map on all of it: the distances from
+    one point, nudged (zero at that point unless nudged), or drawn tokens,
+    sometimes a value too few or too many."""
+    x = draw(katetov_spaces(max_n=6))
+    if x.n and draw(st.booleans()):
+        p = draw(st.integers(0, x.n - 1))
+        f = [x.d[p][q] + draw(st.sampled_from((0, 0, 0, Fraction(1, 2), Fraction(1, 7), -1)))
+             for q in range(x.n)]
+        if draw(st.booleans()):
+            f[draw(st.integers(0, x.n - 1))] = draw(QUERY_TOKENS)
+    else:
+        f = draw(st.lists(QUERY_TOKENS, min_size=x.n, max_size=x.n))
+    change = draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+    f = f[:-1] if change < 0 else f + [Fraction(1)] * change
+    return x, f
+
+
+class TestQueriesMatchReference:
+    """Each query on the host's int view gives the result, the refusal and
+    the message of the submetric and Fraction code it replaced, in the same
+    order of refusals."""
+
+    @given(query_cases())
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [0, 0], [1, 1]))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [0, 2], ["abc", 1]))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [0, 1], [Fraction(1, 7), Fraction(8, 7)]))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [0, 1], [-1, 5]))
+    @settings(max_examples=300, deadline=None)
+    def test_realizers(self, case):
+        assert _query_outcome(realizers, *case) == _query_outcome(_reference_submetric_realizers, *case)
+
+    @given(query_cases(min_size=1))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [], []))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [1, 1], ["abc"]))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [1], [-1]))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [0, 1], [Fraction(1, 7), Fraction(8, 7)]))
+    @settings(max_examples=300, deadline=None)
+    def test_shortest_extension(self, case):
+        assert _query_outcome(shortest_extension, *case) == _query_outcome(_reference_shortest_extension, *case)
+
+    @given(extension_cases())
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [-1, 5]))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [1, 0]))
+    @example((FiniteMetricSpace([[0, 1], [1, 0]]), [Fraction(1, 7), Fraction(8, 7)]))
+    @settings(max_examples=300, deadline=None)
+    def test_extend_with(self, case):
+        got, want = (_query_outcome(ext, *case) for ext in (extend_with, _reference_fraction_extend_with))
+        if isinstance(want, FiniteMetricSpace):
+            assert isinstance(got, FiniteMetricSpace) and got.d == want.d
+        else:
+            assert got == want
+
+    @given(st.integers(1, 5), st.integers(2, 7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_key_rows(self, n, base, data):
+        # keys past n * n digits too: both read the last n * n digits
+        key = data.draw(st.integers(0, base ** (n * n + 2)))
+        values = tuple(Fraction(i, 3) for i in range(base))
+        assert _key_rows(key, n, values) == _reference_key_rows(key, n, values)
+
+
 @st.composite
 def adjoin_inputs(draw):
     """An int metric space, the distances from one more point over a subset,

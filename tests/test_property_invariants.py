@@ -202,6 +202,26 @@ def test_only_the_pair_table_builds_pair_intervals():
     assert inside and found == []
 
 
+def test_katetov_queries_read_the_host_view():
+    # the Katetov queries read the host's int view: katetov.py builds no
+    # submetric space, and only _scaled_map brings a map and the view to one
+    # scale, the one lcm in the module
+    tree = dict(_trees())["finmetric/katetov.py"]
+    inside = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_scaled_map"
+        for node in ast.walk(fn)
+    }
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    submetric = [node.lineno for node in calls if getattr(node.func, "attr", None) == "submetric"]
+    lcm = [
+        node.lineno for node in calls
+        if id(node) not in inside and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lcm"
+    ]
+    assert inside
+    assert (submetric, lcm) == ([], [])
+
+
 def test_kernels_build_the_int_view_once(monkeypatch):
     # repeated kernel calls on one space read the view it carries: a checked
     # build makes it, every unchecked one (the builders that prove their

@@ -1,11 +1,12 @@
+import fractions
 import itertools
 import operator
 import random
-import re
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finmetric.spaces import (
     Config,
@@ -1015,20 +1016,36 @@ def _reference_as_fraction(value):
     raise InvalidSpace(f"cannot interpret {value!r} as a rational")
 
 
+def _exponent_past_limit(text: str) -> bool:
+    """Whether Fraction(str) reads text as a literal whose exponent lies past
+    4300 in absolute value, by the standard library's own pattern."""
+    m = fractions._RATIONAL_FORMAT.match(text)
+    return bool(m and m["exp"] and abs(int(m["exp"])) > 4300)
+
+
 class TestTokenReading:
     """as_fraction reads ASCII 'p' and 'p/q' tokens with int(); every outcome
-    is the one Fraction(str) gives."""
+    is the one Fraction(str) gives, but for a literal whose exponent lies
+    past 4300 in absolute value, which is refused before any power is taken."""
 
     # digits, the separators and signs Fraction(str) knows, and two
     # non-ASCII digits: Arabic-Indic one (int() reads it) and superscript two
     # (str.isdigit() holds, int() refuses it)
     @given(st.text(alphabet="0123456789/+- .e_\u0661\u00b2", max_size=12))
+    @example("1e9999999")
+    @example("1e4301")
+    @example("1e4300")
+    @example(".5e-99_999")
     @settings(max_examples=400, deadline=None)
     def test_matches_fraction_of_str(self, text):
-        # Fraction(str) raises 10 to a written exponent in full, in both
-        # functions alike: '1e9999999' takes seconds, so exponents stay short
-        assume(not re.search(r"e[+-]?[\d_]{5}", text))
-        assert _outcome(as_fraction, text) == _outcome(_reference_as_fraction, text)
+        # a literal that Fraction(str) reads with an exponent past 4300 is
+        # refused, where Fraction(str) would raise 10 to it in full (seconds
+        # for '1e9999999'); every other token gives what Fraction(str) gives
+        got = _outcome(as_fraction, text)
+        if _exponent_past_limit(text):
+            assert got == ("InvalidSpace", f"exponent out of range in {text!r}: its absolute value exceeds 4300")
+        else:
+            assert got == _outcome(_reference_as_fraction, text)
 
     @given(st.integers(0, 10 ** 30), st.integers(0, 10 ** 30))
     @settings(max_examples=200, deadline=None)
@@ -1049,6 +1066,28 @@ class TestTokenReading:
         assert got == _outcome(_reference_as_fraction, text)
         if text.startswith("1" * 5000):
             assert got[0] == "InvalidSpace" and "limit" in got[1]
+
+    @pytest.mark.parametrize("text", ["1e9999999", "1e-9999999", "0e9999999", "1.5E+99999", "1e9_999_999"])
+    def test_long_exponents_refused_at_once(self, text):
+        start = time.perf_counter()
+        assert _outcome(as_fraction, text) == (
+            "InvalidSpace", f"exponent out of range in {text!r}: its absolute value exceeds 4300")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-2.5e+4300", " 3E4_300 ", "1e0004300", "0e-4300"])
+    def test_exponents_up_to_the_limit_keep_their_value(self, text):
+        assert _outcome(as_fraction, text) == _outcome(_reference_as_fraction, text)
+        assert not isinstance(_outcome(as_fraction, text), tuple)
+
+    @pytest.mark.parametrize("text", [
+        "1/2e9999999", "1e9999999/2", "1.2.3e9999999", "e9999999", "1e", "1e+-5",
+        "1" * 5000 + "e9999999", "1." + "2" * 5000 + "e9999999", "1e" + "9" * 5000,
+    ], ids=["over-exponent", "exponent-over", "two-points", "no-mantissa", "no-exponent",
+            "two-signs", "long-numerator", "long-decimal", "long-exponent"])
+    def test_tokens_refused_before_their_exponent_keep_their_message(self, text):
+        # Fraction(str) refuses these without taking a power: not a literal,
+        # or a digit string past the int-to-str limit, read left to right
+        assert _outcome(as_fraction, text) == _outcome(_reference_as_fraction, text)
 
 
 # rationals with denominators 1-12, some in several spellings, so that a set's
