@@ -21,7 +21,8 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 
 class SearchTooLarge(Exception):
@@ -257,7 +258,19 @@ class FiniteMetricSpace:
     must be that least one, not any common multiple: _rank_matrix reads a
     space's distances at another space's scale, which it can only do when
     the first scale divides the second.
+
+    A space also keeps its symmetry invariants, each computed on the first
+    call that asks for it: _ranks, the ranking (_ranked); _canon, the pair
+    (canonical form, order) of canonicalize; _iso, the isometry-group order
+    (isometry_order, or the length of isometries' list); and _ultra, the
+    is_ultrametric verdict.  Every search checks its bound before it reads a
+    kept value, so a refusal does not depend on what was computed before.
     """
+
+    _ranks = None
+    _canon = None
+    _iso = None
+    _ultra = None
 
     def __init__(self, rows: Sequence[Sequence], check: bool = True):
         """Rows checked on every call: square, zero diagonal, symmetric, positive,
@@ -315,7 +328,9 @@ class FiniteMetricSpace:
         return FiniteMetricSpace._from_rows(tuple(tuple(self.d[i][j] for j in idx) for i in idx))
 
     def is_ultrametric(self) -> bool:
-        return _violating_triple(self._scaled_rows()[0], max) is None
+        if self._ultra is None:
+            self._ultra = _violating_triple(self._scaled_rows()[0], max) is None
+        return self._ultra
 
     def __eq__(self, other):
         return isinstance(other, FiniteMetricSpace) and self.d == other.d
@@ -578,7 +593,7 @@ def _rank_rows(m) -> tuple[dict, tuple[tuple[int, ...], ...]]:
     return table, tuple(tuple(map(table.__getitem__, row)) for row in m)
 
 
-def _rank_matrix(x: FiniteMetricSpace, table: dict, scale: int) -> list[list[int]]:
+def _rank_matrix(x: FiniteMetricSpace, table: Mapping[int, int], scale: int) -> list[list[int]]:
     """x's distances as ranks from table, another space's ranks at that
     space's scale; KeyError if x has a distance the table lacks, which is
     so when x's scale does not divide scale."""
@@ -589,13 +604,16 @@ def _rank_matrix(x: FiniteMetricSpace, table: dict, scale: int) -> list[list[int
     return [[table[u * k] for u in row] for row in m]
 
 
-def _ranked(x: FiniteMetricSpace) -> tuple[dict, tuple, list[list[int]]]:
-    """x's ranking, read off its int view: the rank table, the rank matrix
-    and the point masks.  masks[p][v] has bit q set when the rank of d(p, q)
-    is v, so every comparison of the searches below is between ints.
+def _ranked(x: FiniteMetricSpace) -> tuple[Mapping[int, int], tuple, tuple[tuple[int, ...], ...]]:
+    """x's ranking, read off its int view and kept on x: the rank table, the
+    rank matrix and the point masks.  masks[p][v] has bit q set when the rank
+    of d(p, q) is v, so every comparison of the searches below is between
+    ints.  All three are read-only, since every later search shares them.
     """
-    table, r = _rank_rows(x._scaled_rows()[0])
-    return table, r, _rank_masks(r, len(table))
+    if x._ranks is None:
+        table, r = _rank_rows(x._scaled_rows()[0])
+        x._ranks = MappingProxyType(table), r, tuple(map(tuple, _rank_masks(r, len(table))))
+    return x._ranks
 
 
 def _rank_masks(r, n_ranks: int) -> list[list[int]]:
@@ -672,15 +690,15 @@ def isometries(
         t -= 1
     if t >= n - 1:
         _match(r, masks, [], lambda img: found.append(tuple(img)))
-        return found
+    else:
+        def emit(img):
+            if _match(r, masks, list(img), lambda _: True):
+                head = tuple(img)
+                rest = [p for p in range(n) if p not in head]
+                found.extend(head + p for p in itertools.permutations(rest))
 
-    def emit(img):
-        if _match(r, masks, list(img), lambda _: True):
-            head = tuple(img)
-            rest = [p for p in range(n) if p not in head]
-            found.extend(head + p for p in itertools.permutations(rest))
-
-    _match([row[:t] for row in r[:t]], masks, [], emit)
+        _match([row[:t] for row in r[:t]], masks, [], emit)
+    x._iso = len(found)
     return found
 
 
@@ -689,10 +707,13 @@ def isometry_order(x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG) -> int
 
     The order is the product over i of the orbit of point i under the
     isometries fixing 0..i-1; c is in that orbit when the partial map fixing
-    0..i-1 and sending i to c extends to an isometry.
+    0..i-1 and sending i to c extends to an isometry.  The order is kept on
+    x, as isometries keeps the length of its list.
     """
     if x.n > config.iso_bound:
         raise SearchTooLarge(f"isometry search too large: n={x.n} > {config.iso_bound}")
+    if x._iso is not None:
+        return x._iso
     _, r, masks = _ranked(x)
     order = 1
     for i in range(x.n):
@@ -706,6 +727,7 @@ def isometry_order(x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG) -> int
             orbit += _match(r, masks, img, lambda img: True)
             cands ^= low
         order *= orbit
+    x._iso = order
     return order
 
 
@@ -740,15 +762,18 @@ def canonicalize(
     it is unused (twins: equal distances to every other point), because the
     swap of two twins is an isometry.  Two spaces are isometric iff their
     canonical forms are equal.  The form, a reordering of x, needs no re-check.
+    The pair is kept on x, and every call returns that same pair.
     """
     _check_canon_bound(x.n, config)
-    n, d = x.n, x.d
-    if n <= 2:  # every order gives the same matrix
-        order = tuple(range(n))
-    else:
-        order = _least_order(*_ranked(x)[1:])
-    canon = FiniteMetricSpace._from_rows(tuple(tuple(d[a][b] for b in order) for a in order))
-    return canon, order
+    if x._canon is None:
+        n, d = x.n, x.d
+        if n <= 2:  # every order gives the same matrix
+            order = tuple(range(n))
+        else:
+            order = _least_order(*_ranked(x)[1:])
+        canon = FiniteMetricSpace._from_rows(tuple(tuple(d[a][b] for b in order) for a in order))
+        x._canon = canon, order
+    return x._canon
 
 
 def _check_canon_bound(n: int, config: Config) -> None:
@@ -817,8 +842,9 @@ def _least_order(r, masks) -> tuple[int, ...]:
 
 
 def canonical_key(x: FiniteMetricSpace, config: Config = DEFAULT_CONFIG):
-    canon, _ = canonicalize(x, config)
-    return canon.d
+    """The rows of x's canonical form (canonicalize, kept on x): a hashable
+    key, equal for two spaces exactly when they are isometric."""
+    return canonicalize(x, config)[0].d
 
 
 # --- text and JSON space formats ------------------------------------------

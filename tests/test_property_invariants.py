@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import finmetric
@@ -159,6 +160,33 @@ def test_only_spaces_touches_the_int_view():
         if isinstance(node, ast.Attribute) and node.attr == "_ints"
     }
     assert found == {"finmetric/spaces.py"}
+
+
+def test_only_spaces_touches_the_kept_invariants():
+    # a space's kept ranking, canonical form, group order and ultrametric
+    # verdict have one owner too: every other file asks for them through
+    # _ranked, canonicalize, isometry_order and is_ultrametric
+    kept = {"_ranks", "_canon", "_iso", "_ultra"}
+    found = {
+        name
+        for name, tree in _trees() + _trees(ROOT / "tests") + _trees(ROOT / "demos") + _trees(ROOT / "bench")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in kept or isinstance(node, ast.Name) and node.id in kept
+    }
+    assert found == {"finmetric/spaces.py"}
+
+
+def test_kept_masks_are_read_only():
+    # every later search on a space shares its ranking, so none may change it
+    x = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    table, r, masks = spaces._ranked(x)
+    assert spaces._ranked(x)[2] is masks
+    with pytest.raises(TypeError):
+        masks[0][1] = 0
+    with pytest.raises(TypeError):
+        masks[0] = (0, 0, 0)
+    with pytest.raises(TypeError):
+        table[0] = 1
 
 
 def test_only_distance_sets_scale_their_values():

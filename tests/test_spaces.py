@@ -30,6 +30,7 @@ from finmetric.spaces import (
     space_to_text,
     validate,
 )
+from finmetric.ramsey import ramsey_degree_general, ramsey_degree_metric_ordered
 from finmetric.spaces import (
     _check_distances,
     _path_closure,
@@ -553,6 +554,64 @@ class TestSearchesMatchReference:
         assert isometry_order(x) == 3628800
         canon, order = canonicalize(x)
         assert order == tuple(range(10)) and canon == x
+
+
+# the queries whose answers a space keeps, each on a host x and a target
+# drawn from x's points (copies lists the target's copies in x)
+KEPT_QUERIES = {
+    "canonicalize": lambda x, t: canonicalize(x),
+    "canonical_key": lambda x, t: canonical_key(x),
+    "isometries": lambda x, t: isometries(x),
+    "isometry_order": lambda x, t: isometry_order(x),
+    "copies": copies,
+    "is_ultrametric": lambda x, t: x.is_ultrametric(),
+    "ramsey_degree_general": lambda x, t: ramsey_degree_general(x),
+    "ramsey_degree_metric_ordered": lambda x, t: ramsey_degree_metric_ordered(x, x.distance_set()),
+}
+
+
+class TestKeptInvariants:
+    """A space answers each query from what it kept as a new copy of it
+    answers from nothing, in any order of calls, and checks every bound
+    before it reads a kept value."""
+
+    @given(st.one_of(few_valued_spaces(min_n=2, max_n=7), twin_rich_spaces()).filter(lambda x: x.n >= 2),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_call_order_matches_a_cold_copy(self, x, data):
+        target = x.submetric(data.draw(st.lists(st.integers(0, x.n - 1), min_size=1, max_size=3, unique=True)))
+        calls = data.draw(st.lists(st.sampled_from(sorted(KEPT_QUERIES)), min_size=1, max_size=12))
+        for name in calls:
+            cold = FiniteMetricSpace._from_rows(x.d)
+            assert KEPT_QUERIES[name](x, target) == KEPT_QUERIES[name](cold, target), name
+
+    def test_warm_space_keeps_its_refusals(self):
+        x = FiniteMetricSpace.equilateral(5, 1)
+        for name in sorted(KEPT_QUERIES):
+            KEPT_QUERIES[name](x, x)
+        low = Config(iso_bound=4, copies_bound=4, canon_bound=4)
+        refusals = [
+            (canonicalize, "canonicalization too large: n=5 > 4"),
+            (canonical_key, "canonicalization too large: n=5 > 4"),
+            (isometries, "isometry search too large: n=5 > 4"),
+            (isometry_order, "isometry search too large: n=5 > 4"),
+            (ramsey_degree_general, "isometry search too large: n=5 > 4"),
+            (lambda y, c: copies(y, y, c), "copy search too large: n=5 > 4"),
+        ]
+        for query, message in refusals:
+            for y in (x, FiniteMetricSpace._from_rows(x.d)):
+                with pytest.raises(SearchTooLarge) as info:
+                    query(y, low)
+                assert str(info.value) == message
+
+    def test_listing_then_order_under_a_lower_bound(self):
+        # isometries keeps the group order; isometry_order still refuses first
+        x = FiniteMetricSpace.equilateral(5, 1)
+        assert len(isometries(x)) == 120
+        with pytest.raises(SearchTooLarge) as info:
+            isometry_order(x, Config(iso_bound=4))
+        assert str(info.value) == "isometry search too large: n=5 > 4"
+        assert isometry_order(x) == 120
 
 
 class TestKernelsMatchReference:
