@@ -678,7 +678,8 @@ def isometries(
     suffix onto the unused points extends it.  These are emitted in
     `itertools.permutations` order, which keeps the whole list
     lexicographic: the maps and order of a point-by-point search, with no
-    search node per suffix map.
+    search node per suffix map.  The list's length is kept on x as the group
+    order, which isometry_order reads; the list itself is not kept.
     """
     if x.n > config.iso_bound:
         raise SearchTooLarge(f"isometry search too large: n={x.n} > {config.iso_bound}")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from finmetric.ramsey import ramsey_degree_general, ramsey_degree_metric_ordered
 from finmetric.spaces import (
     Config,
     DistanceSet,
@@ -30,7 +31,6 @@ from finmetric.spaces import (
     space_to_text,
     validate,
 )
-from finmetric.ramsey import ramsey_degree_general, ramsey_degree_metric_ordered
 from finmetric.spaces import (
     _check_distances,
     _path_closure,
