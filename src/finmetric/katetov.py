@@ -25,7 +25,7 @@ from .spaces import (
     FiniteMetricSpace,
     InvalidSpace,
     _check_canon_bound,
-    _check_points,
+    _check_subset,
     _fraction_rows,
     _least_order,
     _rank_masks,
@@ -81,13 +81,6 @@ def _verdict(d, g) -> tuple[bool, tuple[int, int] | None]:
         return False, None
     witness = _katetov_witness(d, g)
     return witness is None, witness
-
-
-def _check_subset(n: int, sub: list) -> None:
-    """Refuse sub as submetric does unless it lists distinct points of range(n)."""
-    _check_points(n, sub)
-    if len(set(sub)) != len(sub):
-        raise InvalidSpace(f"repeated point in {sub}")
 
 
 def _block(m, sub: list[int]) -> list[list[int]]:
@@ -209,13 +202,14 @@ def urysohn_approx(
     point realizing the first pair, and repeat until none is pending.
     Indices never move, so a pair over an older subspace keeps its
     admissibility and its key: after point p is added only the pairs that p
-    realizes drop out, and the unrealized pairs over subspaces containing p
-    come in.  The pending pairs are kept by subspace, F -> {f: entry}, and
-    in a heap of the same entries: p realizes exactly one map over each F,
-    so one dict pop per open subspace drops them, and the heap drops its
-    realized entries lazily, when they reach the top.  Katetov and realizer
-    tests run on S and the matrix scaled to ints.  One bounded table for the
-    whole process, keyed by S's ints, |F| and F's distances, holds F's
+    realizes drop out, and the unrealized pairs over subspaces whose last
+    point is p come in.  The pending pairs live in one heap.  A pair is
+    pushed once, when F's last point is added and no point realizes f, so
+    only a later point can realize it: one test (_realized) over those
+    points drops a realized entry when it reaches the top, and leaves it
+    out of a capped run's listing.  Katetov and realizer tests run on S and
+    the matrix scaled to ints.  One bounded table for the whole process,
+    keyed by S's ints, |F| and F's distances, holds F's
     Katetov maps and, once a map is first open, the key of F+f: its int
     matrix in canonicalize's order, read off its ranks, packed into one int
     whose digits are the entries' indices in (0, *S).  So a process that runs
@@ -246,38 +240,35 @@ def urysohn_approx(
     digit = {u: i for i, u in enumerate(frac)}  # each int of F+f as its digit in a key
     m = [[0]]  # the distance matrix so far, scaled to ints
     log = BuildLog()
-    pending: dict = {}  # F -> {f: (|F|, key, F, f)} for the unrealized f, in ints
     heap: list = []  # every (|F|, key, F, f) listed so far; the realized ones lazily dropped
     p = 0
     while True:
-        # list the unrealized pairs over the subsets that contain point p
+        # list the unrealized pairs over the subsets whose last point is p
         # a subset with p has at most p + 1 points
         for size in range(1, min(size_cap, p + 2)):
             for rest in itertools.combinations(range(p), size - 1):
                 sub = rest + (p,)
                 fs = _pattern_maps(ints, size, tuple(m[a][b] for a, b in itertools.combinations(sub, 2)))
-                realized = set(zip(*(m[q] for q in sub)))
+                realized = _realized(m, sub, 0)
                 open_fs = [f for f in fs if f not in realized]
                 if not open_fs:
                     continue
                 _check_canon_bound(size + 1, config)  # a key may come from a looser bound
-                entries = pending[sub] = {}
                 for f in open_fs:
                     key = fs[f]
                     if key is None:
                         ext = [[m[a][b] for b in sub] + [v] for a, v in zip(sub, f)]
                         ext.append([*f, 0])
                         key = fs[f] = _closure_key(ext, digit)
-                    entry = entries[f] = (size, key, sub, f)
-                    heapq.heappush(heap, entry)
-        while heap and heap[0][3] not in pending.get(heap[0][2], ()):
+                    heapq.heappush(heap, (size, key, sub, f))
+        while heap and heap[0][3] in _realized(m, heap[0][2], heap[0][2][-1] + 1):
             heapq.heappop(heap)
         if not heap:
             return FiniteMetricSpace._from_rows(_fraction_rows(m, scale)), log
         _, _, sub, f = heap[0]
         if p + 2 > config.urysohn_max_points:
-            listed = [e for fs in pending.values() for e in fs.values()]
-            listed.sort()
+            realized = {t: _realized(m, t, t[-1] + 1) for t in {e[2] for e in heap}}
+            listed = sorted(e for e in heap if e[3] not in realized[e[2]])
             values = tuple(frac.values())
             rows, maps = {}, {}  # each distinct key decoded, each distinct f's Fractions built, once
             for k, key, _, g in listed:
@@ -295,11 +286,12 @@ def urysohn_approx(
         four_values._adjoin_point(ints, scale, m, sub, f, rng.choice)
         log.record(sub, [frac[v] for v in f])
         p += 1
-        # the new point p realizes exactly one map over each subset
-        row = m[p]
-        for sub, fs in list(pending.items()):
-            if fs.pop(tuple(map(row.__getitem__, sub)), None) and not fs:
-                del pending[sub]
+
+
+def _realized(m, sub: tuple, first: int) -> set:
+    """The maps over sub that the points first, first + 1, ... of the
+    matrix m realize: each such point's distances to sub, in sub's order."""
+    return set(zip(*[m[q][first:] for q in sub]))
 
 
 @functools.lru_cache(maxsize=4096)

@@ -111,6 +111,13 @@ def _check_points(n: int, points) -> None:
             raise InvalidSpace(f"point {p} out of range for a {n}-point space")
 
 
+def _check_subset(n: int, sub: list) -> None:
+    """Reject sub unless it lists distinct points of range(n)."""
+    _check_points(n, sub)
+    if len(set(sub)) != len(sub):
+        raise InvalidSpace(f"repeated point in {sub}")
+
+
 def _distances_in(x: FiniteMetricSpace, s: DistanceSet) -> bool:
     """Whether every distance of x lies in s, tested on the int views.
 
@@ -322,9 +329,7 @@ class FiniteMetricSpace:
     def submetric(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         """The points at the indices, in their order: distinct points of a metric space."""
         idx = list(indices)
-        _check_points(self.n, idx)
-        if len(set(idx)) != len(idx):
-            raise InvalidSpace(f"repeated point in {idx}")
+        _check_subset(self.n, idx)
         return FiniteMetricSpace._from_rows(tuple(tuple(self.d[i][j] for j in idx) for i in idx))
 
     def is_ultrametric(self) -> bool:

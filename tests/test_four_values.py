@@ -17,6 +17,7 @@ from finmetric.four_values import (
     bad_quadruples,
     canonical_quadruple,
     check_four_values,
+    format_bad_quadruple_table,
     interval,
     similar,
     swap,
@@ -716,6 +717,17 @@ def test_bad_quadruples_empty_for_singleton():
     assert bad_quadruples(ds(1)) == []
 
 
+def test_unresolved_row_text():
+    # {1,2,3,5}'s last row has no swap that lands on a good quadruple
+    assert format_bad_quadruple_table(bad_quadruples(ds(1, 2, 3, 5))) == (
+        "[3,2]  (2,5,1,1), * -> (1,5,1,2)\n"
+        "[4,2]  (1,5,1,1)\n"
+        "[4,3]  (1,5,1,2), * -> (2,5,1,1)\n"
+        "[4,4]  (1,5,1,3)\n"
+        "[4,4]  (1,5,2,2), UNRESOLVED"
+    )
+
+
 def test_every_listed_quadruple_is_bad_and_interval_exact():
     for s, rows in TABLES.items():
         sset = ds(*s)
@@ -886,6 +898,16 @@ class TestAmalgamate:
         x = FiniteMetricSpace([[0, 1], [1, 0]])
         with pytest.raises(AmalgamationError):
             amalgamate(s, x, x, [0], [0])
+
+    def test_refuses_unaligned_index_maps(self):
+        x = FiniteMetricSpace([[0, 1], [1, 0]])
+        with pytest.raises(AmalgamationError, match="^shared-part index maps must be injective and aligned$"):
+            amalgamate(ds(1, 2), x, x, [0, 0], [0, 1])
+
+    def test_refuses_a_distance_outside_s(self):
+        x = FiniteMetricSpace([[0, 3], [3, 0]])
+        with pytest.raises(AmalgamationError, match="^input space has a distance outside S$"):
+            amalgamate(ds(1, 2), x, x, [0], [0])
 
     def test_small_exhaustive_one_point_consistency(self):
         # for S subsets of {1..8} of size <= 3 holding 4-values, every V-configuration amalgamates

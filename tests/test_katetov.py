@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 import time
@@ -440,15 +441,15 @@ def _outcome(build, s, size_cap, max_points, seed, canon_bound=DEFAULT_CONFIG.ca
 
 
 @st.composite
-def closure_inputs(draw):
+def closure_inputs(draw, top=None):
     base = draw(st.sampled_from(CLOSURE_BASES))
     scale = draw(st.sampled_from((1, Fraction(1, 2), 2, 3)))
     size_cap = draw(st.integers(2, 4))
     # the reference rescans all |S|^3 maps over every 3-point subset on each
     # iteration: about 1.7 s at 8 points for three values and size_cap 4
-    if size_cap == 4:
+    if top is None and size_cap == 4:
         top = 7 if len(base) == 3 else 10
-    else:
+    elif top is None:
         top = 14
     max_points = draw(st.integers(3, top))
     seed = draw(st.integers(0, 999))
@@ -527,6 +528,129 @@ class TestClosureMatchesReference:
             assert len(got) == len(want)
             for field_got, field_want in zip(got, want):
                 assert field_got == field_want
+
+
+# --- reference incremental closure: the pending pairs kept twice, by subset
+# and in a heap, each new point popping its map from every open subset ------
+
+def _reference_incremental_urysohn_approx(
+    s: DistanceSet,
+    size_cap: int,
+    config: Config = DEFAULT_CONFIG,
+    seed: int = 0,
+) -> tuple[FiniteMetricSpace, BuildLog]:
+    """urysohn_approx with its pending pairs kept by subspace, F -> {f:
+    entry}, and in a heap of the same entries: p realizes exactly one map
+    over each F, so one dict pop per open subspace drops them, and the heap
+    drops its realized entries lazily, when they reach the top."""
+    if size_cap < 1:
+        raise InvalidSpace(f"size cap must be at least 1, got {size_cap}")
+    chk = four_values.check_four_values(s, config.four_values_bound)
+    if not chk:
+        witness = "(" + ",".join(format_fraction(v) for v in chk.witness) + ")"
+        raise InvalidSpace(f"S fails the 4-values condition, witness {witness}")
+    rng = random.Random(seed)
+    ints, scale = s._scaled_values()
+    frac = {u: Fraction(u, scale) for u in (0, *ints)}
+    digit = {u: i for i, u in enumerate(frac)}
+    m = [[0]]
+    log = BuildLog()
+    pending: dict = {}  # F -> {f: (|F|, key, F, f)} for the unrealized f, in ints
+    heap: list = []
+    p = 0
+    while True:
+        for size in range(1, min(size_cap, p + 2)):
+            for rest in itertools.combinations(range(p), size - 1):
+                sub = rest + (p,)
+                fs = _pattern_maps(ints, size, tuple(m[a][b] for a, b in itertools.combinations(sub, 2)))
+                realized = set(zip(*(m[q] for q in sub)))
+                open_fs = [f for f in fs if f not in realized]
+                if not open_fs:
+                    continue
+                _check_canon_bound(size + 1, config)
+                entries = pending[sub] = {}
+                for f in open_fs:
+                    key = fs[f]
+                    if key is None:
+                        ext = [[m[a][b] for b in sub] + [v] for a, v in zip(sub, f)]
+                        ext.append([*f, 0])
+                        key = fs[f] = _closure_key(ext, digit)
+                    entry = entries[f] = (size, key, sub, f)
+                    heapq.heappush(heap, entry)
+        while heap and heap[0][3] not in pending.get(heap[0][2], ()):
+            heapq.heappop(heap)
+        if not heap:
+            return FiniteMetricSpace._from_rows(_fraction_rows(m, scale)), log
+        _, _, sub, f = heap[0]
+        if p + 2 > config.urysohn_max_points:
+            listed = [e for fs in pending.values() for e in fs.values()]
+            listed.sort()
+            values = tuple(frac.values())
+            rows, maps = {}, {}
+            for k, key, _, g in listed:
+                if (k, key) not in rows:
+                    rows[k, key] = _key_rows(key, k + 1, values)
+                if g not in maps:
+                    maps[g] = tuple(map(frac.__getitem__, g))
+            raise ResourceLimit(
+                f"urysohn closure exceeded {config.urysohn_max_points} points "
+                f"with {len(listed)} extensions still unrealized",
+                space=FiniteMetricSpace._from_rows(_fraction_rows(m, scale)),
+                pending=[(k, rows[k, key], subset, maps[g]) for k, key, subset, g in listed],
+                log=log,
+            )
+        four_values._adjoin_point(ints, scale, m, sub, f, rng.choice)
+        log.record(sub, [frac[v] for v in f])
+        p += 1
+        row = m[p]
+        for sub, fs in list(pending.items()):
+            if fs.pop(tuple(map(row.__getitem__, sub)), None) and not fs:
+                del pending[sub]
+
+
+def _whole_outcome(build, s, size_cap, max_points, seed, canon_bound=DEFAULT_CONFIG.canon_bound):
+    """_outcome with a capped run's log as well, which the rescanning
+    reference does not keep."""
+    config = Config(urysohn_max_points=max_points, canon_bound=canon_bound)
+    try:
+        space, log = build(s, size_cap, config, seed=seed)
+    except ResourceLimit as exc:
+        return "limit", str(exc), exc.space.d, exc.pending, exc.log.entries
+    except SearchTooLarge as exc:
+        return "refused", str(exc)
+    return "done", space.d, log.entries
+
+
+class TestClosureMatchesIncrementalReference:
+    @given(closure_inputs(top=28), st.sampled_from((3, 4, 10)))
+    @settings(max_examples=12, deadline=None)
+    def test_random_closures(self, case, canon_bound):
+        # past the rescanning reference's reach; the bounds refuse the
+        # 4-point F+f of size cap 4, admit it exactly, or leave room
+        assert _whole_outcome(urysohn_approx, *case, canon_bound) == _whole_outcome(
+            _reference_incremental_urysohn_approx, *case, canon_bound)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_two_values_cap_four_to_the_point_cap(self, seed):
+        case = (DistanceSet((1, 2)), 4, 64, seed)
+        new = _whole_outcome(urysohn_approx, *case)
+        assert new[0] == "limit" and len(new[-1]) == 63
+        assert new == _whole_outcome(_reference_incremental_urysohn_approx, *case)
+
+    @pytest.mark.parametrize("vals, size_cap, max_points", [
+        ((1, 2), 4, 18),
+        ((1, 2), 4, 24),
+        ((1, 2, 3), 3, 40),
+    ])
+    def test_capped_pending_is_the_unrealized_scan(self, vals, size_cap, max_points):
+        # a scan of every subset of the partial space, apart from the heap
+        s = DistanceSet(vals)
+        with pytest.raises(ResourceLimit) as info:
+            urysohn_approx(s, size_cap, Config(urysohn_max_points=max_points))
+        exc = info.value
+        assert exc.space.n == max_points
+        listed = [(sub, f) for _, _, sub, f in exc.pending]
+        assert sorted(listed) == sorted(_unrealized(exc.space, s, size_cap))
 
 
 def _assert_pending_listed(message: str, pending: list):

@@ -1172,6 +1172,10 @@ def set_and_space(draw):
 
 
 class TestDistanceSet:
+    def test_refuses_the_empty_set(self):
+        with pytest.raises(InvalidSpace, match="^distance set must be non-empty$"):
+            DistanceSet([])
+
     @given(st.lists(spellings, min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_view_is_the_scaled_values(self, values):
